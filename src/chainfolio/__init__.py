@@ -56,7 +56,7 @@ from .refinery import (
     rolling_pca,
     select_valid_metrics,
 )
-from .rlcore import QNetwork, ReplayBuffer, TrainConfig, Transition, build_qnetwork
+from .rlcore import QNetwork, ReplayBuffer, TrainConfig, build_qnetwork
 
 __version__ = "0.1.0"
 
@@ -93,7 +93,6 @@ __all__ = [
     "SummaryStats",
     "TradingSignal",
     "TrainConfig",
-    "Transition",
     "VoteSet",
     "add_cm",
     "arr",

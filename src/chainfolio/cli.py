@@ -96,7 +96,7 @@ def main(argv=None) -> int:
         log.info("effective config: %s", json.dumps(cfg.to_doc(), sort_keys=True))
         log.info("seed: %d", cfg.seed)
         return _dispatch(args, cfg)
-    except ChainfolioError as exc:
+    except (ChainfolioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -43,7 +43,6 @@ from .rlcore import (
     ReplayBuffer,
     Tensor3,
     TrainConfig,
-    Transition,
     build_qnetwork,
     epsilon_at,
     epsilon_greedy,
@@ -52,6 +51,8 @@ from .rlcore import (
 )
 from .rlcore.container import (
     KIND_MODULE,
+    ContainerFormatError,
+    UnsupportedVersionError,
     network_from_parts,
     network_meta,
     params_from_bytes,
@@ -380,18 +381,11 @@ def _greedy_signal_array(
     """Frozen greedy signals of the trained signal agent, one per valid bar."""
     out = np.full(len(frame), np.nan)
     first = refined.first_valid_index + window - 1
-    states = []
-    index = []
-    for t in range(first, len(frame)):
-        if not refined.valid[t - window + 1 : t + 1].all():
-            continue
-        states.append(build_eam_state(frame, refined, t, window).tensor().data)
-        index.append(t)
-    if states:
-        q = eam_net.forward(np.stack(states))
-        actions = np.argmax(q, axis=1)
-        for t, a in zip(index, actions):
-            out[t] = SIGNAL_VALUES[SIGNAL_ACTIONS[int(a)]]
+    index = [t for t in range(first, len(frame)) if refined.valid[t - window + 1 : t + 1].all()]
+    if index:
+        states = _stack_states(lambda t: build_eam_state(frame, refined, t, window).tensor().data, index)
+        actions = np.argmax(eam_net.forward(states), axis=1)
+        out[index] = np.array([SIGNAL_VALUES[a] for a in SIGNAL_ACTIONS])[actions]
     return out
 
 
@@ -415,112 +409,65 @@ def _decision_indices(
     ]
 
 
-class _EpisodeEnv:
-    """Sequential decisions over precomputed states with log-return rewards."""
-
-    def __init__(self, states: list[np.ndarray], ratios: np.ndarray, reward_fn):
-        if len(states) != len(ratios) + 1:
-            raise DataError("need one more state than price ratios")
-        if len(ratios) == 0:
-            raise DataError("not enough decision bars to form a single step")
-        self.states = states
-        self.ratios = ratios
-        self.reward_fn = reward_fn
-        self.cursor = 0
-        self.carry = AllocationAction.all_cash()
-
-    def reset(self) -> np.ndarray:
-        self.cursor = 0
-        self.carry = AllocationAction.all_cash()
-        return self.states[0]
-
-    def step(self, action_index: int) -> tuple[float, np.ndarray, bool]:
-        reward, self.carry = self.reward_fn(self.cursor, action_index, self.carry)
-        self.cursor += 1
-        terminal = self.cursor == len(self.ratios)
-        return reward, self.states[self.cursor], terminal
+def _sam_rewards(ratios: np.ndarray, cfg: RewardConfig) -> np.ndarray:
+    """Allocation rewards ``r[j, prev, a]`` of step j from action prev to a."""
+    acts = [AllocationAction.from_index(a) for a in range(2)]
+    return np.array([[[sam_step(p.weights, a, float(r), cfg)[0] for a in acts] for p in acts] for r in ratios])
 
 
-def _sam_reward_fn(ratios: np.ndarray, cfg: RewardConfig):
-    def fn(j: int, action_index: int, carry: AllocationAction):
-        action = AllocationAction.from_index(action_index)
-        reward, _ = sam_step(carry.weights, action, float(ratios[j]), cfg)
-        return reward, action
-    return fn
+def _eam_rewards(ratios: np.ndarray, cfg: RewardConfig) -> np.ndarray:
+    """Signal rewards ``r[j, a]``, the same for every previous action: ``r[j, prev, a]``."""
+    table = np.array([[eam_reward(a, math.log(float(r)), cfg) for a in SIGNAL_ACTIONS] for r in ratios])
+    n = len(SIGNAL_ACTIONS)
+    return np.broadcast_to(table[:, None, :], (len(ratios), n, n))
 
 
-def _eam_reward_fn(ratios: np.ndarray, cfg: RewardConfig):
-    def fn(j: int, action_index: int, carry):
-        reward = eam_reward(SIGNAL_ACTIONS[action_index], math.log(float(ratios[j])), cfg)
-        return reward, carry
-    return fn
-
-
-def _greedy_log_wealth(net: QNetwork, states: list[np.ndarray], ratios: np.ndarray, cfg: RewardConfig) -> float:
-    """Validation score: log wealth of the greedy allocation policy."""
-    if len(ratios) == 0:
-        return 0.0
-    q = net.forward(np.stack(states[:-1]))
-    total = 0.0
-    prev = AllocationAction.all_cash()
-    for j in range(len(ratios)):
-        action = AllocationAction.from_index(int(np.argmax(q[j])))
-        reward, _ = sam_step(prev.weights, action, float(ratios[j]), cfg)
-        total += reward
-        prev = action
-    return total
-
-
-def _greedy_signal_score(net: QNetwork, states: list[np.ndarray], ratios: np.ndarray, cfg: RewardConfig) -> float:
-    """Validation score for the signal agent: summed signal-aligned log return."""
-    if len(ratios) == 0:
-        return 0.0
-    q = net.forward(np.stack(states[:-1]))
-    total = 0.0
-    for j in range(len(ratios)):
-        action = SIGNAL_ACTIONS[int(np.argmax(q[j]))]
-        total += eam_reward(action, math.log(float(ratios[j])), cfg)
-    return total
+def _greedy_score(net: QNetwork, states: np.ndarray, rewards: np.ndarray) -> float:
+    """Validation score: summed rewards of the greedy policy, starting from action 0."""
+    actions = np.argmax(net.forward(states[:-1]), axis=1)
+    prev = np.concatenate(([0], actions[:-1]))
+    # cumsum adds left to right, like a running total
+    return float(np.cumsum(rewards[np.arange(len(rewards)), prev, actions])[-1])
 
 
 def _run_dqn(
     arch: str,
-    train_states: list[np.ndarray],
-    train_ratios: np.ndarray,
-    val_states: list[np.ndarray],
-    val_ratios: np.ndarray,
+    train: tuple[np.ndarray, np.ndarray],
+    val: tuple[np.ndarray, np.ndarray],
     settings: CmSettings,
-    reward_factory,
-    score_fn,
     seeds: tuple[int, int, int],
 ) -> QNetwork:
-    """Train one agent and return the checkpoint with the best validation score."""
+    """Train one agent and return the checkpoint with the best validation score.
+
+    ``train`` and ``val`` are :func:`_episode` (states, rewards): step j moves
+    from state j to j + 1 and earns ``rewards[j, prev, a]``, where prev is
+    the episode's previous action (0 at its start).
+    """
     cfg = settings.train
+    train_states, train_rewards = train
     net_seed, action_seed, buffer_seed = seeds
-    shape = tuple(train_states[0].shape)
-    net = build_qnetwork(arch, shape, net_seed)
+    net = build_qnetwork(arch, train_states.shape[1:], net_seed)
     target = net.clone()
-    buffer = ReplayBuffer(settings.buffer_capacity, seed=buffer_seed)
+    buffer = ReplayBuffer(train_states, settings.buffer_capacity, seed=buffer_seed)
     rng = np.random.default_rng(action_seed)
-    env = _EpisodeEnv(train_states, train_ratios, reward_factory(train_ratios, settings.reward))
+    last = len(train_rewards) - 1
 
     best_params: np.ndarray | None = None
     best_score = -np.inf
 
     def checkpoint():
         nonlocal best_params, best_score
-        score = score_fn(net, val_states, val_ratios, settings.reward)
+        score = _greedy_score(net, *val)
         if score > best_score:
             best_score = score
             best_params = net.params_flat().copy()
 
-    state = env.reset()
+    j = prev = 0
     for step in range(cfg.max_steps):
-        q = net.forward(state[None])[0]
+        q = net.forward(train_states[j : j + 1])[0]
         action = epsilon_greedy(q, epsilon_at(cfg, step), rng)
-        reward, next_state, terminal = env.step(action)
-        buffer.push(Transition(state, action, reward, next_state, terminal))
-        state = env.reset() if terminal else next_state
+        buffer.push(j, action, train_rewards[j, prev, action], j == last)
+        j, prev = (0, 0) if j == last else (j + 1, action)
         if len(buffer) >= cfg.batch:
             train_step(net, target, buffer.sample(cfg.batch), cfg)
         if (step + 1) % cfg.target_sync == 0:
@@ -560,17 +507,15 @@ def train_cm_from_frame(
         idx_train = _decision_indices(ctx, frame, settings.window, False, *ranges.train)
         idx_val = _decision_indices(ctx, frame, settings.window, False, *ranges.validation)
         _require_steps(idx_train, idx_val, "signal agent")
-        eam_states = [build_eam_state(frame, refined, t, settings.window).tensor().data for t in idx_train]
-        eam_val = [build_eam_state(frame, refined, t, settings.window).tensor().data for t in idx_val]
+
+        def eam_obs(t):
+            return build_eam_state(frame, refined, t, settings.window).tensor().data
+
         eam_net = _run_dqn(
             "eam-1d",
-            eam_states,
-            _step_ratios(closes, idx_train),
-            eam_val,
-            _step_ratios(closes, idx_val),
+            _episode(eam_obs, idx_train, closes, _eam_rewards, settings.reward),
+            _episode(eam_obs, idx_val, closes, _eam_rewards, settings.reward),
             settings,
-            _eam_reward_fn,
-            _greedy_signal_score,
             (seeds[0], seeds[1], seeds[2]),
         )
         signals = _greedy_signal_array(eam_net, frame, refined, settings.window)
@@ -579,21 +524,15 @@ def train_cm_from_frame(
     idx_train = _decision_indices(ctx, frame, settings.window, use_eam, *ranges.train)
     idx_val = _decision_indices(ctx, frame, settings.window, use_eam, *ranges.validation)
     _require_steps(idx_train, idx_val, "allocation agent")
-    sam_states = [
-        build_sam_state(frame, refined, t, settings.window, signals).tensor.data for t in idx_train
-    ]
-    sam_val = [
-        build_sam_state(frame, refined, t, settings.window, signals).tensor.data for t in idx_val
-    ]
+
+    def sam_obs(t):
+        return build_sam_state(frame, refined, t, settings.window, signals).tensor.data
+
     sam_net = _run_dqn(
         "sam-4layer",
-        sam_states,
-        _step_ratios(closes, idx_train),
-        sam_val,
-        _step_ratios(closes, idx_val),
+        _episode(sam_obs, idx_train, closes, _sam_rewards, settings.reward),
+        _episode(sam_obs, idx_val, closes, _sam_rewards, settings.reward),
         settings,
-        _sam_reward_fn,
-        _greedy_log_wealth,
         (seeds[3], seeds[4], seeds[5]),
     )
     return CryptoModule(
@@ -622,10 +561,21 @@ def train_cm(
     return train_cm_from_frame(frame, ranges, settings, use_eam)
 
 
-def _step_ratios(closes: np.ndarray, indices: list[int]) -> np.ndarray:
-    """Price relatives between consecutive decision bars."""
+def _stack_states(observe, indices: list[int]) -> np.ndarray:
+    """Observations at frame rows ``indices``, filled into one (N, f, m, n) array."""
+    first = observe(indices[0])
+    states = np.empty((len(indices), *first.shape))
+    states[0] = first
+    for i, t in enumerate(indices[1:], 1):
+        states[i] = observe(t)
+    return states
+
+
+def _episode(observe, indices: list[int], closes: np.ndarray, reward_table, cfg: RewardConfig):
+    """(states, rewards) of one episode over the decision bars ``indices``;
+    rewards come from the price relatives between consecutive decision bars."""
     idx = np.asarray(indices)
-    return closes[idx[1:]] / closes[idx[:-1]]
+    return _stack_states(observe, indices), reward_table(closes[idx[1:]] / closes[idx[:-1]], cfg)
 
 
 def _require_steps(idx_train: list[int], idx_val: list[int], who: str) -> None:
@@ -659,11 +609,16 @@ def save_cm(cm: CryptoModule, path: str | Path) -> None:
 
 
 def load_cm(path: str | Path) -> CryptoModule:
-    """Load a module; raises on bad magic, version, or checksum."""
+    """Load a module; raises on bad magic, version, checksum, or header fields."""
     _, meta, sections = read_container(path, expected_kind=KIND_MODULE)
-    if meta["cm_version"] != CM_FORMAT_VERSION:
-        from .rlcore.container import UnsupportedVersionError
+    try:
+        return _module_from_parts(meta, sections)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContainerFormatError(f"malformed module {path}: bad or missing field {exc}") from None
 
+
+def _module_from_parts(meta: dict, sections: dict[str, bytes]) -> CryptoModule:
+    if meta["cm_version"] != CM_FORMAT_VERSION:
         raise UnsupportedVersionError(
             f"module version {meta['cm_version']} unsupported (expected {CM_FORMAT_VERSION})"
         )

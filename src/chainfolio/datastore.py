@@ -347,7 +347,13 @@ class CsvStore:
         path = self.root / self.MANIFEST
         if not path.exists():
             return {"version": 1, "assets": {}}
-        return json.loads(path.read_text())
+        try:
+            manifest = json.loads(path.read_text())
+        except ValueError as exc:
+            raise DataError(f"corrupt store manifest {path}: {exc}") from None
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("assets"), dict):
+            raise DataError(f"corrupt store manifest {path}: no 'assets' table")
+        return manifest
 
     def _write_manifest(self, manifest: dict) -> None:
         path = self.root / self.MANIFEST

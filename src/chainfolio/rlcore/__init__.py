@@ -6,7 +6,7 @@ a target network.  Everything is deterministic under a fixed seed.
 """
 
 from .network import QNetwork, Tensor3, build_qnetwork, q_values
-from .replay import ReplayBuffer, Transition
+from .replay import Batch, ReplayBuffer
 from .training import (
     DivergenceError,
     TrainConfig,
@@ -30,8 +30,8 @@ __all__ = [
     "Tensor3",
     "build_qnetwork",
     "q_values",
+    "Batch",
     "ReplayBuffer",
-    "Transition",
     "TrainConfig",
     "DivergenceError",
     "epsilon_at",

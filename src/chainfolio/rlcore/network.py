@@ -14,6 +14,11 @@ Convolutions slide along the interval axis only (kernel 3x1: three
 intervals, one asset row), valid padding, stride 1.  All math is float64
 numpy with explicit backward passes, so gradients can be checked against
 finite differences and parameter vectors serialize bit-exactly.
+
+Results are bit-identical across runs of one version (with the same numpy
+and BLAS), not across versions: reordering float sums, as the shift-and-
+matmul conv did to the einsum it replaced, moves trained parameters in
+their last bits, so module bytes for the same inputs and seed may change.
 """
 
 from __future__ import annotations
@@ -23,8 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, DataError
-
-_sliding = np.lib.stride_tricks.sliding_window_view
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,13 @@ class Tensor3:
 
 
 class Conv1D:
-    """Convolution along the last (interval) axis, per asset row."""
+    """Convolution along the last (interval) axis, per asset row.
+
+    Shift-and-matmul over a channel-last copy with one row r per (batch,
+    asset, interval): tap j adds ``x[r + j] @ w[:, :, j].T`` to output row r.
+    The last k - 1 rows of each asset row, whose taps run into the next
+    one, are cut from the output and are zero in the backward pass.
+    """
 
     kind = "conv1d"
 
@@ -69,21 +78,36 @@ class Conv1D:
         self.b = np.zeros(c_out)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
-        self._x_windows = None
+        self._x, self._x_shape = None, None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        batch, c_in, m, n = x.shape
         k = self.w.shape[2]
-        windows = _sliding(x, k, axis=3)  # (B, C_in, m, L, k)
-        self._x_windows = windows
-        return np.einsum("bcmlk,ock->boml", windows, self.w) + self.b[None, :, None, None]
+        rows = batch * m * n
+        xs = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(rows, c_in)
+        self._x, self._x_shape = xs, x.shape
+        y = xs @ self.w[:, :, 0].T
+        for j in range(1, k):
+            y[: rows - j] += xs[j:] @ self.w[:, :, j].T
+        y += self.b
+        # (B, C_out, m, L) view of channel-last memory
+        return y.reshape(batch, m, n, -1)[:, :, : n - k + 1].transpose(0, 3, 1, 2)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
+        batch, c_in, m, n = self._x_shape
         k = self.w.shape[2]
-        self.dw += np.einsum("boml,bcmlk->ock", dy, self._x_windows)
+        rows = batch * m * n
+        xs = self._x
+        g = np.zeros((batch, m, n, dy.shape[1]))
+        g[:, :, : n - k + 1] = dy.transpose(0, 2, 3, 1)
+        g = g.reshape(rows, -1)
         self.db += dy.sum(axis=(0, 2, 3))
-        pad = np.pad(dy, ((0, 0), (0, 0), (0, 0), (k - 1, k - 1)))
-        dy_windows = _sliding(pad, k, axis=3)  # (B, C_out, m, n, k)
-        return np.einsum("bomik,ock->bcmi", dy_windows, self.w[:, :, ::-1])
+        self.dw[:, :, 0] += g.T @ xs
+        dx = g @ self.w[:, :, 0]
+        for j in range(1, k):
+            self.dw[:, :, j] += g[: rows - j].T @ xs[j:]
+            dx[j:] += g[: rows - j] @ self.w[:, :, j]
+        return dx.reshape(batch, m, n, c_in).transpose(0, 3, 1, 2)
 
     @property
     def params(self) -> list[np.ndarray]:

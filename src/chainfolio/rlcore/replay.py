@@ -1,49 +1,66 @@
-"""FIFO experience replay."""
+"""FIFO experience replay over one precomputed episode of states."""
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import ConfigError, DataError
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One experience tuple; states are (f, m, n) float64 arrays."""
+class Batch(NamedTuple):
+    """A training batch; ``states``/``next_states`` are (B, f, m, n) float64."""
 
-    state: np.ndarray
-    action: int
-    reward: float
-    next_state: np.ndarray
-    terminal: bool
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_states: np.ndarray
+    terminals: np.ndarray
 
 
 class ReplayBuffer:
-    """Ring buffer with FIFO eviction and seeded uniform sampling."""
+    """Ring buffer with FIFO eviction and seeded uniform sampling.
 
-    def __init__(self, capacity: int, seed: int = 0):
+    A transition is stored as the index ``i`` of its state in ``states``;
+    its next state is ``states[i + 1]``.  Batches are gathered by fancy
+    indexing, so no per-transition arrays are kept.
+    """
+
+    def __init__(self, states: np.ndarray, capacity: int, seed: int = 0):
         if capacity <= 0:
             raise ConfigError("capacity must be positive")
+        self.states = states
         self.capacity = capacity
-        self._ring: deque[Transition] = deque(maxlen=capacity)
+        self._index = np.zeros(capacity, dtype=np.intp)
+        self._action = np.zeros(capacity, dtype=np.intp)
+        self._reward = np.zeros(capacity)
+        self._terminal = np.zeros(capacity, dtype=bool)
+        self._pushed = 0
         self._rng = np.random.default_rng(seed)
 
-    def push(self, transition: Transition) -> None:
-        self._ring.append(transition)
+    def push(self, state_index: int, action: int, reward: float, terminal: bool) -> None:
+        slot = self._pushed % self.capacity
+        self._index[slot] = state_index
+        self._action[slot] = action
+        self._reward[slot] = reward
+        self._terminal[slot] = terminal
+        self._pushed += 1
 
     def __len__(self) -> int:
-        return len(self._ring)
+        return min(self._pushed, self.capacity)
 
-    def __iter__(self):
-        return iter(self._ring)
+    def sample(self, batch_size: int) -> Batch:
+        """Uniform sample without replacement (with, if the buffer is small).
 
-    def sample(self, batch_size: int) -> list[Transition]:
-        """Uniform sample without replacement (with, if the buffer is small)."""
-        if len(self._ring) == 0:
+        Draw ``i`` selects the i-th oldest live transition.
+        """
+        size = len(self)
+        if size == 0:
             raise DataError("cannot sample from an empty buffer")
-        replace = batch_size > len(self._ring)
-        idx = self._rng.choice(len(self._ring), size=batch_size, replace=replace)
-        return [self._ring[int(i)] for i in idx]
+        replace = batch_size > size
+        idx = self._rng.choice(size, size=batch_size, replace=replace)
+        slots = (idx + self._pushed - size) % self.capacity
+        at = self._index[slots]
+        return Batch(self.states[at], self._action[slots], self._reward[slots],
+                     self.states[at + 1], self._terminal[slots])

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import ChainfolioError, ConfigError, DataError
 from .network import QNetwork
-from .replay import Transition
+from .replay import Batch
 
 
 class DivergenceError(ChainfolioError):
@@ -59,32 +59,30 @@ def epsilon_greedy(q: np.ndarray, eps: float, rng: np.random.Generator) -> int:
     return int(np.argmax(q))
 
 
-def train_step(net: QNetwork, target_net: QNetwork, batch: list[Transition], cfg: TrainConfig) -> float:
+def train_step(net: QNetwork, target_net: QNetwork, batch: Batch, cfg: TrainConfig) -> float:
     """One SGD step on the mean squared TD error; returns the pre-step loss.
 
     Targets are r + gamma * max_a Q_target(s', a), with the bootstrap term
     dropped on terminal transitions.
     """
-    if not batch:
+    size = len(batch.actions)
+    if size == 0:
         raise DataError("empty batch")
-    states = np.stack([t.state for t in batch])
-    next_states = np.stack([t.next_state for t in batch])
-    actions = np.array([t.action for t in batch], dtype=np.intp)
-    rewards = np.array([t.reward for t in batch])
-    live = 1.0 - np.array([t.terminal for t in batch], dtype=np.float64)
+    live = 1.0 - np.asarray(batch.terminals, dtype=np.float64)
+    rows = np.arange(size)
 
-    next_q = target_net.forward(next_states)
-    targets = rewards + cfg.gamma * next_q.max(axis=1) * live
+    next_q = target_net.forward(batch.next_states)
+    targets = batch.rewards + cfg.gamma * next_q.max(axis=1) * live
 
-    q_all = net.forward(states)
-    q_sa = q_all[np.arange(len(batch)), actions]
+    q_all = net.forward(batch.states)
+    q_sa = q_all[rows, batch.actions]
     err = q_sa - targets
     loss = float(np.mean(err * err))
     if not np.isfinite(loss):
         raise DivergenceError(f"non-finite TD loss {loss}")
 
     d_q = np.zeros_like(q_all)
-    d_q[np.arange(len(batch)), actions] = 2.0 * err / len(batch)
+    d_q[rows, batch.actions] = 2.0 * err / size
     net.zero_grads()
     net.backward(d_q)
 

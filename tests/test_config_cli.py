@@ -294,6 +294,35 @@ def test_cli_domain_errors_exit_1(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def error_line(err: str) -> str:
+    """The one ``error:`` line of a failed command's stderr; no traceback."""
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(lines) == 1, err
+    return lines[0]
+
+
+def test_cli_missing_input_files_exit_1(tmp_path, capsys):
+    d = str(tmp_path / "d")
+    missing = str(tmp_path / "missing.csv")
+    for flag in ("--ohlcv", "--metrics"):
+        assert main(["--data-dir", d, "ingest", "--asset", "AAA", flag, missing]) == 1
+        assert missing in error_line(capsys.readouterr().err)
+
+    assert main(["report", "--report", str(tmp_path / "no-report")]) == 1
+    assert "report.json" in error_line(capsys.readouterr().err)
+
+
+def test_cli_corrupt_manifest_exit_1(tmp_path, capsys):
+    d = tmp_path / "d"
+    d.mkdir()
+    (d / "manifest.json").write_text('{"assets": {')
+    bars = tmp_path / "bars.csv"
+    bars.write_text("ts,open,high,low,close,volume\n%d,1,1,1,1,1\n" % bar_ts(0))
+    assert main(["--data-dir", str(d), "ingest", "--asset", "AAA", "--ohlcv", str(bars)]) == 1
+    assert "manifest" in error_line(capsys.readouterr().err)
+
+
 def test_cli_train_flag_validation(tmp_path, capsys):
     d = str(tmp_path / "d")
     assert main(["--data-dir", d, "train-cm", "--assets", "AAA", "--seed", "-3"]) == 1

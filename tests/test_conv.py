@@ -1,0 +1,68 @@
+"""The shift-and-matmul Conv1D against a direct einsum reference."""
+
+import numpy as np
+import pytest
+
+from chainfolio.rlcore.network import CONV_KERNEL, Conv1D
+
+_windows = np.lib.stride_tricks.sliding_window_view
+
+
+def reference_forward(x, w, b):
+    return np.einsum("bcmlk,ock->boml", _windows(x, w.shape[2], axis=3), w) + b[None, :, None, None]
+
+
+def reference_backward(x, w, dy):
+    """(dw, db, dx) of a valid conv along the last axis."""
+    k = w.shape[2]
+    dw = np.einsum("boml,bcmlk->ock", dy, _windows(x, k, axis=3))
+    db = dy.sum(axis=(0, 2, 3))
+    pad = np.pad(dy, ((0, 0), (0, 0), (0, 0), (k - 1, k - 1)))
+    dx = np.einsum("bomik,ock->bcmi", _windows(pad, k, axis=3), w[:, :, ::-1])
+    return dw, db, dx
+
+
+def assert_close(actual, desired):
+    """rtol 1e-12, with an absolute floor at 1e-12 of the largest entry: where
+    terms cancel, a reordered sum differs by an ulp of the terms, not of the result."""
+    np.testing.assert_allclose(actual, desired, rtol=1e-12, atol=1e-12 * np.abs(desired).max())
+
+
+# (c_out, c_in, m) of the eam-1d conv and of both sam-4layer convs at the
+# default feature shape (sam with the signal channel), over a 32-bar window
+SHAPES = {"eam": (16, 15, 1), "sam": (8, 16, 2), "sam-second": (16, 8, 2)}
+
+
+@pytest.mark.parametrize("batch", [1, 300])
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_conv_matches_einsum_reference(shape, batch):
+    c_out, c_in, m = SHAPES[shape]
+    n = 32
+    rng = np.random.default_rng(batch + c_in)
+    conv = Conv1D(c_in, c_out, CONV_KERNEL, rng)
+    conv.b[...] = rng.normal(size=c_out)
+    x = rng.normal(size=(batch, c_in, m, n))
+    dy = rng.normal(size=(batch, c_out, m, n - CONV_KERNEL + 1))
+
+    y = conv.forward(x)
+    assert y.shape == (batch, c_out, m, n - CONV_KERNEL + 1)
+    assert_close(y, reference_forward(x, conv.w, conv.b))
+
+    dx = conv.backward(dy)
+    dw, db, dx_ref = reference_backward(x, conv.w, dy)
+    assert dx.shape == x.shape
+    assert_close(conv.dw, dw)
+    assert_close(conv.db, db)
+    assert_close(dx, dx_ref)
+
+
+def test_conv_gradients_accumulate_until_zeroed():
+    rng = np.random.default_rng(3)
+    conv = Conv1D(2, 3, CONV_KERNEL, rng)
+    y = conv.forward(rng.normal(size=(2, 2, 2, 5)))
+    dy = rng.normal(size=y.shape)
+    conv.backward(dy)
+    once = (conv.dw.copy(), conv.db.copy())
+    conv.backward(dy)
+    np.testing.assert_array_equal(conv.dw, 2 * once[0])
+    np.testing.assert_array_equal(conv.db, 2 * once[1])

@@ -34,6 +34,7 @@ from chainfolio.refinery import HorizonConfig, refine_features
 from chainfolio.rlcore import TrainConfig, build_qnetwork
 from chainfolio.rlcore.container import (
     ChecksumMismatchError,
+    ContainerFormatError,
     UnsupportedVersionError,
     read_container,
     write_container,
@@ -438,4 +439,17 @@ def test_load_cm_rejects_future_module_version(tmp_path, rng):
     meta["cm_version"] = 99
     write_container(path, "M", meta, sections)
     with pytest.raises(UnsupportedVersionError):
+        load_cm(path)
+
+
+@pytest.mark.parametrize("drop", ["sam", "settings", "cm_version"])
+def test_load_cm_missing_meta_key_is_format_error(tmp_path, rng, drop):
+    frame = walk_frame(rng)
+    cm = train_cm_from_frame(frame, RANGES, SMALL)
+    path = tmp_path / "module.cm"
+    save_cm(cm, path)
+    _, meta, sections = read_container(path, expected_kind="M")
+    del meta[drop]
+    write_container(path, "M", meta, sections)  # valid checksum, broken schema
+    with pytest.raises(ContainerFormatError):
         load_cm(path)

@@ -299,3 +299,14 @@ def test_store_manifest_lists_assets(tmp_path):
     store.ingest_ohlcv(AssetId("BBB"), flat_bars(2))
     keys = sorted(a.key for a in store.assets())
     assert keys == ["AAA-USDT", "BBB-USDT"]
+
+
+@pytest.mark.parametrize("text", ['{"version": 1, "assets": {', "[]", '{"version": 1}'])
+def test_corrupt_manifest_is_data_error(tmp_path, text):
+    store = CsvStore(tmp_path)
+    store.ingest_ohlcv(AssetId("AAA"), flat_bars(2))
+    (tmp_path / CsvStore.MANIFEST).write_text(text)
+    with pytest.raises(DataError, match="manifest"):
+        store.ingest_ohlcv(AssetId("BBB"), flat_bars(2))
+    with pytest.raises(DataError, match="manifest"):
+        store.assets()

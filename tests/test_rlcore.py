@@ -11,10 +11,10 @@ from chainfolio.rlcore import (
     ChecksumMismatchError,
     ContainerFormatError,
     DivergenceError,
+    Batch,
     ReplayBuffer,
     Tensor3,
     TrainConfig,
-    Transition,
     UnsupportedVersionError,
     build_qnetwork,
     epsilon_at,
@@ -189,19 +189,14 @@ def test_epsilon_greedy_reproducible():
 # Training step
 
 
-def make_batch(rng, shape, n_actions, size, terminal=False):
-    out = []
-    for _ in range(size):
-        out.append(
-            Transition(
-                state=rng.normal(size=shape),
-                action=int(rng.integers(n_actions)),
-                reward=float(rng.normal()),
-                next_state=rng.normal(size=shape),
-                terminal=terminal,
-            )
-        )
-    return out
+def make_batch(rng, shape, n_actions, size, terminal=False, reward=None):
+    return Batch(
+        states=rng.normal(size=(size, *shape)),
+        actions=rng.integers(n_actions, size=size),
+        rewards=rng.normal(size=size) if reward is None else np.full(size, reward),
+        next_states=rng.normal(size=(size, *shape)),
+        terminals=np.full(size, terminal),
+    )
 
 
 def test_train_step_gamma_zero_loss_is_reward_mse(rng):
@@ -209,7 +204,7 @@ def test_train_step_gamma_zero_loss_is_reward_mse(rng):
     target = net.clone()
     batch = make_batch(rng, EAM_SHAPE, 3, 4)
     expect = np.mean(
-        [(q_values(net, t.state)[t.action] - t.reward) ** 2 for t in batch]
+        [(q_values(net, s)[a] - r) ** 2 for s, a, r in zip(batch.states, batch.actions, batch.rewards)]
     )
     cfg = TrainConfig(gamma=0.0, lr=1e-3)
     loss = train_step(net, target, batch, cfg)
@@ -219,10 +214,7 @@ def test_train_step_gamma_zero_loss_is_reward_mse(rng):
 def test_train_step_terminal_ignores_next_state(rng):
     cfg = TrainConfig(gamma=0.9, lr=1e-3)
     base = make_batch(rng, EAM_SHAPE, 3, 4, terminal=True)
-    swapped = [
-        Transition(t.state, t.action, t.reward, rng.normal(size=EAM_SHAPE), True)
-        for t in base
-    ]
+    swapped = base._replace(next_states=rng.normal(size=base.next_states.shape))
     net1 = build_qnetwork("eam-1d", EAM_SHAPE, seed=5)
     net2 = build_qnetwork("eam-1d", EAM_SHAPE, seed=5)
     l1 = train_step(net1, net1.clone(), base, cfg)
@@ -234,25 +226,22 @@ def test_train_step_terminal_ignores_next_state(rng):
 def test_train_step_converges_on_single_transition(rng):
     net = build_qnetwork("eam-1d", (2, 1, 3), seed=4)
     target = net.clone()
-    tr = Transition(rng.normal(size=(2, 1, 3)), 0, 1.0, rng.normal(size=(2, 1, 3)), True)
+    tr = make_batch(rng, (2, 1, 3), 1, 1, terminal=True, reward=1.0)
     cfg = TrainConfig(gamma=0.5, lr=0.05)
     loss = None
     for i in range(5000):
-        loss = train_step(net, target, [tr], cfg)
+        loss = train_step(net, target, tr, cfg)
         if loss < 1e-6:
             break
     assert loss < 1e-6
-    assert q_values(net, tr.state)[0] == pytest.approx(1.0, abs=1e-2)
+    assert q_values(net, tr.states[0])[0] == pytest.approx(1.0, abs=1e-2)
 
 
 def test_train_step_clips_global_gradient_norm(rng):
     net = build_qnetwork("eam-1d", EAM_SHAPE, seed=6)
     target = net.clone()
     # enormous rewards force the unclipped gradient norm far above the cap
-    batch = [
-        Transition(rng.normal(size=EAM_SHAPE), 0, 1e6, rng.normal(size=EAM_SHAPE), True)
-        for _ in range(4)
-    ]
+    batch = make_batch(rng, EAM_SHAPE, 1, 4, terminal=True, reward=1e6)
     cfg = TrainConfig(gamma=0.9, lr=1e-3, grad_clip=10.0)
     before = net.params_flat()
     train_step(net, target, batch, cfg)
@@ -263,7 +252,7 @@ def test_train_step_clips_global_gradient_norm(rng):
 def test_train_step_empty_batch(rng):
     net = build_qnetwork("eam-1d", EAM_SHAPE, seed=6)
     with pytest.raises(DataError):
-        train_step(net, net.clone(), [], TrainConfig())
+        train_step(net, net.clone(), make_batch(rng, EAM_SHAPE, 3, 0), TrainConfig())
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -320,45 +309,57 @@ def test_sync_target_arch_mismatch():
 # Replay buffer
 
 
-def _tr(tag: float) -> Transition:
-    s = np.full((1, 1, 3), tag)
-    return Transition(s, 0, tag, s, False)
+def _filled(capacity: int, count: int, seed: int = 0) -> ReplayBuffer:
+    """A buffer after ``count`` pushes; transition i has state value i and reward i."""
+    states = np.broadcast_to(np.arange(count + 1.0)[:, None, None, None], (count + 1, 1, 1, 3))
+    buf = ReplayBuffer(states, capacity=capacity, seed=seed)
+    for i in range(count):
+        buf.push(i, i % 3, float(i), i == count - 1)
+    return buf
 
 
 def test_replay_fifo_eviction():
-    buf = ReplayBuffer(capacity=3, seed=0)
-    for tag in range(1, 6):
-        buf.push(_tr(float(tag)))
+    buf = _filled(capacity=3, count=5)
     assert len(buf) == 3
-    assert [t.reward for t in buf] == [3.0, 4.0, 5.0]
+    assert sorted(buf.sample(3).rewards) == [2.0, 3.0, 4.0]
 
 
 def test_replay_sampling_rules():
-    buf = ReplayBuffer(capacity=8, seed=1)
-    for tag in range(4):
-        buf.push(_tr(float(tag)))
+    buf = _filled(capacity=8, count=4, seed=1)
     full = buf.sample(4)
-    assert sorted(t.reward for t in full) == [0.0, 1.0, 2.0, 3.0]
+    assert sorted(full.rewards) == [0.0, 1.0, 2.0, 3.0]
+    assert np.array_equal(full.states[:, 0, 0, 0], full.rewards)
+    assert np.array_equal(full.next_states[:, 0, 0, 0], full.rewards + 1)
+    assert np.array_equal(full.actions, full.rewards.astype(int) % 3)
+    assert np.array_equal(full.terminals, full.rewards == 3.0)
     over = buf.sample(6)
-    assert len(over) == 6 and {t.reward for t in over} <= {0.0, 1.0, 2.0, 3.0}
+    assert len(over.rewards) == 6 and set(over.rewards) <= {0.0, 1.0, 2.0, 3.0}
 
 
 def test_replay_seeded_reproducibility():
     def drive(seed):
-        buf = ReplayBuffer(capacity=16, seed=seed)
-        for tag in range(10):
-            buf.push(_tr(float(tag)))
-        return [tuple(t.reward for t in buf.sample(3)) for _ in range(5)]
+        buf = _filled(capacity=16, count=10, seed=seed)
+        return [tuple(buf.sample(3).rewards) for _ in range(5)]
 
     assert drive(42) == drive(42)
     assert drive(42) != drive(43)
 
 
+def test_replay_draws_after_wraparound_are_pinned():
+    # draw i is the i-th oldest live transition; these draws were recorded
+    # from the deque-based buffer this one replaced
+    buf = _filled(capacity=5, count=13, seed=11)
+    draws = [list(buf.sample(4).rewards) for _ in range(3)]
+    assert draws == [[8.0, 12.0, 10.0, 11.0], [11.0, 8.0, 9.0, 10.0], [9.0, 11.0, 8.0, 12.0]]
+    assert list(buf.sample(7).rewards) == [9.0, 8.0, 10.0, 10.0, 11.0, 12.0, 9.0]
+
+
 def test_replay_validation():
+    states = np.zeros((2, 1, 1, 3))
     with pytest.raises(ConfigError):
-        ReplayBuffer(capacity=0)
+        ReplayBuffer(states, capacity=0)
     with pytest.raises(DataError):
-        ReplayBuffer(capacity=4).sample(1)
+        ReplayBuffer(states, capacity=4).sample(1)
 
 
 # ---------------------------------------------------------------------------
