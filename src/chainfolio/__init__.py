@@ -18,7 +18,6 @@ from .cryptomodule import (
     build_eam_state,
     build_sam_state,
     eam_reward,
-    infer_allocation,
     load_cm,
     sam_step,
     save_cm,
@@ -103,7 +102,6 @@ __all__ = [
     "drr",
     "eam_reward",
     "emit_report",
-    "infer_allocation",
     "k_period_returns",
     "load_cm",
     "load_config",

@@ -35,6 +35,7 @@ from .refinery import (
     DEFAULT_VARIANCE_TARGET,
     HorizonConfig,
     RefinedFeatureFrame,
+    full_windows,
     refine_features,
     select_valid_metrics,
 )
@@ -74,6 +75,9 @@ DEFAULT_OBS_WINDOW = 32
 _VOLUME_EPS = 1e-8
 
 CM_FORMAT_VERSION = 1
+
+#: observations per batched forward when taking greedy actions; bounds memory
+_DECISION_BATCH = 32
 
 
 class WarmupError(DataError):
@@ -200,13 +204,38 @@ class CmSettings:
 # Observations
 
 
-def _window_ohlcv_features(frame: AlignedFrame, t: int, n: int) -> np.ndarray:
-    rows = frame.ohlcv[t - n + 1 : t + 1]
-    last_close = rows[-1, 3]
-    out = np.empty((n, 5))
-    out[:, :4] = rows[:, :4] / last_close
-    out[:, 4] = rows[:, 4] / (rows[:, 4].mean() + _VOLUME_EPS)
-    return out
+def _windows(frame: AlignedFrame, refined: RefinedFeatureFrame, rows: np.ndarray, n: int):
+    """OHLCV features (B, n, 5) and padded components (B, n, c_max) of the
+    n-bar windows ending at each of ``rows``.  Each window's arithmetic is
+    the same as for that window alone, so results do not depend on B."""
+    idx = np.asarray(rows)[:, None] + np.arange(1 - n, 1)
+    bars = frame.ohlcv[idx]
+    features = np.empty(bars.shape)
+    features[..., :4] = bars[..., :4] / bars[:, -1:, 3:4]
+    volume = bars[..., 4]
+    features[..., 4] = volume / (volume.mean(axis=1, keepdims=True) + _VOLUME_EPS)
+    return features, refined.components[idx]
+
+
+def _eam_states(frame: AlignedFrame, refined: RefinedFeatureFrame, rows: np.ndarray, n: int) -> np.ndarray:
+    """Signal-agent states (B, 5 + c_max, 1, n) of the windows ending at ``rows``."""
+    features, components = _windows(frame, refined, rows, n)
+    return np.concatenate([features, components], axis=2).transpose(0, 2, 1)[:, :, None, :]
+
+
+def _sam_states(
+    frame: AlignedFrame, refined: RefinedFeatureFrame, rows: np.ndarray, n: int, signals: np.ndarray | None
+) -> np.ndarray:
+    """Allocation-agent states (B, f, 2, n) of the windows ending at ``rows``."""
+    features, components = _windows(frame, refined, rows, n)
+    channels = [features, components]
+    if signals is not None:
+        channels.append(signals[np.asarray(rows)[:, None] + np.arange(1 - n, 1), None])
+    crypto = np.concatenate(channels, axis=2).transpose(0, 2, 1)  # (B, f, n)
+    states = np.zeros((len(crypto), crypto.shape[1], 2, n))
+    states[:, :, 0] = crypto
+    states[:, :4, 1] = 1.0  # price channels of the riskless leg
+    return states
 
 
 def _check_window(frame: AlignedFrame, refined: RefinedFeatureFrame, t: int, n: int) -> None:
@@ -221,11 +250,11 @@ def _check_window(frame: AlignedFrame, refined: RefinedFeatureFrame, t: int, n: 
 def build_eam_state(frame: AlignedFrame, refined: RefinedFeatureFrame, t: int, n: int) -> EamObservation:
     """Signal-agent observation for the window ending at row t."""
     _check_window(frame, refined, t, n)
-    sl = slice(t - n + 1, t + 1)
+    features, components = _windows(frame, refined, [t], n)
     return EamObservation(
-        ohlcv_window=_window_ohlcv_features(frame, t, n),
-        metrics_window=refined.components[sl].copy(),
-        metrics_count=refined.n_components[sl].copy(),
+        ohlcv_window=features[0],
+        metrics_window=components[0],
+        metrics_count=refined.n_components[t - n + 1 : t + 1].copy(),
     )
 
 
@@ -242,19 +271,12 @@ def build_sam_state(
     sell=-1 over the window, so f = 5 + c_max + 1; otherwise f = 5 + c_max.
     """
     _check_window(frame, refined, t, n)
-    sl = slice(t - n + 1, t + 1)
-    channels = [_window_ohlcv_features(frame, t, n).T, refined.components[sl].T]
+    encoded = None
     if signals is not None:
         encoded = signals if isinstance(signals, np.ndarray) else encode_signals(signals, frame)
-        window_sig = encoded[sl]
-        if np.isnan(window_sig).any():
+        if np.isnan(encoded[t - n + 1 : t + 1]).any():
             raise WarmupError(f"missing trading signals inside window ending at index {t}")
-        channels.append(window_sig[None, :])
-    crypto_row = np.concatenate(channels, axis=0)  # (f, n)
-    f = crypto_row.shape[0]
-    cash_row = np.zeros((f, n))
-    cash_row[:4] = 1.0  # price channels of the riskless leg
-    return SamObservation(Tensor3(np.stack([crypto_row, cash_row], axis=1)))
+    return SamObservation(Tensor3(_sam_states(frame, refined, [t], n, encoded)[0]))
 
 
 def encode_signals(signals: Sequence[TradingSignal], frame: AlignedFrame) -> np.ndarray:
@@ -313,17 +335,23 @@ def sam_step(
 
 @dataclass
 class CmContext:
-    """Per-frame inference context: features (and signals) rebuilt from raw data."""
+    """Per-frame inference context: features (and signals) rebuilt from raw
+    data, and the greedy allocation index of every frame row (-1 where the
+    observation window is still warming up)."""
 
-    frame: AlignedFrame
     refined: RefinedFeatureFrame
     signals: np.ndarray | None
+    actions: np.ndarray
 
     def first_decision(self, window: int, use_eam: bool) -> int:
-        first = self.refined.first_valid_index + window - 1
-        if use_eam:
-            first += window - 1
-        return first
+        return _first_decision(self.refined, window, use_eam)
+
+
+def _first_decision(refined: RefinedFeatureFrame, window: int, use_eam: bool) -> int:
+    first = refined.first_valid_index + window - 1
+    if use_eam:
+        first += window - 1
+    return first
 
 
 @dataclass
@@ -350,7 +378,9 @@ class CryptoModule:
         return warm
 
     def prepare(self, frame: AlignedFrame) -> CmContext:
-        """Rebuild observation inputs for a frame (trailing transforms only)."""
+        """Rebuild observation inputs for a frame (trailing transforms only)
+        and take the greedy allocation at every decision row at once:
+        observations do not depend on the portfolio's state."""
         refined = refine_features(
             frame,
             self.selected_metrics,
@@ -359,20 +389,38 @@ class CryptoModule:
             self.settings.variance_target,
             self.settings.epsilon,
         )
+        n = self.settings.window
         signals = None
+        observable = refined.valid
         if self.use_eam:
-            signals = _greedy_signal_array(self.eam_net, frame, refined, self.settings.window)
-        return CmContext(frame, refined, signals)
+            signals = _greedy_signal_array(self.eam_net, frame, refined, n)
+            observable = observable & ~np.isnan(signals)
+        rows = full_windows(observable, n)
+        actions = np.full(len(frame), -1, dtype=np.intp)
+        actions[rows] = _greedy_actions(self.sam_net, lambda r: _sam_states(frame, refined, r, n, signals), rows)
+        return CmContext(refined, signals, actions)
 
     def allocate(self, ctx: CmContext, t: int) -> AllocationAction:
         """Greedy allocation at frame index t; Q-value ties go to cash."""
-        obs = build_sam_state(ctx.frame, ctx.refined, t, self.settings.window, ctx.signals)
-        q = self.sam_net.forward(obs.tensor.data[None])[0]
-        return AllocationAction.from_index(int(np.argmax(q)))
+        if t >= len(ctx.actions):
+            raise DataError(f"index {t} beyond frame of length {len(ctx.actions)}")
+        if t < 0 or ctx.actions[t] < 0:
+            raise WarmupError(f"index {t} inside the {self.settings.window}-bar observation window warm-up")
+        return AllocationAction.from_index(int(ctx.actions[t]))
 
 
-def infer_allocation(cm: CryptoModule, ctx: CmContext, t: int) -> AllocationAction:
-    return cm.allocate(ctx, t)
+def _greedy_actions(net: QNetwork, states_of, rows: np.ndarray) -> np.ndarray:
+    """argmax of the net's Q-values at ``states_of(rows)``, in batches of
+    about _DECISION_BATCH states (ties go to action 0)."""
+    out = np.empty(len(rows), dtype=np.intp)
+    # equal batches, so no batch holds a lone state when there are more
+    bounds = np.linspace(0, len(rows), -(-len(rows) // _DECISION_BATCH) + 1).astype(int)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        states = states_of(rows[lo:hi])
+        if not np.isfinite(states).all():
+            raise DataError("observation contains non-finite entries")
+        out[lo:hi] = np.argmax(net.forward(states), axis=1)
+    return out
 
 
 def _greedy_signal_array(
@@ -380,12 +428,9 @@ def _greedy_signal_array(
 ) -> np.ndarray:
     """Frozen greedy signals of the trained signal agent, one per valid bar."""
     out = np.full(len(frame), np.nan)
-    first = refined.first_valid_index + window - 1
-    index = [t for t in range(first, len(frame)) if refined.valid[t - window + 1 : t + 1].all()]
-    if index:
-        states = _stack_states(lambda t: build_eam_state(frame, refined, t, window).tensor().data, index)
-        actions = np.argmax(eam_net.forward(states), axis=1)
-        out[index] = np.array([SIGNAL_VALUES[a] for a in SIGNAL_ACTIONS])[actions]
+    rows = full_windows(refined.valid, window)
+    actions = _greedy_actions(eam_net, lambda r: _eam_states(frame, refined, r, window), rows)
+    out[rows] = np.array([SIGNAL_VALUES[a] for a in SIGNAL_ACTIONS])[actions]
     return out
 
 
@@ -399,9 +444,9 @@ def _derive_seeds(seed: int, count: int) -> list[int]:
 
 
 def _decision_indices(
-    ctx: CmContext, frame: AlignedFrame, window: int, use_eam: bool, start_ts: int, end_ts: int
+    refined: RefinedFeatureFrame, frame: AlignedFrame, window: int, use_eam: bool, start_ts: int, end_ts: int
 ) -> list[int]:
-    first = ctx.first_decision(window, use_eam)
+    first = _first_decision(refined, window, use_eam)
     return [
         t
         for t in range(first, len(frame))
@@ -498,14 +543,13 @@ def train_cm_from_frame(
         settings.epsilon,
     )
     seeds = _derive_seeds(settings.train.seed, 6)
-    ctx = CmContext(frame, refined, None)
     closes = frame.close
 
     eam_net = None
     signals = None
     if use_eam:
-        idx_train = _decision_indices(ctx, frame, settings.window, False, *ranges.train)
-        idx_val = _decision_indices(ctx, frame, settings.window, False, *ranges.validation)
+        idx_train = _decision_indices(refined, frame, settings.window, False, *ranges.train)
+        idx_val = _decision_indices(refined, frame, settings.window, False, *ranges.validation)
         _require_steps(idx_train, idx_val, "signal agent")
 
         def eam_obs(t):
@@ -520,9 +564,8 @@ def train_cm_from_frame(
         )
         signals = _greedy_signal_array(eam_net, frame, refined, settings.window)
 
-    ctx = CmContext(frame, refined, signals)
-    idx_train = _decision_indices(ctx, frame, settings.window, use_eam, *ranges.train)
-    idx_val = _decision_indices(ctx, frame, settings.window, use_eam, *ranges.validation)
+    idx_train = _decision_indices(refined, frame, settings.window, use_eam, *ranges.train)
+    idx_val = _decision_indices(refined, frame, settings.window, use_eam, *ranges.validation)
     _require_steps(idx_train, idx_val, "allocation agent")
 
     def sam_obs(t):

@@ -201,10 +201,16 @@ class CmRegistry:
         self._entries: dict[str, dict] = {}
         index = self.root / "registry.json"
         if index.exists():
-            doc = json.loads(index.read_text())
+            doc = _load_json(index, "registry index")
             if doc.get("version") != self.VERSION:
                 raise ConfigError(f"unsupported registry version {doc.get('version')}")
-            self._entries = doc["entries"]
+            entries = doc.get("entries")
+            if not isinstance(entries, dict) or not all(
+                isinstance(e, dict) and isinstance(e.get("file"), str) and isinstance(e.get("sha256"), str)
+                for e in entries.values()
+            ):
+                raise DataError(f"corrupt registry index {index}: bad 'entries' table")
+            self._entries = entries
 
     def _save(self) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
@@ -384,9 +390,19 @@ class BacktestReport:
 
     @classmethod
     def load(cls, out_dir: str | Path) -> "BacktestReport":
-        doc = json.loads((Path(out_dir) / REPORT_FILE).read_text())
-        if doc["version"] != REPORT_VERSION:
-            raise ConfigError(f"unsupported report version {doc['version']}")
+        """Read a report; raises ConfigError for another report version and
+        DataError for a file that is not a well-formed report."""
+        path = Path(out_dir) / REPORT_FILE
+        doc = _load_json(path, "report")
+        if doc.get("version") != REPORT_VERSION:
+            raise ConfigError(f"unsupported report version {doc.get('version')}")
+        try:
+            return cls._from_doc(doc)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise DataError(f"malformed report {path}: bad or missing field {exc!r}") from None
+
+    @classmethod
+    def _from_doc(cls, doc: dict) -> "BacktestReport":
         curves = {name: np.asarray(doc["curves"][name]) for name in doc["curve_order"]}
         summary = {
             name: SummaryStats(
@@ -419,6 +435,17 @@ class BacktestReport:
             retrain_events=doc["retrain_events"],
             summary=summary,
         )
+
+
+def _load_json(path: Path, what: str) -> dict:
+    """A JSON object from a file, or DataError naming ``what`` is corrupt."""
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:  # also undecodable bytes
+        raise DataError(f"corrupt {what} {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"corrupt {what} {path}: not a JSON object")
+    return doc
 
 
 def _resolve_modules(source, assets: Sequence[str]) -> dict[str, CryptoModule]:

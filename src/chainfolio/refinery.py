@@ -36,6 +36,9 @@ DEFAULT_EPSILON = 1e-8
 # eigenvalues below max_eig * RANK_TOL are treated as numerically zero
 _RANK_TOL = 1e-10
 
+#: windows per stacked eigendecomposition in rolling_pca; bounds its memory
+_PCA_CHUNK = 32
+
 
 @dataclass(frozen=True)
 class HorizonConfig:
@@ -231,6 +234,13 @@ def rolling_normalize(
     return out[:, 0] if squeeze else out
 
 
+def full_windows(ok: np.ndarray, window: int) -> np.ndarray:
+    """Rows t whose trailing window of rows [t - window + 1, t] is all ``ok``."""
+    if len(ok) < window:
+        return np.zeros(0, dtype=np.intp)
+    return np.flatnonzero(np.lib.stride_tricks.sliding_window_view(ok, window).all(axis=1)) + window - 1
+
+
 @dataclass
 class RefinedFeatureFrame:
     """Per-timestamp principal-component features with a validity mask.
@@ -293,40 +303,49 @@ def rolling_pca(
     explained = np.zeros(t)
     rank_flagged = np.zeros(t, dtype=bool)
 
-    row_ok = np.isfinite(x).all(axis=1)
-    for i in range(window - 1, t):
-        lo = i - window + 1
-        if not row_ok[lo : i + 1].all():
-            continue
-        win = x[lo : i + 1]
-        mean = win.mean(axis=0)
-        centered = win - mean
-        cov = centered.T @ centered / (window - 1)
+    ends = full_windows(np.isfinite(x).all(axis=1), window)
+    valid[ends] = True
+    offsets = np.arange(1 - window, 1)
+    for lo in range(0, len(ends), _PCA_CHUNK):
+        chunk = ends[lo : lo + _PCA_CHUNK]
+        # every step below works window by window, in the same order of
+        # float operations as one window at a time
+        win = x[chunk[:, None] + offsets]  # (C, window, k)
+        mean = win.mean(axis=1)
+        centered = win - mean[:, None, :]
+        cov = np.matmul(centered.transpose(0, 2, 1), centered) / (window - 1)
         eigvals, eigvecs = np.linalg.eigh(cov)
-        order = np.argsort(eigvals)[::-1]
-        eigvals = np.clip(eigvals[order], 0.0, None)
-        eigvecs = eigvecs[:, order]
-        total = float(eigvals.sum())
+        order = np.argsort(eigvals, axis=1)[:, ::-1]
+        eigvals = np.clip(np.take_along_axis(eigvals, order, axis=1), 0.0, None)
+        eigvecs = np.take_along_axis(eigvecs, order[:, None, :], axis=2)
+        total = eigvals.sum(axis=1)
 
-        valid[i] = True
-        if total <= 0.0:
-            # zero-variance window: nothing to represent
-            rank_flagged[i] = True
-            explained[i] = 1.0
-            continue
-        rank = int(np.sum(eigvals > total * _RANK_TOL))
-        cum = np.cumsum(eigvals) / total
-        needed = int(np.searchsorted(cum, variance_target - 1e-12) + 1)
-        c = min(needed, rank)
-        if cum[c - 1] < variance_target - 1e-12:
-            rank_flagged[i] = True
-        basis = eigvecs[:, :c]
+        # zero-variance window: nothing to represent
+        empty = total <= 0.0
+        rank_flagged[chunk[empty]] = True
+        explained[chunk[empty]] = 1.0
+        chunk, eigvals, eigvecs, total = chunk[~empty], eigvals[~empty], eigvecs[~empty], total[~empty]
+        centered_row = x[chunk] - mean[~empty]
+
+        rank = np.sum(eigvals > total[:, None] * _RANK_TOL, axis=1)
+        cum = np.cumsum(eigvals, axis=1) / total[:, None]
+        # cum ascends, so counting entries below the target is a searchsorted
+        needed = np.sum(cum < variance_target - 1e-12, axis=1) + 1
+        c = np.minimum(needed, rank)
+        kept = cum[np.arange(len(c)), c - 1]
+        rank_flagged[chunk] = kept < variance_target - 1e-12
+        n_components[chunk] = c
+        explained[chunk] = kept
         # sign convention: dominant loading positive
-        flip = basis[np.argmax(np.abs(basis), axis=0), np.arange(c)] < 0
-        basis = basis * np.where(flip, -1.0, 1.0)
-        components[i, :c] = (x[i] - mean) @ basis
-        n_components[i] = c
-        explained[i] = float(cum[c - 1])
+        dominant = np.take_along_axis(eigvecs, np.argmax(np.abs(eigvecs), axis=1)[:, None, :], axis=1)
+        basis = eigvecs * np.where(dominant < 0, -1.0, 1.0)
+        # column-major bases, the layout a per-window fit's column-indexed
+        # basis has: BLAS's rounding depends on the matrix layout
+        basis_t = np.ascontiguousarray(basis.transpose(0, 2, 1))
+        for ci in np.unique(c):
+            same = c == ci
+            projected = np.matmul(centered_row[same, None, :], basis_t[same, :ci].transpose(0, 2, 1))
+            components[chunk[same], :ci] = projected[:, 0]
 
     return RefinedFeatureFrame(
         timestamps=np.asarray(timestamps),

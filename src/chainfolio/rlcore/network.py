@@ -93,7 +93,9 @@ class Conv1D:
         # (B, C_out, m, L) view of channel-last memory
         return y.reshape(batch, m, n, -1)[:, :, : n - k + 1].transpose(0, 3, 1, 2)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate dw and db; return dx, or None without ``input_grad``
+        (a network's first layer, whose input is the state)."""
         batch, c_in, m, n = self._x_shape
         k = self.w.shape[2]
         rows = batch * m * n
@@ -102,10 +104,12 @@ class Conv1D:
         g[:, :, : n - k + 1] = dy.transpose(0, 2, 3, 1)
         g = g.reshape(rows, -1)
         self.db += dy.sum(axis=(0, 2, 3))
-        self.dw[:, :, 0] += g.T @ xs
+        for j in range(k):
+            self.dw[:, :, j] += g[: rows - j].T @ xs[j:]
+        if not input_grad:
+            return None
         dx = g @ self.w[:, :, 0]
         for j in range(1, k):
-            self.dw[:, :, j] += g[: rows - j].T @ xs[j:]
             dx[j:] += g[: rows - j] @ self.w[:, :, j]
         return dx.reshape(batch, m, n, c_in).transpose(0, 3, 1, 2)
 
@@ -200,8 +204,11 @@ class QNetwork:
         return x
 
     def backward(self, d_out: np.ndarray) -> None:
-        for layer in reversed(self.layers):
+        """Accumulate parameter gradients; the gradient with respect to the
+        state itself is never used, so the first layer skips it."""
+        for layer in self.layers[:0:-1]:
             d_out = layer.backward(d_out)
+        self.layers[0].backward(d_out, input_grad=False)
 
     def zero_grads(self) -> None:
         for layer in self.layers:

@@ -323,6 +323,31 @@ def test_cli_corrupt_manifest_exit_1(tmp_path, capsys):
     assert "manifest" in error_line(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{"version": 1, "curve_order": [', '{"version": 1}', "[1, 2]", b"\xff\xfe",
+     '{"version": 1, "curve_order": ["strategy"], "curves": {}}'],
+)
+def test_cli_corrupt_report_exit_1(tmp_path, capsys, text):
+    out = tmp_path / "report"
+    out.mkdir()
+    path = out / "report.json"
+    path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
+    assert main(["report", "--report", str(out)]) == 1
+    assert "report" in error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "text", ['{"version": 1, "entries": {', '{"version": 1}', '"registry"', '{"version": 1, "entries": {"A": 3}}']
+)
+def test_cli_corrupt_registry_exit_1(tmp_path, capsys, text):
+    registry = tmp_path / "registry"
+    registry.mkdir()
+    (registry / "registry.json").write_text(text)
+    assert main(["--data-dir", str(tmp_path / "d"), "registry", "list", "--registry", str(registry)]) == 1
+    assert "registry" in error_line(capsys.readouterr().err)
+
+
 def test_cli_train_flag_validation(tmp_path, capsys):
     d = str(tmp_path / "d")
     assert main(["--data-dir", d, "train-cm", "--assets", "AAA", "--seed", "-3"]) == 1

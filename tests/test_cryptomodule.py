@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from chainfolio import cryptomodule
 from chainfolio.cryptomodule import (
     SIGNAL_ACTIONS,
     SIGNAL_VALUES,
@@ -20,7 +21,6 @@ from chainfolio.cryptomodule import (
     build_sam_state,
     eam_reward,
     encode_signals,
-    infer_allocation,
     load_cm,
     sam_step,
     save_cm,
@@ -292,12 +292,38 @@ def test_infer_allocation_greedy_and_tie_to_cash(rng):
     tie_cm = rigged_module(frame, [1.0, 1.0])
     ctx = cash_cm.prepare(frame)
     t = ctx.first_decision(5, False)
-    assert infer_allocation(cash_cm, ctx, t) == AllocationAction.all_cash()
-    assert infer_allocation(crypto_cm, crypto_cm.prepare(frame), t) == AllocationAction.all_crypto()
-    assert infer_allocation(tie_cm, tie_cm.prepare(frame), t) == AllocationAction.all_cash()
-    assert infer_allocation(cash_cm, ctx, t) == infer_allocation(cash_cm, ctx, t)
+    assert cash_cm.allocate(ctx, t) == AllocationAction.all_cash()
+    assert crypto_cm.allocate(crypto_cm.prepare(frame), t) == AllocationAction.all_crypto()
+    assert tie_cm.allocate(tie_cm.prepare(frame), t) == AllocationAction.all_cash()
+    assert cash_cm.allocate(ctx, t) == cash_cm.allocate(ctx, t)
     with pytest.raises(WarmupError):
-        infer_allocation(cash_cm, ctx, t - 1)
+        cash_cm.allocate(ctx, t - 1)
+
+
+@pytest.mark.parametrize("use_eam", [False, True])
+def test_batched_prepare_matches_single_state_forwards(rng, monkeypatch, use_eam):
+    """prepare's batched greedy actions (and signals) equal the argmax of a
+    forward of each row's state on its own; rows before the first decision
+    raise WarmupError."""
+    monkeypatch.setattr(cryptomodule, "_DECISION_BATCH", 7)  # many uneven batches
+    frame = walk_frame(rng)
+    cm = train_cm_from_frame(frame, RANGES, SMALL, use_eam=use_eam)
+    ctx = cm.prepare(frame)
+    n = SMALL.window
+    if use_eam:
+        encode = np.array([SIGNAL_VALUES[a] for a in SIGNAL_ACTIONS])
+        for t in range(ctx.refined.first_valid_index + n - 1, len(frame)):
+            q = cm.eam_net.forward(build_eam_state(frame, ctx.refined, t, n).tensor().data[None])[0]
+            assert ctx.signals[t] == encode[np.argmax(q)]
+    first = ctx.first_decision(n, use_eam)
+    for t in range(first):
+        with pytest.raises(WarmupError):
+            cm.allocate(ctx, t)
+    for t in range(first, len(frame)):
+        q = cm.sam_net.forward(build_sam_state(frame, ctx.refined, t, n, ctx.signals).tensor.data[None])[0]
+        assert cm.allocate(ctx, t) == AllocationAction.from_index(int(np.argmax(q)))
+    with pytest.raises(DataError):
+        cm.allocate(ctx, len(frame))
 
 
 def test_warmup_bars_accounting(rng):

@@ -1,5 +1,9 @@
 """Data feed: parsing, ingestion semantics, LOCF alignment."""
 
+import json
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -76,7 +80,8 @@ def test_parse_ohlcv_roundtrip(tmp_path):
     )
     bars = parse_ohlcv_csv(p)
     assert len(bars) == 2
-    assert bars[0].high == 101.5 and bars[1].ts == T0 + INTERVAL
+    assert bars.ohlcv[0, 1] == 101.5 and bars.ts[1] == T0 + INTERVAL
+    assert list(bars)[0] == Bar(T0, 100.0, 101.5, 99.25, 100.75, 12.0)
 
 
 def test_parse_ohlcv_names_bad_row(tmp_path):
@@ -126,7 +131,7 @@ def test_reingest_identical_is_idempotent(tmp_path):
     bars = flat_bars(5)
     assert store.ingest_ohlcv(AssetId("AAA"), bars) == 5
     assert store.ingest_ohlcv(AssetId("AAA"), bars) == 0
-    assert store.load_bars(AssetId("AAA")) == sorted(bars, key=lambda b: b.ts)
+    assert list(store.load_bars(AssetId("AAA"))) == sorted(bars, key=lambda b: b.ts)
 
 
 def test_ohlcv_roundtrip_persisted_equals_ingested(tmp_path, rng):
@@ -138,7 +143,7 @@ def test_ohlcv_roundtrip_persisted_equals_ingested(tmp_path, rng):
         for i in range(20)
     ]
     store.ingest_ohlcv(AssetId("AAA"), bars)
-    assert store.load_bars(AssetId("AAA")) == bars
+    assert list(store.load_bars(AssetId("AAA"))) == bars
 
 
 def test_ingest_metrics_counts_per_name(tmp_path):
@@ -168,7 +173,34 @@ def test_ingest_metrics_last_writer_wins(tmp_path):
     store = CsvStore(tmp_path)
     store.ingest_metrics(AssetId("AAA"), [MetricPoint(T0, "aa", 1.0)])
     store.ingest_metrics(AssetId("AAA"), [MetricPoint(T0, "aa", 2.0)])
-    assert store.load_metrics(AssetId("AAA"))["aa"][T0] == 2.0
+    ts, values = store.load_metrics(AssetId("AAA"))["aa"]
+    assert ts.tolist() == [T0] and values.tolist() == [2.0]
+
+
+def test_ingest_metrics_warns_per_overwrite_in_stream_order(tmp_path, caplog):
+    store = CsvStore(tmp_path)
+    store.ingest_metrics(AssetId("AAA"), [MetricPoint(T0, "aa", 1.0)])
+    stream = [MetricPoint(T0, "aa", 2.0), MetricPoint(T0, "aa", 2.0), MetricPoint(T0, "bb", 5.0),
+              MetricPoint(T0, "aa", 3.0)]
+    with caplog.at_level("WARNING", logger="chainfolio.datastore"):
+        counts = store.ingest_metrics(AssetId("AAA"), stream)
+    assert counts == {"aa": 3, "bb": 1}
+    assert [r.getMessage() for r in caplog.records] == [
+        f"AAA-USDT: aa at ts={T0} overwritten 1.0 -> 2.0",
+        f"AAA-USDT: aa at ts={T0} overwritten 2.0 -> 3.0",
+    ]
+    series = store.load_metrics(AssetId("AAA"))
+    assert series["aa"][1].tolist() == [3.0] and series["bb"][1].tolist() == [5.0]
+
+
+def test_stored_bars_out_of_order_are_data_error(tmp_path):
+    store = CsvStore(tmp_path)
+    store.ingest_ohlcv(AssetId("AAA"), flat_bars(3))
+    path = tmp_path / "AAA-USDT" / "ohlcv.csv"
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, *reversed(rows)]) + "\n")
+    with pytest.raises(DataError, match="ascending"):
+        store.align(AssetId("AAA"), bar_ts(0), bar_ts(2))
 
 
 # ---------------------------------------------------------------------------
@@ -310,3 +342,36 @@ def test_corrupt_manifest_is_data_error(tmp_path, text):
         store.ingest_ohlcv(AssetId("BBB"), flat_bars(2))
     with pytest.raises(DataError, match="manifest"):
         store.assets()
+
+
+def test_concurrent_ingests_of_different_assets_keep_the_manifest(tmp_path):
+    """Eight threads ingest eight assets; the shared manifest must end valid
+    with every entry (a per-asset lock alone loses updates to it)."""
+    store = CsvStore(tmp_path)
+    symbols = [f"A{i}" for i in range(8)]
+    errors = []
+
+    def ingest(symbol):
+        try:
+            for n in (10, 20):
+                store.ingest_ohlcv(AssetId(symbol), flat_bars(n))
+                store.ingest_metrics(AssetId(symbol), [MetricPoint(bar_ts(i), "mm", 1.0) for i in range(n)])
+        except Exception as exc:  # reported below, with the thread's symbol
+            errors.append((symbol, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ingest, args=(s,)) for s in symbols]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    manifest = json.loads((tmp_path / CsvStore.MANIFEST).read_text())
+    assert sorted(manifest["assets"]) == [f"{s}-USDT" for s in symbols]
+    assert all(e["bars"] == 20 and e["metrics"] == {"mm": 20} for e in manifest["assets"].values())
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]

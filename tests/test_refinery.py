@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, assume, strategies as st
 
+from chainfolio import refinery
 from chainfolio.datastore import AlignedFrame, AssetId
 from chainfolio.errors import ConfigError, DataError
 from chainfolio.refinery import (
@@ -332,6 +333,63 @@ def test_pca_zero_variance_window_is_flagged():
     assert out.rank_flagged[v].all()
     assert (out.n_components[v] == 0).all()
     assert np.allclose(out.explained[v], 1.0)
+
+
+def reference_rolling_pca(x, window, variance_target):
+    """One window at a time: (components, valid, n_components, explained, rank_flagged)."""
+    t, k = x.shape
+    components, explained = np.zeros((t, k)), np.zeros(t)
+    valid, flagged = np.zeros(t, dtype=bool), np.zeros(t, dtype=bool)
+    n_components = np.zeros(t, dtype=np.int32)
+    row_ok = np.isfinite(x).all(axis=1)
+    for i in range(window - 1, t):
+        lo = i - window + 1
+        if not row_ok[lo : i + 1].all():
+            continue
+        win = x[lo : i + 1]
+        mean = win.mean(axis=0)
+        centered = win - mean
+        eigvals, eigvecs = np.linalg.eigh(centered.T @ centered / (window - 1))
+        order = np.argsort(eigvals)[::-1]
+        eigvals = np.clip(eigvals[order], 0.0, None)
+        eigvecs = eigvecs[:, order]
+        total = float(eigvals.sum())
+        valid[i] = True
+        if total <= 0.0:
+            flagged[i] = True
+            explained[i] = 1.0
+            continue
+        rank = int(np.sum(eigvals > total * 1e-10))
+        cum = np.cumsum(eigvals) / total
+        c = min(int(np.searchsorted(cum, variance_target - 1e-12) + 1), rank)
+        flagged[i] = cum[c - 1] < variance_target - 1e-12
+        basis = eigvecs[:, :c]
+        flip = basis[np.argmax(np.abs(basis), axis=0), np.arange(c)] < 0
+        basis = basis * np.where(flip, -1.0, 1.0)
+        components[i, :c] = (x[i] - mean) @ basis
+        n_components[i] = c
+        explained[i] = float(cum[c - 1])
+    return components, valid, n_components, explained, flagged
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 256])
+def test_pca_stacked_windows_equal_one_window_at_a_time(rng, monkeypatch, chunk):
+    """Bit-identical to the per-window fit, with NaN warm-up rows and NaN
+    holes, constant (zero-variance) stretches and rank-deficient windows."""
+    monkeypatch.setattr(refinery, "_PCA_CHUNK", chunk)
+    t, k, w = 90, 4, 12
+    x = rng.normal(size=(t, k)) * [1.0, 3.0, 0.1, 2.0]
+    x[:6] = np.nan
+    x[40] = np.nan
+    x[50:68] = 0.25              # constant rows: zero-variance windows
+    x[70:, 3] = 2.0 * x[70:, 0]  # duplicate direction: rank deficiency
+    for target in (0.5, 0.8, 1.0):
+        out = rolling_pca(x, window=w, variance_target=target)
+        want = reference_rolling_pca(x, w, target)
+        got = (out.components, out.valid, out.n_components, out.explained, out.rank_flagged)
+        for g, r in zip(got, want):
+            assert np.array_equal(g, r)
+        assert out.rank_flagged[61:68].all() and out.valid[61:68].all()
 
 
 def test_pca_no_lookahead(rng):

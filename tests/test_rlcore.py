@@ -120,6 +120,26 @@ def _td_loss_only(net, theta, states, actions, targets):
     return float(np.mean(err * err))
 
 
+@pytest.mark.parametrize("arch,shape", [("eam-1d", (4, 1, 9)), ("sam-4layer", (6, 2, 9))])
+def test_backward_without_state_gradient_keeps_parameter_gradients(arch, shape, rng):
+    """QNetwork.backward skips the first layer's input gradient; every
+    parameter gradient is bit-identical to a full chain through each layer."""
+    net = build_qnetwork(arch, shape, seed=3)
+    states = rng.normal(size=(16, *shape))
+    d_q = rng.normal(size=(16, net.n_actions))
+    net.forward(states)
+    net.zero_grads()
+    net.backward(d_q)
+    skipped = net.grads_flat().copy()
+    net.forward(states)
+    net.zero_grads()
+    d = d_q
+    for layer in reversed(net.layers):
+        d = layer.backward(d)
+    assert d.shape == states.shape
+    assert np.array_equal(net.grads_flat(), skipped)
+
+
 @pytest.mark.parametrize("arch,shape", [("eam-1d", (2, 1, 5)), ("sam-4layer", (2, 2, 5))])
 def test_backprop_matches_finite_differences(arch, shape, rng):
     net = build_qnetwork(arch, shape, seed=11)
