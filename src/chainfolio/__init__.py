@@ -24,7 +24,7 @@ from .cryptomodule import (
     train_cm,
     train_cm_from_frame,
 )
-from .datastore import AlignedFrame, AssetId, Bar, CsvStore, LocalFileSource, MetricPoint
+from .datastore import AlignedFrame, AssetId, Bar, CsvStore, MetricPoint
 from .errors import ChainfolioError, ConfigError, DataError, SerializationError
 from .metrics import ReturnSeries, SummaryStats, arr, drr, emit_report, sortino, summarize
 from .portfolio import (
@@ -35,9 +35,7 @@ from .portfolio import (
     PortfolioWeights,
     RebalanceEvent,
     VoteSet,
-    add_cm,
     rebalance,
-    remove_cm,
     retrain_schedule,
     run_backtest,
     vote_weights,
@@ -77,7 +75,6 @@ __all__ = [
     "DataRanges",
     "Holdings",
     "HorizonConfig",
-    "LocalFileSource",
     "MetricPoint",
     "PortfolioWeights",
     "QNetwork",
@@ -93,7 +90,6 @@ __all__ = [
     "TradingSignal",
     "TrainConfig",
     "VoteSet",
-    "add_cm",
     "arr",
     "build_eam_state",
     "build_qnetwork",
@@ -109,7 +105,6 @@ __all__ = [
     "pearson",
     "rebalance",
     "refine_features",
-    "remove_cm",
     "retrain_schedule",
     "rolling_normalize",
     "rolling_pca",

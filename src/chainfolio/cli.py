@@ -8,7 +8,6 @@ Every run logs the effective configuration and seed to stderr.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
@@ -16,8 +15,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .config import ENV_DATA_DIR, RunConfig, load_config, parse_ts
-from .cryptomodule import save_cm, train_cm
+from .config import ENV_DATA_DIR, RunConfig, config_values, load_config, parse_ts
+from .cryptomodule import derive_seed, save_cm, train_cm, with_seed
 from .datastore import AssetId, CsvStore, parse_metrics_csv, parse_ohlcv_csv
 from .errors import ChainfolioError, ConfigError
 from .metrics import SECONDS_PER_DAY, stats_csv
@@ -25,6 +24,16 @@ from .portfolio import BacktestReport, CmRegistry, run_backtest
 from .refinery import refine_features, select_valid_metrics
 
 log = logging.getLogger(__name__)
+
+#: destination of each command-line flag that sets a config key
+FLAG_KEYS = {
+    "data_dir": "data_dir",
+    "seed": "seed",
+    "use_eam": "cm.use_eam",
+    "fee": "reward.fee_rate",
+    "rebalance_interval": "backtest.rebalance_interval",
+    "retrain_days": "backtest.retrain_days",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,8 +101,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     _setup_logging(args.verbose)
     try:
-        cfg = load_config(args.config, overrides={"data_dir": args.data_dir}, env=os.environ)
-        log.info("effective config: %s", json.dumps(cfg.to_doc(), sort_keys=True))
+        overrides = {key: getattr(args, dest, None) for dest, key in FLAG_KEYS.items()}
+        cfg = load_config(args.config, overrides=overrides, env=os.environ)
+        log.info("effective config: %s", json.dumps(config_values(cfg), sort_keys=True))
         log.info("seed: %d", cfg.seed)
         return _dispatch(args, cfg)
     except (ChainfolioError, OSError) as exc:
@@ -162,7 +172,7 @@ def _cmd_refine(args, cfg: RunConfig, store: CsvStore) -> int:
     start = parse_ts(args.start) if args.start else cfg.data_ranges().train[0]
     end = _inclusive_end(args.end, cfg.interval) if args.end else cfg.data_ranges().train[1]
     frame = store.align(asset, start, end, cfg.interval, cfg.fill_limit)
-    selected = select_valid_metrics(frame, cfg.horizon_config())
+    selected = select_valid_metrics(frame, cfg.cm.horizon)
     for name in selected.names:
         freq = selected.frequency[name]
         print(f"{name}\tfrequency={freq}")
@@ -172,8 +182,9 @@ def _cmd_refine(args, cfg: RunConfig, store: CsvStore) -> int:
         _write_table_csv(args.table, selected.table)
         print(f"correlation table written to {args.table}")
     if args.out:
+        cm = cfg.cm
         refined = refine_features(
-            frame, selected.names, cfg.norm_window, cfg.pca_window, cfg.variance_target, cfg.epsilon
+            frame, selected.names, cm.norm_window, cm.pca_window, cm.variance_target, cm.epsilon
         )
         _write_refined_csv(args.out, refined)
         print(f"refined features written to {args.out}")
@@ -204,31 +215,18 @@ def _write_refined_csv(path: str, refined) -> None:
             writer.writerow(row)
 
 
-def derive_asset_seed(base_seed: int, asset_key: str) -> int:
-    """Stable per-asset training seed from the base seed."""
-    digest = hashlib.sha256(f"{base_seed}:{asset_key}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def _train_worker(payload) -> tuple[str, str]:
-    cfg, key, use_eam, out_dir = payload
+    cfg, key, out_dir = payload
     store = CsvStore(cfg.data_dir)
     asset = AssetId.parse(key)
-    seed = derive_asset_seed(cfg.seed, asset.key)
-    cm = train_cm(
-        store, asset, cfg.data_ranges(), cfg.cm_settings(seed), use_eam, cfg.interval, cfg.fill_limit
-    )
+    settings = with_seed(cfg.cm, derive_seed(cfg.seed, asset.key))
+    cm = train_cm(store, asset, cfg.data_ranges(), settings, cfg.use_eam, cfg.interval, cfg.fill_limit)
     path = Path(out_dir) / f"{asset.key}.cm"
     save_cm(cm, path)
     return asset.key, str(path)
 
 
 def _cmd_train(args, cfg: RunConfig) -> int:
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        cfg.seed = args.seed
-    use_eam = cfg.use_eam if args.use_eam is None else True
     if args.jobs < 1:
         raise ConfigError("--jobs must be >= 1")
     keys = [AssetId.parse(a).key for a in args.assets.split(",") if a.strip()]
@@ -236,7 +234,7 @@ def _cmd_train(args, cfg: RunConfig) -> int:
         raise ConfigError("no assets given")
     out_dir = Path(args.out_dir) if args.out_dir else Path(cfg.data_dir) / "models"
     out_dir.mkdir(parents=True, exist_ok=True)
-    payloads = [(cfg, key, use_eam, str(out_dir)) for key in keys]
+    payloads = [(cfg, key, str(out_dir)) for key in keys]
     if args.jobs == 1 or len(keys) == 1:
         results = [_train_worker(p) for p in payloads]
     else:
@@ -271,14 +269,7 @@ def _cmd_backtest(args, cfg: RunConfig, store: CsvStore) -> int:
         raise ConfigError("empty --portfolio")
     start = parse_ts(args.start) if args.start else None
     end = _inclusive_end(args.end, cfg.interval) if args.end else None
-    bt_cfg = cfg.backtest_config(
-        assets,
-        start_ts=start,
-        end_ts=end,
-        fee_rate=args.fee,
-        rebalance_interval=args.rebalance_interval,
-        retrain_days=args.retrain_days,
-    )
+    bt_cfg = cfg.backtest_config(assets, start_ts=start, end_ts=end)
     registry = CmRegistry(_registry_dir(args, cfg))
     report = run_backtest(registry, bt_cfg, store)
     report.write(args.out)

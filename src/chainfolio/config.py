@@ -6,6 +6,12 @@ key: integers, floats, booleans (true/false), comma-separated integer
 lists, or date ranges `START:END` where each side is an epoch second,
 a UTC date `YYYY-MM-DD`, or a full ISO timestamp (end exclusive).
 
+Every key, its default and its parser come from the field of the
+dataclass that uses the setting: :class:`RunConfig` holds the run's own
+settings and nests the modules' :class:`CmSettings` and the
+:class:`Splits`.  Key = section + field name, where the section is the
+name of the nested dataclass unless ``_SECTIONS`` names another.
+
 The default splits follow the usual experiment layout: train from
 2020-10-01 through 2021-12-31, validation January-February 2022, and
 backtest March through September 2022, all UTC.
@@ -13,31 +19,19 @@ backtest March through September 2022, all UTC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, is_dataclass
 from datetime import datetime, timezone
+from functools import reduce
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, get_type_hints
 
-from .cryptomodule import CmSettings, DataRanges, RewardConfig
+from .cryptomodule import CmSettings, DataRanges
 from .datastore import DEFAULT_BAR_INTERVAL, DEFAULT_FILL_LIMIT
 from .errors import ConfigError
 from .portfolio import BacktestConfig
-from .refinery import (
-    DEFAULT_EPSILON,
-    DEFAULT_NORM_WINDOW,
-    DEFAULT_PCA_WINDOW,
-    DEFAULT_VARIANCE_TARGET,
-    HorizonConfig,
-)
-from .rlcore import TrainConfig
+from .serial import from_doc, to_doc
 
 ENV_DATA_DIR = "CHAINFOLIO_DATA_DIR"
-
-DEFAULT_SPLITS = {
-    "train": ("2020-10-01", "2022-01-01"),
-    "validation": ("2022-01-01", "2022-03-01"),
-    "backtest": ("2022-03-01", "2022-10-01"),
-}
 
 
 def parse_ts(value: str | int) -> int:
@@ -71,139 +65,62 @@ def _parse_range(value: str) -> tuple[int, int]:
     return start, end
 
 
-@dataclass
+@dataclass(frozen=True)
+class Splits:
+    """Train, validation and backtest ranges in end-exclusive epoch seconds."""
+
+    train: tuple[int, int] = _parse_range("2020-10-01:2022-01-01")
+    validation: tuple[int, int] = _parse_range("2022-01-01:2022-03-01")
+    backtest: tuple[int, int] = _parse_range("2022-03-01:2022-10-01")
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything a pipeline run needs; every field has a documented key."""
+    """Everything a pipeline run needs.  ``cm`` holds the settings every
+    module is trained with, but for its training seed, which derives from
+    ``seed`` per asset; every other field has a config key (CONFIG_KEYS)."""
 
     data_dir: str = "data"
     interval: int = DEFAULT_BAR_INTERVAL
     fill_limit: int = DEFAULT_FILL_LIMIT
     seed: int = 0
     use_eam: bool = False
-
-    horizons: tuple[int, ...] = (12, 24, 48)
-    top_per_group: int = 5
-    final_count: int = 10
-    forward_returns: bool = True
-
-    norm_window: int = DEFAULT_NORM_WINDOW
-    pca_window: int = DEFAULT_PCA_WINDOW
-    variance_target: float = DEFAULT_VARIANCE_TARGET
-    epsilon: float = DEFAULT_EPSILON
-
-    window: int = 32
-    buffer_capacity: int = 10_000
-    eval_interval: int = 500
-
-    gamma: float = 0.99
-    lr: float = 1e-3
-    batch: int = 32
-    target_sync: int = 200
-    eps_start: float = 1.0
-    eps_end: float = 0.05
-    eps_decay_steps: int = 5_000
-    max_steps: int = 20_000
-    grad_clip: float = 10.0
-
-    fee_rate: float = 0.001
-    eam_hold_reward: float = 0.0
-
+    cm: CmSettings = CmSettings()
     initial_capital: float = 10_000.0
-    rebalance_interval: int = 1
-    retrain_days: int = 0
-
-    # split ranges, end-exclusive epoch seconds
-    split_train: tuple[int, int] = field(default_factory=lambda: _default_split("train"))
-    split_validation: tuple[int, int] = field(default_factory=lambda: _default_split("validation"))
-    split_backtest: tuple[int, int] = field(default_factory=lambda: _default_split("backtest"))
-
-    # -- builders ----------------------------------------------------------
-
-    def horizon_config(self) -> HorizonConfig:
-        return HorizonConfig(
-            horizons=self.horizons,
-            top_per_group=self.top_per_group,
-            final_count=self.final_count,
-            forward_returns=self.forward_returns,
-        )
-
-    def train_config(self, seed: int | None = None) -> TrainConfig:
-        return TrainConfig(
-            gamma=self.gamma,
-            lr=self.lr,
-            batch=self.batch,
-            target_sync=self.target_sync,
-            eps_start=self.eps_start,
-            eps_end=self.eps_end,
-            eps_decay_steps=self.eps_decay_steps,
-            max_steps=self.max_steps,
-            seed=self.seed if seed is None else seed,
-            grad_clip=self.grad_clip,
-        )
-
-    def reward_config(self) -> RewardConfig:
-        return RewardConfig(fee_rate=self.fee_rate, eam_hold_reward=self.eam_hold_reward)
-
-    def cm_settings(self, seed: int | None = None) -> CmSettings:
-        return CmSettings(
-            horizon=self.horizon_config(),
-            norm_window=self.norm_window,
-            pca_window=self.pca_window,
-            variance_target=self.variance_target,
-            epsilon=self.epsilon,
-            window=self.window,
-            buffer_capacity=self.buffer_capacity,
-            eval_interval=self.eval_interval,
-            train=self.train_config(seed),
-            reward=self.reward_config(),
-        )
+    rebalance_interval: int = 1      # bars between reallocation decisions
+    retrain_days: int = 0            # 0 disables scheduled retraining
+    split: Splits = Splits()
 
     def _inclusive(self, split: tuple[int, int]) -> tuple[int, int]:
         return split[0], split[1] - self.interval
 
     def data_ranges(self) -> DataRanges:
         return DataRanges(
-            train=self._inclusive(self.split_train),
-            validation=self._inclusive(self.split_validation),
+            train=self._inclusive(self.split.train),
+            validation=self._inclusive(self.split.validation),
         )
 
     def backtest_config(
-        self,
-        assets: tuple[str, ...],
-        start_ts: int | None = None,
-        end_ts: int | None = None,
-        fee_rate: float | None = None,
-        rebalance_interval: int | None = None,
-        retrain_days: int | None = None,
+        self, assets: tuple[str, ...], start_ts: int | None = None, end_ts: int | None = None
     ) -> BacktestConfig:
-        lo, hi = self._inclusive(self.split_backtest)
+        """The backtest of ``assets`` over the backtest split or [start_ts, end_ts];
+        its fee is ``reward.fee_rate``."""
+        lo, hi = self._inclusive(self.split.backtest)
         return BacktestConfig(
             assets=assets,
             start_ts=lo if start_ts is None else start_ts,
             end_ts=hi if end_ts is None else end_ts,
             initial_capital=self.initial_capital,
-            fee_rate=self.fee_rate if fee_rate is None else fee_rate,
-            rebalance_interval=self.rebalance_interval if rebalance_interval is None else rebalance_interval,
-            retrain_days=self.retrain_days if retrain_days is None else retrain_days,
+            fee_rate=self.cm.reward.fee_rate,
+            rebalance_interval=self.rebalance_interval,
+            retrain_days=self.retrain_days,
             interval=self.interval,
             fill_limit=self.fill_limit,
         )
 
-    def to_doc(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
-
-
-def _default_split(name: str) -> tuple[int, int]:
-    start, end = DEFAULT_SPLITS[name]
-    return parse_ts(start), parse_ts(end)
-
 
 # ---------------------------------------------------------------------------
-# Parsing
+# Keys and parsing
 
 def _as_bool(text: str) -> bool:
     low = text.strip().lower()
@@ -217,50 +134,59 @@ def _as_bool(text: str) -> bool:
 def _as_int_tuple(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(p.strip()) for p in text.split(",") if p.strip())
-    except ValueError as exc:
+    except ValueError:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
 
 
-#: dotted config key -> (RunConfig field, parser)
-CONFIG_KEYS: dict[str, tuple[str, object]] = {
-    "data_dir": ("data_dir", str),
-    "interval": ("interval", int),
-    "fill_limit": ("fill_limit", int),
-    "seed": ("seed", int),
-    "cm.use_eam": ("use_eam", _as_bool),
-    "horizon.horizons": ("horizons", _as_int_tuple),
-    "horizon.top_per_group": ("top_per_group", int),
-    "horizon.final_count": ("final_count", int),
-    "horizon.forward_returns": ("forward_returns", _as_bool),
-    "refine.norm_window": ("norm_window", int),
-    "refine.pca_window": ("pca_window", int),
-    "refine.variance_target": ("variance_target", float),
-    "refine.epsilon": ("epsilon", float),
-    "cm.window": ("window", int),
-    "cm.buffer_capacity": ("buffer_capacity", int),
-    "cm.eval_interval": ("eval_interval", int),
-    "train.gamma": ("gamma", float),
-    "train.lr": ("lr", float),
-    "train.batch": ("batch", int),
-    "train.target_sync": ("target_sync", int),
-    "train.eps_start": ("eps_start", float),
-    "train.eps_end": ("eps_end", float),
-    "train.eps_decay_steps": ("eps_decay_steps", int),
-    "train.max_steps": ("max_steps", int),
-    "train.grad_clip": ("grad_clip", float),
-    "reward.fee_rate": ("fee_rate", float),
-    "reward.eam_hold_reward": ("eam_hold_reward", float),
-    "backtest.initial_capital": ("initial_capital", float),
-    "backtest.rebalance_interval": ("rebalance_interval", int),
-    "backtest.retrain_days": ("retrain_days", int),
-    "split.train": ("split_train", _parse_range),
-    "split.validation": ("split_validation", _parse_range),
-    "split.backtest": ("split_backtest", _parse_range),
+#: value parser per field type
+_PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    bool: _as_bool,
+    tuple[int, ...]: _as_int_tuple,
+    tuple[int, int]: _parse_range,
+}
+
+#: section of a scalar field when it is not that of the dataclass holding
+#: it: RunConfig's own fields have none, CmSettings' sit under ``cm.``
+_SECTIONS = {
+    "use_eam": "cm",
+    "norm_window": "refine",
+    "pca_window": "refine",
+    "variance_target": "refine",
+    "epsilon": "refine",
+    "initial_capital": "backtest",
+    "rebalance_interval": "backtest",
+    "retrain_days": "backtest",
+}
+
+def _keys(cls, path: tuple[str, ...] = (), section: str = ""):
+    """(key, attribute path, parser) of every setting under dataclass ``cls``."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        kind = hints[f.name]
+        at = path + (f.name,)
+        if is_dataclass(kind):
+            yield from _keys(kind, at, f.name)
+        elif at != ("cm", "train", "seed"):  # derived per module from ``seed``
+            sec = _SECTIONS.get(f.name, section)
+            yield (f"{sec}.{f.name}" if sec else f.name), at, _PARSERS[kind]
+
+
+#: dotted config key -> (attribute path in RunConfig, parser)
+CONFIG_KEYS: dict[str, tuple[tuple[str, ...], object]] = {
+    key: (at, parser) for key, at, parser in _keys(RunConfig)
 }
 
 
+def config_values(cfg: RunConfig) -> dict[str, object]:
+    """The value of every config key in ``cfg``."""
+    return {key: reduce(getattr, at, cfg) for key, (at, _) in CONFIG_KEYS.items()}
+
+
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
-    """Raw `key = value` pairs as typed RunConfig field assignments."""
+    """Raw `key = value` pairs as typed values per config key."""
     assignments: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -272,9 +198,8 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
         key, value = key.strip(), value.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
-        field_name, parser = CONFIG_KEYS[key]
         try:
-            assignments[field_name] = parser(value)
+            assignments[key] = CONFIG_KEYS[key][1](value)
         except ConfigError:
             raise
         except (ValueError, TypeError) as exc:
@@ -287,7 +212,8 @@ def load_config(
     overrides: Mapping[str, object] | None = None,
     env: Mapping[str, str] | None = None,
 ) -> RunConfig:
-    """Layer a RunConfig: defaults, then file, then environment, then overrides."""
+    """Layer a RunConfig: defaults, then file, then environment, then
+    overrides (typed values per config key; None leaves a key unset)."""
     assignments: dict[str, object] = {}
     if path is not None:
         p = Path(path)
@@ -298,7 +224,16 @@ def load_config(
         assignments["data_dir"] = env[ENV_DATA_DIR]
     if overrides:
         assignments.update({k: v for k, v in overrides.items() if v is not None})
-    cfg = replace(RunConfig(), **assignments)
+    unknown = sorted(set(assignments) - set(CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
+    # set the values in the defaults' document and build every dataclass
+    # once from it, so each one's checks see all of its new values together
+    doc = to_doc(RunConfig())
+    for key, value in assignments.items():
+        *parents, name = CONFIG_KEYS[key][0]
+        reduce(dict.__getitem__, parents, doc)[name] = value
+    cfg = from_doc(RunConfig, doc)
     _validate(cfg)
     return cfg
 
@@ -308,10 +243,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("interval must be positive")
     if cfg.seed < 0:
         raise ConfigError("seed must be nonnegative")
-    for name in ("split_train", "split_validation", "split_backtest"):
-        lo, hi = getattr(cfg, name)
+    for f in fields(Splits):
+        lo, hi = getattr(cfg.split, f.name)
         if hi - cfg.interval < lo:
-            raise ConfigError(f"{name} is shorter than one bar interval")
-    # constructing the derived configs runs their own domain checks
-    cfg.cm_settings()
+            raise ConfigError(f"split.{f.name} is shorter than one bar interval")
     cfg.data_ranges()

@@ -18,6 +18,7 @@ window's mean volume.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -61,6 +62,7 @@ from .rlcore.container import (
     read_container,
     write_container,
 )
+from .serial import from_doc, to_doc
 
 log = logging.getLogger(__name__)
 
@@ -636,12 +638,12 @@ def save_cm(cm: CryptoModule, path: str | Path) -> None:
     """Write the module as a single checksummed container."""
     meta = {
         "cm_version": cm.format_version,
-        "asset": {"symbol": cm.asset.symbol, "quote": cm.asset.quote},
+        "asset": to_doc(cm.asset),
         "interval": cm.interval,
         "use_eam": cm.use_eam,
         "selected_metrics": list(cm.selected_metrics),
-        "ranges": {"train": list(cm.ranges.train), "validation": list(cm.ranges.validation)},
-        "settings": _settings_to_doc(cm.settings),
+        "ranges": to_doc(cm.ranges),
+        "settings": to_doc(cm.settings),
         "sam": network_meta(cm.sam_net),
         "eam": network_meta(cm.eam_net) if cm.eam_net is not None else None,
     }
@@ -670,69 +672,25 @@ def _module_from_parts(meta: dict, sections: dict[str, bytes]) -> CryptoModule:
     if meta["eam"] is not None:
         eam_net = network_from_parts(meta["eam"], params_from_bytes(sections["eam_params"]))
     return CryptoModule(
-        asset=AssetId(meta["asset"]["symbol"], meta["asset"]["quote"]),
+        asset=from_doc(AssetId, meta["asset"]),
         sam_net=sam_net,
         eam_net=eam_net,
         selected_metrics=list(meta["selected_metrics"]),
-        settings=_settings_from_doc(meta["settings"]),
-        ranges=DataRanges(tuple(meta["ranges"]["train"]), tuple(meta["ranges"]["validation"])),
+        settings=from_doc(CmSettings, meta["settings"]),
+        ranges=from_doc(DataRanges, meta["ranges"]),
         interval=meta["interval"],
         use_eam=meta["use_eam"],
         format_version=meta["cm_version"],
     )
 
 
-def _settings_to_doc(s: CmSettings) -> dict:
-    return {
-        "horizon": {
-            "horizons": list(s.horizon.horizons),
-            "top_per_group": s.horizon.top_per_group,
-            "final_count": s.horizon.final_count,
-            "forward_returns": s.horizon.forward_returns,
-        },
-        "norm_window": s.norm_window,
-        "pca_window": s.pca_window,
-        "variance_target": s.variance_target,
-        "epsilon": s.epsilon,
-        "window": s.window,
-        "buffer_capacity": s.buffer_capacity,
-        "eval_interval": s.eval_interval,
-        "train": {
-            "gamma": s.train.gamma,
-            "lr": s.train.lr,
-            "batch": s.train.batch,
-            "target_sync": s.train.target_sync,
-            "eps_start": s.train.eps_start,
-            "eps_end": s.train.eps_end,
-            "eps_decay_steps": s.train.eps_decay_steps,
-            "max_steps": s.train.max_steps,
-            "seed": s.train.seed,
-            "grad_clip": s.train.grad_clip,
-        },
-        "reward": {"fee_rate": s.reward.fee_rate, "eam_hold_reward": s.reward.eam_hold_reward},
-    }
-
-
-def _settings_from_doc(doc: dict) -> CmSettings:
-    return CmSettings(
-        horizon=HorizonConfig(
-            horizons=tuple(doc["horizon"]["horizons"]),
-            top_per_group=doc["horizon"]["top_per_group"],
-            final_count=doc["horizon"]["final_count"],
-            forward_returns=doc["horizon"]["forward_returns"],
-        ),
-        norm_window=doc["norm_window"],
-        pca_window=doc["pca_window"],
-        variance_target=doc["variance_target"],
-        epsilon=doc["epsilon"],
-        window=doc["window"],
-        buffer_capacity=doc["buffer_capacity"],
-        eval_interval=doc["eval_interval"],
-        train=TrainConfig(**doc["train"]),
-        reward=RewardConfig(**doc["reward"]),
-    )
-
-
 def with_seed(settings: CmSettings, seed: int) -> CmSettings:
     """Copy of the settings with a different training seed."""
     return replace(settings, train=replace(settings.train, seed=seed))
+
+
+def derive_seed(*parts) -> int:
+    """A 64-bit training seed from the SHA-256 of ``parts`` joined by ':',
+    e.g. (base seed, asset key) or (seed, asset key, retrain boundary)."""
+    digest = hashlib.sha256(":".join(map(str, parts)).encode()).digest()
+    return int.from_bytes(digest[:8], "big")

@@ -28,7 +28,6 @@ import logging
 import math
 import os
 import threading
-from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -457,61 +456,16 @@ def parse_metrics_csv(source: str | Path | io.TextIOBase) -> MetricTable:
 
 
 # ---------------------------------------------------------------------------
-# Source adapters
-
-
-class DataSource(ABC):
-    """Adapter that pulls bars and metric points for an asset and range.
-
-    Exactly one implementation ships: :class:`LocalFileSource`.  Network
-    adapters (exchange/metric APIs) would subclass this but are out of
-    scope for the offline system.
-    """
-
-    @abstractmethod
-    def fetch_bars(self, asset: AssetId, start_ts: int, end_ts: int) -> Iterable[Bar]:
-        raise NotImplementedError
-
-    @abstractmethod
-    def fetch_metrics(self, asset: AssetId, start_ts: int, end_ts: int) -> Iterable[MetricPoint]:
-        raise NotImplementedError
-
-
-class LocalFileSource(DataSource):
-    """Reads the same per-asset CSV formats from a plain directory.
-
-    Expects ``<root>/<SYMBOL>-<QUOTE>/ohlcv.csv`` and ``metrics.csv``.
-    """
-
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-
-    def _asset_dir(self, asset: AssetId) -> Path:
-        return self.root / asset.key
-
-    def fetch_bars(self, asset: AssetId, start_ts: int, end_ts: int) -> list[Bar]:
-        path = self._asset_dir(asset) / "ohlcv.csv"
-        if not path.exists():
-            raise DataError(f"no OHLCV file for {asset.key} under {self.root}")
-        return [b for b in parse_ohlcv_csv(path) if start_ts <= b.ts <= end_ts]
-
-    def fetch_metrics(self, asset: AssetId, start_ts: int, end_ts: int) -> list[MetricPoint]:
-        path = self._asset_dir(asset) / "metrics.csv"
-        if not path.exists():
-            raise DataError(f"no metrics file for {asset.key} under {self.root}")
-        return [p for p in parse_metrics_csv(path) if start_ts <= p.ts <= end_ts]
-
-
-# ---------------------------------------------------------------------------
 # The store
 
 
-def _atomic_write(path: Path, write) -> None:
-    """Create or replace ``path`` with what ``write(fh)`` writes, through a
-    temporary sibling and ``os.replace``, so readers never see a partial file."""
+def atomic_write(path: Path, write, binary: bool = False) -> None:
+    """Create or replace ``path`` with what ``write(fh)`` writes to a text
+    (or ``binary``) file, through a temporary sibling and ``os.replace``, so
+    readers never see a partial file and a failed write keeps the old one."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        with open(tmp, "w", newline="") as fh:
+        with open(tmp, "wb") if binary else open(tmp, "w", newline="") as fh:
             write(fh)
         os.replace(tmp, path)
     finally:
@@ -561,7 +515,7 @@ class CsvStore:
             )
             entry.update(info)
             doc = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-            _atomic_write(self.root / self.MANIFEST, lambda fh: fh.write(doc))
+            atomic_write(self.root / self.MANIFEST, lambda fh: fh.write(doc))
 
     def assets(self) -> list[AssetId]:
         manifest = self._read_manifest()
@@ -643,7 +597,7 @@ class CsvStore:
             # repr round-trips float64 exactly and never emits thousands separators
             writer.writerows([ts, *map(repr, row)] for ts, row in zip(bars.ts.tolist(), bars.ohlcv.tolist()))
 
-        _atomic_write(path / "ohlcv.csv", write)
+        atomic_write(path / "ohlcv.csv", write)
 
     def _write_metrics(self, asset: AssetId, series: dict[str, tuple[np.ndarray, np.ndarray]]) -> None:
         path = self._dir(asset)
@@ -655,7 +609,7 @@ class CsvStore:
             for name, (ts, values) in series.items():
                 writer.writerows(zip(ts.tolist(), itertools.repeat(name), map(repr, values.tolist())))
 
-        _atomic_write(path / "metrics.csv", write)
+        atomic_write(path / "metrics.csv", write)
 
     # -- loading -----------------------------------------------------------
 

@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .datastore import atomic_write
 from .errors import DataError
 
 SECONDS_PER_DAY = 86_400
@@ -193,11 +194,14 @@ def write_curves_csv(path: str | Path, timestamps: Sequence[int], curves: Mappin
     for name, vals in cols.items():
         if len(vals) != len(ts):
             raise DataError(f"curve {name!r} does not share the report range")
-    with open(path, "w", newline="") as fh:
+
+    def write(fh):
         writer = csv.writer(fh)
         writer.writerow(["ts"] + [f"{name}_value" for name in cols])
         for i in range(len(ts)):
             writer.writerow([int(ts[i])] + [_fmt(float(vals[i])) for vals in cols.values()])
+
+    atomic_write(Path(path), write)
 
 
 def read_curves_csv(path: str | Path) -> tuple[np.ndarray, dict[str, np.ndarray]]:

@@ -19,7 +19,6 @@ import hashlib
 import json
 import logging
 import math
-import shutil
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
@@ -28,16 +27,18 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import metrics as metrics_mod
-from .cryptomodule import AllocationAction, CryptoModule, DataRanges, load_cm, with_seed
+from .cryptomodule import AllocationAction, CryptoModule, DataRanges, derive_seed, load_cm, with_seed
 from .datastore import (
     AssetId,
     CsvStore,
     DEFAULT_BAR_INTERVAL,
     DEFAULT_FILL_LIMIT,
+    atomic_write,
 )
 from .errors import ChainfolioError, ConfigError, DataError
 from .metrics import SummaryStats
 from .rlcore import DivergenceError
+from .serial import from_doc, to_doc
 
 log = logging.getLogger(__name__)
 
@@ -215,7 +216,8 @@ class CmRegistry:
     def _save(self) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
         doc = {"version": self.VERSION, "entries": self._entries}
-        (self.root / "registry.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        atomic_write(self.root / "registry.json", lambda fh: fh.write(text))
 
     def assets(self) -> list[str]:
         return sorted(self._entries)
@@ -233,10 +235,10 @@ class CmRegistry:
             raise ConfigError(f"a module for {key} is already registered")
         self.root.mkdir(parents=True, exist_ok=True)
         dest = self.root / f"{key}.cm"
+        blob = Path(path).read_bytes()
         if Path(path).resolve() != dest.resolve():
-            shutil.copyfile(path, dest)
-        digest = hashlib.sha256(dest.read_bytes()).hexdigest()
-        self._entries[key] = {"file": dest.name, "sha256": digest}
+            atomic_write(dest, lambda fh: fh.write(blob), binary=True)
+        self._entries[key] = {"file": dest.name, "sha256": hashlib.sha256(blob).hexdigest()}
         self._save()
         return key
 
@@ -275,16 +277,6 @@ class CmRegistry:
         return rows
 
 
-def add_cm(registry: CmRegistry, asset: str, path: str | Path) -> CmRegistry:
-    registry.add(path, asset)
-    return registry
-
-
-def remove_cm(registry: CmRegistry, asset: str) -> CmRegistry:
-    registry.remove(asset)
-    return registry
-
-
 # ---------------------------------------------------------------------------
 # Backtest
 
@@ -294,10 +286,10 @@ class BacktestConfig:
     assets: tuple[str, ...]
     start_ts: int
     end_ts: int
-    initial_capital: float = 10_000.0
-    fee_rate: float = 0.001
-    rebalance_interval: int = 1      # bars between reallocation decisions
-    retrain_days: int = 0            # 0 disables scheduled retraining
+    initial_capital: float
+    fee_rate: float
+    rebalance_interval: int          # bars between reallocation decisions
+    retrain_days: int                # 0 disables scheduled retraining
     interval: int = DEFAULT_BAR_INTERVAL
     fill_limit: int = DEFAULT_FILL_LIMIT
 
@@ -317,19 +309,6 @@ class BacktestConfig:
             raise ConfigError("retrain cadence must be >= 0 days")
         if self.interval <= 0 or self.fill_limit < 0:
             raise ConfigError("interval must be positive and fill_limit nonnegative")
-
-    def to_doc(self) -> dict:
-        return {
-            "assets": list(self.assets),
-            "start_ts": self.start_ts,
-            "end_ts": self.end_ts,
-            "initial_capital": self.initial_capital,
-            "fee_rate": self.fee_rate,
-            "rebalance_interval": self.rebalance_interval,
-            "retrain_days": self.retrain_days,
-            "interval": self.interval,
-            "fill_limit": self.fill_limit,
-        }
 
 
 @dataclass
@@ -357,18 +336,7 @@ class BacktestReport:
             "timestamps": [int(t) for t in self.timestamps],
             "curves": {k: [float(x) for x in v] for k, v in self.curves.items()},
             "returns": [float(x) for x in self.returns],
-            "events": [
-                {
-                    "ts": e.ts,
-                    "pre_value": e.pre_value,
-                    "pre_weights": list(e.pre_weights),
-                    "target_weights": list(e.target_weights),
-                    "turnover": e.turnover,
-                    "fee": e.fee,
-                    "post_value": e.post_value,
-                }
-                for e in self.events
-            ],
+            "events": to_doc(self.events),
             "action_logs": {k: [[int(t), a] for t, a in v] for k, v in self.action_logs.items()},
             "retrain_events": self.retrain_events,
             "summary": {
@@ -385,7 +353,7 @@ class BacktestReport:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         doc = json.dumps(self.to_doc(), indent=2, sort_keys=True) + "\n"
-        (out / REPORT_FILE).write_text(doc)
+        atomic_write(out / REPORT_FILE, lambda fh: fh.write(doc))
         metrics_mod.write_curves_csv(out / CURVES_FILE, self.timestamps, self.curves)
 
     @classmethod
@@ -419,18 +387,7 @@ class BacktestReport:
             timestamps=np.asarray(doc["timestamps"], dtype=np.int64),
             curves=curves,
             returns=np.asarray(doc["returns"]),
-            events=[
-                RebalanceEvent(
-                    ts=e["ts"],
-                    pre_value=e["pre_value"],
-                    pre_weights=tuple(e["pre_weights"]),
-                    target_weights=tuple(e["target_weights"]),
-                    turnover=e["turnover"],
-                    fee=e["fee"],
-                    post_value=e["post_value"],
-                )
-                for e in doc["events"]
-            ],
+            events=[from_doc(RebalanceEvent, e) for e in doc["events"]],
             action_logs={k: [(int(t), a) for t, a in v] for k, v in doc["action_logs"].items()},
             retrain_events=doc["retrain_events"],
             summary=summary,
@@ -469,11 +426,6 @@ def retrain_boundaries(start_ts: int, end_ts: int, cadence_days: int) -> list[in
     return list(range(start_ts + step, end_ts, step))
 
 
-def _retrain_seed(seed: int, asset: str, boundary_ts: int) -> int:
-    digest = hashlib.sha256(f"{seed}:{asset}:{boundary_ts}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def retrain_module(
     cm: CryptoModule, store: CsvStore, boundary_ts: int, fill_limit: int = DEFAULT_FILL_LIMIT
 ) -> CryptoModule:
@@ -490,8 +442,7 @@ def retrain_module(
         train=(cm.ranges.train[0], boundary_ts - val_span - cm.interval),
         validation=(boundary_ts - val_span, boundary_ts),
     )
-    seed = _retrain_seed(cm.settings.train.seed, cm.asset.key, boundary_ts)
-    settings = with_seed(cm.settings, seed)
+    settings = with_seed(cm.settings, derive_seed(cm.settings.train.seed, cm.asset.key, boundary_ts))
     fresh = train_cm(store, cm.asset, new_ranges, settings, cm.use_eam, cm.interval, fill_limit)
     return replace(fresh, settings=cm.settings)  # keep the original seed for future boundaries
 
@@ -597,7 +548,7 @@ def run_backtest(modules, cfg: BacktestConfig, store: CsvStore) -> BacktestRepor
     summary = {name: metrics_mod.summarize(grid, vals) for name, vals in curves.items()}
     return BacktestReport(
         version=REPORT_VERSION,
-        config=cfg.to_doc(),
+        config=to_doc(cfg),
         timestamps=grid,
         curves=curves,
         returns=curve[1:] / curve[:-1] - 1.0,

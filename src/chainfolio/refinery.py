@@ -44,7 +44,7 @@ _PCA_CHUNK = 32
 class HorizonConfig:
     """Return horizons and selection sizes for the correlation ranking."""
 
-    horizons: tuple[int, int, int] = (12, 24, 48)
+    horizons: tuple[int, ...] = (12, 24, 48)
     top_per_group: int = 5
     final_count: int = 10
     #: pair metric value at t with the forward k-bar return starting at t;

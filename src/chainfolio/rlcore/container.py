@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..datastore import atomic_write
 from ..errors import SerializationError
 from .network import QNetwork, build_qnetwork
 
@@ -63,7 +64,8 @@ def encode_container(kind: str, meta: dict, sections: dict[str, bytes]) -> bytes
 
 
 def write_container(path: str | Path, kind: str, meta: dict, sections: dict[str, bytes]) -> None:
-    Path(path).write_bytes(encode_container(kind, meta, sections))
+    blob = encode_container(kind, meta, sections)
+    atomic_write(Path(path), lambda fh: fh.write(blob), binary=True)
 
 
 def decode_container(blob: bytes, expected_kind: str | None = None) -> tuple[str, dict, dict[str, bytes]]:

@@ -7,24 +7,29 @@ import logging
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
-from chainfolio.cli import _inclusive_end, derive_asset_seed, main
+from chainfolio.cli import _inclusive_end, main
 from chainfolio.config import (
-    DEFAULT_SPLITS,
+    CONFIG_KEYS,
     ENV_DATA_DIR,
     RunConfig,
+    Splits,
+    config_values,
     load_config,
     parse_config_text,
     parse_ts,
 )
-from chainfolio.cryptomodule import CmSettings, CryptoModule, DataRanges, save_cm
+from chainfolio.cryptomodule import CmSettings, CryptoModule, DataRanges, derive_seed, save_cm, with_seed
 from chainfolio.datastore import AssetId, CsvStore, DEFAULT_BAR_INTERVAL, DEFAULT_FILL_LIMIT
 from chainfolio.errors import ConfigError
 from chainfolio.refinery import HorizonConfig
 from chainfolio.rlcore import TrainConfig, build_qnetwork
+from chainfolio.serial import from_doc, to_doc
 
 from _synth import INTERVAL, bar_ts, make_asset
 
@@ -56,11 +61,12 @@ def test_parse_ts_rejects_garbage(bad):
 
 def test_default_splits_match_calendar():
     cfg = RunConfig()
-    assert cfg.split_train == (epoch(2020, 10, 1), epoch(2022, 1, 1))
-    assert cfg.split_validation == (epoch(2022, 1, 1), epoch(2022, 3, 1))
-    assert cfg.split_backtest == (epoch(2022, 3, 1), epoch(2022, 10, 1))
-    for name, (lo, hi) in DEFAULT_SPLITS.items():
-        assert parse_ts(lo) < parse_ts(hi)
+    assert cfg.split.train == (epoch(2020, 10, 1), epoch(2022, 1, 1))
+    assert cfg.split.validation == (epoch(2022, 1, 1), epoch(2022, 3, 1))
+    assert cfg.split.backtest == (epoch(2022, 3, 1), epoch(2022, 10, 1))
+    for f in fields(Splits):
+        lo, hi = getattr(cfg.split, f.name)
+        assert lo < hi
 
 
 def test_inclusive_end_extends_bare_dates_only():
@@ -90,10 +96,10 @@ def test_parse_config_text_happy_path():
     assert got == {
         "seed": 5,
         "interval": 21600,
-        "use_eam": True,
-        "horizons": (1, 2, 3),
-        "lr": 1e-3,
-        "split_train": (epoch(2020, 10, 1), epoch(2021, 1, 1)),
+        "cm.use_eam": True,
+        "horizon.horizons": (1, 2, 3),
+        "train.lr": 1e-3,
+        "split.train": (epoch(2020, 10, 1), epoch(2021, 1, 1)),
     }
 
 
@@ -118,7 +124,7 @@ def test_parse_config_text_requires_assignment():
 @pytest.mark.parametrize("text,expect", [("true", True), ("yes", True), ("1", True), ("on", True),
                                          ("false", False), ("no", False), ("0", False), ("off", False)])
 def test_bool_values(text, expect):
-    assert parse_config_text(f"cm.use_eam = {text}") == {"use_eam": expect}
+    assert parse_config_text(f"cm.use_eam = {text}") == {"cm.use_eam": expect}
 
 
 def test_bool_rejects_other_words():
@@ -131,6 +137,71 @@ def test_range_values_validate_order_and_shape():
         parse_config_text("split.train = 2022-01-01")
     with pytest.raises(ConfigError, match="start must precede end"):
         parse_config_text("split.train = 2022-01-02:2022-01-01")
+
+
+# ---------------------------------------------------------------------------
+# The key table
+
+#: every config key and its default; users' config files name these keys
+DEFAULT_KEYS = {
+    "data_dir": "data",
+    "interval": 21600,
+    "fill_limit": 4,
+    "seed": 0,
+    "cm.use_eam": False,
+    "horizon.horizons": (12, 24, 48),
+    "horizon.top_per_group": 5,
+    "horizon.final_count": 10,
+    "horizon.forward_returns": True,
+    "refine.norm_window": 50,
+    "refine.pca_window": 200,
+    "refine.variance_target": 0.8,
+    "refine.epsilon": 1e-08,
+    "cm.window": 32,
+    "cm.buffer_capacity": 10000,
+    "cm.eval_interval": 500,
+    "train.gamma": 0.99,
+    "train.lr": 0.001,
+    "train.batch": 32,
+    "train.target_sync": 200,
+    "train.eps_start": 1.0,
+    "train.eps_end": 0.05,
+    "train.eps_decay_steps": 5000,
+    "train.max_steps": 20000,
+    "train.grad_clip": 10.0,
+    "reward.fee_rate": 0.001,
+    "reward.eam_hold_reward": 0.0,
+    "backtest.initial_capital": 10000.0,
+    "backtest.rebalance_interval": 1,
+    "backtest.retrain_days": 0,
+    "split.train": (1601510400, 1640995200),
+    "split.validation": (1640995200, 1646092800),
+    "split.backtest": (1646092800, 1664582400),
+}
+
+
+def test_config_keys_and_defaults_are_pinned():
+    assert list(CONFIG_KEYS) == list(DEFAULT_KEYS)
+    got = config_values(RunConfig())
+    assert {k: (type(v), v) for k, v in got.items()} == {k: (type(v), v) for k, v in DEFAULT_KEYS.items()}
+
+
+def test_every_key_parses_its_default_back():
+    for key, value in DEFAULT_KEYS.items():
+        if key.startswith("split."):
+            text = "%d:%d" % value
+        elif isinstance(value, tuple):
+            text = ",".join(map(str, value))
+        else:
+            text = str(value)
+        assert parse_config_text(f"{key} = {text}") == {key: value}
+
+
+def test_readme_key_table_names_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Configuration keys", 1)[1].split("```")[1]
+    named = [line.split()[0] for line in table.splitlines() if line.strip()]
+    assert sorted(named) == sorted(CONFIG_KEYS)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +243,9 @@ def test_load_config_validation():
         load_config(overrides={"interval": -1})
     with pytest.raises(ConfigError, match="seed must be nonnegative"):
         load_config(overrides={"seed": -1})
-    with pytest.raises(ConfigError, match="split_train is shorter than one bar"):
+    with pytest.raises(ConfigError, match=r"split\.train is shorter than one bar"):
+        load_config(overrides={"split.train": (100, 200)})
+    with pytest.raises(ConfigError, match="unknown config key 'split_train'"):
         load_config(overrides={"split_train": (100, 200)})
 
 
@@ -182,18 +255,23 @@ def test_load_config_validation():
 
 def test_run_config_builders_propagate_fields():
     cfg = RunConfig()
-    hc = cfg.horizon_config()
+    hc = cfg.cm.horizon
     assert (hc.horizons, hc.top_per_group, hc.final_count) == ((12, 24, 48), 5, 10)
 
-    tc = cfg.train_config()
+    tc = cfg.cm.train
     assert tc.seed == cfg.seed
-    assert cfg.train_config(123).seed == 123
-    assert (tc.gamma, tc.lr, tc.batch) == (cfg.gamma, cfg.lr, cfg.batch)
+    assert with_seed(cfg.cm, 123).train.seed == 123
+    assert (tc.gamma, tc.lr, tc.batch) == (0.99, 1e-3, 32)
 
-    cm = cfg.cm_settings(99)
-    assert cm.train.seed == 99
-    assert cm.window == cfg.window
-    assert cm.reward.fee_rate == cfg.fee_rate
+    cfg = load_config(overrides={"cm.window": 9, "reward.fee_rate": 0.002, "train.batch": 8, "horizon.final_count": 4})
+    assert cfg.cm.window == 9 and cfg.cm.reward.fee_rate == 0.002
+    assert cfg.cm.train.batch == 8 and cfg.cm.horizon.final_count == 4
+    assert cfg.backtest_config(("AAA",)).fee_rate == 0.002
+    # one nested dataclass is rebuilt once, so its checks see every new value
+    cfg = load_config(overrides={"horizon.top_per_group": 1, "horizon.final_count": 6})
+    assert (cfg.cm.horizon.top_per_group, cfg.cm.horizon.final_count) == (1, 6)
+    with pytest.raises(ConfigError, match="observation window"):
+        load_config(overrides={"cm.window": 2})
 
 
 def test_data_ranges_are_end_inclusive():
@@ -209,32 +287,35 @@ def test_backtest_config_defaults_and_overrides():
     assert bt.assets == ("BTC-USDT", "STORJ-USDT")
     assert bt.start_ts == epoch(2022, 3, 1)
     assert bt.end_ts == epoch(2022, 10, 1) - cfg.interval
-    assert bt.fee_rate == cfg.fee_rate
+    assert bt.fee_rate == cfg.cm.reward.fee_rate
     assert bt.rebalance_interval == 1 and bt.retrain_days == 0
 
-    bt = cfg.backtest_config(("BTC",), start_ts=0, end_ts=INTERVAL * 4, fee_rate=0.002,
-                             rebalance_interval=3, retrain_days=7)
+    cfg = load_config(overrides={"reward.fee_rate": 0.002, "backtest.rebalance_interval": 3,
+                                 "backtest.retrain_days": 7})
+    bt = cfg.backtest_config(("BTC",), start_ts=0, end_ts=INTERVAL * 4)
     assert (bt.start_ts, bt.end_ts, bt.fee_rate) == (0, INTERVAL * 4, 0.002)
     assert (bt.rebalance_interval, bt.retrain_days) == (3, 7)
 
 
 def test_to_doc_is_json_ready_and_complete():
     cfg = RunConfig()
-    doc = cfg.to_doc()
+    doc = to_doc(cfg)
     again = json.loads(json.dumps(doc, sort_keys=True))
-    assert again["horizons"] == [12, 24, 48]
-    assert again["split_train"] == [epoch(2020, 10, 1), epoch(2022, 1, 1)]
-    from dataclasses import fields
-
+    assert again["cm"]["horizon"]["horizons"] == [12, 24, 48]
+    assert again["split"]["train"] == [epoch(2020, 10, 1), epoch(2022, 1, 1)]
     assert set(doc) == {f.name for f in fields(RunConfig)}
+    assert from_doc(RunConfig, again) == cfg
 
 
 def test_derive_asset_seed_matches_digest_oracle():
     want = int.from_bytes(hashlib.sha256(b"7:AAA-USDT").digest()[:8], "big")
-    assert derive_asset_seed(7, "AAA-USDT") == want
-    assert derive_asset_seed(7, "BBB-USDT") != want
-    assert derive_asset_seed(8, "AAA-USDT") != want
+    assert derive_seed(7, "AAA-USDT") == want
+    assert derive_seed(7, "BBB-USDT") != want
+    assert derive_seed(8, "AAA-USDT") != want
     assert 0 <= want < 2**64
+    # the retrain seed: (module seed, asset, boundary ts)
+    retrain = int.from_bytes(hashlib.sha256(b"7:AAA-USDT:1646092800").digest()[:8], "big")
+    assert derive_seed(7, "AAA-USDT", 1646092800) == retrain
 
 
 # ---------------------------------------------------------------------------

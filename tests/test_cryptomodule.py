@@ -1,6 +1,7 @@
 """Tests for per-asset trading modules: observations, rewards, training, IO."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -413,6 +414,24 @@ def test_train_cm_from_store(tmp_path, rng):
 
 # ---------------------------------------------------------------------------
 # Serialization
+
+#: the ``settings`` header a .cm of CmSettings() carries since cm_version 1
+DEFAULT_SETTINGS_JSON = (
+    '{"buffer_capacity":10000,"epsilon":1e-08,"eval_interval":500,'
+    '"horizon":{"final_count":10,"forward_returns":true,"horizons":[12,24,48],"top_per_group":5},'
+    '"norm_window":50,"pca_window":200,"reward":{"eam_hold_reward":0.0,"fee_rate":0.001},'
+    '"train":{"batch":32,"eps_decay_steps":5000,"eps_end":0.05,"eps_start":1.0,"gamma":0.99,'
+    '"grad_clip":10.0,"lr":0.001,"max_steps":20000,"seed":0,"target_sync":200},'
+    '"variance_target":0.8,"window":32}'
+)
+
+
+def test_default_settings_header_bytes_are_pinned(tmp_path, rng):
+    cm = replace(rigged_module(walk_frame(rng, t=40, n_metrics=2), [1.0, 0.5]), settings=CmSettings())
+    path = tmp_path / "module.cm"
+    save_cm(cm, path)
+    assert b'"settings":' + DEFAULT_SETTINGS_JSON.encode() + b"," in path.read_bytes()
+    assert load_cm(path).settings == CmSettings()
 
 
 def test_save_load_round_trip_preserves_actions(tmp_path, rng):

@@ -12,9 +12,9 @@ from chainfolio.datastore import (
     AssetId,
     Bar,
     CsvStore,
-    LocalFileSource,
     MalformedRecordError,
     MetricPoint,
+    atomic_write,
     parse_metrics_csv,
     parse_ohlcv_csv,
 )
@@ -313,18 +313,6 @@ def test_frame_slice_and_index(tmp_path):
         frame.index_of(bar_ts(4) + 1)
 
 
-def test_local_file_source_adapter(tmp_path):
-    store = CsvStore(tmp_path)
-    asset = AssetId("AAA")
-    store.ingest_ohlcv(asset, flat_bars(6))
-    store.ingest_metrics(asset, [MetricPoint(bar_ts(i), "mm", float(i)) for i in range(6)])
-    src = LocalFileSource(tmp_path)
-    bars = src.fetch_bars(asset, bar_ts(1), bar_ts(4))
-    assert [b.ts for b in bars] == [bar_ts(i) for i in range(1, 5)]
-    points = src.fetch_metrics(asset, bar_ts(0), bar_ts(2))
-    assert {p.ts for p in points} == {bar_ts(0), bar_ts(1), bar_ts(2)}
-
-
 def test_store_manifest_lists_assets(tmp_path):
     store = CsvStore(tmp_path)
     store.ingest_ohlcv(AssetId("AAA"), flat_bars(2))
@@ -375,3 +363,20 @@ def test_concurrent_ingests_of_different_assets_keep_the_manifest(tmp_path):
     assert sorted(manifest["assets"]) == [f"{s}-USDT" for s in symbols]
     assert all(e["bars"] == 20 and e["metrics"] == {"mm": 20} for e in manifest["assets"].values())
     assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_atomic_write_that_raises_midway_keeps_previous_file(tmp_path, binary):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"previous\n")
+
+    def write(fh):
+        fh.write(b"partial" if binary else "partial")
+        raise RuntimeError("disk full")
+
+    with pytest.raises(RuntimeError, match="disk full"):
+        atomic_write(path, write, binary=binary)
+    assert path.read_bytes() == b"previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+    atomic_write(path, lambda fh: fh.write(b"new" if binary else "new"), binary=binary)
+    assert path.read_bytes() == b"new"

@@ -1,10 +1,13 @@
 """Tests for vote composition, fee accounting, registry, backtests, retraining."""
 
+import os
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from chainfolio.config import RunConfig
 from chainfolio.cryptomodule import (
     AllocationAction,
     CmSettings,
@@ -16,6 +19,7 @@ from chainfolio.cryptomodule import (
 )
 from chainfolio.datastore import AssetId, CsvStore
 from chainfolio.errors import ConfigError, DataError
+from chainfolio.metrics import write_curves_csv
 from chainfolio.portfolio import (
     BacktestConfig,
     BacktestReport,
@@ -33,6 +37,12 @@ from chainfolio.refinery import HorizonConfig
 from chainfolio.rlcore import TrainConfig, build_qnetwork
 
 from _synth import INTERVAL, T0, bar_ts, make_asset
+
+
+def bt_config(assets, start_ts, end_ts, **changes) -> BacktestConfig:
+    """The default run's BacktestConfig over a range, with ``changes``."""
+    return replace(RunConfig().backtest_config(assets, start_ts, end_ts), **changes)
+
 
 CASH = AllocationAction.all_cash()
 CRYPTO = AllocationAction.all_crypto()
@@ -298,24 +308,24 @@ def test_registry_persistence_and_readd(tmp_path):
 
 def test_backtest_config_validation():
     with pytest.raises(ConfigError):
-        BacktestConfig(assets=(), start_ts=0, end_ts=100)
+        bt_config(assets=(), start_ts=0, end_ts=100)
     with pytest.raises(ConfigError):
-        BacktestConfig(assets=("AAA", "AAA-USDT"), start_ts=0, end_ts=100)
+        bt_config(assets=("AAA", "AAA-USDT"), start_ts=0, end_ts=100)
     with pytest.raises(ConfigError):
-        BacktestConfig(assets=("AAA",), start_ts=100, end_ts=100)
+        bt_config(assets=("AAA",), start_ts=100, end_ts=100)
     with pytest.raises(ConfigError):
-        BacktestConfig(assets=("AAA",), start_ts=0, end_ts=100, fee_rate=0.1)
+        bt_config(assets=("AAA",), start_ts=0, end_ts=100, fee_rate=0.1)
     with pytest.raises(ConfigError):
-        BacktestConfig(assets=("AAA",), start_ts=0, end_ts=100, rebalance_interval=0)
+        bt_config(assets=("AAA",), start_ts=0, end_ts=100, rebalance_interval=0)
     with pytest.raises(ConfigError):
-        BacktestConfig(assets=("AAA",), start_ts=0, end_ts=100, retrain_days=-1)
+        bt_config(assets=("AAA",), start_ts=0, end_ts=100, retrain_days=-1)
     with pytest.raises(ConfigError):
-        BacktestConfig(assets=("AAA",), start_ts=0, end_ts=100, initial_capital=0.0)
+        bt_config(assets=("AAA",), start_ts=0, end_ts=100, initial_capital=0.0)
 
 
 def test_backtest_always_cash_is_flat(tmp_path):
     store, keys = seed_store(tmp_path, ["AAA", "BBB"])
-    cfg = BacktestConfig(assets=keys, start_ts=bar_ts(0), end_ts=bar_ts(30), fee_rate=0.005)
+    cfg = bt_config(assets=keys, start_ts=bar_ts(0), end_ts=bar_ts(30), fee_rate=0.005)
     report = run_backtest({k: always(CASH) for k in keys}, cfg, store)
     assert np.array_equal(report.curves["strategy"], np.full(31, 10_000.0))
     assert all(e.fee == 0.0 for e in report.events)
@@ -325,7 +335,7 @@ def test_backtest_always_cash_is_flat(tmp_path):
 
 def test_backtest_single_crypto_zero_fee_tracks_baseline(tmp_path):
     store, keys = seed_store(tmp_path, ["AAA"])
-    cfg = BacktestConfig(assets=keys, start_ts=bar_ts(0), end_ts=bar_ts(30), fee_rate=0.0)
+    cfg = bt_config(assets=keys, start_ts=bar_ts(0), end_ts=bar_ts(30), fee_rate=0.0)
     report = run_backtest({keys[0]: always(CRYPTO)}, cfg, store)
     baseline = report.curves["baseline_AAA"]
     assert np.allclose(report.curves["strategy"], baseline, rtol=1e-9, atol=0)
@@ -334,7 +344,7 @@ def test_backtest_single_crypto_zero_fee_tracks_baseline(tmp_path):
 
 def test_backtest_matches_independent_simulator(tmp_path):
     store, keys = seed_store(tmp_path, ["AAA", "BBB"])
-    cfg = BacktestConfig(assets=keys, start_ts=bar_ts(0), end_ts=bar_ts(30), fee_rate=0.0)
+    cfg = bt_config(assets=keys, start_ts=bar_ts(0), end_ts=bar_ts(30), fee_rate=0.0)
     report = run_backtest({k: always(CRYPTO) for k in keys}, cfg, store)
     closes = {
         k: store.align(AssetId.parse(k), cfg.start_ts, cfg.end_ts, INTERVAL).close for k in keys
@@ -345,7 +355,7 @@ def test_backtest_matches_independent_simulator(tmp_path):
 
 def test_backtest_with_fees_and_sparse_rebalance_matches_simulator(tmp_path):
     store, keys = seed_store(tmp_path, ["AAA", "BBB"])
-    cfg = BacktestConfig(
+    cfg = bt_config(
         assets=keys, start_ts=bar_ts(0), end_ts=bar_ts(33),
         fee_rate=0.002, rebalance_interval=3,
     )
@@ -373,7 +383,7 @@ def test_backtest_fee_monotonicity(tmp_path):
     store, keys = seed_store(tmp_path, ["AAA"])
     finals = []
     for fee in (0.0, 0.0005, 0.001, 0.005):
-        cfg = BacktestConfig(assets=keys, start_ts=bar_ts(0), end_ts=bar_ts(30), fee_rate=fee)
+        cfg = bt_config(assets=keys, start_ts=bar_ts(0), end_ts=bar_ts(30), fee_rate=fee)
         report = run_backtest({keys[0]: flip_every(2)}, cfg, store)
         finals.append(report.curves["strategy"][-1])
     assert all(a > b for a, b in zip(finals, finals[1:]))
@@ -381,7 +391,7 @@ def test_backtest_fee_monotonicity(tmp_path):
 
 def test_backtest_baseline_arr_identity(tmp_path):
     store, keys = seed_store(tmp_path, ["AAA"])
-    cfg = BacktestConfig(assets=keys, start_ts=bar_ts(0), end_ts=bar_ts(30))
+    cfg = bt_config(assets=keys, start_ts=bar_ts(0), end_ts=bar_ts(30))
     report = run_backtest({keys[0]: always(CASH)}, cfg, store)
     closes = store.align(AssetId.parse(keys[0]), cfg.start_ts, cfg.end_ts, INTERVAL).close
     expect = closes[-1] / closes[0] - 1.0
@@ -390,7 +400,7 @@ def test_backtest_baseline_arr_identity(tmp_path):
 
 def test_backtest_curve_order_and_returns(tmp_path):
     store, keys = seed_store(tmp_path, ["BBB", "AAA"])
-    cfg = BacktestConfig(assets=keys, start_ts=bar_ts(0), end_ts=bar_ts(20))
+    cfg = bt_config(assets=keys, start_ts=bar_ts(0), end_ts=bar_ts(20))
     report = run_backtest({k: always(CRYPTO) for k in keys}, cfg, store)
     assert list(report.curves) == ["strategy", "baseline_BBB", "baseline_AAA"]
     strategy = report.curves["strategy"]
@@ -402,7 +412,7 @@ def test_backtest_curve_order_and_returns(tmp_path):
 
 def test_backtest_missing_module_and_interval_mismatch(tmp_path):
     store, keys = seed_store(tmp_path, ["AAA", "BBB"])
-    cfg = BacktestConfig(assets=keys, start_ts=bar_ts(0), end_ts=bar_ts(20))
+    cfg = bt_config(assets=keys, start_ts=bar_ts(0), end_ts=bar_ts(20))
     with pytest.raises(ConfigError, match="BBB-USDT"):
         run_backtest({keys[0]: always(CASH)}, cfg, store)
     bad = {keys[0]: always(CASH), keys[1]: ForcedModule(lambda f, t: CASH, interval=INTERVAL * 2)}
@@ -416,10 +426,10 @@ def test_backtest_through_registry_with_real_module(tmp_path):
     save_cm(cm, tmp_path / "aaa.cm")
     reg = CmRegistry(tmp_path / "reg")
     reg.add(tmp_path / "aaa.cm")
-    cfg = BacktestConfig(assets=keys, start_ts=bar_ts(12), end_ts=bar_ts(30), fee_rate=0.0)
+    cfg = bt_config(assets=keys, start_ts=bar_ts(12), end_ts=bar_ts(30), fee_rate=0.0)
     report = run_backtest(reg, cfg, store)
     assert np.allclose(report.curves["strategy"], report.curves["baseline_AAA"], rtol=1e-9)
-    missing_cfg = BacktestConfig(assets=["AAA", "CCC"], start_ts=bar_ts(12), end_ts=bar_ts(30))
+    missing_cfg = bt_config(assets=["AAA", "CCC"], start_ts=bar_ts(12), end_ts=bar_ts(30))
     with pytest.raises(ConfigError, match="CCC-USDT"):
         run_backtest(reg, missing_cfg, store)
 
@@ -430,7 +440,7 @@ def test_backtest_through_registry_with_real_module(tmp_path):
 
 def test_report_write_and_load_round_trip(tmp_path):
     store, keys = seed_store(tmp_path, ["AAA", "BBB"])
-    cfg = BacktestConfig(
+    cfg = bt_config(
         assets=keys, start_ts=bar_ts(0), end_ts=bar_ts(25),
         fee_rate=0.001, rebalance_interval=2,
     )
@@ -448,7 +458,7 @@ def test_report_write_and_load_round_trip(tmp_path):
 
 def test_report_bytes_are_reproducible(tmp_path):
     store, keys = seed_store(tmp_path, ["AAA"])
-    cfg = BacktestConfig(assets=keys, start_ts=bar_ts(0), end_ts=bar_ts(20), fee_rate=0.002)
+    cfg = bt_config(assets=keys, start_ts=bar_ts(0), end_ts=bar_ts(20), fee_rate=0.002)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     run_backtest({keys[0]: flip_every(2)}, cfg, store).write(out1)
     run_backtest({keys[0]: flip_every(2)}, cfg, store).write(out2)
@@ -516,9 +526,9 @@ def test_retrain_schedule_expands_windows_deterministically(tmp_path):
 def test_backtest_retrain_cadence_half_range_fires_once(tmp_path):
     store, asset, cm = trained_world(tmp_path)
     base_cfg = dict(assets=[asset.key], start_ts=bar_ts(160), end_ts=bar_ts(223), fee_rate=0.001)
-    static = run_backtest({asset.key: cm}, BacktestConfig(**base_cfg), store)
+    static = run_backtest({asset.key: cm}, bt_config(**base_cfg), store)
     assert static.retrain_events == []
-    cfg = BacktestConfig(**base_cfg, retrain_days=8)
+    cfg = bt_config(**base_cfg, retrain_days=8)
     report = run_backtest({asset.key: cm}, cfg, store)
     assert report.retrain_events == [
         {"ts": bar_ts(192), "asset": "AAA-USDT", "status": "retrained"}
@@ -532,8 +542,45 @@ def test_backtest_retrain_cadence_half_range_fires_once(tmp_path):
 def test_backtest_oversized_cadence_equals_static_run(tmp_path):
     store, asset, cm = trained_world(tmp_path)
     base_cfg = dict(assets=[asset.key], start_ts=bar_ts(160), end_ts=bar_ts(223))
-    static = run_backtest({asset.key: cm}, BacktestConfig(**base_cfg), store)
-    lazy = run_backtest({asset.key: cm}, BacktestConfig(**base_cfg, retrain_days=100), store)
+    static = run_backtest({asset.key: cm}, bt_config(**base_cfg), store)
+    lazy = run_backtest({asset.key: cm}, bt_config(**base_cfg, retrain_days=100), store)
     assert lazy.retrain_events == []
     assert np.array_equal(lazy.curves["strategy"], static.curves["strategy"])
     assert lazy.action_logs == static.action_logs
+
+
+# ---------------------------------------------------------------------------
+# Atomic artifact writes
+
+
+def test_artifact_writes_that_fail_keep_the_previous_file(tmp_path, monkeypatch):
+    store, keys = seed_store(tmp_path, ["AAA"])
+    cfg = bt_config(assets=keys, start_ts=bar_ts(0), end_ts=bar_ts(20))
+    report = run_backtest({keys[0]: always(CASH)}, cfg, store)
+    out = tmp_path / "out"
+    report.write(out)
+    module = tmp_path / "m.cm"
+    save_cm(rigged_cm("AAA", [0.5, 1.0]), module)
+    reg = CmRegistry(tmp_path / "reg")
+    reg.add(module)
+    artifacts = [out / "report.json", out / "curves.csv", module, reg.root / "registry.json"]
+    before = {p: p.read_bytes() for p in artifacts}
+
+    def interrupted(src, dst):
+        raise OSError("interrupted before the rename")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    changed = run_backtest({keys[0]: always(CRYPTO)}, cfg, store)
+    writes = [
+        lambda: changed.write(out),
+        lambda: write_curves_csv(out / "curves.csv", changed.timestamps, changed.curves),
+        lambda: save_cm(rigged_cm("AAA", [1.0, 0.5]), module),
+        lambda: reg.remove("AAA"),
+    ]
+    for write in writes:
+        with pytest.raises(OSError, match="interrupted"):
+            write()
+    monkeypatch.undo()
+    assert {p: p.read_bytes() for p in artifacts} == before
+    leftovers = [p.name for d in (out, tmp_path, reg.root) for p in d.iterdir() if p.name.endswith(".tmp")]
+    assert leftovers == []
