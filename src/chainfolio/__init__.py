@@ -14,7 +14,6 @@ from .cryptomodule import (
     CryptoModule,
     DataRanges,
     RewardConfig,
-    TradingSignal,
     build_eam_state,
     build_sam_state,
     eam_reward,
@@ -87,7 +86,6 @@ __all__ = [
     "SelectedMetricSet",
     "SerializationError",
     "SummaryStats",
-    "TradingSignal",
     "TrainConfig",
     "VoteSet",
     "arr",

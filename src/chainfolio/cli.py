@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .config import ENV_DATA_DIR, RunConfig, config_values, load_config, parse_ts
 from .cryptomodule import derive_seed, save_cm, train_cm, with_seed
-from .datastore import AssetId, CsvStore, parse_metrics_csv, parse_ohlcv_csv
+from .datastore import AssetId, CsvStore, atomic_write, parse_metrics_csv, parse_ohlcv_csv
 from .errors import ChainfolioError, ConfigError
 from .metrics import SECONDS_PER_DAY, stats_csv
 from .portfolio import BacktestReport, CmRegistry, run_backtest
@@ -194,17 +194,19 @@ def _cmd_refine(args, cfg: RunConfig, store: CsvStore) -> int:
 def _write_table_csv(path: str, table) -> None:
     import csv as _csv
 
-    with open(path, "w", newline="") as fh:
+    def write(fh):
         writer = _csv.writer(fh)
         writer.writerow(["metric", "horizon", "r", "rank"])
         for name, horizon, r, rank in table.rows():
             writer.writerow([name, horizon, "" if r is None else repr(r), "" if rank is None else rank])
 
+    atomic_write(Path(path), write)
+
 
 def _write_refined_csv(path: str, refined) -> None:
     import csv as _csv
 
-    with open(path, "w", newline="") as fh:
+    def write(fh):
         writer = _csv.writer(fh)
         writer.writerow(["ts", "n_components"] + [f"c{i+1}" for i in range(refined.c_max)])
         for i in range(len(refined.timestamps)):
@@ -213,6 +215,8 @@ def _write_refined_csv(path: str, refined) -> None:
             row = [int(refined.timestamps[i]), int(refined.n_components[i])]
             row += [repr(float(x)) for x in refined.components[i]]
             writer.writerow(row)
+
+    atomic_write(Path(path), write)
 
 
 def _train_worker(payload) -> tuple[str, str]:

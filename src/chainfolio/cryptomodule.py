@@ -14,6 +14,12 @@ feature channels are open, high, low, close, volume, then the padded
 principal components, then (if enabled) the encoded signal.  Prices are
 expressed as ratios to the window's last close, volume as a ratio to the
 window's mean volume.
+
+``build_sam_state`` and ``build_eam_state`` are the only state builders:
+each takes an array of frame rows and returns the (B, f, m, n) states of
+the windows ending there, with one warm-up and finiteness check per call.
+Training episodes and ``CryptoModule.prepare`` both call them on batches
+of ``_DECISION_BATCH`` rows, so a row's state is the same bits in both.
 """
 
 from __future__ import annotations
@@ -43,7 +49,6 @@ from .refinery import (
 from .rlcore import (
     QNetwork,
     ReplayBuffer,
-    Tensor3,
     TrainConfig,
     build_qnetwork,
     epsilon_at,
@@ -78,22 +83,12 @@ _VOLUME_EPS = 1e-8
 
 CM_FORMAT_VERSION = 1
 
-#: observations per batched forward when taking greedy actions; bounds memory
+#: rows per batch when building states and taking greedy actions; bounds temporaries
 _DECISION_BATCH = 32
 
 
 class WarmupError(DataError):
     """A decision index that still falls inside a rolling warm-up."""
-
-
-@dataclass(frozen=True)
-class TradingSignal:
-    ts: int
-    action: str
-
-    def __post_init__(self):
-        if self.action not in SIGNAL_ACTIONS:
-            raise DataError(f"unknown signal action {self.action!r}")
 
 
 @dataclass(frozen=True)
@@ -143,30 +138,6 @@ class RewardConfig:
 
 
 @dataclass(frozen=True)
-class EamObservation:
-    """Windowed inputs for the signal agent (single asset row)."""
-
-    ohlcv_window: np.ndarray     # (n, 5), normalized
-    metrics_window: np.ndarray   # (n, c_max) padded principal components
-    metrics_count: np.ndarray    # (n,) real component count per row
-
-    def tensor(self) -> Tensor3:
-        stacked = np.concatenate([self.ohlcv_window, self.metrics_window], axis=1)
-        return Tensor3(stacked.T[:, None, :])
-
-
-@dataclass(frozen=True)
-class SamObservation:
-    """State tensor for the allocation agent: m=2 (crypto row, cash row)."""
-
-    tensor: Tensor3
-
-    def __post_init__(self):
-        if self.tensor.m != 2:
-            raise DataError(f"allocation state needs m=2 asset rows, got {self.tensor.m}")
-
-
-@dataclass(frozen=True)
 class DataRanges:
     """Inclusive [start, end] timestamp bounds for training and validation."""
 
@@ -207,90 +178,67 @@ class CmSettings:
 
 
 def _windows(frame: AlignedFrame, refined: RefinedFeatureFrame, rows: np.ndarray, n: int):
-    """OHLCV features (B, n, 5) and padded components (B, n, c_max) of the
-    n-bar windows ending at each of ``rows``.  Each window's arithmetic is
-    the same as for that window alone, so results do not depend on B."""
-    idx = np.asarray(rows)[:, None] + np.arange(1 - n, 1)
+    """Frame rows (B, n) of the n-bar windows ending at each of ``rows``, and
+    their OHLCV features (B, n, 5) and padded components (B, n, c_max).
+    Raises for the first row past the frame or still warming up.  Each
+    window's arithmetic is the same as for that window alone, so results
+    do not depend on B."""
+    rows = np.asarray(rows, dtype=np.intp)
+    beyond = rows >= len(frame)
+    if beyond.any():
+        raise DataError(f"index {rows[beyond][0]} beyond frame of length {len(frame)}")
+    early = rows < n - 1
+    if early.any():
+        raise WarmupError(f"index {rows[early][0]} inside the {n}-bar observation window warm-up")
+    idx = rows[:, None] + np.arange(1 - n, 1)
+    invalid = ~refined.valid[idx].all(axis=1)
+    if invalid.any():
+        raise WarmupError(f"refined features not yet valid over window ending at index {rows[invalid][0]}")
     bars = frame.ohlcv[idx]
     features = np.empty(bars.shape)
     features[..., :4] = bars[..., :4] / bars[:, -1:, 3:4]
     volume = bars[..., 4]
     features[..., 4] = volume / (volume.mean(axis=1, keepdims=True) + _VOLUME_EPS)
-    return features, refined.components[idx]
+    return idx, [features, refined.components[idx]]
 
 
-def _eam_states(frame: AlignedFrame, refined: RefinedFeatureFrame, rows: np.ndarray, n: int) -> np.ndarray:
-    """Signal-agent states (B, 5 + c_max, 1, n) of the windows ending at ``rows``."""
-    features, components = _windows(frame, refined, rows, n)
-    return np.concatenate([features, components], axis=2).transpose(0, 2, 1)[:, :, None, :]
-
-
-def _sam_states(
-    frame: AlignedFrame, refined: RefinedFeatureFrame, rows: np.ndarray, n: int, signals: np.ndarray | None
-) -> np.ndarray:
-    """Allocation-agent states (B, f, 2, n) of the windows ending at ``rows``."""
-    features, components = _windows(frame, refined, rows, n)
-    channels = [features, components]
-    if signals is not None:
-        channels.append(signals[np.asarray(rows)[:, None] + np.arange(1 - n, 1), None])
-    crypto = np.concatenate(channels, axis=2).transpose(0, 2, 1)  # (B, f, n)
-    states = np.zeros((len(crypto), crypto.shape[1], 2, n))
-    states[:, :, 0] = crypto
-    states[:, :4, 1] = 1.0  # price channels of the riskless leg
+def _finite(states: np.ndarray) -> np.ndarray:
+    if not np.isfinite(states).all():
+        raise DataError("observation contains non-finite entries")
     return states
 
 
-def _check_window(frame: AlignedFrame, refined: RefinedFeatureFrame, t: int, n: int) -> None:
-    if t >= len(frame):
-        raise DataError(f"index {t} beyond frame of length {len(frame)}")
-    if t < n - 1:
-        raise WarmupError(f"index {t} inside the {n}-bar observation window warm-up")
-    if not refined.valid[t - n + 1 : t + 1].all():
-        raise WarmupError(f"refined features not yet valid over window ending at index {t}")
-
-
-def build_eam_state(frame: AlignedFrame, refined: RefinedFeatureFrame, t: int, n: int) -> EamObservation:
-    """Signal-agent observation for the window ending at row t."""
-    _check_window(frame, refined, t, n)
-    features, components = _windows(frame, refined, [t], n)
-    return EamObservation(
-        ohlcv_window=features[0],
-        metrics_window=components[0],
-        metrics_count=refined.n_components[t - n + 1 : t + 1].copy(),
-    )
+def build_eam_state(frame: AlignedFrame, refined: RefinedFeatureFrame, rows: np.ndarray, n: int) -> np.ndarray:
+    """Signal-agent states (B, 5 + c_max, 1, n) of the windows ending at ``rows``."""
+    _, channels = _windows(frame, refined, rows, n)
+    return _finite(np.concatenate(channels, axis=2).transpose(0, 2, 1)[:, :, None, :])
 
 
 def build_sam_state(
     frame: AlignedFrame,
     refined: RefinedFeatureFrame,
-    t: int,
+    rows: np.ndarray,
     n: int,
-    signals: Sequence[TradingSignal] | np.ndarray | None = None,
-) -> SamObservation:
-    """Allocation-agent observation for the window ending at row t.
+    signals: np.ndarray | None = None,
+) -> np.ndarray:
+    """Allocation-agent states (B, f, 2, n) of the windows ending at ``rows``.
 
-    With ``signals`` the tensor gains one channel encoding buy=1, hold=0,
-    sell=-1 over the window, so f = 5 + c_max + 1; otherwise f = 5 + c_max.
+    With ``signals`` (one value per frame row, NaN where there is none) the
+    states gain one channel encoding buy=1, hold=0, sell=-1 over the window,
+    so f = 5 + c_max + 1; otherwise f = 5 + c_max.
     """
-    _check_window(frame, refined, t, n)
-    encoded = None
+    idx, channels = _windows(frame, refined, rows, n)
     if signals is not None:
-        encoded = signals if isinstance(signals, np.ndarray) else encode_signals(signals, frame)
-        if np.isnan(encoded[t - n + 1 : t + 1]).any():
-            raise WarmupError(f"missing trading signals inside window ending at index {t}")
-    return SamObservation(Tensor3(_sam_states(frame, refined, [t], n, encoded)[0]))
-
-
-def encode_signals(signals: Sequence[TradingSignal], frame: AlignedFrame) -> np.ndarray:
-    """Map a signal series onto frame rows; NaN where no signal exists."""
-    out = np.full(len(frame), np.nan)
-    seen: set[int] = set()
-    for sig in signals:
-        if sig.ts in seen:
-            raise DataError(f"duplicate trading signal at ts={sig.ts}")
-        seen.add(sig.ts)
-        out[frame.index_of(sig.ts)] = SIGNAL_VALUES[sig.action]
-    return out
+        window_signals = signals[idx]
+        missing = np.isnan(window_signals).any(axis=1)
+        if missing.any():
+            raise WarmupError(f"missing trading signals inside window ending at index {idx[missing][0, -1]}")
+        channels.append(window_signals[..., None])
+    crypto = np.concatenate(channels, axis=2).transpose(0, 2, 1)  # (B, f, n)
+    states = np.zeros((len(crypto), crypto.shape[1], 2, n))
+    states[:, :, 0] = crypto
+    states[:, :4, 1] = 1.0  # price channels of the riskless leg
+    return _finite(states)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +347,7 @@ class CryptoModule:
             observable = observable & ~np.isnan(signals)
         rows = full_windows(observable, n)
         actions = np.full(len(frame), -1, dtype=np.intp)
-        actions[rows] = _greedy_actions(self.sam_net, lambda r: _sam_states(frame, refined, r, n, signals), rows)
+        actions[rows] = _greedy_actions(self.sam_net, lambda r: build_sam_state(frame, refined, r, n, signals), rows)
         return CmContext(refined, signals, actions)
 
     def allocate(self, ctx: CmContext, t: int) -> AllocationAction:
@@ -411,18 +359,26 @@ class CryptoModule:
         return AllocationAction.from_index(int(ctx.actions[t]))
 
 
-def _greedy_actions(net: QNetwork, states_of, rows: np.ndarray) -> np.ndarray:
-    """argmax of the net's Q-values at ``states_of(rows)``, in batches of
-    about _DECISION_BATCH states (ties go to action 0)."""
-    out = np.empty(len(rows), dtype=np.intp)
-    # equal batches, so no batch holds a lone state when there are more
+def _map_batches(fn, rows: np.ndarray) -> np.ndarray:
+    """``fn`` of consecutive batches of about _DECISION_BATCH rows, filled
+    into one array with a leading axis of len(rows); keeps temporaries at
+    batch size.  The batches are equal, so none holds a lone row when
+    there are more."""
     bounds = np.linspace(0, len(rows), -(-len(rows) // _DECISION_BATCH) + 1).astype(int)
+    out = None
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        states = states_of(rows[lo:hi])
-        if not np.isfinite(states).all():
-            raise DataError("observation contains non-finite entries")
-        out[lo:hi] = np.argmax(net.forward(states), axis=1)
+        part = fn(rows[lo:hi])
+        if out is None:
+            out = np.empty((len(rows), *part.shape[1:]), dtype=part.dtype)
+        out[lo:hi] = part
     return out
+
+
+def _greedy_actions(net: QNetwork, states_of, rows: np.ndarray) -> np.ndarray:
+    """argmax of the net's Q-values at ``states_of(rows)`` (ties go to action 0)."""
+    if len(rows) == 0:
+        return np.empty(0, dtype=np.intp)
+    return _map_batches(lambda r: np.argmax(net.forward(states_of(r)), axis=1), rows)
 
 
 def _greedy_signal_array(
@@ -431,7 +387,7 @@ def _greedy_signal_array(
     """Frozen greedy signals of the trained signal agent, one per valid bar."""
     out = np.full(len(frame), np.nan)
     rows = full_windows(refined.valid, window)
-    actions = _greedy_actions(eam_net, lambda r: _eam_states(frame, refined, r, window), rows)
+    actions = _greedy_actions(eam_net, lambda r: build_eam_state(frame, refined, r, window), rows)
     out[rows] = np.array([SIGNAL_VALUES[a] for a in SIGNAL_ACTIONS])[actions]
     return out
 
@@ -447,13 +403,11 @@ def _derive_seeds(seed: int, count: int) -> list[int]:
 
 def _decision_indices(
     refined: RefinedFeatureFrame, frame: AlignedFrame, window: int, use_eam: bool, start_ts: int, end_ts: int
-) -> list[int]:
+) -> np.ndarray:
+    """Frame rows at or after the first decision with ts in [start_ts, end_ts]."""
+    ts = frame.timestamps
     first = _first_decision(refined, window, use_eam)
-    return [
-        t
-        for t in range(first, len(frame))
-        if start_ts <= int(frame.timestamps[t]) <= end_ts
-    ]
+    return np.flatnonzero((np.arange(len(ts)) >= first) & (ts >= start_ts) & (ts <= end_ts))
 
 
 def _sam_rewards(ratios: np.ndarray, cfg: RewardConfig) -> np.ndarray:
@@ -547,15 +501,16 @@ def train_cm_from_frame(
     seeds = _derive_seeds(settings.train.seed, 6)
     closes = frame.close
 
+    n = settings.window
     eam_net = None
     signals = None
     if use_eam:
-        idx_train = _decision_indices(refined, frame, settings.window, False, *ranges.train)
-        idx_val = _decision_indices(refined, frame, settings.window, False, *ranges.validation)
+        idx_train = _decision_indices(refined, frame, n, False, *ranges.train)
+        idx_val = _decision_indices(refined, frame, n, False, *ranges.validation)
         _require_steps(idx_train, idx_val, "signal agent")
 
-        def eam_obs(t):
-            return build_eam_state(frame, refined, t, settings.window).tensor().data
+        def eam_obs(rows):
+            return build_eam_state(frame, refined, rows, n)
 
         eam_net = _run_dqn(
             "eam-1d",
@@ -564,14 +519,14 @@ def train_cm_from_frame(
             settings,
             (seeds[0], seeds[1], seeds[2]),
         )
-        signals = _greedy_signal_array(eam_net, frame, refined, settings.window)
+        signals = _greedy_signal_array(eam_net, frame, refined, n)
 
-    idx_train = _decision_indices(refined, frame, settings.window, use_eam, *ranges.train)
-    idx_val = _decision_indices(refined, frame, settings.window, use_eam, *ranges.validation)
+    idx_train = _decision_indices(refined, frame, n, use_eam, *ranges.train)
+    idx_val = _decision_indices(refined, frame, n, use_eam, *ranges.validation)
     _require_steps(idx_train, idx_val, "allocation agent")
 
-    def sam_obs(t):
-        return build_sam_state(frame, refined, t, settings.window, signals).tensor.data
+    def sam_obs(rows):
+        return build_sam_state(frame, refined, rows, n, signals)
 
     sam_net = _run_dqn(
         "sam-4layer",
@@ -606,24 +561,13 @@ def train_cm(
     return train_cm_from_frame(frame, ranges, settings, use_eam)
 
 
-def _stack_states(observe, indices: list[int]) -> np.ndarray:
-    """Observations at frame rows ``indices``, filled into one (N, f, m, n) array."""
-    first = observe(indices[0])
-    states = np.empty((len(indices), *first.shape))
-    states[0] = first
-    for i, t in enumerate(indices[1:], 1):
-        states[i] = observe(t)
-    return states
-
-
-def _episode(observe, indices: list[int], closes: np.ndarray, reward_table, cfg: RewardConfig):
-    """(states, rewards) of one episode over the decision bars ``indices``;
+def _episode(states_of, rows: np.ndarray, closes: np.ndarray, reward_table, cfg: RewardConfig):
+    """(states, rewards) of one episode over the decision bars ``rows``;
     rewards come from the price relatives between consecutive decision bars."""
-    idx = np.asarray(indices)
-    return _stack_states(observe, indices), reward_table(closes[idx[1:]] / closes[idx[:-1]], cfg)
+    return _map_batches(states_of, rows), reward_table(closes[rows[1:]] / closes[rows[:-1]], cfg)
 
 
-def _require_steps(idx_train: list[int], idx_val: list[int], who: str) -> None:
+def _require_steps(idx_train: np.ndarray, idx_val: np.ndarray, who: str) -> None:
     if len(idx_train) < 2:
         raise DataError(f"{who}: training range leaves {len(idx_train)} decision bars after warm-up")
     if len(idx_val) < 2:

@@ -5,7 +5,7 @@ buffer, epsilon-greedy action selection, and the TD(0) training step with
 a target network.  Everything is deterministic under a fixed seed.
 """
 
-from .network import QNetwork, Tensor3, build_qnetwork, q_values
+from .network import QNetwork, build_qnetwork
 from .replay import Batch, ReplayBuffer
 from .training import (
     DivergenceError,
@@ -27,9 +27,7 @@ from .container import (
 
 __all__ = [
     "QNetwork",
-    "Tensor3",
     "build_qnetwork",
-    "q_values",
     "Batch",
     "ReplayBuffer",
     "TrainConfig",

@@ -23,42 +23,9 @@ their last bits, so module bytes for the same inputs and seed may change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import ConfigError, DataError
-
-
-@dataclass(frozen=True)
-class Tensor3:
-    """State tensor with dims (features f, assets m, intervals n)."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 3:
-            raise DataError(f"state tensor must be 3-D, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise DataError("state tensor contains non-finite entries")
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def f(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[2]
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.data.shape
 
 
 class Conv1D:
@@ -290,13 +257,3 @@ def build_qnetwork(arch: str, input_shape: tuple[int, int, int], seed: int) -> Q
         ]
     return QNetwork(arch, input_shape, layers, seed)
 
-
-def q_values(net: QNetwork, state: Tensor3 | np.ndarray) -> np.ndarray:
-    """Action-value vector for a single state."""
-    arr = state.data if isinstance(state, Tensor3) else np.asarray(state, dtype=np.float64)
-    if arr.shape != net.input_shape:
-        raise DataError(f"state shape {arr.shape} != network input {net.input_shape}")
-    out = net.forward(arr[None])[0]
-    if not np.isfinite(out).all():
-        raise DataError("non-finite action values")
-    return out

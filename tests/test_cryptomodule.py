@@ -16,12 +16,10 @@ from chainfolio.cryptomodule import (
     CryptoModule,
     DataRanges,
     RewardConfig,
-    TradingSignal,
     WarmupError,
     build_eam_state,
     build_sam_state,
     eam_reward,
-    encode_signals,
     load_cm,
     sam_step,
     save_cm,
@@ -88,8 +86,6 @@ def walk_frame(rng, t=140, n_metrics=5):
 def test_signal_action_conventions():
     assert SIGNAL_ACTIONS == ("buy", "sell", "hold")
     assert SIGNAL_VALUES == {"buy": 1.0, "hold": 0.0, "sell": -1.0}
-    with pytest.raises(DataError):
-        TradingSignal(T0, "short")
 
 
 def test_allocation_action_basics():
@@ -130,11 +126,10 @@ def test_cm_settings_validation():
 def test_sam_state_constant_prices_are_ones(rng):
     frame = make_frame(np.full(40, 50.0), {"m0": rng.normal(size=40), "m1": rng.normal(size=40)})
     refined = refine_features(frame, ["m0", "m1"], 4, 5)
-    obs = build_sam_state(frame, refined, 20, 5)
-    tensor = obs.tensor
+    states = build_sam_state(frame, refined, [20], 5)
     # f = 5 OHLCV channels + 2 padded component channels
-    assert tensor.shape == (7, 2, 5)
-    crypto, cash = tensor.data[:, 0, :], tensor.data[:, 1, :]
+    assert states.shape == (1, 7, 2, 5)
+    crypto, cash = states[0, :, 0, :], states[0, :, 1, :]
     assert np.allclose(crypto[:4], 1.0, atol=1e-12)          # flat prices
     assert np.allclose(crypto[4], 7.0 / (7.0 + 1e-8), atol=1e-12)
     assert np.array_equal(cash[:4], np.ones((4, 5)))
@@ -145,32 +140,34 @@ def test_sam_state_price_normalization_oracle(rng):
     frame = walk_frame(rng, t=60)
     refined = refine_features(frame, sorted(frame.metric_names), 8, 12)
     t, n = 40, 8
-    obs = build_sam_state(frame, refined, t, n)
+    state = build_sam_state(frame, refined, [t], n)[0]
     rows = frame.ohlcv[t - n + 1 : t + 1]
     expect_prices = (rows[:, :4] / rows[-1, 3]).T
-    assert np.allclose(obs.tensor.data[:4, 0, :], expect_prices, atol=1e-12)
+    assert np.allclose(state[:4, 0, :], expect_prices, atol=1e-12)
     expect_vol = rows[:, 4] / (rows[:, 4].mean() + 1e-8)
-    assert np.allclose(obs.tensor.data[4, 0, :], expect_vol, atol=1e-12)
-    assert np.allclose(obs.tensor.data[5:, 0, :], refined.components[t - n + 1 : t + 1].T, atol=1e-12)
+    assert np.allclose(state[4, 0, :], expect_vol, atol=1e-12)
+    assert np.allclose(state[5:, 0, :], refined.components[t - n + 1 : t + 1].T, atol=1e-12)
 
 
 def test_sam_state_signal_channel(rng):
     frame = walk_frame(rng, t=60)
     refined = refine_features(frame, sorted(frame.metric_names), 8, 12)
     t, n = 40, 8
-    signals = [
-        TradingSignal(int(frame.timestamps[i]), act)
-        for i, act in zip(range(t - n + 1, t + 1), ["buy", "hold", "sell"] * 3)
-    ]
-    obs = build_sam_state(frame, refined, t, n, signals)
-    assert obs.tensor.f == 5 + refined.c_max + 1
     expect = np.array([1.0, 0.0, -1.0] * 3)[:n]
-    assert np.array_equal(obs.tensor.data[-1, 0, :], expect)
+    signals = np.full(len(frame), np.nan)
+    signals[t - n + 1 : t + 1] = expect
+    state = build_sam_state(frame, refined, [t], n, signals)[0]
+    assert state.shape[0] == 5 + refined.c_max + 1
+    assert np.array_equal(state[-1, 0, :], expect)
     # cash row carries no signal
-    assert np.array_equal(obs.tensor.data[-1, 1, :], np.zeros(n))
-    # a hole in the signal series inside the window is a warm-up problem
-    with pytest.raises(WarmupError):
-        build_sam_state(frame, refined, t, n, signals[:-1])
+    assert np.array_equal(state[-1, 1, :], np.zeros(n))
+    # a hole in the signal series inside a window is a warm-up problem,
+    # also when only one row of a batch sees it
+    signals[t - n] = 1.0
+    assert build_sam_state(frame, refined, [t - 1, t], n, signals).shape[0] == 2
+    signals[t] = np.nan
+    with pytest.raises(WarmupError, match=f"index {t}$"):
+        build_sam_state(frame, refined, [t - 1, t], n, signals)
 
 
 def test_observation_warmup_errors(rng):
@@ -178,31 +175,33 @@ def test_observation_warmup_errors(rng):
     refined = refine_features(frame, sorted(frame.metric_names), 8, 12)
     first_valid = refined.first_valid_index
     with pytest.raises(WarmupError):
-        build_sam_state(frame, refined, first_valid + 2, 8)
+        build_sam_state(frame, refined, [first_valid + 2], 8)
     with pytest.raises(WarmupError):
-        build_eam_state(frame, refined, 4, 8)
-    with pytest.raises(DataError):
-        build_sam_state(frame, refined, len(frame), 8)
+        build_eam_state(frame, refined, [4], 8)
+    # one warm-up row fails its whole batch
+    with pytest.raises(WarmupError, match=f"index {first_valid + 2}$"):
+        build_sam_state(frame, refined, [40, first_valid + 2, 41], 8)
+    with pytest.raises(DataError, match="beyond frame"):
+        build_sam_state(frame, refined, [len(frame)], 8)
+    with pytest.raises(DataError, match="beyond frame"):
+        build_eam_state(frame, refined, [40, len(frame)], 8)
+    # a non-finite component inside an otherwise valid window
+    refined.components[38, 0] = np.inf
+    assert np.isfinite(build_eam_state(frame, refined, [37], 8)).all()
+    with pytest.raises(DataError, match="non-finite"):
+        build_eam_state(frame, refined, [37, 40], 8)
+    with pytest.raises(DataError, match="non-finite"):
+        build_sam_state(frame, refined, [40], 8)
 
 
 def test_eam_state_shape(rng):
     frame = walk_frame(rng, t=60)
     refined = refine_features(frame, sorted(frame.metric_names), 8, 12)
-    obs = build_eam_state(frame, refined, 40, 8)
-    tensor = obs.tensor()
-    assert tensor.shape == (5 + refined.c_max, 1, 8)
-    assert obs.metrics_count.shape == (8,)
-
-
-def test_encode_signals_duplicate_and_off_grid(rng):
-    frame = walk_frame(rng, t=20)
-    sig = TradingSignal(int(frame.timestamps[3]), "buy")
-    encoded = encode_signals([sig], frame)
-    assert encoded[3] == 1.0 and np.isnan(encoded).sum() == 19
-    with pytest.raises(DataError):
-        encode_signals([sig, TradingSignal(sig.ts, "sell")], frame)
-    with pytest.raises(DataError):
-        encode_signals([TradingSignal(sig.ts + 1, "buy")], frame)
+    states = build_eam_state(frame, refined, [40, 41, 45], 8)
+    assert states.shape == (3, 5 + refined.c_max, 1, 8)
+    sam = build_sam_state(frame, refined, [40, 41, 45], 8)
+    # the signal agent sees the allocation agent's crypto row
+    assert np.array_equal(states[:, :, 0], sam[:, :, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +313,14 @@ def test_batched_prepare_matches_single_state_forwards(rng, monkeypatch, use_eam
     if use_eam:
         encode = np.array([SIGNAL_VALUES[a] for a in SIGNAL_ACTIONS])
         for t in range(ctx.refined.first_valid_index + n - 1, len(frame)):
-            q = cm.eam_net.forward(build_eam_state(frame, ctx.refined, t, n).tensor().data[None])[0]
+            q = cm.eam_net.forward(build_eam_state(frame, ctx.refined, [t], n))[0]
             assert ctx.signals[t] == encode[np.argmax(q)]
     first = ctx.first_decision(n, use_eam)
     for t in range(first):
         with pytest.raises(WarmupError):
             cm.allocate(ctx, t)
     for t in range(first, len(frame)):
-        q = cm.sam_net.forward(build_sam_state(frame, ctx.refined, t, n, ctx.signals).tensor.data[None])[0]
+        q = cm.sam_net.forward(build_sam_state(frame, ctx.refined, [t], n, ctx.signals))[0]
         assert cm.allocate(ctx, t) == AllocationAction.from_index(int(np.argmax(q)))
     with pytest.raises(DataError):
         cm.allocate(ctx, len(frame))
@@ -357,9 +356,9 @@ def test_allocate_has_no_lookahead(rng):
     ctx2 = cm.prepare(altered)
     assert cm.allocate(ctx2, t) == base
     # the rigged head hides state differences, so compare the tensors too
-    s1 = build_sam_state(frame, ctx.refined, t, 5)
-    s2 = build_sam_state(altered, ctx2.refined, t, 5)
-    assert np.array_equal(s1.tensor.data, s2.tensor.data)
+    s1 = build_sam_state(frame, ctx.refined, [t], 5)
+    s2 = build_sam_state(altered, ctx2.refined, [t], 5)
+    assert np.array_equal(s1, s2)
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +388,36 @@ def test_train_cm_with_signal_agent(rng):
     action = cm.allocate(ctx, first)
     assert action in (AllocationAction.all_cash(), AllocationAction.all_crypto())
     # signal channel widens the observation
-    obs = build_sam_state(frame, ctx.refined, first, SMALL.window, ctx.signals)
-    assert obs.tensor.f == 5 + ctx.refined.c_max + 1
-    assert cm.sam_net.input_shape == obs.tensor.shape
+    state = build_sam_state(frame, ctx.refined, [first], SMALL.window, ctx.signals)[0]
+    assert state.shape[0] == 5 + ctx.refined.c_max + 1
+    assert cm.sam_net.input_shape == state.shape
+
+
+@pytest.mark.parametrize("use_eam", [False, True])
+def test_training_episodes_equal_one_row_builds(rng, monkeypatch, use_eam):
+    """Each training and validation episode, filled batch by batch, equals
+    a stack of the states of its decision rows built one row at a time."""
+    monkeypatch.setattr(cryptomodule, "_DECISION_BATCH", 7)  # many uneven batches
+    episodes = {}
+
+    def record(arch, train, val, settings, seeds):
+        episodes[arch] = (train[0], val[0])
+        return build_qnetwork(arch, train[0].shape[1:], seeds[0])  # untrained is enough here
+
+    monkeypatch.setattr(cryptomodule, "_run_dqn", record)
+    frame = walk_frame(rng)
+    cm = train_cm_from_frame(frame, RANGES, SMALL, use_eam=use_eam)
+    ctx = cm.prepare(frame)  # the training features, and the signals of the same signal net
+    n = SMALL.window
+    builds = {"sam-4layer": (use_eam, lambda t: build_sam_state(frame, ctx.refined, [t], n, ctx.signals)[0])}
+    if use_eam:
+        builds["eam-1d"] = (False, lambda t: build_eam_state(frame, ctx.refined, [t], n)[0])
+    assert sorted(episodes) == sorted(builds)
+    for arch, (after_eam, build) in builds.items():
+        first = ctx.first_decision(n, after_eam)
+        for states, (lo, hi) in zip(episodes[arch], (RANGES.train, RANGES.validation)):
+            rows = [t for t in range(first, len(frame)) if lo <= frame.timestamps[t] <= hi]
+            assert np.array_equal(states, np.stack([build(t) for t in rows]))
 
 
 def test_train_cm_requires_enough_decisions(rng):

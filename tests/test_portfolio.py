@@ -7,13 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from chainfolio import cli
 from chainfolio.config import RunConfig
 from chainfolio.cryptomodule import (
     AllocationAction,
     CmSettings,
     CryptoModule,
     DataRanges,
-    TradingSignal,
     save_cm,
     train_cm,
 )
@@ -33,7 +33,7 @@ from chainfolio.portfolio import (
     run_backtest,
     vote_weights,
 )
-from chainfolio.refinery import HorizonConfig
+from chainfolio.refinery import HorizonConfig, refine_features, select_valid_metrics
 from chainfolio.rlcore import TrainConfig, build_qnetwork
 
 from _synth import INTERVAL, T0, bar_ts, make_asset
@@ -563,7 +563,13 @@ def test_artifact_writes_that_fail_keep_the_previous_file(tmp_path, monkeypatch)
     save_cm(rigged_cm("AAA", [0.5, 1.0]), module)
     reg = CmRegistry(tmp_path / "reg")
     reg.add(module)
-    artifacts = [out / "report.json", out / "curves.csv", module, reg.root / "registry.json"]
+    frame = store.align(AssetId.parse(keys[0]), bar_ts(0), bar_ts(39), INTERVAL)
+    horizon = HorizonConfig(horizons=(1, 2, 3), top_per_group=2, final_count=2)
+    selected = select_valid_metrics(frame, horizon)
+    table, refined = tmp_path / "table.csv", tmp_path / "refined.csv"  # refine --table / --out
+    cli._write_table_csv(str(table), selected.table)
+    cli._write_refined_csv(str(refined), refine_features(frame, selected.names, 4, 5))
+    artifacts = [out / "report.json", out / "curves.csv", module, reg.root / "registry.json", table, refined]
     before = {p: p.read_bytes() for p in artifacts}
 
     def interrupted(src, dst):
@@ -571,11 +577,14 @@ def test_artifact_writes_that_fail_keep_the_previous_file(tmp_path, monkeypatch)
 
     monkeypatch.setattr(os, "replace", interrupted)
     changed = run_backtest({keys[0]: always(CRYPTO)}, cfg, store)
+    shorter = select_valid_metrics(frame.slice(bar_ts(0), bar_ts(30)), horizon)
     writes = [
         lambda: changed.write(out),
         lambda: write_curves_csv(out / "curves.csv", changed.timestamps, changed.curves),
         lambda: save_cm(rigged_cm("AAA", [1.0, 0.5]), module),
         lambda: reg.remove("AAA"),
+        lambda: cli._write_table_csv(str(table), shorter.table),
+        lambda: cli._write_refined_csv(str(refined), refine_features(frame, selected.names, 6, 8)),
     ]
     for write in writes:
         with pytest.raises(OSError, match="interrupted"):

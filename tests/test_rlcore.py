@@ -13,14 +13,12 @@ from chainfolio.rlcore import (
     DivergenceError,
     Batch,
     ReplayBuffer,
-    Tensor3,
     TrainConfig,
     UnsupportedVersionError,
     build_qnetwork,
     epsilon_at,
     epsilon_greedy,
     load_network,
-    q_values,
     read_container,
     save_network,
     sync_target,
@@ -37,19 +35,7 @@ def rand_state(rng, shape):
 
 
 # ---------------------------------------------------------------------------
-# Tensor and network construction
-
-
-def test_tensor3_invariants(rng):
-    t = Tensor3(rng.normal(size=(4, 2, 8)))
-    assert (t.f, t.m, t.n) == (4, 2, 8)
-    assert t.shape == (4, 2, 8)
-    with pytest.raises(DataError):
-        Tensor3(rng.normal(size=(4, 8)))
-    bad = rng.normal(size=(2, 1, 5))
-    bad[0, 0, 0] = np.nan
-    with pytest.raises(DataError):
-        Tensor3(bad)
+# Network construction
 
 
 def test_build_qnetwork_validation():
@@ -78,7 +64,7 @@ def test_zeroed_head_gives_zero_q(rng):
     head = net.layers[-1]
     head.w[...] = 0.0
     head.b[...] = 0.0
-    q = q_values(net, rand_state(rng, SAM_SHAPE))
+    q = net.forward(rand_state(rng, SAM_SHAPE)[None])[0]
     assert np.array_equal(q, np.zeros(2))
 
 
@@ -87,13 +73,15 @@ def test_batched_forward_matches_single(rng):
     states = rng.normal(size=(6, *EAM_SHAPE))
     batched = net.forward(states)
     for i in range(6):
-        assert np.allclose(batched[i], q_values(net, states[i]), atol=1e-12)
+        assert np.allclose(batched[i], net.forward(states[i : i + 1])[0], atol=1e-12)
 
 
-def test_q_values_shape_check(rng):
+def test_forward_shape_check(rng):
     net = build_qnetwork("eam-1d", EAM_SHAPE, seed=3)
     with pytest.raises(DataError):
-        q_values(net, rng.normal(size=(3, 1, 7)))
+        net.forward(rng.normal(size=(2, 3, 1, 7)))
+    with pytest.raises(DataError):
+        net.forward(rng.normal(size=EAM_SHAPE))  # one state without its batch axis
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +212,7 @@ def test_train_step_gamma_zero_loss_is_reward_mse(rng):
     target = net.clone()
     batch = make_batch(rng, EAM_SHAPE, 3, 4)
     expect = np.mean(
-        [(q_values(net, s)[a] - r) ** 2 for s, a, r in zip(batch.states, batch.actions, batch.rewards)]
+        [(net.forward(s[None])[0][a] - r) ** 2 for s, a, r in zip(batch.states, batch.actions, batch.rewards)]
     )
     cfg = TrainConfig(gamma=0.0, lr=1e-3)
     loss = train_step(net, target, batch, cfg)
@@ -254,7 +242,7 @@ def test_train_step_converges_on_single_transition(rng):
         if loss < 1e-6:
             break
     assert loss < 1e-6
-    assert q_values(net, tr.states[0])[0] == pytest.approx(1.0, abs=1e-2)
+    assert net.forward(tr.states[0][None])[0][0] == pytest.approx(1.0, abs=1e-2)
 
 
 def test_train_step_clips_global_gradient_norm(rng):
@@ -303,10 +291,10 @@ def test_sync_target_copies_bit_exact(rng):
     net = build_qnetwork("sam-4layer", SAM_SHAPE, seed=1)
     target = build_qnetwork("sam-4layer", SAM_SHAPE, seed=2)
     states = [rand_state(rng, SAM_SHAPE) for _ in range(10)]
-    assert any(not np.array_equal(q_values(net, s), q_values(target, s)) for s in states)
+    assert any(not np.array_equal(net.forward(s[None])[0], target.forward(s[None])[0]) for s in states)
     sync_target(net, target)
     for s in states:
-        assert np.array_equal(q_values(net, s), q_values(target, s))
+        assert np.array_equal(net.forward(s[None])[0], target.forward(s[None])[0])
     snapshot = target.params_flat()
     sync_target(net, target)
     assert np.array_equal(snapshot, target.params_flat())
@@ -396,7 +384,7 @@ def test_network_container_round_trip(tmp_path, rng):
     assert np.array_equal(loaded.params_flat(), net.params_flat())
     for _ in range(5):
         s = rand_state(rng, SAM_SHAPE)
-        assert np.array_equal(q_values(net, s), q_values(loaded, s))
+        assert np.array_equal(net.forward(s[None])[0], loaded.forward(s[None])[0])
 
 
 def test_container_writing_is_deterministic(tmp_path):
