@@ -1,11 +1,14 @@
 """File-backed store for OHLCV bars and on-chain metric series.
 
 Storage layout is a plain directory tree, one subdirectory per asset,
-holding two CSV files plus a JSON manifest that indexes the assets:
+holding two CSV files, a numpy sidecar beside each, and a JSON manifest
+that indexes the assets:
 
     <root>/manifest.json
-    <root>/BTC-USDT/ohlcv.csv      header: ts,open,high,low,close,volume
-    <root>/BTC-USDT/metrics.csv    header: ts,name,value
+    <root>/BTC-USDT/ohlcv.csv          header: ts,open,high,low,close,volume
+    <root>/BTC-USDT/ohlcv.csv.cols     sidecar: ts, ohlcv
+    <root>/BTC-USDT/metrics.csv        header: ts,name,value
+    <root>/BTC-USDT/metrics.csv.cols   sidecar: names, count per name, ts, values
 
 Everything is inspectable and diff-able with standard tools.  Within one
 process, ingestion is single-writer per asset (an in-process lock per
@@ -14,6 +17,17 @@ guards the manifest's, so concurrent ingests of different assets are
 safe.  Every file is written to a temporary sibling and moved into place
 with ``os.replace``, so a reader never sees a partly written file.
 
+The CSVs are the source of truth.  A sidecar (``<csv>.cols``) caches the
+parsed columns of its CSV so that a load need not parse text again: it is
+a run of ``np.save`` records holding the SHA-256 of the CSV bytes it was
+made from, the SHA-256 of its own column records, then the columns.  A
+load hashes the CSV and uses the sidecar only when both digests match;
+in any other case (no sidecar, a CSV changed since, a damaged sidecar) it
+parses the CSV, logs why at INFO and rewrites the sidecar.  A load thus
+returns what parsing the current CSV returns.  The CSV digest sits in the
+sidecar, not in the manifest, so one ``os.replace`` ties it to the columns
+it vouches for, whichever of two racing writers moves last.
+
 Parsers return columns (:class:`BarTable`, :class:`MetricTable`), and
 alignment works on those arrays without a Python object per row.
 """
@@ -21,6 +35,7 @@ alignment works on those arrays without a Python object per row.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -119,13 +134,15 @@ class Bar:
 
 @dataclass(frozen=True)
 class MetricPoint:
-    """One observation of a named on-chain metric."""
+    """One observation of a named on-chain metric.  The name is stripped of
+    surrounding whitespace, as the CSV parser reads it back."""
 
     ts: int
     name: str
     value: float
 
     def __post_init__(self):
+        object.__setattr__(self, "name", self.name.strip())
         if not self.name:
             raise MalformedRecordError(f"empty metric name at ts={self.ts}")
         if not math.isfinite(self.value):
@@ -240,6 +257,11 @@ class MetricTable:
             np.array([p.value for p in points], dtype=np.float64),
         )
 
+    @classmethod
+    def from_series(cls, series: dict[str, tuple[np.ndarray, np.ndarray]]) -> "MetricTable":
+        names, counts, ts, values = _series_columns(series)
+        return cls(ts, np.repeat(np.arange(len(names)), counts), names, values)
+
     def __len__(self) -> int:
         return len(self.ts)
 
@@ -268,6 +290,8 @@ class MetricTable:
     def series(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Per metric name, in name order: (ascending ts, values).  A
         timestamp repeated under one name keeps its last value."""
+        if not len(self):
+            return {}
         order, repeat = self._key_order()
         last = order[~np.append(repeat[1:], False)]
         codes = self.codes[last]
@@ -275,6 +299,32 @@ class MetricTable:
         ends = np.append(starts[1:], len(codes))
         groups = {self.names[codes[s]]: (self.ts[last[s:e]], self.values[last[s:e]]) for s, e in zip(starts, ends)}
         return dict(sorted(groups.items()))
+
+    def stripped(self) -> "MetricTable":
+        """This table with its names stripped, as the CSV parser reads them
+        back.  Raises MalformedRecordError for a row with an empty name or a
+        non-finite value, which the parser would not read back."""
+        names = [name.strip() for name in self.names]
+        code = {name: i for i, name in enumerate(dict.fromkeys(names))}
+        codes = np.array([code[name] for name in names], dtype=np.intp)[self.codes]
+        failure = _first_failure(
+            (codes == code.get("", -1), lambda i: f"empty metric name at ts={self.ts[i]}"),
+            (~np.isfinite(self.values), lambda i: f"non-finite value for {names[self.codes[i]]} at ts={self.ts[i]}"),
+        )
+        if failure is not None:
+            raise MalformedRecordError(failure[1])
+        return MetricTable(self.ts, codes, list(code), self.values)
+
+
+def _series_columns(series: dict[str, tuple[np.ndarray, np.ndarray]]) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """Names, count per name, and ts and values in (name, ts) order of a
+    :meth:`MetricTable.series` dict."""
+    return (
+        list(series),
+        np.array([len(ts) for ts, _ in series.values()], dtype=np.int64),
+        np.concatenate([np.zeros(0, dtype=np.int64), *(ts for ts, _ in series.values())]),
+        np.concatenate([np.zeros(0), *(values for _, values in series.values())]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +436,18 @@ def _first_failure(*checks) -> tuple[int, str] | None:
     return i, checks[k][1](i)
 
 
+def _bar_checks(ts: np.ndarray, ohlcv: np.ndarray) -> list:
+    """The :class:`Bar` invariants as ``(mask, message(i))`` checks on columns."""
+    o, h, lo, c, v = ohlcv.T
+    return [
+        (~np.isfinite(ohlcv).all(axis=1), lambda i: f"non-finite field in bar at ts={ts[i]}"),
+        (lo <= 0, lambda i: f"low must be > 0 at ts={ts[i]}"),
+        (h < np.maximum(o, c), lambda i: f"high < max(open, close) at ts={ts[i]}"),
+        (lo > np.minimum(o, c), lambda i: f"low > min(open, close) at ts={ts[i]}"),
+        (v < 0, lambda i: f"negative volume at ts={ts[i]}"),
+    ]
+
+
 def parse_ohlcv_csv(source: str | Path | io.TextIOBase) -> BarTable:
     """Parse an OHLCV CSV.  Raises MalformedRecordError with the row number
     of the first row that does not parse or breaks a :class:`Bar` invariant."""
@@ -395,16 +457,11 @@ def parse_ohlcv_csv(source: str | Path | io.TextIOBase) -> BarTable:
             ts, bad_ts = _convert(columns[0], int, np.int64)
             converted = [_convert(col, float, np.float64) for col in columns[1:]]
             ohlcv = np.column_stack([v for v, _ in converted]) if len(ts) else np.zeros((0, 5))
-            o, h, lo, c, v = ohlcv.T
             failure = _first_failure(
                 (bad_ts, lambda i: f"bad ts value {columns[0][i]!r}"),
                 *[(mask, lambda i, j=j: f"bad {OHLCV_HEADER[j]} value {columns[j][i]!r}")
                   for j, (_, mask) in enumerate(converted, start=1)],
-                (~np.isfinite(ohlcv).all(axis=1), lambda i: f"non-finite field in bar at ts={ts[i]}"),
-                (lo <= 0, lambda i: f"low must be > 0 at ts={ts[i]}"),
-                (h < np.maximum(o, c), lambda i: f"high < max(open, close) at ts={ts[i]}"),
-                (lo > np.minimum(o, c), lambda i: f"low > min(open, close) at ts={ts[i]}"),
-                (v < 0, lambda i: f"negative volume at ts={ts[i]}"),
+                *_bar_checks(ts, ohlcv),
             )
             if failure is not None:
                 raise MalformedRecordError(failure[1], int(rows[failure[0]]))
@@ -473,6 +530,95 @@ def atomic_write(path: Path, write, binary: bool = False) -> None:
             tmp.unlink()
 
 
+#: file name suffix of the numpy sidecar beside each store CSV
+SIDECAR_SUFFIX = ".cols"
+#: layout of the sidecars' column records; a change makes old sidecars stale
+_SIDECAR_LAYOUT = 1
+
+
+def _npy(array: np.ndarray) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=False)
+    return buf.getvalue()
+
+
+def _digest_record(digest: bytes) -> bytes:
+    return _npy(np.frombuffer(digest, dtype=np.uint8))
+
+
+def _columns_digest(csv_path: Path, body) -> bytes:
+    """SHA-256 of a sidecar's column records, keyed by its CSV's name and the layout."""
+    digest = hashlib.sha256(f"{csv_path.name}/{_SIDECAR_LAYOUT}\n".encode())
+    digest.update(body)
+    return digest.digest()
+
+
+def _sidecar_path(csv_path: Path) -> Path:
+    return csv_path.with_name(csv_path.name + SIDECAR_SUFFIX)
+
+
+def _write_sidecar(csv_path: Path, csv_digest: bytes, columns: list[np.ndarray]) -> None:
+    """Write the sidecar of the CSV whose bytes hash to ``csv_digest``.  A
+    failure is only a warning: loads then parse the CSV."""
+    body = b"".join(map(_npy, columns))
+    data = _digest_record(csv_digest) + _digest_record(_columns_digest(csv_path, body)) + body
+    try:
+        atomic_write(_sidecar_path(csv_path), lambda fh: fh.write(data), binary=True)
+    except OSError as exc:
+        log.warning("%s: sidecar not written, loads parse the CSV: %s", csv_path, exc)
+
+
+def _csv_line(fields: list[str]) -> str:
+    """One CSV record as ``csv.writer`` writes it, quoting and ``\\r\\n`` included."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()
+
+
+def _write_csv(path: Path, texts: Iterable[str], columns: list[np.ndarray]) -> None:
+    """Write a store CSV, one piece of text at a time, then its sidecar
+    holding ``columns``: what parsing the CSV gives."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    digest = hashlib.sha256()
+
+    def write(fh):
+        for text in texts:
+            fh.write(text)
+            digest.update(text.encode(fh.encoding))  # newline="" translates nothing
+
+    atomic_write(path, write)
+    _write_sidecar(path, digest.digest(), columns)
+
+
+def _read_sidecar(csv_path: Path, csv_digest: bytes) -> tuple[list[np.ndarray] | None, str]:
+    """The columns in the CSV's sidecar if it is intact and was made from CSV
+    bytes with SHA-256 ``csv_digest``; else None and why not."""
+    try:
+        data = _sidecar_path(csv_path).read_bytes()
+    except FileNotFoundError:
+        return None, "no sidecar"
+    except OSError as exc:
+        return None, f"sidecar unreadable ({exc})"
+    head = _digest_record(csv_digest)
+    n = len(head)
+    if data[:n] != head:
+        return None, "sidecar was made from other CSV bytes"
+    if data[n : 2 * n] != _digest_record(_columns_digest(csv_path, memoryview(data)[2 * n :])):
+        return None, "sidecar is damaged"
+    fh = io.BytesIO(data)
+    fh.seek(2 * n)
+    columns = []
+    while fh.tell() < len(data):
+        columns.append(np.load(fh, allow_pickle=False))
+    return columns, ""
+
+
+def _metric_columns(series: dict[str, tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
+    """A series dict as sidecar columns: names (JSON text), count per name, ts, values."""
+    names, counts, ts, values = _series_columns(series)
+    return [np.frombuffer(json.dumps(names).encode(), dtype=np.uint8), counts, ts, values]
+
+
 class CsvStore:
     """Persists validated bar and metric series under a root directory."""
 
@@ -532,6 +678,9 @@ class CsvStore:
         same file a no-op.
         """
         incoming = bars if isinstance(bars, BarTable) else BarTable.from_bars(bars)
+        failure = _first_failure(*_bar_checks(incoming.ts, incoming.ohlcv))
+        if failure is not None:
+            raise MalformedRecordError(failure[1])
         _, first = np.unique(incoming.ts, return_index=True)
         if len(first) < len(incoming):
             repeated = np.setdiff1d(np.arange(len(incoming)), first)[0]
@@ -561,16 +710,16 @@ class CsvStore:
     def ingest_metrics(self, asset: AssetId, points: MetricTable | Iterable[MetricPoint]) -> dict[str, int]:
         """Merge metric points; returns per-name counts of stored points.
 
-        Values are finite by construction (the point type enforces it and
-        the CSV parser rejects bad rows).  Duplicate timestamps are
-        last-writer-wins, both within the stream and against previously
-        stored points.
+        Names are stripped, and a row with an empty name or a non-finite
+        value raises MalformedRecordError (the CSV parser already drops
+        non-finite rows).  Duplicate timestamps are last-writer-wins, both
+        within the stream and against previously stored points.
         """
-        incoming = points if isinstance(points, MetricTable) else MetricTable.from_points(points)
+        incoming = (points if isinstance(points, MetricTable) else MetricTable.from_points(points)).stripped()
         per_name = np.bincount(incoming.codes, minlength=len(incoming.names))
         counts = {name: int(k) for name, k in zip(incoming.names, per_name) if k}
         with self._lock(asset):
-            existing = self._load_metrics_table(asset)
+            existing = MetricTable.from_series(self.load_metrics(asset))
             merged = existing.extend(incoming)
             order, repeat = merged._key_order()
             values = merged.values[order]
@@ -587,51 +736,72 @@ class CsvStore:
             self._update_manifest(asset, metrics={n: len(ts) for n, (ts, _) in series.items()})
         return counts
 
+    # Rows are formatted as csv.writer formats them (ts and repr fields never
+    # need quoting), at about half its cost; repr round-trips float64 exactly.
+
     def _write_ohlcv(self, asset: AssetId, bars: BarTable) -> None:
-        path = self._dir(asset)
-        path.mkdir(parents=True, exist_ok=True)
-
-        def write(fh):
-            writer = csv.writer(fh)
-            writer.writerow(OHLCV_HEADER)
-            # repr round-trips float64 exactly and never emits thousands separators
-            writer.writerows([ts, *map(repr, row)] for ts, row in zip(bars.ts.tolist(), bars.ohlcv.tolist()))
-
-        atomic_write(path / "ohlcv.csv", write)
+        rows = "".join([f"{ts},{o!r},{h!r},{lo!r},{c!r},{v!r}\r\n"
+                        for ts, (o, h, lo, c, v) in zip(bars.ts.tolist(), bars.ohlcv.tolist())])
+        _write_csv(self._dir(asset) / "ohlcv.csv", [_csv_line(OHLCV_HEADER), rows], [bars.ts, bars.ohlcv])
 
     def _write_metrics(self, asset: AssetId, series: dict[str, tuple[np.ndarray, np.ndarray]]) -> None:
-        path = self._dir(asset)
-        path.mkdir(parents=True, exist_ok=True)
-
-        def write(fh):
-            writer = csv.writer(fh)
-            writer.writerow(METRICS_HEADER)
+        def texts():
+            yield _csv_line(METRICS_HEADER)
             for name, (ts, values) in series.items():
-                writer.writerows(zip(ts.tolist(), itertools.repeat(name), map(repr, values.tolist())))
+                field = _csv_line([name])[:-2]
+                yield "".join([f"{t},{field},{v!r}\r\n" for t, v in zip(ts.tolist(), values.tolist())])
 
-        atomic_write(path / "metrics.csv", write)
+        _write_csv(self._dir(asset) / "metrics.csv", texts(), _metric_columns(series))
 
     # -- loading -----------------------------------------------------------
+
+    def _load_columns(self, asset: AssetId, path: Path, parse, columns_of) -> list[np.ndarray] | None:
+        """The sidecar columns of the store CSV at ``path``; None if there is
+        no CSV.  They come from the sidecar when it matches the CSV's
+        bytes, else from ``columns_of(parse(csv))``, and the sidecar is rewritten."""
+        with self._lock(asset):
+            try:
+                fh = open(path, "rb")
+            except FileNotFoundError:
+                return None
+            # hashing and parsing read one open file, which os.replace leaves as it is
+            with fh:
+                sha = hashlib.sha256()
+                for block in iter(lambda: fh.read(1 << 18), b""):
+                    sha.update(block)
+                digest = sha.digest()
+                columns, why = _read_sidecar(path, digest)
+                if columns is not None:
+                    return columns
+                log.info("%s: %s; parsing the CSV", path, why)
+                fh.seek(0)
+                with io.TextIOWrapper(fh, newline="") as text:
+                    columns = columns_of(parse(text))
+            _write_sidecar(path, digest, columns)
+            return columns
 
     def load_bars(self, asset: AssetId) -> BarTable:
         """The stored bars, in strictly ascending ts order."""
         path = self._dir(asset) / "ohlcv.csv"
-        if not path.exists():
-            return BarTable.from_bars([])
-        bars = parse_ohlcv_csv(path)
-        if np.any(np.diff(bars.ts) <= 0):
-            raise DataError(f"{path}: bar timestamps not strictly ascending")
-        return bars
 
-    def _load_metrics_table(self, asset: AssetId) -> MetricTable:
-        path = self._dir(asset) / "metrics.csv"
-        if not path.exists():
-            return MetricTable.from_points([])
-        return parse_metrics_csv(path)
+        def columns_of(bars: BarTable) -> list[np.ndarray]:
+            if np.any(np.diff(bars.ts) <= 0):
+                raise DataError(f"{path}: bar timestamps not strictly ascending")
+            return [bars.ts, bars.ohlcv]
+
+        columns = self._load_columns(asset, path, parse_ohlcv_csv, columns_of)
+        return BarTable.from_bars([]) if columns is None else BarTable(*columns)
 
     def load_metrics(self, asset: AssetId) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Per stored metric name, in name order: (ascending ts, values)."""
-        return self._load_metrics_table(asset).series()
+        columns = self._load_columns(asset, self._dir(asset) / "metrics.csv", parse_metrics_csv,
+                                     lambda table: _metric_columns(table.series()))
+        if columns is None:
+            return {}
+        names, counts, ts, values = columns
+        ends = np.cumsum(counts).tolist()
+        return {name: (ts[end - k : end], values[end - k : end])
+                for name, k, end in zip(json.loads(names.tobytes()), counts.tolist(), ends)}
 
     # -- alignment ---------------------------------------------------------
 

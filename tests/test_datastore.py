@@ -1,26 +1,37 @@
 """Data feed: parsing, ingestion semantics, LOCF alignment."""
 
+import csv
+import io
 import json
+import logging
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from chainfolio import datastore
 from chainfolio.datastore import (
+    METRICS_HEADER,
+    OHLCV_HEADER,
     AlignmentError,
     AssetId,
     Bar,
+    BarTable,
     CsvStore,
     MalformedRecordError,
     MetricPoint,
+    MetricTable,
     atomic_write,
     parse_metrics_csv,
     parse_ohlcv_csv,
 )
 from chainfolio.errors import DataError
 
-from _synth import INTERVAL, T0, bar_ts, grid
+from _synth import INTERVAL, T0, bar_ts
 
 
 def flat_bars(n, t0=T0, price=100.0, volume=5.0):
@@ -61,8 +72,10 @@ def test_bar_invariants(kwargs):
 
 
 def test_metric_point_requires_finite_value_and_name():
-    with pytest.raises(DataError):
-        MetricPoint(T0, "", 1.0)
+    assert MetricPoint(T0, " x\t", 1.0).name == "x"
+    for name in ("", " \t"):
+        with pytest.raises(DataError):
+            MetricPoint(T0, name, 1.0)
     with pytest.raises(DataError):
         MetricPoint(T0, "x", float("nan"))
 
@@ -193,6 +206,37 @@ def test_ingest_metrics_warns_per_overwrite_in_stream_order(tmp_path, caplog):
     assert series["aa"][1].tolist() == [3.0] and series["bb"][1].tolist() == [5.0]
 
 
+def test_padded_metric_names_are_stored_as_read_back(tmp_path):
+    store = CsvStore(tmp_path)
+    asset = AssetId("AAA")
+    counts = store.ingest_metrics(asset, [MetricPoint(100, " x ", 1.0), MetricPoint(200, "x", 2.0)])
+    assert counts == {"x": 2}
+    assert json.loads((tmp_path / CsvStore.MANIFEST).read_text())["assets"]["AAA-USDT"]["metrics"] == {"x": 2}
+    assert (tmp_path / "AAA-USDT" / "metrics.csv").read_text() == "ts,name,value\n100,x,1.0\n200,x,2.0\n"
+    assert {n: (ts.tolist(), v.tolist()) for n, (ts, v) in store.load_metrics(asset).items()} == {
+        "x": ([100, 200], [1.0, 2.0])}
+    # an incoming table is stripped the same way
+    table = MetricTable(np.array([300, 400]), np.array([0, 1]), ["\tx", "y "], np.array([3.0, 4.0]))
+    assert store.ingest_metrics(asset, table) == {"x": 1, "y": 1}
+    assert list(store.load_metrics(asset)) == ["x", "y"]
+
+
+@pytest.mark.parametrize("names, values, match", [
+    (["  "], [1.0], "empty metric name at ts=100"),
+    (["x"], [float("inf")], "non-finite value for x at ts=100"),
+])
+def test_ingest_rejects_metric_rows_the_parser_would_not_read_back(tmp_path, names, values, match):
+    table = MetricTable(np.array([100]), np.array([0]), names, np.array(values))
+    with pytest.raises(MalformedRecordError, match=match):
+        CsvStore(tmp_path).ingest_metrics(AssetId("AAA"), table)
+
+
+def test_ingest_rejects_a_bar_table_breaking_a_bar_invariant(tmp_path):
+    table = BarTable(np.array([T0]), np.array([[100.0, 99.0, 98.0, 99.0, 1.0]]))
+    with pytest.raises(MalformedRecordError, match="high < max"):
+        CsvStore(tmp_path).ingest_ohlcv(AssetId("AAA"), table)
+
+
 def test_stored_bars_out_of_order_are_data_error(tmp_path):
     store = CsvStore(tmp_path)
     store.ingest_ohlcv(AssetId("AAA"), flat_bars(3))
@@ -201,6 +245,167 @@ def test_stored_bars_out_of_order_are_data_error(tmp_path):
     path.write_text("\n".join([header, *reversed(rows)]) + "\n")
     with pytest.raises(DataError, match="ascending"):
         store.align(AssetId("AAA"), bar_ts(0), bar_ts(2))
+
+
+# ---------------------------------------------------------------------------
+# Sidecars: a load returns what parsing the current CSV returns
+
+
+CSVS = ("ohlcv.csv", "metrics.csv")
+
+
+def sidecar(root, name, symbol="AAA"):
+    return Path(root) / f"{symbol}-USDT" / f"{name}{datastore.SIDECAR_SUFFIX}"
+
+
+def loaded(store, asset, name):
+    """What the store loads from one CSV, as a flat list of names and arrays."""
+    if name == "ohlcv.csv":
+        bars = store.load_bars(asset)
+        return [bars.ts, bars.ohlcv]
+    return [x for name, (ts, values) in store.load_metrics(asset).items() for x in (name, ts, values)]
+
+
+def parsed(store, asset, name):
+    """What parsing one stored CSV gives, in the form of :func:`loaded`."""
+    path = store.root / asset.key / name
+    if name == "ohlcv.csv":
+        bars = parse_ohlcv_csv(path)
+        return [bars.ts, bars.ohlcv]
+    return [x for name, (ts, values) in parse_metrics_csv(path).series().items() for x in (name, ts, values)]
+
+
+def same(got, want):
+    """Equal names, and arrays of equal dtype, shape and bits (-0.0 is not 0.0)."""
+    return len(got) == len(want) and all(
+        a == b if isinstance(a, str) else a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        for a, b in zip(got, want))
+
+
+def assert_loads_equal_parsing(store, asset):
+    for name in CSVS:
+        assert same(loaded(store, asset, name), parsed(store, asset, name))
+
+
+def small_store(root, n=3):
+    store = CsvStore(root)
+    asset = AssetId("AAA")
+    store.ingest_ohlcv(asset, flat_bars(n))
+    store.ingest_metrics(asset, [MetricPoint(bar_ts(i), name, float(i) - 0.5)
+                                 for name in ("a,b", 'q"') for i in range(n)])
+    return store, asset
+
+
+@st.composite
+def bar_lists(draw):
+    ts = sorted(draw(st.sets(st.integers(0, 2**40), max_size=6)))
+    prices = st.floats(1e-6, 1e9, allow_subnormal=False)
+    bars = []
+    for t in ts:
+        lo, o, c, hi = sorted(draw(st.lists(prices, min_size=4, max_size=4)))
+        o, c = draw(st.permutations([o, c]))
+        bars.append(Bar(t, o, hi, lo, c, draw(st.sampled_from([0.0, -0.0]) | prices)))
+    return bars
+
+
+metric_names = st.text(st.sampled_from('ab ,"\n\r\t\x00é'), min_size=1, max_size=5).filter(str.strip)
+metric_points = st.lists(st.builds(
+    MetricPoint, st.integers(-(2**40), 2**40), metric_names,
+    st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0)), max_size=12)
+
+
+@given(bars=bar_lists(), points=metric_points)
+@example(bars=[], points=[])
+@example(bars=[Bar(T0, 1.0, 1.0, 1.0, 1.0, -0.0)], points=[MetricPoint(T0, 'a,"b"', -0.0)])
+def test_loads_equal_parsing_the_stored_csv_with_and_without_sidecars(bars, points):
+    with tempfile.TemporaryDirectory() as root:
+        store = CsvStore(root)
+        asset = AssetId("AAA")
+        store.ingest_ohlcv(asset, bars)
+        store.ingest_metrics(asset, points)
+        # the stored text is what csv.writer writes for the stored rows
+        bars, series = store.load_bars(asset), store.load_metrics(asset)
+        for name, header, rows in [
+            ("ohlcv.csv", OHLCV_HEADER, [[t, *map(repr, row)] for t, row in zip(bars.ts.tolist(), bars.ohlcv.tolist())]),
+            ("metrics.csv", METRICS_HEADER, [[t, n, repr(v)] for n, (ts, values) in series.items()
+                                              for t, v in zip(ts.tolist(), values.tolist())]),
+        ]:
+            buf = io.StringIO()
+            csv.writer(buf).writerows([header, *rows])
+            assert (Path(root) / asset.key / name).read_bytes() == buf.getvalue().encode()
+        assert_loads_equal_parsing(store, asset)
+        for name in CSVS:
+            sidecar(root, name).unlink()
+        assert_loads_equal_parsing(store, asset)  # parsed, and the sidecars rewritten
+        assert all(sidecar(root, name).exists() for name in CSVS)
+        assert_loads_equal_parsing(store, asset)
+
+
+def test_a_load_with_a_matching_sidecar_parses_nothing(tmp_path, monkeypatch):
+    store, asset = small_store(tmp_path)
+
+    def parse(_):
+        raise AssertionError("parsed a CSV with a matching sidecar")
+
+    monkeypatch.setattr(datastore, "parse_ohlcv_csv", parse)
+    monkeypatch.setattr(datastore, "parse_metrics_csv", parse)
+    assert len(store.load_bars(asset)) == 3
+    assert list(store.load_metrics(asset)) == ["a,b", 'q"']
+    store.ingest_metrics(asset, [MetricPoint(bar_ts(9), "a,b", 1.0)])
+
+
+def test_a_csv_edited_under_a_valid_sidecar_is_parsed(tmp_path, caplog):
+    store, asset = small_store(tmp_path)
+    path = tmp_path / "AAA-USDT" / "metrics.csv"
+    path.write_text(path.read_text().replace(",-0.5", ",7.25"))
+    with caplog.at_level(logging.INFO, logger="chainfolio.datastore"):
+        series = store.load_metrics(asset)
+    assert series["a,b"][1].tolist() == [7.25, 0.5, 1.5]
+    assert "sidecar was made from other CSV bytes; parsing the CSV" in caplog.text
+    assert_loads_equal_parsing(store, asset)
+    fresh, _ = small_store(tmp_path / "fresh")
+    (tmp_path / "fresh" / "AAA-USDT" / "metrics.csv").write_bytes(path.read_bytes())
+    fresh.load_metrics(asset)
+    assert sidecar(tmp_path, "metrics.csv").read_bytes() == sidecar(tmp_path / "fresh", "metrics.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", CSVS)
+def test_missing_truncated_or_flipped_sidecars_give_the_parsed_data(tmp_path, name):
+    store, asset = small_store(tmp_path)
+    path = sidecar(tmp_path, name)
+    good = path.read_bytes()
+    damaged = [b""] + [good[:k] for k in (1, 100, 200, 400, len(good) - 1)]
+    # one bit flipped in every third byte: each record's header, digest and data
+    damaged += [good[:i] + bytes([good[i] ^ (1 << i % 8)]) + good[i + 1:] for i in range(0, len(good), 3)]
+    want = parsed(store, asset, name)
+    for data in [None, *damaged]:
+        if data is None:
+            path.unlink()
+        else:
+            path.write_bytes(data)
+        assert same(loaded(store, asset, name), want)
+        assert path.read_bytes() == good
+
+
+def test_a_sidecar_that_cannot_be_rewritten_is_a_warning(tmp_path, monkeypatch, caplog):
+    store, asset = small_store(tmp_path)
+    sidecar(tmp_path, "metrics.csv").unlink()
+
+    def fail(*args, **kwargs):
+        raise OSError("read-only file system")
+
+    monkeypatch.setattr(datastore, "atomic_write", fail)
+    with caplog.at_level(logging.WARNING, logger="chainfolio.datastore"):
+        assert list(store.load_metrics(asset)) == ["a,b", 'q"']
+    assert "sidecar not written, loads parse the CSV: read-only file system" in caplog.text
+    assert not sidecar(tmp_path, "metrics.csv").exists()
+
+
+def test_fresh_ingests_of_the_same_inputs_write_identical_sidecars(tmp_path):
+    small_store(tmp_path / "one")
+    small_store(tmp_path / "two")
+    for name in CSVS:
+        assert sidecar(tmp_path / "one", name).read_bytes() == sidecar(tmp_path / "two", name).read_bytes()
 
 
 # ---------------------------------------------------------------------------

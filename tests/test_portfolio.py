@@ -36,7 +36,7 @@ from chainfolio.portfolio import (
 from chainfolio.refinery import HorizonConfig, refine_features, select_valid_metrics
 from chainfolio.rlcore import TrainConfig, build_qnetwork
 
-from _synth import INTERVAL, T0, bar_ts, make_asset
+from _synth import INTERVAL, bar_ts, make_asset
 
 
 def bt_config(assets, start_ts, end_ts, **changes) -> BacktestConfig:

@@ -10,7 +10,6 @@ from chainfolio import refinery
 from chainfolio.datastore import AlignedFrame, AssetId
 from chainfolio.errors import ConfigError, DataError
 from chainfolio.refinery import (
-    CorrelationTable,
     HorizonConfig,
     correlation_table,
     k_period_returns,
