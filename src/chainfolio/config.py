@@ -219,7 +219,11 @@ def load_config(
         p = Path(path)
         if not p.exists():
             raise ConfigError(f"config file not found: {p}")
-        assignments.update(parse_config_text(p.read_text(), source=str(p)))
+        try:
+            text = p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{p}: not UTF-8 text: {exc.reason} (byte 0x{exc.object[exc.start]:02x})") from None
+        assignments.update(parse_config_text(text, source=str(p)))
     if env and env.get(ENV_DATA_DIR):
         assignments["data_dir"] = env[ENV_DATA_DIR]
     if overrides:

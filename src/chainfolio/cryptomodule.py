@@ -49,11 +49,11 @@ from .refinery import (
 from .rlcore import (
     QNetwork,
     ReplayBuffer,
+    TargetTable,
     TrainConfig,
     build_qnetwork,
     epsilon_at,
     epsilon_greedy,
-    sync_target,
     train_step,
 )
 from .rlcore.container import (
@@ -448,7 +448,7 @@ def _run_dqn(
     train_states, train_rewards = train
     net_seed, action_seed, buffer_seed = seeds
     net = build_qnetwork(arch, train_states.shape[1:], net_seed)
-    target = net.clone()
+    table = TargetTable(net, train_states, cfg.batch)
     buffer = ReplayBuffer(train_states, settings.buffer_capacity, seed=buffer_seed)
     rng = np.random.default_rng(action_seed)
     last = len(train_rewards) - 1
@@ -470,9 +470,9 @@ def _run_dqn(
         buffer.push(j, action, train_rewards[j, prev, action], j == last)
         j, prev = (0, 0) if j == last else (j + 1, action)
         if len(buffer) >= cfg.batch:
-            train_step(net, target, buffer.sample(cfg.batch), cfg)
+            train_step(net, table, buffer.sample(cfg.batch), cfg)
         if (step + 1) % cfg.target_sync == 0:
-            sync_target(net, target)
+            table.sync(net)
         if (step + 1) % settings.eval_interval == 0:
             checkpoint()
     checkpoint()

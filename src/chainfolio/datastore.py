@@ -340,11 +340,16 @@ _CHUNK_RECORDS = 1 << 10
 
 @contextmanager
 def _opened(source: str | Path | io.TextIOBase) -> Iterator[io.TextIOBase]:
-    if isinstance(source, (str, Path)):
-        with open(source, newline="") as fh:
-            yield fh
-    else:
-        yield source
+    """``source`` as UTF-8 text; a decode failure becomes a DataError naming it."""
+    try:
+        if isinstance(source, (str, Path)):
+            with open(source, newline="", encoding="utf-8") as fh:
+                yield fh
+        else:
+            yield source
+    except UnicodeDecodeError as exc:
+        name = source if isinstance(source, (str, Path)) else getattr(source, "name", "input")
+        raise DataError(f"{name}: not UTF-8 text: {exc.reason} (byte 0x{exc.object[exc.start]:02x})") from None
 
 
 def _record_chunks(fh, header: list[str]) -> Iterator[tuple[list[list[str]] | None, list[list[str]] | None]]:
@@ -522,7 +527,7 @@ def atomic_write(path: Path, write, binary: bool = False) -> None:
     readers never see a partial file and a failed write keeps the old one."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        with open(tmp, "wb") if binary else open(tmp, "w", newline="") as fh:
+        with open(tmp, "wb") if binary else open(tmp, "w", newline="", encoding="utf-8") as fh:
             write(fh)
         os.replace(tmp, path)
     finally:
@@ -645,8 +650,8 @@ class CsvStore:
         if not path.exists():
             return {"version": 1, "assets": {}}
         try:
-            manifest = json.loads(path.read_text())
-        except ValueError as exc:
+            manifest = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # also undecodable bytes
             raise DataError(f"corrupt store manifest {path}: {exc}") from None
         if not isinstance(manifest, dict) or not isinstance(manifest.get("assets"), dict):
             raise DataError(f"corrupt store manifest {path}: no 'assets' table")
@@ -775,7 +780,7 @@ class CsvStore:
                     return columns
                 log.info("%s: %s; parsing the CSV", path, why)
                 fh.seek(0)
-                with io.TextIOWrapper(fh, newline="") as text:
+                with io.TextIOWrapper(fh, newline="", encoding="utf-8") as text:
                     columns = columns_of(parse(text))
             _write_sidecar(path, digest, columns)
             return columns

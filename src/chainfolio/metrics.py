@@ -205,7 +205,7 @@ def write_curves_csv(path: str | Path, timestamps: Sequence[int], curves: Mappin
 
 
 def read_curves_csv(path: str | Path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[0] != "ts" or not all(h.endswith("_value") for h in header[1:]):
@@ -238,5 +238,5 @@ def emit_report(
     if csv_path is not None:
         write_curves_csv(csv_path, ts, curves)
     if table_path is not None:
-        Path(table_path).write_text(table + "\n")
+        Path(table_path).write_text(table + "\n", encoding="utf-8")
     return table, stats

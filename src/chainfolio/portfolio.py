@@ -397,7 +397,7 @@ class BacktestReport:
 def _load_json(path: Path, what: str) -> dict:
     """A JSON object from a file, or DataError naming ``what`` is corrupt."""
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # also undecodable bytes
         raise DataError(f"corrupt {what} {path}: {exc}") from None
     if not isinstance(doc, dict):

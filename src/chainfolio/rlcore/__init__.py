@@ -1,18 +1,19 @@
 """Self-contained deep Q-learning machinery (numpy, float64, seeded).
 
 Small convolutional Q-networks with hand-written backprop, a FIFO replay
-buffer, epsilon-greedy action selection, and the TD(0) training step with
-a target network.  Everything is deterministic under a fixed seed.
+buffer, epsilon-greedy action selection, and the TD(0) training step
+against a per-sync table of target-network values.  Everything is
+deterministic under a fixed seed.
 """
 
 from .network import QNetwork, build_qnetwork
 from .replay import Batch, ReplayBuffer
 from .training import (
     DivergenceError,
+    TargetTable,
     TrainConfig,
     epsilon_at,
     epsilon_greedy,
-    sync_target,
     train_step,
 )
 from .container import (
@@ -31,10 +32,10 @@ __all__ = [
     "Batch",
     "ReplayBuffer",
     "TrainConfig",
+    "TargetTable",
     "DivergenceError",
     "epsilon_at",
     "epsilon_greedy",
-    "sync_target",
     "train_step",
     "read_container",
     "write_container",

@@ -31,7 +31,7 @@ from ..errors import ConfigError, DataError
 class Conv1D:
     """Convolution along the last (interval) axis, per asset row.
 
-    Shift-and-matmul over a channel-last copy with one row r per (batch,
+    Shift-and-matmul over channel-last rows, one row r per (batch,
     asset, interval): tap j adds ``x[r + j] @ w[:, :, j].T`` to output row r.
     The last k - 1 rows of each asset row, whose taps run into the next
     one, are cut from the output and are zero in the backward pass.
@@ -57,8 +57,8 @@ class Conv1D:
         for j in range(1, k):
             y[: rows - j] += xs[j:] @ self.w[:, :, j].T
         y += self.b
-        # (B, C_out, m, L) view of channel-last memory
-        return y.reshape(batch, m, n, -1)[:, :, : n - k + 1].transpose(0, 3, 1, 2)
+        # (B, C_out, m, L) view of compact channel-last memory, so the next conv's rows need no copy
+        return np.ascontiguousarray(y.reshape(batch, m, n, -1)[:, :, : n - k + 1]).transpose(0, 3, 1, 2)
 
     def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         """Accumulate dw and db; return dx, or None without ``input_grad``
@@ -97,7 +97,7 @@ class ReLU:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        return np.maximum(x, 0.0)  # keeps x's memory layout
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return dy * self._mask

@@ -10,12 +10,14 @@ from ..errors import ConfigError, DataError
 
 
 class Batch(NamedTuple):
-    """A training batch; ``states``/``next_states`` are (B, f, m, n) float64."""
+    """A training batch: ``states`` are (B, f, m, n) float64; ``next_indices``
+    index each next state in the buffer's state array, where a
+    :class:`~chainfolio.rlcore.training.TargetTable` looks up its value."""
 
     states: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
-    next_states: np.ndarray
+    next_indices: np.ndarray
     terminals: np.ndarray
 
 
@@ -23,8 +25,9 @@ class ReplayBuffer:
     """Ring buffer with FIFO eviction and seeded uniform sampling.
 
     A transition is stored as the index ``i`` of its state in ``states``;
-    its next state is ``states[i + 1]``.  Batches are gathered by fancy
-    indexing, so no per-transition arrays are kept.
+    its next state is ``states[i + 1]``.  Batches gather their states by
+    fancy indexing and carry only the indices of their next states, so no
+    per-transition arrays are kept.
     """
 
     def __init__(self, states: np.ndarray, capacity: int, seed: int = 0):
@@ -62,5 +65,4 @@ class ReplayBuffer:
         idx = self._rng.choice(size, size=batch_size, replace=replace)
         slots = (idx + self._pushed - size) % self.capacity
         at = self._index[slots]
-        return Batch(self.states[at], self._action[slots], self._reward[slots],
-                     self.states[at + 1], self._terminal[slots])
+        return Batch(self.states[at], self._action[slots], self._reward[slots], at + 1, self._terminal[slots])

@@ -1,4 +1,5 @@
-"""Epsilon-greedy policy and the TD(0) training step with a target network."""
+"""Epsilon-greedy policy and the TD(0) training step against a table of
+target-network values."""
 
 from __future__ import annotations
 
@@ -59,11 +60,50 @@ def epsilon_greedy(q: np.ndarray, eps: float, rng: np.random.Generator) -> int:
     return int(np.argmax(q))
 
 
-def train_step(net: QNetwork, target_net: QNetwork, batch: Batch, cfg: TrainConfig) -> float:
+class TargetTable:
+    """max_a Q_target(s, a) for each state s of one episode array.
+
+    The target network is a copy of the online one, frozen at the last
+    :meth:`sync` (Mnih et al. 2015).  Its values change only there, and
+    replay draws every next state from the same array, so each value is
+    computed once per sync: lazily, by one forward of the ``block``
+    consecutive states holding it (the last block padded with the last
+    state).  A forward's bits for a row depend on the batch size, so
+    ``block`` is the training batch.  Where they do not also depend on
+    the row's place in the batch (measured with OpenBLAS: sizes up to 4
+    and multiples of 4, such as the default 32), the values are
+    bit-identical to forwarding each sampled batch of next states.
+    """
+
+    def __init__(self, net: QNetwork, states: np.ndarray, block: int):
+        self.net = net.clone()  # fills never read the online parameters
+        self.states = states
+        self.block = block
+        n_blocks = -(-len(states) // block)
+        self._max_q = np.empty(n_blocks * block)
+        self._filled = np.zeros(n_blocks, dtype=bool)
+
+    def sync(self, net: QNetwork) -> None:
+        """Freeze a bit-exact copy of ``net``'s parameters; forget every value."""
+        self.net.set_params_flat(net.params_flat())
+        self._filled[:] = False
+
+    def max_q(self, indices: np.ndarray) -> np.ndarray:
+        """The target value of each state index, filling missing blocks first."""
+        blocks = indices // self.block
+        for b in np.unique(blocks[~self._filled[blocks]]):
+            lo = b * self.block
+            rows = np.minimum(np.arange(lo, lo + self.block), len(self.states) - 1)
+            self._max_q[lo : lo + self.block] = self.net.forward(self.states[rows]).max(axis=1)
+            self._filled[b] = True
+        return self._max_q[indices]
+
+
+def train_step(net: QNetwork, table: TargetTable, batch: Batch, cfg: TrainConfig) -> float:
     """One SGD step on the mean squared TD error; returns the pre-step loss.
 
-    Targets are r + gamma * max_a Q_target(s', a), with the bootstrap term
-    dropped on terminal transitions.
+    Targets are r + gamma * max_a Q_target(s', a), read from ``table``,
+    with the bootstrap term dropped on terminal transitions.
     """
     size = len(batch.actions)
     if size == 0:
@@ -71,8 +111,7 @@ def train_step(net: QNetwork, target_net: QNetwork, batch: Batch, cfg: TrainConf
     live = 1.0 - np.asarray(batch.terminals, dtype=np.float64)
     rows = np.arange(size)
 
-    next_q = target_net.forward(batch.next_states)
-    targets = batch.rewards + cfg.gamma * next_q.max(axis=1) * live
+    targets = batch.rewards + cfg.gamma * table.max_q(batch.next_indices) * live
 
     q_all = net.forward(batch.states)
     q_sa = q_all[rows, batch.actions]
@@ -92,13 +131,3 @@ def train_step(net: QNetwork, target_net: QNetwork, batch: Batch, cfg: TrainConf
     for p, g in zip(net.param_arrays(), grads):
         p -= cfg.lr * scale * g
     return loss
-
-
-def sync_target(net: QNetwork, target_net: QNetwork) -> None:
-    """Copy online parameters into the target network (bit-exact)."""
-    if net.arch != target_net.arch or net.input_shape != target_net.input_shape:
-        raise DataError(
-            f"architecture mismatch: {net.arch}{net.input_shape} vs "
-            f"{target_net.arch}{target_net.input_shape}"
-        )
-    target_net.set_params_flat(net.params_flat().copy())

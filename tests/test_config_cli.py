@@ -404,6 +404,41 @@ def test_cli_corrupt_manifest_exit_1(tmp_path, capsys):
     assert "manifest" in error_line(capsys.readouterr().err)
 
 
+def test_cli_undecodable_input_exit_1(tmp_path, capsys):
+    """Input CSVs and config files are UTF-8; other bytes give one error line naming the file."""
+    d = str(tmp_path / "d")
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_bytes(b"ts,name,value\n%d,d\xe9bit,1.0\n" % bar_ts(0))
+    assert main(["--data-dir", d, "ingest", "--asset", "AAA", "--metrics", str(metrics)]) == 1
+    assert str(metrics) in error_line(capsys.readouterr().err)
+    conf = tmp_path / "run.conf"
+    conf.write_bytes(b"# caf\xe9\nseed = 1\n")
+    assert main(["-c", str(conf), "--data-dir", d, "registry", "list"]) == 1
+    assert str(conf) in error_line(capsys.readouterr().err)
+
+
+def test_cli_store_is_utf8_whatever_the_locale(tmp_path):
+    """A non-ASCII metric name ingests under an ASCII locale, the store
+    reads back there, and its bytes equal those written in UTF-8 mode."""
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text("ts,name,value\n%d,d\u00e9bit,1.0\n" % bar_ts(0), encoding="utf-8")
+
+    def ingest(store, **env):
+        argv = [sys.executable, "-m", "chainfolio.cli", "--data-dir", str(store), "ingest", "--asset", "AAA",
+                "--metrics", str(metrics)]
+        proc = subprocess.run(argv, capture_output=True, env={**os.environ, **env})
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+
+    ingest(tmp_path / "ascii", PYTHONUTF8="0", LC_ALL="C")
+    ingest(tmp_path / "utf8", PYTHONUTF8="1")
+    stored = (tmp_path / "ascii" / "AAA-USDT" / "metrics.csv").read_bytes()
+    assert stored == (tmp_path / "utf8" / "AAA-USDT" / "metrics.csv").read_bytes()
+    assert "d\u00e9bit".encode("utf-8") in stored
+    # without its sidecar the store CSV is parsed, still as UTF-8
+    (tmp_path / "ascii" / "AAA-USDT" / "metrics.csv.cols").unlink()
+    ingest(tmp_path / "ascii", PYTHONUTF8="0", LC_ALL="C")
+
+
 @pytest.mark.parametrize(
     "text",
     ['{"version": 1, "curve_order": [', '{"version": 1}', "[1, 2]", b"\xff\xfe",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chainfolio.rlcore.network import CONV_KERNEL, Conv1D
+from chainfolio.rlcore.network import CONV_KERNEL, Conv1D, ReLU
 
 _windows = np.lib.stride_tricks.sliding_window_view
 
@@ -66,3 +66,19 @@ def test_conv_gradients_accumulate_until_zeroed():
     conv.backward(dy)
     np.testing.assert_array_equal(conv.dw, 2 * once[0])
     np.testing.assert_array_equal(conv.db, 2 * once[1])
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_conv_output_is_compact_channel_last_and_relu_keeps_it(shape):
+    """The next conv reads Conv1D's output as (B, m, L, C) rows without a
+    copy, and ReLU's output keeps that memory order."""
+    c_out, c_in, m = SHAPES[shape]
+    rng = np.random.default_rng(c_in)
+    conv = Conv1D(c_in, c_out, CONV_KERNEL, rng)
+    y = conv.forward(rng.normal(size=(4, c_in, m, 32)))
+    assert y.shape == (4, c_out, m, 32 - CONV_KERNEL + 1)
+    assert y.transpose(0, 2, 3, 1).flags.c_contiguous
+    relu = ReLU()
+    out = relu.forward(y)
+    assert out.transpose(0, 2, 3, 1).flags.c_contiguous
+    np.testing.assert_array_equal(out, np.where(y > 0, y, 0.0))

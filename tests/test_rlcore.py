@@ -13,6 +13,7 @@ from chainfolio.rlcore import (
     DivergenceError,
     Batch,
     ReplayBuffer,
+    TargetTable,
     TrainConfig,
     UnsupportedVersionError,
     build_qnetwork,
@@ -21,7 +22,6 @@ from chainfolio.rlcore import (
     load_network,
     read_container,
     save_network,
-    sync_target,
     train_step,
     write_container,
 )
@@ -198,47 +198,48 @@ def test_epsilon_greedy_reproducible():
 
 
 def make_batch(rng, shape, n_actions, size, terminal=False, reward=None):
-    return Batch(
+    """``size`` random transitions, and the array their next indices point into."""
+    batch = Batch(
         states=rng.normal(size=(size, *shape)),
         actions=rng.integers(n_actions, size=size),
         rewards=rng.normal(size=size) if reward is None else np.full(size, reward),
-        next_states=rng.normal(size=(size, *shape)),
+        next_indices=np.arange(size),
         terminals=np.full(size, terminal),
     )
+    return batch, rng.normal(size=(size, *shape))
 
 
 def test_train_step_gamma_zero_loss_is_reward_mse(rng):
     net = build_qnetwork("eam-1d", EAM_SHAPE, seed=2)
-    target = net.clone()
-    batch = make_batch(rng, EAM_SHAPE, 3, 4)
+    batch, next_states = make_batch(rng, EAM_SHAPE, 3, 4)
     expect = np.mean(
         [(net.forward(s[None])[0][a] - r) ** 2 for s, a, r in zip(batch.states, batch.actions, batch.rewards)]
     )
     cfg = TrainConfig(gamma=0.0, lr=1e-3)
-    loss = train_step(net, target, batch, cfg)
+    loss = train_step(net, TargetTable(net, next_states, 4), batch, cfg)
     assert loss == pytest.approx(float(expect), rel=1e-12)
 
 
 def test_train_step_terminal_ignores_next_state(rng):
     cfg = TrainConfig(gamma=0.9, lr=1e-3)
-    base = make_batch(rng, EAM_SHAPE, 3, 4, terminal=True)
-    swapped = base._replace(next_states=rng.normal(size=base.next_states.shape))
+    batch, next_states = make_batch(rng, EAM_SHAPE, 3, 4, terminal=True)
+    other_next_states = rng.normal(size=next_states.shape)
     net1 = build_qnetwork("eam-1d", EAM_SHAPE, seed=5)
     net2 = build_qnetwork("eam-1d", EAM_SHAPE, seed=5)
-    l1 = train_step(net1, net1.clone(), base, cfg)
-    l2 = train_step(net2, net2.clone(), swapped, cfg)
+    l1 = train_step(net1, TargetTable(net1, next_states, 4), batch, cfg)
+    l2 = train_step(net2, TargetTable(net2, other_next_states, 4), batch, cfg)
     assert l1 == l2
     assert np.array_equal(net1.params_flat(), net2.params_flat())
 
 
 def test_train_step_converges_on_single_transition(rng):
     net = build_qnetwork("eam-1d", (2, 1, 3), seed=4)
-    target = net.clone()
-    tr = make_batch(rng, (2, 1, 3), 1, 1, terminal=True, reward=1.0)
+    tr, next_states = make_batch(rng, (2, 1, 3), 1, 1, terminal=True, reward=1.0)
+    table = TargetTable(net, next_states, 1)
     cfg = TrainConfig(gamma=0.5, lr=0.05)
     loss = None
     for i in range(5000):
-        loss = train_step(net, target, tr, cfg)
+        loss = train_step(net, table, tr, cfg)
         if loss < 1e-6:
             break
     assert loss < 1e-6
@@ -247,29 +248,29 @@ def test_train_step_converges_on_single_transition(rng):
 
 def test_train_step_clips_global_gradient_norm(rng):
     net = build_qnetwork("eam-1d", EAM_SHAPE, seed=6)
-    target = net.clone()
     # enormous rewards force the unclipped gradient norm far above the cap
-    batch = make_batch(rng, EAM_SHAPE, 1, 4, terminal=True, reward=1e6)
+    batch, next_states = make_batch(rng, EAM_SHAPE, 1, 4, terminal=True, reward=1e6)
     cfg = TrainConfig(gamma=0.9, lr=1e-3, grad_clip=10.0)
     before = net.params_flat()
-    train_step(net, target, batch, cfg)
+    train_step(net, TargetTable(net, next_states, 4), batch, cfg)
     step_norm = float(np.linalg.norm(net.params_flat() - before))
     assert step_norm == pytest.approx(cfg.lr * cfg.grad_clip, rel=1e-9)
 
 
 def test_train_step_empty_batch(rng):
     net = build_qnetwork("eam-1d", EAM_SHAPE, seed=6)
+    batch, next_states = make_batch(rng, EAM_SHAPE, 3, 0)
     with pytest.raises(DataError):
-        train_step(net, net.clone(), make_batch(rng, EAM_SHAPE, 3, 0), TrainConfig())
+        train_step(net, TargetTable(net, next_states, 1), batch, TrainConfig())
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_step_divergence_error(rng):
     net = build_qnetwork("eam-1d", EAM_SHAPE, seed=6)
     net.set_params_flat(np.full(net.n_params, 1e200))
-    batch = make_batch(rng, EAM_SHAPE, 3, 2)
+    batch, next_states = make_batch(rng, EAM_SHAPE, 3, 2)
     with pytest.raises(DivergenceError):
-        train_step(net, net.clone(), batch, TrainConfig())
+        train_step(net, TargetTable(net, next_states, 2), batch, TrainConfig())
 
 
 def test_train_config_validation():
@@ -284,33 +285,92 @@ def test_train_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# Target network
+# Target-value table
 
 
-def test_sync_target_copies_bit_exact(rng):
+def test_target_table_sync_is_bit_exact(rng):
     net = build_qnetwork("sam-4layer", SAM_SHAPE, seed=1)
-    target = build_qnetwork("sam-4layer", SAM_SHAPE, seed=2)
-    states = [rand_state(rng, SAM_SHAPE) for _ in range(10)]
-    assert any(not np.array_equal(net.forward(s[None])[0], target.forward(s[None])[0]) for s in states)
-    sync_target(net, target)
-    for s in states:
-        assert np.array_equal(net.forward(s[None])[0], target.forward(s[None])[0])
-    snapshot = target.params_flat()
-    sync_target(net, target)
-    assert np.array_equal(snapshot, target.params_flat())
-    # a later online update must not leak through
+    states = rng.normal(size=(10, *SAM_SHAPE))
+    everything = np.arange(10)
+
+    def max_q(source):  # the table's blocks: 5 states per forward
+        return np.concatenate([source.forward(states[:5]).max(axis=1), source.forward(states[5:]).max(axis=1)])
+
+    table = TargetTable(net, states, block=5)
+    frozen = max_q(net)
+    # fills are lazy, yet an online update before the first one does not leak in
     net.layers[-1].b[...] += 1.0
-    assert np.array_equal(snapshot, target.params_flat())
+    assert np.array_equal(table.max_q(everything), frozen)
+    table.sync(net)
+    assert np.array_equal(table.net.params_flat(), net.params_flat())
+    synced = table.max_q(everything[::-1])[::-1]
+    assert np.array_equal(synced, max_q(net))
+    assert not np.array_equal(synced, frozen)
+    # a later online update does not leak into the filled table either
+    net.layers[-1].b[...] += 1.0
+    assert np.array_equal(table.max_q(everything), synced)
+    assert np.array_equal(table.max_q(np.array([7, 7, 2])), synced[[7, 7, 2]])
 
 
-def test_sync_target_arch_mismatch():
-    a = build_qnetwork("eam-1d", EAM_SHAPE, seed=0)
-    b = build_qnetwork("sam-4layer", SAM_SHAPE, seed=0)
+def test_target_table_sync_rejects_another_network():
+    states = np.zeros((4, *EAM_SHAPE))
+    table = TargetTable(build_qnetwork("eam-1d", EAM_SHAPE, seed=0), states, block=2)
     with pytest.raises(DataError):
-        sync_target(a, b)
-    c = build_qnetwork("eam-1d", (3, 1, 8), seed=0)
+        table.sync(build_qnetwork("sam-4layer", SAM_SHAPE, seed=0))
     with pytest.raises(DataError):
-        sync_target(a, c)
+        table.sync(build_qnetwork("eam-1d", (3, 1, 8), seed=0))
+
+
+def _reference_step(net, target_net, states, batch, cfg):
+    """train_step with a target network forwarded over each batch's gathered
+    next states: the formulation the table replaces."""
+    size = len(batch.actions)
+    live = 1.0 - np.asarray(batch.terminals, dtype=np.float64)
+    rows = np.arange(size)
+    next_q = target_net.forward(states[batch.next_indices])
+    targets = batch.rewards + cfg.gamma * next_q.max(axis=1) * live
+    q_all = net.forward(batch.states)
+    err = q_all[rows, batch.actions] - targets
+    d_q = np.zeros_like(q_all)
+    d_q[rows, batch.actions] = 2.0 * err / size
+    net.zero_grads()
+    net.backward(d_q)
+    grads = net.grad_arrays()
+    norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+    scale = cfg.grad_clip / norm if norm > cfg.grad_clip else 1.0
+    for p, g in zip(net.param_arrays(), grads):
+        p -= cfg.lr * scale * g
+    return float(np.mean(err * err))
+
+
+# the eam-1d and sam-4layer (with signal channel) states of the default settings
+DEFAULT_SHAPES = {"eam-1d": (15, 1, 32), "sam-4layer": (16, 2, 32)}
+
+
+@pytest.mark.parametrize("batch_size,capacity", [(16, 1000), (32, 1000), (16, 8)])
+@pytest.mark.parametrize("arch", list(DEFAULT_SHAPES))
+def test_target_table_training_is_bit_identical_to_a_target_forward_every_step(arch, batch_size, capacity):
+    """Losses and parameters of the table path equal, bit for bit, those of a
+    cloned target network forwarded every step: over 3 syncs, with terminal
+    transitions, a padded last block, and (capacity 8) sampling with replacement."""
+    rng = np.random.default_rng(batch_size + capacity)
+    shape = DEFAULT_SHAPES[arch]
+    episode = 45  # 46 states; transition 44 is terminal
+    states = rng.normal(size=(episode + 1, *shape))
+    cfg = TrainConfig(gamma=0.9, lr=0.01, batch=batch_size, target_sync=20)
+    net = build_qnetwork(arch, shape, seed=3)
+    ref_net, ref_target = net.clone(), net.clone()
+    table = TargetTable(net, states, cfg.batch)
+    buffer = ReplayBuffer(states, capacity, seed=4)
+    for step in range(70):
+        j = step % episode
+        buffer.push(j, int(rng.integers(net.n_actions)), float(rng.normal()), j == episode - 1)
+        batch = buffer.sample(cfg.batch)
+        assert train_step(net, table, batch, cfg) == _reference_step(ref_net, ref_target, states, batch, cfg)
+        if (step + 1) % cfg.target_sync == 0:
+            table.sync(net)
+            ref_target.set_params_flat(ref_net.params_flat())
+    assert np.array_equal(net.params_flat(), ref_net.params_flat())
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +397,7 @@ def test_replay_sampling_rules():
     full = buf.sample(4)
     assert sorted(full.rewards) == [0.0, 1.0, 2.0, 3.0]
     assert np.array_equal(full.states[:, 0, 0, 0], full.rewards)
-    assert np.array_equal(full.next_states[:, 0, 0, 0], full.rewards + 1)
+    assert np.array_equal(full.next_indices, full.rewards + 1)
     assert np.array_equal(full.actions, full.rewards.astype(int) % 3)
     assert np.array_equal(full.terminals, full.rewards == 3.0)
     over = buf.sample(6)
