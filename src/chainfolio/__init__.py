@@ -23,9 +23,9 @@ from .cryptomodule import (
     train_cm,
     train_cm_from_frame,
 )
-from .datastore import AlignedFrame, AssetId, Bar, CsvStore, MetricPoint
+from .datastore import AlignedFrame, AssetId, CsvStore
 from .errors import ChainfolioError, ConfigError, DataError, SerializationError
-from .metrics import ReturnSeries, SummaryStats, arr, drr, emit_report, sortino, summarize
+from .metrics import ReturnSeries, SummaryStats, arr, drr, sortino, summarize
 from .portfolio import (
     BacktestConfig,
     BacktestReport,
@@ -35,7 +35,6 @@ from .portfolio import (
     RebalanceEvent,
     VoteSet,
     rebalance,
-    retrain_schedule,
     run_backtest,
     vote_weights,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "AssetId",
     "BacktestConfig",
     "BacktestReport",
-    "Bar",
     "ChainfolioError",
     "CmRegistry",
     "CmSettings",
@@ -74,7 +72,6 @@ __all__ = [
     "DataRanges",
     "Holdings",
     "HorizonConfig",
-    "MetricPoint",
     "PortfolioWeights",
     "QNetwork",
     "RebalanceEvent",
@@ -95,7 +92,6 @@ __all__ = [
     "correlation_table",
     "drr",
     "eam_reward",
-    "emit_report",
     "k_period_returns",
     "load_cm",
     "load_config",
@@ -103,7 +99,6 @@ __all__ = [
     "pearson",
     "rebalance",
     "refine_features",
-    "retrain_schedule",
     "rolling_normalize",
     "rolling_pca",
     "run_backtest",

@@ -293,16 +293,6 @@ class CmContext:
     signals: np.ndarray | None
     actions: np.ndarray
 
-    def first_decision(self, window: int, use_eam: bool) -> int:
-        return _first_decision(self.refined, window, use_eam)
-
-
-def _first_decision(refined: RefinedFeatureFrame, window: int, use_eam: bool) -> int:
-    first = refined.first_valid_index + window - 1
-    if use_eam:
-        first += window - 1
-    return first
-
 
 @dataclass
 class CryptoModule:
@@ -401,15 +391,6 @@ def _derive_seeds(seed: int, count: int) -> list[int]:
     return [int(child.generate_state(1)[0]) for child in root.spawn(count)]
 
 
-def _decision_indices(
-    refined: RefinedFeatureFrame, frame: AlignedFrame, window: int, use_eam: bool, start_ts: int, end_ts: int
-) -> np.ndarray:
-    """Frame rows at or after the first decision with ts in [start_ts, end_ts]."""
-    ts = frame.timestamps
-    first = _first_decision(refined, window, use_eam)
-    return np.flatnonzero((np.arange(len(ts)) >= first) & (ts >= start_ts) & (ts <= end_ts))
-
-
 def _sam_rewards(ratios: np.ndarray, cfg: RewardConfig) -> np.ndarray:
     """Allocation rewards ``r[j, prev, a]`` of step j from action prev to a."""
     acts = [AllocationAction.from_index(a) for a in range(2)]
@@ -436,7 +417,7 @@ def _run_dqn(
     train: tuple[np.ndarray, np.ndarray],
     val: tuple[np.ndarray, np.ndarray],
     settings: CmSettings,
-    seeds: tuple[int, int, int],
+    seeds: Sequence[int],
 ) -> QNetwork:
     """Train one agent and return the checkpoint with the best validation score.
 
@@ -502,38 +483,35 @@ def train_cm_from_frame(
     closes = frame.close
 
     n = settings.window
+
+    def episodes(observable, states_of, reward_table, who):
+        """The training and validation episodes over the rows that ``prepare``
+        decides at (a full window of ``observable`` rows) inside each range."""
+        rows = full_windows(observable, n)
+        ts = frame.timestamps[rows]
+        idx_train, idx_val = (rows[(ts >= lo) & (ts <= hi)] for lo, hi in (ranges.train, ranges.validation))
+        _require_steps(idx_train, idx_val, who)
+        return [_episode(states_of, idx, closes, reward_table, settings.reward) for idx in (idx_train, idx_val)]
+
     eam_net = None
     signals = None
+    observable = refined.valid
     if use_eam:
-        idx_train = _decision_indices(refined, frame, n, False, *ranges.train)
-        idx_val = _decision_indices(refined, frame, n, False, *ranges.validation)
-        _require_steps(idx_train, idx_val, "signal agent")
-
-        def eam_obs(rows):
-            return build_eam_state(frame, refined, rows, n)
-
         eam_net = _run_dqn(
             "eam-1d",
-            _episode(eam_obs, idx_train, closes, _eam_rewards, settings.reward),
-            _episode(eam_obs, idx_val, closes, _eam_rewards, settings.reward),
+            *episodes(observable, lambda rows: build_eam_state(frame, refined, rows, n), _eam_rewards, "signal agent"),
             settings,
-            (seeds[0], seeds[1], seeds[2]),
+            seeds[:3],
         )
         signals = _greedy_signal_array(eam_net, frame, refined, n)
-
-    idx_train = _decision_indices(refined, frame, n, use_eam, *ranges.train)
-    idx_val = _decision_indices(refined, frame, n, use_eam, *ranges.validation)
-    _require_steps(idx_train, idx_val, "allocation agent")
-
-    def sam_obs(rows):
-        return build_sam_state(frame, refined, rows, n, signals)
+        observable = observable & ~np.isnan(signals)
 
     sam_net = _run_dqn(
         "sam-4layer",
-        _episode(sam_obs, idx_train, closes, _sam_rewards, settings.reward),
-        _episode(sam_obs, idx_val, closes, _sam_rewards, settings.reward),
+        *episodes(observable, lambda rows: build_sam_state(frame, refined, rows, n, signals), _sam_rewards,
+                  "allocation agent"),
         settings,
-        (seeds[3], seeds[4], seeds[5]),
+        seeds[3:],
     )
     return CryptoModule(
         asset=frame.asset,

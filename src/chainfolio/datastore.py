@@ -28,8 +28,11 @@ returns what parsing the current CSV returns.  The CSV digest sits in the
 sidecar, not in the manifest, so one ``os.replace`` ties it to the columns
 it vouches for, whichever of two racing writers moves last.
 
-Parsers return columns (:class:`BarTable`, :class:`MetricTable`), and
-alignment works on those arrays without a Python object per row.
+Columns are the only record type: the parsers return, and ingestion
+takes, a :class:`BarTable` or a :class:`MetricTable`, and alignment works
+on their arrays without a Python object per row.  Each bar invariant is
+written once, in ``_bar_checks``, and the metric name and finiteness rule
+once, in :meth:`MetricTable.stripped`.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ import io
 import itertools
 import json
 import logging
-import math
 import os
 import threading
 from contextlib import contextmanager
@@ -105,48 +107,6 @@ class AssetId:
 
     def __str__(self) -> str:
         return self.key
-
-
-@dataclass(frozen=True)
-class Bar:
-    """One OHLCV bar; ``ts`` is the bar-open epoch second (UTC)."""
-
-    ts: int
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: float
-
-    def __post_init__(self):
-        vals = (self.open, self.high, self.low, self.close, self.volume)
-        if not all(math.isfinite(v) for v in vals):
-            raise MalformedRecordError(f"non-finite field in bar at ts={self.ts}")
-        if self.low <= 0:
-            raise MalformedRecordError(f"low must be > 0 at ts={self.ts}")
-        if self.high < max(self.open, self.close):
-            raise MalformedRecordError(f"high < max(open, close) at ts={self.ts}")
-        if self.low > min(self.open, self.close):
-            raise MalformedRecordError(f"low > min(open, close) at ts={self.ts}")
-        if self.volume < 0:
-            raise MalformedRecordError(f"negative volume at ts={self.ts}")
-
-
-@dataclass(frozen=True)
-class MetricPoint:
-    """One observation of a named on-chain metric.  The name is stripped of
-    surrounding whitespace, as the CSV parser reads it back."""
-
-    ts: int
-    name: str
-    value: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "name", self.name.strip())
-        if not self.name:
-            raise MalformedRecordError(f"empty metric name at ts={self.ts}")
-        if not math.isfinite(self.value):
-            raise MalformedRecordError(f"non-finite value for {self.name} at ts={self.ts}")
 
 
 @dataclass
@@ -215,47 +175,25 @@ class AlignedFrame:
 @dataclass(frozen=True, eq=False)
 class BarTable:
     """OHLCV bars as columns: ``ts`` (N,) int64 and ``ohlcv`` (N, 5) float64
-    holding open, high, low, close, volume.  Iterating yields :class:`Bar`s."""
+    holding open, high, low, close, volume; ``ts`` is each bar's open epoch
+    second (UTC).  Ingestion checks the invariants of ``_bar_checks``."""
 
     ts: np.ndarray
     ohlcv: np.ndarray
 
-    @classmethod
-    def from_bars(cls, bars: Iterable[Bar]) -> "BarTable":
-        bars = list(bars)
-        ts = np.array([b.ts for b in bars], dtype=np.int64)
-        ohlcv = np.array([(b.open, b.high, b.low, b.close, b.volume) for b in bars], dtype=np.float64)
-        return cls(ts, ohlcv.reshape(len(bars), 5))
-
     def __len__(self) -> int:
         return len(self.ts)
-
-    def __iter__(self) -> Iterator[Bar]:
-        for ts, row in zip(self.ts.tolist(), self.ohlcv.tolist()):
-            yield Bar(ts, *row)
 
 
 @dataclass(frozen=True, eq=False)
 class MetricTable:
     """Metric observations as columns, in source order: ``ts`` (N,) int64,
-    ``codes`` (N,) indices into ``names`` and ``values`` (N,) float64.
-    Iterating yields :class:`MetricPoint`s."""
+    ``codes`` (N,) indices into ``names`` and ``values`` (N,) float64."""
 
     ts: np.ndarray
     codes: np.ndarray
     names: list[str]
     values: np.ndarray
-
-    @classmethod
-    def from_points(cls, points: Iterable[MetricPoint]) -> "MetricTable":
-        points = list(points)
-        code = {name: i for i, name in enumerate(dict.fromkeys(p.name for p in points))}
-        return cls(
-            np.array([p.ts for p in points], dtype=np.int64),
-            np.array([code[p.name] for p in points], dtype=np.intp),
-            list(code),
-            np.array([p.value for p in points], dtype=np.float64),
-        )
 
     @classmethod
     def from_series(cls, series: dict[str, tuple[np.ndarray, np.ndarray]]) -> "MetricTable":
@@ -264,10 +202,6 @@ class MetricTable:
 
     def __len__(self) -> int:
         return len(self.ts)
-
-    def __iter__(self) -> Iterator[MetricPoint]:
-        for ts, code, value in zip(self.ts.tolist(), self.codes.tolist(), self.values.tolist()):
-            yield MetricPoint(ts, self.names[code], value)
 
     def extend(self, other: "MetricTable") -> "MetricTable":
         """This table's rows followed by ``other``'s, on one name index."""
@@ -442,7 +376,9 @@ def _first_failure(*checks) -> tuple[int, str] | None:
 
 
 def _bar_checks(ts: np.ndarray, ohlcv: np.ndarray) -> list:
-    """The :class:`Bar` invariants as ``(mask, message(i))`` checks on columns."""
+    """The bar invariants as ``(mask, message(i))`` checks on columns:
+    finite fields, low > 0, high >= max(open, close), low <= min(open,
+    close) and volume >= 0."""
     o, h, lo, c, v = ohlcv.T
     return [
         (~np.isfinite(ohlcv).all(axis=1), lambda i: f"non-finite field in bar at ts={ts[i]}"),
@@ -455,7 +391,7 @@ def _bar_checks(ts: np.ndarray, ohlcv: np.ndarray) -> list:
 
 def parse_ohlcv_csv(source: str | Path | io.TextIOBase) -> BarTable:
     """Parse an OHLCV CSV.  Raises MalformedRecordError with the row number
-    of the first row that does not parse or breaks a :class:`Bar` invariant."""
+    of the first row that does not parse or breaks a bar invariant."""
     parts = []
     with _opened(source) as fh:
         for columns, rows, bad in _column_chunks(fh, OHLCV_HEADER):
@@ -668,51 +604,46 @@ class CsvStore:
             doc = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
             atomic_write(self.root / self.MANIFEST, lambda fh: fh.write(doc))
 
-    def assets(self) -> list[AssetId]:
-        manifest = self._read_manifest()
-        return [AssetId(v["symbol"], v["quote"]) for v in manifest["assets"].values()]
-
     # -- ingestion ---------------------------------------------------------
 
-    def ingest_ohlcv(self, asset: AssetId, bars: BarTable | Iterable[Bar]) -> int:
+    def ingest_ohlcv(self, asset: AssetId, bars: BarTable) -> int:
         """Merge bars into the persisted series; returns the number stored.
 
-        Duplicate timestamps within the incoming stream are a precondition
-        violation.  Timestamps already persisted are skipped (set-union on
+        A bar breaking an invariant or a timestamp repeated within ``bars``
+        raises MalformedRecordError.  Timestamps already persisted are skipped (set-union on
         the ts key, existing data wins), which makes re-ingestion of the
         same file a no-op.
         """
-        incoming = bars if isinstance(bars, BarTable) else BarTable.from_bars(bars)
-        failure = _first_failure(*_bar_checks(incoming.ts, incoming.ohlcv))
+        failure = _first_failure(*_bar_checks(bars.ts, bars.ohlcv))
         if failure is not None:
             raise MalformedRecordError(failure[1])
-        _, first = np.unique(incoming.ts, return_index=True)
-        if len(first) < len(incoming):
-            repeated = np.setdiff1d(np.arange(len(incoming)), first)[0]
-            raise MalformedRecordError(f"duplicate ts {incoming.ts[repeated]} in source stream")
+        _, first = np.unique(bars.ts, return_index=True)
+        if len(first) < len(bars):
+            repeated = np.setdiff1d(np.arange(len(bars)), first)[0]
+            raise MalformedRecordError(f"duplicate ts {bars.ts[repeated]} in source stream")
 
         with self._lock(asset):
             existing = self.load_bars(asset)
-            pos = np.searchsorted(existing.ts, incoming.ts)
+            pos = np.searchsorted(existing.ts, bars.ts)
             held = pos < len(existing)
-            held[held] = existing.ts[pos[held]] == incoming.ts[held]
-            differs = np.flatnonzero(held)[(existing.ohlcv[pos[held]] != incoming.ohlcv[held]).any(axis=1)]
+            held[held] = existing.ts[pos[held]] == bars.ts[held]
+            differs = np.flatnonzero(held)[(existing.ohlcv[pos[held]] != bars.ohlcv[held]).any(axis=1)]
             for i in differs:
                 log.warning(
                     "%s: bar at ts=%d already stored with different values; keeping stored bar",
                     asset.key,
-                    incoming.ts[i],
+                    bars.ts[i],
                 )
             added = int((~held).sum())
-            ts = np.concatenate([existing.ts, incoming.ts[~held]])
+            ts = np.concatenate([existing.ts, bars.ts[~held]])
             order = np.argsort(ts, kind="stable")
-            merged = BarTable(ts[order], np.concatenate([existing.ohlcv, incoming.ohlcv[~held]])[order])
+            merged = BarTable(ts[order], np.concatenate([existing.ohlcv, bars.ohlcv[~held]])[order])
             self._write_ohlcv(asset, merged)
             self._update_manifest(asset, bars=len(merged))
         log.info("%s: ingested %d new bars (%d total)", asset.key, added, len(merged))
         return added
 
-    def ingest_metrics(self, asset: AssetId, points: MetricTable | Iterable[MetricPoint]) -> dict[str, int]:
+    def ingest_metrics(self, asset: AssetId, points: MetricTable) -> dict[str, int]:
         """Merge metric points; returns per-name counts of stored points.
 
         Names are stripped, and a row with an empty name or a non-finite
@@ -720,7 +651,7 @@ class CsvStore:
         non-finite rows).  Duplicate timestamps are last-writer-wins, both
         within the stream and against previously stored points.
         """
-        incoming = (points if isinstance(points, MetricTable) else MetricTable.from_points(points)).stripped()
+        incoming = points.stripped()
         per_name = np.bincount(incoming.codes, minlength=len(incoming.names))
         counts = {name: int(k) for name, k in zip(incoming.names, per_name) if k}
         with self._lock(asset):
@@ -795,7 +726,7 @@ class CsvStore:
             return [bars.ts, bars.ohlcv]
 
         columns = self._load_columns(asset, path, parse_ohlcv_csv, columns_of)
-        return BarTable.from_bars([]) if columns is None else BarTable(*columns)
+        return BarTable(np.zeros(0, dtype=np.int64), np.zeros((0, 5))) if columns is None else BarTable(*columns)
 
     def load_metrics(self, asset: AssetId) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Per stored metric name, in name order: (ascending ts, values)."""

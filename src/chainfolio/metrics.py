@@ -202,41 +202,3 @@ def write_curves_csv(path: str | Path, timestamps: Sequence[int], curves: Mappin
             writer.writerow([int(ts[i])] + [_fmt(float(vals[i])) for vals in cols.values()])
 
     atomic_write(Path(path), write)
-
-
-def read_curves_csv(path: str | Path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "ts" or not all(h.endswith("_value") for h in header[1:]):
-            raise DataError(f"{path}: not a curve CSV")
-        names = [h[: -len("_value")] for h in header[1:]]
-        ts = []
-        cols: list[list[float]] = [[] for _ in names]
-        for row in reader:
-            if len(row) != len(header):
-                raise DataError(f"{path}: ragged row {row!r}")
-            ts.append(int(row[0]))
-            for i, cell in enumerate(row[1:]):
-                cols[i].append(float(cell))
-    return np.asarray(ts, dtype=np.int64), {n: np.asarray(c) for n, c in zip(names, cols)}
-
-
-def emit_report(
-    timestamps: Sequence[int],
-    curves: Mapping[str, Sequence[float]],
-    csv_path: str | Path | None = None,
-    table_path: str | Path | None = None,
-) -> tuple[str, dict[str, SummaryStats]]:
-    """Comparison table plus the flat curve CSV for a set of aligned curves."""
-    ts = np.asarray(timestamps, dtype=np.int64)
-    for name, vals in curves.items():
-        if len(vals) != len(ts):
-            raise DataError(f"curve {name!r} does not share the report range")
-    stats = {name: summarize(ts, vals) for name, vals in curves.items()}
-    table = render_table(stats)
-    if csv_path is not None:
-        write_curves_csv(csv_path, ts, curves)
-    if table_path is not None:
-        Path(table_path).write_text(table + "\n", encoding="utf-8")
-    return table, stats

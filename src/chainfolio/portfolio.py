@@ -447,27 +447,6 @@ def retrain_module(
     return replace(fresh, settings=cm.settings)  # keep the original seed for future boundaries
 
 
-def retrain_schedule(
-    modules, cadence_days: int, store: CsvStore, start_ts: int, end_ts: int,
-    fill_limit: int = DEFAULT_FILL_LIMIT,
-) -> tuple[dict[str, CryptoModule], list[dict]]:
-    """Run every retrain boundary in order; returns (final modules, event log).
-
-    A module whose retraining diverges is kept as-is and the event is
-    logged; nothing else aborts the schedule.
-    """
-    if isinstance(modules, CmRegistry):
-        modules = {a: modules.load(a) for a in modules.assets()}
-    else:
-        modules = dict(modules)
-    events: list[dict] = []
-    for boundary in retrain_boundaries(start_ts, end_ts, cadence_days):
-        for asset in modules:
-            modules[asset], event = _retrain_step(modules[asset], store, boundary, fill_limit)
-            events.append(event)
-    return modules, events
-
-
 def _retrain_step(
     cm: CryptoModule, store: CsvStore, boundary: int, fill_limit: int
 ) -> tuple[CryptoModule, dict]:

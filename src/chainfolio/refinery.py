@@ -98,9 +98,6 @@ class CorrelationTable:
     names: list[str]
     coefficients: dict[tuple[str, int], float | None]
 
-    def r(self, name: str, horizon: int) -> float | None:
-        return self.coefficients[(name, horizon)]
-
     def rows(self) -> list[tuple[str, int, float | None, int | None]]:
         """(metric, horizon, r, rank) rows; rank is the 1-based position in
         the horizon's descending-r order, None for undefined r."""
@@ -262,13 +259,6 @@ class RefinedFeatureFrame:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    @property
-    def first_valid_index(self) -> int:
-        idx = np.flatnonzero(self.valid)
-        if len(idx) == 0:
-            raise DataError("no valid rows in refined feature frame")
-        return int(idx[0])
 
 
 def rolling_pca(

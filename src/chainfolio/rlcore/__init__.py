@@ -20,9 +20,7 @@ from .container import (
     ChecksumMismatchError,
     ContainerFormatError,
     UnsupportedVersionError,
-    load_network,
     read_container,
-    save_network,
     write_container,
 )
 
@@ -39,8 +37,6 @@ __all__ = [
     "train_step",
     "read_container",
     "write_container",
-    "save_network",
-    "load_network",
     "ContainerFormatError",
     "ChecksumMismatchError",
     "UnsupportedVersionError",

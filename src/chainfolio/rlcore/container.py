@@ -5,7 +5,7 @@ Layout, all integers little-endian:
     offset  size  field
     0       4     magic ``CRLM``
     4       2     format version (uint16), currently 1
-    6       1     payload kind: ``N`` single network, ``M`` composite module
+    6       1     payload kind: ``M`` composite module
     7       1     reserved, 0
     8       4     header length H (uint32)
     12      H     header JSON (UTF-8, sorted keys): {"meta": ..., "sections":
@@ -32,7 +32,6 @@ from .network import QNetwork, build_qnetwork
 
 MAGIC = b"CRLM"
 FORMAT_VERSION = 1
-KIND_NETWORK = "N"
 KIND_MODULE = "M"
 
 _DIGEST_LEN = 32
@@ -130,11 +129,3 @@ def network_from_parts(meta: dict, params: np.ndarray) -> QNetwork:
     net.set_params_flat(params)
     return net
 
-
-def save_network(net: QNetwork, path: str | Path) -> None:
-    write_container(path, KIND_NETWORK, network_meta(net), {"params": params_to_bytes(net.params_flat())})
-
-
-def load_network(path: str | Path) -> QNetwork:
-    _, meta, sections = read_container(path, expected_kind=KIND_NETWORK)
-    return network_from_parts(meta, params_from_bytes(sections["params"]))

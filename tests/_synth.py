@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from chainfolio.datastore import AssetId, Bar, CsvStore, MetricPoint
+from chainfolio.datastore import AssetId, BarTable, CsvStore, MetricTable
 
 INTERVAL = 21_600
 T0 = 1_600_000_000 - (1_600_000_000 % INTERVAL)  # grid-aligned epoch anchor
@@ -26,18 +26,14 @@ def price_path(n_bars: int, rng: np.random.Generator, drift: float = 0.0, vol: f
 
 
 def bars_from_closes(closes: np.ndarray, rng: np.random.Generator, t0: int = T0,
-                     interval: int = INTERVAL) -> list[Bar]:
+                     interval: int = INTERVAL) -> BarTable:
     ts = grid(len(closes), t0, interval)
     opens = np.concatenate([[closes[0] * (1 + rng.normal(0, 0.001))], closes[:-1]])
     wiggle = np.abs(rng.normal(0, 0.002, size=len(closes)))
     highs = np.maximum(opens, closes) * (1 + wiggle)
     lows = np.minimum(opens, closes) * (1 - wiggle)
     volumes = np.exp(rng.normal(10, 0.5, size=len(closes)))
-    return [
-        Bar(int(ts[i]), float(opens[i]), float(highs[i]), float(lows[i]),
-            float(closes[i]), float(volumes[i]))
-        for i in range(len(closes))
-    ]
+    return BarTable(ts, np.column_stack([opens, highs, lows, closes, volumes]))
 
 
 def forward_return_signal(closes: np.ndarray, k: int, rng: np.random.Generator,
@@ -53,10 +49,6 @@ def forward_return_signal(closes: np.ndarray, k: int, rng: np.random.Generator,
     out[: len(z)] = z + rng.normal(0, 1.0 / snr, size=len(z))
     out[len(z):] = rng.normal(0, 1.0, size=len(closes) - len(z))
     return out
-
-
-def metric_points(name: str, values: np.ndarray, ts: np.ndarray) -> list[MetricPoint]:
-    return [MetricPoint(int(ts[i]), name, float(values[i])) for i in range(len(values))]
 
 
 def make_asset(
@@ -78,16 +70,31 @@ def make_asset(
     closes = price_path(n_bars, rng, drift=drift, vol=vol)
     store.ingest_ohlcv(asset, bars_from_closes(closes, rng, t0=t0))
     ts = grid(n_bars, t0)
-    points: list[MetricPoint] = []
+    series = {}
     for i in range(n_signal):
         k = signal_horizons[i % len(signal_horizons)]
-        values = forward_return_signal(closes, k, rng, snr=snr)
-        points += metric_points(f"sig_{i:02d}", values, ts)
+        series[f"sig_{i:02d}"] = (ts, forward_return_signal(closes, k, rng, snr=snr))
     for i in range(n_noise):
-        points += metric_points(f"noise_{i:02d}", rng.normal(size=n_bars), ts)
-    store.ingest_metrics(asset, points)
+        series[f"noise_{i:02d}"] = (ts, rng.normal(size=n_bars))
+    store.ingest_metrics(asset, MetricTable.from_series(series))
     return asset
 
 
 def bar_ts(index: int, t0: int = T0, interval: int = INTERVAL) -> int:
     return int(t0 + interval * index)
+
+
+def bar_table(rows) -> BarTable:
+    """Bars from ``(ts, open, high, low, close, volume)`` rows."""
+    rows = list(rows)
+    return BarTable(np.array([r[0] for r in rows], dtype=np.int64),
+                    np.array([r[1:] for r in rows], dtype=np.float64).reshape(len(rows), 5))
+
+
+def metric_table(rows) -> MetricTable:
+    """Metric observations from ``(ts, name, value)`` rows, in row order."""
+    rows = list(rows)
+    code = {name: i for i, name in enumerate(dict.fromkeys(r[1] for r in rows))}
+    return MetricTable(np.array([r[0] for r in rows], dtype=np.int64),
+                       np.array([code[r[1]] for r in rows], dtype=np.intp),
+                       list(code), np.array([r[2] for r in rows], dtype=np.float64))

@@ -155,7 +155,7 @@ def test_criterion_02_selection_matches_bruteforce_oracle():
         assert got.names == names, f"seed {seed}: {got.names} != {names}"
         assert got.frequency == frequency
         for (name, h), r in table.items():
-            mine = got.table.r(name, h)
+            mine = got.table.coefficients[(name, h)]
             if r is None:
                 assert mine is None
             else:
@@ -604,8 +604,8 @@ def write_pipeline_sources(dirpath):
     with open(ohlcv, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["ts", "open", "high", "low", "close", "volume"])
-        for b in bars:
-            w.writerow([b.ts, repr(b.open), repr(b.high), repr(b.low), repr(b.close), repr(b.volume)])
+        for t, row in zip(bars.ts.tolist(), bars.ohlcv.tolist()):
+            w.writerow([t, *map(repr, row)])
     metrics = dirpath / "metrics.csv"
     columns = {}
     for j, k in enumerate((1, 2, 3)):

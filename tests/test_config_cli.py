@@ -25,7 +25,7 @@ from chainfolio.config import (
     parse_ts,
 )
 from chainfolio.cryptomodule import CmSettings, CryptoModule, DataRanges, derive_seed, save_cm, with_seed
-from chainfolio.datastore import AssetId, CsvStore, DEFAULT_BAR_INTERVAL, DEFAULT_FILL_LIMIT
+from chainfolio.datastore import AssetId, CsvStore, DEFAULT_BAR_INTERVAL, DEFAULT_FILL_LIMIT, MetricTable
 from chainfolio.errors import ConfigError
 from chainfolio.refinery import HorizonConfig
 from chainfolio.rlcore import TrainConfig, build_qnetwork
@@ -608,6 +608,23 @@ def test_cli_refine_writes_table_and_features(tmp_path, capsys):
     for row in rows[1:]:
         assert 1 <= int(row[1]) <= len(header) - 2
         assert all(float(x) == float(x) for x in row[2:])  # finite values only
+
+
+def test_cli_output_the_locale_cannot_encode_is_escaped(tmp_path):
+    """Under an ASCII locale a selected non-ASCII metric name prints
+    backslash-escaped, and the command succeeds without a traceback."""
+    store = CsvStore(tmp_path / "store")
+    asset = make_asset(store, "AAA", 140, seed=5, n_signal=1, n_noise=0)
+    ts, values = store.load_metrics(asset)["sig_00"]
+    store.ingest_metrics(asset, MetricTable.from_series({"d\u00e9bit": (ts, values)}))
+    argv = [sys.executable, "-m", "chainfolio.cli", "--config", small_config(tmp_path),
+            "--data-dir", str(tmp_path / "store"), "refine", "--asset", "AAA",
+            "--from", str(bar_ts(0)), "--to", str(bar_ts(139))]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    proc = subprocess.run(argv, capture_output=True, env={**env, "PYTHONUTF8": "0", "LC_ALL": "C"})
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert b"d\\xe9bit\tfrequency=3\n" in proc.stdout
+    assert b"Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ def test_sam_state_signal_channel(rng):
 def test_observation_warmup_errors(rng):
     frame = walk_frame(rng, t=60)
     refined = refine_features(frame, sorted(frame.metric_names), 8, 12)
-    first_valid = refined.first_valid_index
+    first_valid = int(np.flatnonzero(refined.valid)[0])
     with pytest.raises(WarmupError):
         build_sam_state(frame, refined, [first_valid + 2], 8)
     with pytest.raises(WarmupError):
@@ -285,13 +285,18 @@ def rigged_module(frame, bias, seed=0):
     )
 
 
+def first_decision(ctx) -> int:
+    """The first frame row that ``prepare`` took an action at."""
+    return int(np.flatnonzero(ctx.actions >= 0)[0])
+
+
 def test_infer_allocation_greedy_and_tie_to_cash(rng):
     frame = walk_frame(rng, t=40, n_metrics=2)
     cash_cm = rigged_module(frame, [1.0, 0.5])
     crypto_cm = rigged_module(frame, [0.5, 1.0])
     tie_cm = rigged_module(frame, [1.0, 1.0])
     ctx = cash_cm.prepare(frame)
-    t = ctx.first_decision(5, False)
+    t = first_decision(ctx)
     assert cash_cm.allocate(ctx, t) == AllocationAction.all_cash()
     assert crypto_cm.allocate(crypto_cm.prepare(frame), t) == AllocationAction.all_crypto()
     assert tie_cm.allocate(tie_cm.prepare(frame), t) == AllocationAction.all_cash()
@@ -312,10 +317,11 @@ def test_batched_prepare_matches_single_state_forwards(rng, monkeypatch, use_eam
     n = SMALL.window
     if use_eam:
         encode = np.array([SIGNAL_VALUES[a] for a in SIGNAL_ACTIONS])
-        for t in range(ctx.refined.first_valid_index + n - 1, len(frame)):
+        for t in range(int(np.flatnonzero(ctx.refined.valid)[0]) + n - 1, len(frame)):
             q = cm.eam_net.forward(build_eam_state(frame, ctx.refined, [t], n))[0]
             assert ctx.signals[t] == encode[np.argmax(q)]
-    first = ctx.first_decision(n, use_eam)
+    first = first_decision(ctx)
+    assert first == cm.warmup_bars
     for t in range(first):
         with pytest.raises(WarmupError):
             cm.allocate(ctx, t)
@@ -330,16 +336,16 @@ def test_warmup_bars_accounting(rng):
     frame = walk_frame(rng, t=40, n_metrics=2)
     cm = rigged_module(frame, [1.0, 0.0])
     assert cm.warmup_bars == (4 - 1) + (5 - 1) + (5 - 1)
-    ctx = cm.prepare(frame)
-    assert ctx.first_decision(5, False) == cm.warmup_bars
-    assert ctx.first_decision(5, True) == cm.warmup_bars + 4
+    assert first_decision(cm.prepare(frame)) == cm.warmup_bars
+    # the signal agent's window adds n - 1 bars before its first signal
+    assert replace(cm, use_eam=True).warmup_bars == cm.warmup_bars + 4
 
 
 def test_allocate_has_no_lookahead(rng):
     frame = walk_frame(rng, t=60, n_metrics=2)
     cm = rigged_module(frame, [1.0, 0.5])
     ctx = cm.prepare(frame)
-    t = ctx.first_decision(5, False) + 3
+    t = first_decision(ctx) + 3
     base = cm.allocate(ctx, t)
     ohlcv = frame.ohlcv.copy()
     metrics = frame.metrics.copy()
@@ -383,7 +389,8 @@ def test_train_cm_with_signal_agent(rng):
     assert cm.use_eam and cm.eam_net is not None
     assert cm.warmup_bars == 7 + 11 + 7 + 7
     ctx = cm.prepare(frame)
-    first = ctx.first_decision(SMALL.window, True)
+    first = first_decision(ctx)
+    assert first == cm.warmup_bars
     assert not np.isnan(ctx.signals[first - SMALL.window + 1 :]).any()
     action = cm.allocate(ctx, first)
     assert action in (AllocationAction.all_cash(), AllocationAction.all_crypto())
@@ -414,7 +421,8 @@ def test_training_episodes_equal_one_row_builds(rng, monkeypatch, use_eam):
         builds["eam-1d"] = (False, lambda t: build_eam_state(frame, ctx.refined, [t], n)[0])
     assert sorted(episodes) == sorted(builds)
     for arch, (after_eam, build) in builds.items():
-        first = ctx.first_decision(n, after_eam)
+        # the first row whose window of features (and of signals) is valid
+        first = int(np.flatnonzero(ctx.refined.valid)[0]) + (n - 1) * (1 + after_eam)
         for states, (lo, hi) in zip(episodes[arch], (RANGES.train, RANGES.validation)):
             rows = [t for t in range(first, len(frame)) if lo <= frame.timestamps[t] <= hi]
             assert np.array_equal(states, np.stack([build(t) for t in rows]))
@@ -473,7 +481,7 @@ def test_save_load_round_trip_preserves_actions(tmp_path, rng):
     assert np.array_equal(loaded.sam_net.params_flat(), cm.sam_net.params_flat())
     ctx_a = cm.prepare(frame)
     ctx_b = loaded.prepare(frame)
-    first = ctx_a.first_decision(SMALL.window, False)
+    first = first_decision(ctx_a)
     for t in range(first, len(frame)):
         assert cm.allocate(ctx_a, t) == loaded.allocate(ctx_b, t)
 
@@ -510,6 +518,16 @@ def test_load_cm_rejects_future_module_version(tmp_path, rng):
     meta["cm_version"] = 99
     write_container(path, "M", meta, sections)
     with pytest.raises(UnsupportedVersionError):
+        load_cm(path)
+
+
+def test_load_cm_rejects_another_container_kind(tmp_path, rng):
+    cm = rigged_module(walk_frame(rng, t=40, n_metrics=2), [1.0, 0.5])
+    path = tmp_path / "module.cm"
+    save_cm(cm, path)
+    _, meta, sections = read_container(path, expected_kind="M")
+    write_container(path, "N", meta, sections)
+    with pytest.raises(ContainerFormatError, match="expected a 'M' container"):
         load_cm(path)
 
 

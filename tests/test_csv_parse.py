@@ -18,7 +18,6 @@ from chainfolio import datastore
 from chainfolio.datastore import (
     METRICS_HEADER,
     OHLCV_HEADER,
-    Bar,
     MalformedRecordError,
     parse_metrics_csv,
     parse_ohlcv_csv,
@@ -73,15 +72,31 @@ def reference_metrics(path, warnings):
     return points
 
 
+def _broken_bar_invariant(ts, o, h, lo, c, v):
+    """The first bar invariant a bar breaks, worded as the parser words it."""
+    if not all(math.isfinite(x) for x in (o, h, lo, c, v)):
+        return f"non-finite field in bar at ts={ts}"
+    if lo <= 0:
+        return f"low must be > 0 at ts={ts}"
+    if h < max(o, c):
+        return f"high < max(open, close) at ts={ts}"
+    if lo > min(o, c):
+        return f"low > min(open, close) at ts={ts}"
+    if v < 0:
+        return f"negative volume at ts={ts}"
+    return None
+
+
 def reference_ohlcv(path):
+    """(ts, open, high, low, close, volume) per row."""
     bars = []
     for i, row in _records(path, OHLCV_HEADER):
         ts = _int64(row[0], i)
         fields = [_float(text, i, col) for text, col in zip(row[1:], OHLCV_HEADER[1:])]
-        try:
-            bars.append(Bar(ts, *fields))
-        except MalformedRecordError as exc:
-            raise MalformedRecordError(str(exc), i) from None
+        broken = _broken_bar_invariant(ts, *fields)
+        if broken is not None:
+            raise MalformedRecordError(broken, i)
+        bars.append((ts, *fields))
     return bars
 
 
@@ -230,7 +245,7 @@ def test_metrics_parser_matches_row_loop(tmp_path_factory, bad, data, chunks):
     assert warnings == want_warnings
     if points is not None:
         assert len(table) == len(points)
-        assert [(p.ts, p.name, p.value) for p in table] == points
+        assert list(zip(table.ts.tolist(), [table.names[c] for c in table.codes], table.values.tolist())) == points
 
 
 @pytest.mark.parametrize("bad", list(BAD_OHLCV))
@@ -244,7 +259,7 @@ def test_ohlcv_parser_matches_row_loop(tmp_path_factory, bad, data, chunks):
     bars, want_error, _ = reference_outcome(reference_ohlcv, path)
     assert error == want_error
     if bars is not None:
-        assert list(table) == bars
+        assert [(t, *row) for t, row in zip(table.ts.tolist(), table.ohlcv.tolist())] == bars
 
 
 def test_metrics_series_keeps_last_value_per_timestamp(tmp_path):

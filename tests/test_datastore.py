@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import logging
+import re
 import sys
 import tempfile
 import threading
@@ -19,11 +20,9 @@ from chainfolio.datastore import (
     OHLCV_HEADER,
     AlignmentError,
     AssetId,
-    Bar,
     BarTable,
     CsvStore,
     MalformedRecordError,
-    MetricPoint,
     MetricTable,
     atomic_write,
     parse_metrics_csv,
@@ -31,11 +30,15 @@ from chainfolio.datastore import (
 )
 from chainfolio.errors import DataError
 
-from _synth import INTERVAL, T0, bar_ts
+from _synth import INTERVAL, T0, bar_table, bar_ts, metric_table
+
+
+def flat_rows(n, t0=T0, price=100.0, volume=5.0):
+    return [(bar_ts(i, t0), price, price, price, price, volume) for i in range(n)]
 
 
 def flat_bars(n, t0=T0, price=100.0, volume=5.0):
-    return [Bar(bar_ts(i, t0), price, price, price, price, volume) for i in range(n)]
+    return bar_table(flat_rows(n, t0, price, volume))
 
 
 # ---------------------------------------------------------------------------
@@ -64,20 +67,12 @@ def test_asset_id_rejects_bad_symbols():
         dict(open=100, high=105, low=98, close=104, volume=-2.0),
     ],
 )
-def test_bar_invariants(kwargs):
-    base = dict(ts=T0, open=100.0, high=105.0, low=95.0, close=102.0, volume=1.0)
+def test_bar_invariants(tmp_path, kwargs):
+    base = dict(open=100.0, high=105.0, low=95.0, close=102.0, volume=1.0)
     base.update({k: float(v) for k, v in kwargs.items()})
-    with pytest.raises(DataError):
-        Bar(**base)
-
-
-def test_metric_point_requires_finite_value_and_name():
-    assert MetricPoint(T0, " x\t", 1.0).name == "x"
-    for name in ("", " \t"):
-        with pytest.raises(DataError):
-            MetricPoint(T0, name, 1.0)
-    with pytest.raises(DataError):
-        MetricPoint(T0, "x", float("nan"))
+    with pytest.raises(MalformedRecordError, match=f"at ts={T0}$"):
+        CsvStore(tmp_path).ingest_ohlcv(AssetId("AAA"), bar_table([(T0, *base.values())]))
+    assert not (tmp_path / "AAA-USDT").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +89,7 @@ def test_parse_ohlcv_roundtrip(tmp_path):
     bars = parse_ohlcv_csv(p)
     assert len(bars) == 2
     assert bars.ohlcv[0, 1] == 101.5 and bars.ts[1] == T0 + INTERVAL
-    assert list(bars)[0] == Bar(T0, 100.0, 101.5, 99.25, 100.75, 12.0)
+    assert bars.ts[0] == T0 and bars.ohlcv[0].tolist() == [100.0, 101.5, 99.25, 100.75, 12.0]
 
 
 def test_parse_ohlcv_names_bad_row(tmp_path):
@@ -134,7 +129,7 @@ def test_ingest_ohlcv_counts_three_rows(tmp_path):
 
 def test_ingest_ohlcv_duplicate_ts_in_stream_rejected(tmp_path):
     store = CsvStore(tmp_path)
-    bars = flat_bars(2) + [flat_bars(1)[0]]
+    bars = bar_table(flat_rows(2) + flat_rows(1))
     with pytest.raises(DataError):
         store.ingest_ohlcv(AssetId("AAA"), bars)
 
@@ -144,24 +139,26 @@ def test_reingest_identical_is_idempotent(tmp_path):
     bars = flat_bars(5)
     assert store.ingest_ohlcv(AssetId("AAA"), bars) == 5
     assert store.ingest_ohlcv(AssetId("AAA"), bars) == 0
-    assert list(store.load_bars(AssetId("AAA"))) == sorted(bars, key=lambda b: b.ts)
+    loaded = store.load_bars(AssetId("AAA"))
+    assert np.array_equal(loaded.ts, bars.ts) and np.array_equal(loaded.ohlcv, bars.ohlcv)
 
 
 def test_ohlcv_roundtrip_persisted_equals_ingested(tmp_path, rng):
     store = CsvStore(tmp_path)
     closes = 100 * np.exp(np.cumsum(rng.normal(0, 0.02, size=20)))
-    bars = [
-        Bar(bar_ts(i), float(closes[i]) * 0.999, float(closes[i]) * 1.002,
-            float(closes[i]) * 0.997, float(closes[i]), float(i + 1))
+    bars = bar_table(
+        (bar_ts(i), float(closes[i]) * 0.999, float(closes[i]) * 1.002,
+         float(closes[i]) * 0.997, float(closes[i]), float(i + 1))
         for i in range(20)
-    ]
+    )
     store.ingest_ohlcv(AssetId("AAA"), bars)
-    assert list(store.load_bars(AssetId("AAA"))) == bars
+    loaded = store.load_bars(AssetId("AAA"))
+    assert loaded.ts.tobytes() == bars.ts.tobytes() and loaded.ohlcv.tobytes() == bars.ohlcv.tobytes()
 
 
 def test_ingest_metrics_counts_per_name(tmp_path):
     store = CsvStore(tmp_path)
-    points = [MetricPoint(bar_ts(i), name, float(i)) for name in ("aa", "bb") for i in range(5)]
+    points = metric_table((bar_ts(i), name, float(i)) for name in ("aa", "bb") for i in range(5))
     counts = store.ingest_metrics(AssetId("AAA"), points)
     assert counts == {"aa": 5, "bb": 5}
 
@@ -172,29 +169,28 @@ def test_ingest_metrics_rejects_nonfinite_rows(tmp_path):
     class Raw:
         pass
 
-    good = [MetricPoint(bar_ts(i), "aa", 1.0) for i in range(3)]
+    good = metric_table((bar_ts(i), "aa", 1.0) for i in range(3))
     counts = store.ingest_metrics(AssetId("AAA"), good)
     assert counts == {"aa": 3}
     # the CSV parser drops non-finite rows but keeps the rest of the file
     p = tmp_path.parent / "m.csv"
     p.write_text(f"ts,name,value\n{bar_ts(0)},bb,nan\n{bar_ts(1)},bb,2.0\n")
     pts = parse_metrics_csv(p)
-    assert [(q.ts, q.name, q.value) for q in pts] == [(bar_ts(1), "bb", 2.0)]
+    assert (pts.ts.tolist(), pts.names, pts.codes.tolist(), pts.values.tolist()) == ([bar_ts(1)], ["bb"], [0], [2.0])
 
 
 def test_ingest_metrics_last_writer_wins(tmp_path):
     store = CsvStore(tmp_path)
-    store.ingest_metrics(AssetId("AAA"), [MetricPoint(T0, "aa", 1.0)])
-    store.ingest_metrics(AssetId("AAA"), [MetricPoint(T0, "aa", 2.0)])
+    store.ingest_metrics(AssetId("AAA"), metric_table([(T0, "aa", 1.0)]))
+    store.ingest_metrics(AssetId("AAA"), metric_table([(T0, "aa", 2.0)]))
     ts, values = store.load_metrics(AssetId("AAA"))["aa"]
     assert ts.tolist() == [T0] and values.tolist() == [2.0]
 
 
 def test_ingest_metrics_warns_per_overwrite_in_stream_order(tmp_path, caplog):
     store = CsvStore(tmp_path)
-    store.ingest_metrics(AssetId("AAA"), [MetricPoint(T0, "aa", 1.0)])
-    stream = [MetricPoint(T0, "aa", 2.0), MetricPoint(T0, "aa", 2.0), MetricPoint(T0, "bb", 5.0),
-              MetricPoint(T0, "aa", 3.0)]
+    store.ingest_metrics(AssetId("AAA"), metric_table([(T0, "aa", 1.0)]))
+    stream = metric_table([(T0, "aa", 2.0), (T0, "aa", 2.0), (T0, "bb", 5.0), (T0, "aa", 3.0)])
     with caplog.at_level("WARNING", logger="chainfolio.datastore"):
         counts = store.ingest_metrics(AssetId("AAA"), stream)
     assert counts == {"aa": 3, "bb": 1}
@@ -209,7 +205,7 @@ def test_ingest_metrics_warns_per_overwrite_in_stream_order(tmp_path, caplog):
 def test_padded_metric_names_are_stored_as_read_back(tmp_path):
     store = CsvStore(tmp_path)
     asset = AssetId("AAA")
-    counts = store.ingest_metrics(asset, [MetricPoint(100, " x ", 1.0), MetricPoint(200, "x", 2.0)])
+    counts = store.ingest_metrics(asset, metric_table([(100, " x ", 1.0), (200, "x", 2.0)]))
     assert counts == {"x": 2}
     assert json.loads((tmp_path / CsvStore.MANIFEST).read_text())["assets"]["AAA-USDT"]["metrics"] == {"x": 2}
     assert (tmp_path / "AAA-USDT" / "metrics.csv").read_text() == "ts,name,value\n100,x,1.0\n200,x,2.0\n"
@@ -224,6 +220,9 @@ def test_padded_metric_names_are_stored_as_read_back(tmp_path):
 @pytest.mark.parametrize("names, values, match", [
     (["  "], [1.0], "empty metric name at ts=100"),
     (["x"], [float("inf")], "non-finite value for x at ts=100"),
+    ([""], [1.0], "empty metric name at ts=100"),
+    ([" \t"], [1.0], "empty metric name at ts=100"),
+    (["x"], [float("nan")], "non-finite value for x at ts=100"),
 ])
 def test_ingest_rejects_metric_rows_the_parser_would_not_read_back(tmp_path, names, values, match):
     table = MetricTable(np.array([100]), np.array([0]), names, np.array(values))
@@ -232,9 +231,21 @@ def test_ingest_rejects_metric_rows_the_parser_would_not_read_back(tmp_path, nam
 
 
 def test_ingest_rejects_a_bar_table_breaking_a_bar_invariant(tmp_path):
-    table = BarTable(np.array([T0]), np.array([[100.0, 99.0, 98.0, 99.0, 1.0]]))
-    with pytest.raises(MalformedRecordError, match="high < max"):
-        CsvStore(tmp_path).ingest_ohlcv(AssetId("AAA"), table)
+    good = [T0, 100.0, 105.0, 95.0, 102.0, 1.0]
+    for column, value, message in [
+        (2, 99.0, "high < max(open, close)"),
+        (3, 101.0, "low > min(open, close)"),
+        (3, 0.0, "low must be > 0"),
+        (5, -2.0, "negative volume"),
+        (4, float("nan"), "non-finite field in bar"),
+        (5, float("inf"), "non-finite field in bar"),
+    ]:
+        bad = list(good)
+        bad[0], bad[column] = bar_ts(1), value
+        table = BarTable(np.array([T0, bar_ts(1)]), np.array([good[1:], bad[1:]]))
+        with pytest.raises(MalformedRecordError, match=rf"^{re.escape(message)} at ts={bar_ts(1)}$"):
+            CsvStore(tmp_path).ingest_ohlcv(AssetId("AAA"), table)
+    assert not (tmp_path / "AAA-USDT").exists()
 
 
 def test_stored_bars_out_of_order_are_data_error(tmp_path):
@@ -291,8 +302,8 @@ def small_store(root, n=3):
     store = CsvStore(root)
     asset = AssetId("AAA")
     store.ingest_ohlcv(asset, flat_bars(n))
-    store.ingest_metrics(asset, [MetricPoint(bar_ts(i), name, float(i) - 0.5)
-                                 for name in ("a,b", 'q"') for i in range(n)])
+    store.ingest_metrics(asset, metric_table((bar_ts(i), name, float(i) - 0.5)
+                                             for name in ("a,b", 'q"') for i in range(n)))
     return store, asset
 
 
@@ -304,25 +315,25 @@ def bar_lists(draw):
     for t in ts:
         lo, o, c, hi = sorted(draw(st.lists(prices, min_size=4, max_size=4)))
         o, c = draw(st.permutations([o, c]))
-        bars.append(Bar(t, o, hi, lo, c, draw(st.sampled_from([0.0, -0.0]) | prices)))
+        bars.append((t, o, hi, lo, c, draw(st.sampled_from([0.0, -0.0]) | prices)))
     return bars
 
 
 metric_names = st.text(st.sampled_from('ab ,"\n\r\t\x00é'), min_size=1, max_size=5).filter(str.strip)
-metric_points = st.lists(st.builds(
-    MetricPoint, st.integers(-(2**40), 2**40), metric_names,
+metric_points = st.lists(st.tuples(
+    st.integers(-(2**40), 2**40), metric_names,
     st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0)), max_size=12)
 
 
 @given(bars=bar_lists(), points=metric_points)
 @example(bars=[], points=[])
-@example(bars=[Bar(T0, 1.0, 1.0, 1.0, 1.0, -0.0)], points=[MetricPoint(T0, 'a,"b"', -0.0)])
+@example(bars=[(T0, 1.0, 1.0, 1.0, 1.0, -0.0)], points=[(T0, 'a,"b"', -0.0)])
 def test_loads_equal_parsing_the_stored_csv_with_and_without_sidecars(bars, points):
     with tempfile.TemporaryDirectory() as root:
         store = CsvStore(root)
         asset = AssetId("AAA")
-        store.ingest_ohlcv(asset, bars)
-        store.ingest_metrics(asset, points)
+        store.ingest_ohlcv(asset, bar_table(bars))
+        store.ingest_metrics(asset, metric_table(points))
         # the stored text is what csv.writer writes for the stored rows
         bars, series = store.load_bars(asset), store.load_metrics(asset)
         for name, header, rows in [
@@ -351,7 +362,7 @@ def test_a_load_with_a_matching_sidecar_parses_nothing(tmp_path, monkeypatch):
     monkeypatch.setattr(datastore, "parse_metrics_csv", parse)
     assert len(store.load_bars(asset)) == 3
     assert list(store.load_metrics(asset)) == ["a,b", 'q"']
-    store.ingest_metrics(asset, [MetricPoint(bar_ts(9), "a,b", 1.0)])
+    store.ingest_metrics(asset, metric_table([(bar_ts(9), "a,b", 1.0)]))
 
 
 def test_a_csv_edited_under_a_valid_sidecar_is_parsed(tmp_path, caplog):
@@ -416,7 +427,7 @@ def make_store_with_metric(tmp_path, n_bars, metric_ts_values):
     store = CsvStore(tmp_path)
     asset = AssetId("AAA")
     store.ingest_ohlcv(asset, flat_bars(n_bars))
-    store.ingest_metrics(asset, [MetricPoint(int(t), "mm", float(v)) for t, v in metric_ts_values])
+    store.ingest_metrics(asset, metric_table((int(t), "mm", float(v)) for t, v in metric_ts_values))
     return store, asset
 
 
@@ -440,7 +451,7 @@ def test_align_drops_metric_with_long_gap(tmp_path):
     # present on the first two bars, then a 10-bar hole
     values = [(bar_ts(0), 1.0), (bar_ts(1), 2.0), (bar_ts(12), 3.0)]
     store, asset = make_store_with_metric(tmp_path, 14, values)
-    store.ingest_metrics(asset, [MetricPoint(bar_ts(i), "good", float(i)) for i in range(14)])
+    store.ingest_metrics(asset, metric_table((bar_ts(i), "good", float(i)) for i in range(14)))
     frame = store.align(asset, bar_ts(0), bar_ts(13), fill_limit=4)
     assert frame.metric_names == ["good"]
     assert frame.dropped_metrics == ["mm"]
@@ -449,7 +460,7 @@ def test_align_drops_metric_with_long_gap(tmp_path):
 def test_align_requires_point_at_or_before_start(tmp_path):
     values = [(bar_ts(3), 1.0)] + [(bar_ts(i), 2.0) for i in range(4, 8)]
     store, asset = make_store_with_metric(tmp_path, 8, values)
-    store.ingest_metrics(asset, [MetricPoint(bar_ts(i), "aa", 5.0) for i in range(8)])
+    store.ingest_metrics(asset, metric_table((bar_ts(i), "aa", 5.0) for i in range(8)))
     frame = store.align(asset, bar_ts(2), bar_ts(7), fill_limit=4)
     assert frame.dropped_metrics == ["mm"] and frame.metric_names == ["aa"]
     # but aligning from bar 3 onwards keeps it
@@ -460,10 +471,10 @@ def test_align_requires_point_at_or_before_start(tmp_path):
 def test_align_errors_on_ohlcv_gap(tmp_path):
     store = CsvStore(tmp_path)
     asset = AssetId("AAA")
-    bars = flat_bars(8)
-    del bars[4]
-    store.ingest_ohlcv(asset, bars)
-    store.ingest_metrics(asset, [MetricPoint(bar_ts(i), "mm", 1.0) for i in range(8)])
+    rows = flat_rows(8)
+    del rows[4]
+    store.ingest_ohlcv(asset, bar_table(rows))
+    store.ingest_metrics(asset, metric_table((bar_ts(i), "mm", 1.0) for i in range(8)))
     with pytest.raises(AlignmentError):
         store.align(asset, bar_ts(0), bar_ts(7))
 
@@ -484,13 +495,13 @@ def test_align_no_lookahead(tmp_path, rng):
     base = store.align(asset, bar_ts(0), bar_ts(cut), fill_limit=2)
 
     store2 = CsvStore(tmp_path / "alt")
-    store2.ingest_ohlcv(asset, flat_bars(cut + 1) + [
-        Bar(bar_ts(i), 999.0, 999.0, 999.0, 999.0, 1.0) for i in range(cut + 1, n)
-    ])
+    store2.ingest_ohlcv(asset, bar_table(flat_rows(cut + 1) + [
+        (bar_ts(i), 999.0, 999.0, 999.0, 999.0, 1.0) for i in range(cut + 1, n)
+    ]))
     store2.ingest_metrics(
         asset,
-        [MetricPoint(int(t), "mm", v) for t, v in values if t <= bar_ts(cut)]
-        + [MetricPoint(bar_ts(cut + 2), "mm", 1e9)],
+        metric_table([(int(t), "mm", v) for t, v in values if t <= bar_ts(cut)]
+                     + [(bar_ts(cut + 2), "mm", 1e9)]),
     )
     alt = store2.align(asset, bar_ts(0), bar_ts(cut), fill_limit=2)
     np.testing.assert_array_equal(base.metrics, alt.metrics)
@@ -522,8 +533,11 @@ def test_store_manifest_lists_assets(tmp_path):
     store = CsvStore(tmp_path)
     store.ingest_ohlcv(AssetId("AAA"), flat_bars(2))
     store.ingest_ohlcv(AssetId("BBB"), flat_bars(2))
-    keys = sorted(a.key for a in store.assets())
-    assert keys == ["AAA-USDT", "BBB-USDT"]
+    manifest = json.loads((tmp_path / CsvStore.MANIFEST).read_text())
+    assert manifest["assets"] == {
+        "AAA-USDT": {"bars": 2, "quote": "USDT", "symbol": "AAA"},
+        "BBB-USDT": {"bars": 2, "quote": "USDT", "symbol": "BBB"},
+    }
 
 
 @pytest.mark.parametrize("text", ['{"version": 1, "assets": {', "[]", '{"version": 1}'])
@@ -534,7 +548,7 @@ def test_corrupt_manifest_is_data_error(tmp_path, text):
     with pytest.raises(DataError, match="manifest"):
         store.ingest_ohlcv(AssetId("BBB"), flat_bars(2))
     with pytest.raises(DataError, match="manifest"):
-        store.assets()
+        store.ingest_metrics(AssetId("AAA"), metric_table([(T0, "mm", 1.0)]))
 
 
 def test_concurrent_ingests_of_different_assets_keep_the_manifest(tmp_path):
@@ -548,7 +562,7 @@ def test_concurrent_ingests_of_different_assets_keep_the_manifest(tmp_path):
         try:
             for n in (10, 20):
                 store.ingest_ohlcv(AssetId(symbol), flat_bars(n))
-                store.ingest_metrics(AssetId(symbol), [MetricPoint(bar_ts(i), "mm", 1.0) for i in range(n)])
+                store.ingest_metrics(AssetId(symbol), metric_table((bar_ts(i), "mm", 1.0) for i in range(n)))
         except Exception as exc:  # reported below, with the thread's symbol
             errors.append((symbol, exc))
 

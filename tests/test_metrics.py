@@ -1,5 +1,6 @@
 """Tests for value-curve statistics, tables, and curve CSV files."""
 
+import csv
 import math
 
 import numpy as np
@@ -15,8 +16,6 @@ from chainfolio.metrics import (
     arr,
     daily_returns,
     drr,
-    emit_report,
-    read_curves_csv,
     render_table,
     sortino,
     stats_csv,
@@ -227,37 +226,15 @@ def test_curves_csv_round_trip_exact(tmp_path, rng):
     }
     path = tmp_path / "curves.csv"
     write_curves_csv(path, ts, curves)
-    got_ts, got = read_curves_csv(path)
-    assert np.array_equal(got_ts, ts)
-    assert list(got) == ["strategy", "baseline_AAA"]
-    for name in curves:
-        assert np.array_equal(got[name], curves[name])
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["ts", "strategy_value", "baseline_AAA_value"]
+    assert [int(row[0]) for row in rows] == ts.tolist()
+    for j, name in enumerate(curves, start=1):
+        assert np.array_equal([float(row[j]) for row in rows], curves[name])
 
 
 def test_curves_csv_validation(tmp_path):
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="does not share the report range"):
         write_curves_csv(tmp_path / "x.csv", day_grid(3), {"a": [1.0, 2.0]})
-    bad = tmp_path / "bad.csv"
-    bad.write_text("time,a_value\n1,2.0\n")
-    with pytest.raises(DataError):
-        read_curves_csv(bad)
-    bad.write_text("ts,a_value\n1,2.0\n2\n")
-    with pytest.raises(DataError):
-        read_curves_csv(bad)
-    bad.write_text("ts,a_price\n1,2.0\n")
-    with pytest.raises(DataError):
-        read_curves_csv(bad)
-
-
-def test_emit_report(tmp_path):
-    ts = day_grid(3)
-    curves = {"strategy": [100.0, 110.0, 121.0], "baseline_AAA": [100.0, 90.0, 81.0]}
-    table, stats = emit_report(ts, curves, tmp_path / "c.csv", tmp_path / "t.txt")
-    assert set(stats) == {"strategy", "baseline_AAA"}
-    assert stats["strategy"].arr == pytest.approx(0.21, abs=1e-12)
-    assert stats["strategy"].drr == pytest.approx(0.10, abs=1e-12)
-    assert stats["baseline_AAA"].arr == pytest.approx(-0.19, abs=1e-12)
-    assert (tmp_path / "c.csv").exists()
-    assert (tmp_path / "t.txt").read_text().rstrip("\n") == table
-    with pytest.raises(DataError):
-        emit_report(ts, {"strategy": [1.0, 2.0]})
+    assert not (tmp_path / "x.csv").exists()

@@ -29,7 +29,7 @@ from chainfolio.portfolio import (
     VoteSet,
     rebalance,
     retrain_boundaries,
-    retrain_schedule,
+    retrain_module,
     run_backtest,
     vote_weights,
 )
@@ -501,16 +501,11 @@ def trained_world(tmp_path):
     return store, asset, cm
 
 
-def test_retrain_schedule_expands_windows_deterministically(tmp_path):
+def test_retrain_module_expands_windows_deterministically(tmp_path):
     store, asset, cm = trained_world(tmp_path)
-    start, end = bar_ts(160), bar_ts(223)
-    modules1, events1 = retrain_schedule({asset.key: cm}, 8, store, start, end)
-    modules2, events2 = retrain_schedule({asset.key: cm}, 8, store, start, end)
-    assert events1 == events2 == [
-        {"ts": bar_ts(192), "asset": "AAA-USDT", "status": "retrained"}
-    ]
-    fresh = modules1[asset.key]
+    assert retrain_boundaries(bar_ts(160), bar_ts(223), 8) == [bar_ts(192)]
     boundary = bar_ts(192)
+    fresh = retrain_module(cm, store, boundary)
     val_span = TRAIN_RANGES.validation[1] - TRAIN_RANGES.validation[0]
     assert fresh.ranges.validation == (boundary - val_span, boundary)
     assert fresh.ranges.train == (TRAIN_RANGES.train[0], boundary - val_span - INTERVAL)
@@ -518,7 +513,7 @@ def test_retrain_schedule_expands_windows_deterministically(tmp_path):
     assert fresh.settings == cm.settings
     p1, p2 = tmp_path / "m1.cm", tmp_path / "m2.cm"
     save_cm(fresh, p1)
-    save_cm(modules2[asset.key], p2)
+    save_cm(retrain_module(cm, store, boundary), p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert not np.array_equal(fresh.sam_net.params_flat(), cm.sam_net.params_flat())
 

@@ -137,7 +137,7 @@ def test_forward_pairing_recovers_perfect_metric(rng):
     frame = make_frame(closes, {"fwd2": fwd, "noise": rng.normal(size=t)})
     cfg = HorizonConfig(horizons=(1, 2, 4), top_per_group=1, final_count=2)
     table = correlation_table(frame, cfg)
-    assert table.r("fwd2", 2) == pytest.approx(1.0, abs=1e-12)
+    assert table.coefficients[("fwd2", 2)] == pytest.approx(1.0, abs=1e-12)
     sel = select_from_table(table, cfg)
     assert "fwd2" in sel.names
 
@@ -150,7 +150,7 @@ def test_trailing_pairing_mode(rng):
     frame = make_frame(closes, {"tr2": trail})
     cfg = HorizonConfig(horizons=(1, 2, 4), top_per_group=1, final_count=1, forward_returns=False)
     table = correlation_table(frame, cfg)
-    assert table.r("tr2", 2) == pytest.approx(1.0, abs=1e-12)
+    assert table.coefficients[("tr2", 2)] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_table_rows_rank_descending(rng):
@@ -423,9 +423,9 @@ def test_refine_features_warmup_and_shape(rng):
     refined = refine_features(frame, sorted(metrics), norm_window=5, pca_window=6)
     assert len(refined) == t
     assert refined.c_max == 3
-    assert refined.first_valid_index == (5 - 1) + (6 - 1)
-    assert not refined.valid[: refined.first_valid_index].any()
-    assert refined.valid[refined.first_valid_index :].all()
+    first_valid = (5 - 1) + (6 - 1)
+    assert not refined.valid[:first_valid].any()
+    assert refined.valid[first_valid:].all()
     assert np.array_equal(refined.timestamps, frame.timestamps)
 
 

@@ -19,12 +19,11 @@ from chainfolio.rlcore import (
     build_qnetwork,
     epsilon_at,
     epsilon_greedy,
-    load_network,
     read_container,
-    save_network,
     train_step,
     write_container,
 )
+from chainfolio.rlcore.container import network_from_parts, network_meta, params_from_bytes, params_to_bytes
 
 EAM_SHAPE = (3, 1, 6)
 SAM_SHAPE = (2, 2, 5)
@@ -434,11 +433,21 @@ def test_replay_validation():
 # Container serialization
 
 
+def save_net(net, path):
+    """A one-network container, written as save_cm writes each network."""
+    write_container(path, "M", network_meta(net), {"params": params_to_bytes(net.params_flat())})
+
+
+def load_net(path):
+    _, meta, sections = read_container(path, expected_kind="M")
+    return network_from_parts(meta, params_from_bytes(sections["params"]))
+
+
 def test_network_container_round_trip(tmp_path, rng):
     net = build_qnetwork("sam-4layer", SAM_SHAPE, seed=3)
     path = tmp_path / "net.crlm"
-    save_network(net, path)
-    loaded = load_network(path)
+    save_net(net, path)
+    loaded = load_net(path)
     assert loaded.arch == net.arch
     assert loaded.input_shape == net.input_shape
     assert np.array_equal(loaded.params_flat(), net.params_flat())
@@ -450,31 +459,31 @@ def test_network_container_round_trip(tmp_path, rng):
 def test_container_writing_is_deterministic(tmp_path):
     net = build_qnetwork("eam-1d", EAM_SHAPE, seed=9)
     p1, p2 = tmp_path / "a.crlm", tmp_path / "b.crlm"
-    save_network(net, p1)
-    save_network(net, p2)
+    save_net(net, p1)
+    save_net(net, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_container_detects_corruption(tmp_path):
     net = build_qnetwork("eam-1d", EAM_SHAPE, seed=9)
     path = tmp_path / "net.crlm"
-    save_network(net, path)
+    save_net(net, path)
     blob = bytearray(path.read_bytes())
     blob[len(blob) // 2] ^= 0xFF
     path.write_bytes(bytes(blob))
     with pytest.raises(ChecksumMismatchError):
-        load_network(path)
+        load_net(path)
 
 
 def test_container_rejects_future_version(tmp_path):
     net = build_qnetwork("eam-1d", EAM_SHAPE, seed=9)
     path = tmp_path / "net.crlm"
-    save_network(net, path)
+    save_net(net, path)
     prefix = bytearray(path.read_bytes()[:-32])
     struct.pack_into("<H", prefix, 4, 2)  # bump the version field
     path.write_bytes(bytes(prefix) + hashlib.sha256(bytes(prefix)).digest())
     with pytest.raises(UnsupportedVersionError):
-        load_network(path)
+        load_net(path)
 
 
 def test_container_kind_and_structure_checks(tmp_path):
