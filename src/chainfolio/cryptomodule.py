@@ -386,11 +386,6 @@ def _greedy_signal_array(
 # Training
 
 
-def _derive_seeds(seed: int, count: int) -> list[int]:
-    root = np.random.SeedSequence(seed)
-    return [int(child.generate_state(1)[0]) for child in root.spawn(count)]
-
-
 def _sam_rewards(ratios: np.ndarray, cfg: RewardConfig) -> np.ndarray:
     """Allocation rewards ``r[j, prev, a]`` of step j from action prev to a."""
     acts = [AllocationAction.from_index(a) for a in range(2)]
@@ -479,7 +474,8 @@ def train_cm_from_frame(
         settings.variance_target,
         settings.epsilon,
     )
-    seeds = _derive_seeds(settings.train.seed, 6)
+    # network, exploration and replay seeds of the signal agent, then of the allocation agent
+    seeds = [derive_seed(settings.train.seed, role) for role in range(6)]
     closes = frame.close
 
     n = settings.window
@@ -612,7 +608,8 @@ def with_seed(settings: CmSettings, seed: int) -> CmSettings:
 
 
 def derive_seed(*parts) -> int:
-    """A 64-bit training seed from the SHA-256 of ``parts`` joined by ':',
-    e.g. (base seed, asset key) or (seed, asset key, retrain boundary)."""
+    """A 64-bit seed from the SHA-256 of ``parts`` joined by ':', e.g.
+    (base seed, asset key), (seed, asset key, retrain boundary) or
+    (seed, agent role 0-5)."""
     digest = hashlib.sha256(":".join(map(str, parts)).encode()).digest()
     return int.from_bytes(digest[:8], "big")

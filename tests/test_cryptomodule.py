@@ -19,6 +19,7 @@ from chainfolio.cryptomodule import (
     WarmupError,
     build_eam_state,
     build_sam_state,
+    derive_seed,
     eam_reward,
     load_cm,
     sam_step,
@@ -387,6 +388,9 @@ def test_train_cm_with_signal_agent(rng):
     frame = walk_frame(rng)
     cm = train_cm_from_frame(frame, RANGES, SMALL, use_eam=True)
     assert cm.use_eam and cm.eam_net is not None
+    # each agent's network seed is role 0 (signal) or 3 (allocation) of the module seed
+    assert cm.eam_net.seed == derive_seed(SMALL.train.seed, 0)
+    assert cm.sam_net.seed == derive_seed(SMALL.train.seed, 3)
     assert cm.warmup_bars == 7 + 11 + 7 + 7
     ctx = cm.prepare(frame)
     first = first_decision(ctx)
