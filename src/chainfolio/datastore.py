@@ -610,9 +610,9 @@ class CsvStore:
         """Merge bars into the persisted series; returns the number stored.
 
         A bar breaking an invariant or a timestamp repeated within ``bars``
-        raises MalformedRecordError.  Timestamps already persisted are skipped (set-union on
-        the ts key, existing data wins), which makes re-ingestion of the
-        same file a no-op.
+        raises MalformedRecordError.  Timestamps already persisted are
+        skipped (set-union on the ts key, existing data wins), which makes
+        re-ingestion of the same file a no-op.
         """
         failure = _first_failure(*_bar_checks(bars.ts, bars.ohlcv))
         if failure is not None:

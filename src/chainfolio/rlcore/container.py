@@ -128,4 +128,3 @@ def network_from_parts(meta: dict, params: np.ndarray) -> QNetwork:
         raise ContainerFormatError(f"expected {net.n_params} parameters, found {params.size}")
     net.set_params_flat(params)
     return net
-
