@@ -9,14 +9,17 @@ state needed to rebuild its observations from raw bars and metrics alone:
   crypto split for its asset from a (features x {crypto, cash} x window)
   tensor, optionally extended with the frozen signal channel.
 
-Observation tensor layout: asset row 0 is the crypto, row 1 is cash;
-feature channels are open, high, low, close, volume, then the padded
-principal components, then (if enabled) the encoded signal.  Prices are
-expressed as ratios to the window's last close, volume as a ratio to the
-window's mean volume.
+Observation layout: feature channels are open, high, low, close, volume,
+then the padded principal components, then (if enabled) the encoded
+signal.  Prices are expressed as ratios to the window's last close, volume
+as a ratio to the window's mean volume.  A state holds the crypto's asset
+row only, (f, 1, n).  The allocation net's input is (f, 2, n), {crypto,
+cash}, but the cash row is the same constant in every state, so the net
+supplies it itself (``QNetwork.riskless``) and convolves it once per
+forward rather than once per state.
 
 ``build_sam_state`` and ``build_eam_state`` are the only state builders:
-each takes an array of frame rows and returns the (B, f, m, n) states of
+each takes an array of frame rows and returns the (B, f, 1, n) states of
 the windows ending there, with one warm-up and finiteness check per call.
 Training episodes and ``CryptoModule.prepare`` both call them on batches
 of ``_DECISION_BATCH`` rows, so a row's state is the same bits in both.
@@ -202,7 +205,9 @@ def _windows(frame: AlignedFrame, refined: RefinedFeatureFrame, rows: np.ndarray
     return idx, [features, refined.components[idx]]
 
 
-def _finite(states: np.ndarray) -> np.ndarray:
+def _states(channels: list[np.ndarray]) -> np.ndarray:
+    """(B, f, 1, n) states of (B, n, ·) channel blocks; raises on a non-finite entry."""
+    states = np.concatenate(channels, axis=2).transpose(0, 2, 1)[:, :, None, :]
     if not np.isfinite(states).all():
         raise DataError("observation contains non-finite entries")
     return states
@@ -211,7 +216,7 @@ def _finite(states: np.ndarray) -> np.ndarray:
 def build_eam_state(frame: AlignedFrame, refined: RefinedFeatureFrame, rows: np.ndarray, n: int) -> np.ndarray:
     """Signal-agent states (B, 5 + c_max, 1, n) of the windows ending at ``rows``."""
     _, channels = _windows(frame, refined, rows, n)
-    return _finite(np.concatenate(channels, axis=2).transpose(0, 2, 1)[:, :, None, :])
+    return _states(channels)
 
 
 def build_sam_state(
@@ -221,7 +226,8 @@ def build_sam_state(
     n: int,
     signals: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Allocation-agent states (B, f, 2, n) of the windows ending at ``rows``.
+    """Allocation-agent states (B, f, 1, n) of the windows ending at ``rows``:
+    the crypto row; the allocation net adds the riskless row.
 
     With ``signals`` (one value per frame row, NaN where there is none) the
     states gain one channel encoding buy=1, hold=0, sell=-1 over the window,
@@ -234,11 +240,7 @@ def build_sam_state(
         if missing.any():
             raise WarmupError(f"missing trading signals inside window ending at index {idx[missing][0, -1]}")
         channels.append(window_signals[..., None])
-    crypto = np.concatenate(channels, axis=2).transpose(0, 2, 1)  # (B, f, n)
-    states = np.zeros((len(crypto), crypto.shape[1], 2, n))
-    states[:, :, 0] = crypto
-    states[:, :4, 1] = 1.0  # price channels of the riskless leg
-    return _finite(states)
+    return _states(channels)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +425,9 @@ def _run_dqn(
     cfg = settings.train
     train_states, train_rewards = train
     net_seed, action_seed, buffer_seed = seeds
-    net = build_qnetwork(arch, train_states.shape[1:], net_seed)
+    f, _, n = train_states.shape[1:]
+    # allocation states hold the crypto row; the net's input adds the riskless one
+    net = build_qnetwork(arch, (f, 2 if arch == "sam-4layer" else 1, n), net_seed)
     table = TargetTable(net, train_states, cfg.batch)
     buffer = ReplayBuffer(train_states, settings.buffer_capacity, seed=buffer_seed)
     rng = np.random.default_rng(action_seed)
@@ -576,7 +580,7 @@ def load_cm(path: str | Path) -> CryptoModule:
     _, meta, sections = read_container(path, expected_kind=KIND_MODULE)
     try:
         return _module_from_parts(meta, sections)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise ContainerFormatError(f"malformed module {path}: bad or missing field {exc}") from None
 
 
@@ -585,6 +589,8 @@ def _module_from_parts(meta: dict, sections: dict[str, bytes]) -> CryptoModule:
         raise UnsupportedVersionError(
             f"module version {meta['cm_version']} unsupported (expected {CM_FORMAT_VERSION})"
         )
+    if meta["use_eam"] != (meta["eam"] is not None):
+        raise ContainerFormatError("use_eam does not match the stored signal agent")
     sam_net = network_from_parts(meta["sam"], params_from_bytes(sections["sam_params"]))
     eam_net = None
     if meta["eam"] is not None:

@@ -88,10 +88,10 @@ class AssetId:
     quote: str = "USDT"
 
     def __post_init__(self):
-        if not self.symbol or not self.symbol.isalnum():
+        if not isinstance(self.symbol, str) or not self.symbol.isalnum():
             raise DataError(f"invalid asset symbol {self.symbol!r}")
-        if not self.quote:
-            raise DataError("quote currency must be nonempty")
+        if not isinstance(self.quote, str) or not self.quote:
+            raise DataError("quote currency must be a nonempty string")
         object.__setattr__(self, "symbol", self.symbol.upper())
         object.__setattr__(self, "quote", self.quote.upper())
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from ..datastore import atomic_write
 from ..errors import SerializationError
-from .network import QNetwork, build_qnetwork
+from .network import QNetwork, build_qnetwork, param_shapes
 
 MAGIC = b"CRLM"
 FORMAT_VERSION = 1
@@ -82,16 +83,24 @@ def decode_container(blob: bytes, expected_kind: str | None = None) -> tuple[str
     (header_len,) = struct.unpack("<I", blob[8:12])
     try:
         header = json.loads(blob[12 : 12 + header_len].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
         raise ContainerFormatError(f"bad container header: {exc}") from None
+    if not isinstance(header, dict) or "meta" not in header or not isinstance(header.get("sections"), list):
+        raise ContainerFormatError("container header needs a 'meta' and a 'sections' list")
     sections: dict[str, bytes] = {}
     offset = 12 + header_len
     for entry in header["sections"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str) and _is_size(entry.get("len"))):
+            raise ContainerFormatError("every section entry needs a string 'name' and an int 'len' >= 0")
         sections[entry["name"]] = blob[offset : offset + entry["len"]]
         offset += entry["len"]
     if offset != len(blob) - _DIGEST_LEN:
         raise ContainerFormatError("section table inconsistent with container size")
     return kind, header["meta"], sections
+
+
+def _is_size(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def read_container(path: str | Path, expected_kind: str | None = None) -> tuple[str, dict, dict[str, bytes]]:
@@ -116,15 +125,20 @@ def network_meta(net: QNetwork) -> dict:
         "input_shape": list(net.input_shape),
         "n_actions": net.n_actions,
         "seed": net.seed,
-        "layer_shapes": net.layer_shapes(),
+        "layer_shapes": [list(s) for s in param_shapes(net.arch, net.input_shape)],
     }
 
 
 def network_from_parts(meta: dict, params: np.ndarray) -> QNetwork:
-    net = build_qnetwork(meta["arch"], tuple(meta["input_shape"]), meta["seed"])
-    if net.layer_shapes() != [list(s) for s in meta["layer_shapes"]]:
+    """The stored network; its shapes are checked against the parameters
+    present before any array is allocated."""
+    arch, input_shape = meta["arch"], tuple(meta["input_shape"])
+    shapes = [list(s) for s in param_shapes(arch, input_shape)]
+    if shapes != [list(s) for s in meta["layer_shapes"]]:
         raise ContainerFormatError("stored layer shapes do not match the architecture")
-    if params.size != net.n_params:
-        raise ContainerFormatError(f"expected {net.n_params} parameters, found {params.size}")
+    n_params = sum(math.prod(s) for s in shapes)
+    if params.size != n_params:
+        raise ContainerFormatError(f"expected {n_params} parameters, found {params.size}")
+    net = build_qnetwork(arch, input_shape, meta["seed"])
     net.set_params_flat(params)
     return net

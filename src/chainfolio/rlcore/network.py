@@ -15,6 +15,16 @@ intervals, one asset row), valid padding, stride 1.  All math is float64
 numpy with explicit backward passes, so gradients can be checked against
 finite differences and parameter vectors serialize bit-exactly.
 
+A two-row ``sam-4layer`` net, input (f, 2, n), reads asset row 1 as cash:
+ones in the four price channels, zeros elsewhere, in every state.  Given
+crypto-only states (B, f, 1, n) it supplies that row itself
+(``QNetwork.riskless``), convolves it once per forward and folds it into
+the first dense layer as a bias; (B, f, 2, n) states take the general
+path, and both agree to rounding.  The first dense layer keeps its weight
+columns in the conv output's memory order (asset row, interval, channel),
+so flattening copies nothing.  Parameter vectors, and so ``.cm`` files,
+list them (channel, asset row, interval), as before, so old modules load.
+
 Results are bit-identical across runs of one version (with the same numpy
 and BLAS), not across versions: reordering float sums, as the shift-and-
 matmul conv did to the einsum it replaced, moves trained parameters in
@@ -36,8 +46,6 @@ class Conv1D:
     The last k - 1 rows of each asset row, whose taps run into the next
     one, are cut from the output and are zero in the backward pass.
     """
-
-    kind = "conv1d"
 
     def __init__(self, c_in: int, c_out: int, kernel: int, rng: np.random.Generator):
         scale = np.sqrt(2.0 / (c_in * kernel))
@@ -90,8 +98,6 @@ class Conv1D:
 
 
 class ReLU:
-    kind = "relu"
-
     def __init__(self):
         self._mask = None
 
@@ -107,40 +113,59 @@ class ReLU:
 
 
 class Flatten:
-    kind = "flatten"
+    """(B, C, m, L) to (B, m * L * C) in channel-last order: a view of a
+    conv output's compact channel-last memory."""
 
     def __init__(self):
         self._shape = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.transpose(0, 2, 3, 1).reshape(len(x), -1)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return dy.reshape(self._shape)
+        batch, c, m, length = self._shape
+        return dy.reshape(batch, m, length, c).transpose(0, 3, 1, 2)
 
     params: list[np.ndarray] = []
     grads: list[np.ndarray] = []
 
 
 class Dense:
-    kind = "dense"
+    """Affine layer; ``conv_out`` (C, m, L) marks one over a flattened conv
+    output, with weight columns in (m, L, C) order.  Rows one asset row
+    narrower than the weight end with the row that all the others share
+    as their last asset row: its weight block enters once, as a bias."""
 
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, conv_out: tuple | None = None):
         self.w = rng.normal(0.0, np.sqrt(2.0 / d_in), size=(d_out, d_in))
         self.b = np.zeros(d_out)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
+        self.conv_out = conv_out
         self._x = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        return x @ self.w.T + self.b
+        d = x.shape[1]
+        if d == self.w.shape[1]:
+            return x @ self.w.T + self.b
+        return x[:-1] @ self.w[:, :d].T + (x[-1] @ self.w[:, d:].T + self.b)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        self.dw += dy.T @ self._x
-        self.db += dy.sum(axis=0)
-        return dy @ self.w
+        x = self._x
+        d = x.shape[1]
+        total = dy.sum(axis=0)
+        self.db += total
+        if d == self.w.shape[1]:
+            self.dw += dy.T @ x
+            return dy @ self.w
+        self.dw[:, :d] += dy.T @ x[:-1]
+        self.dw[:, d:] += np.outer(total, x[-1])
+        dx = np.empty_like(x)
+        dx[:-1] = dy @ self.w[:, :d]
+        dx[-1] = total @ self.w[:, d:]
+        return dx
 
     @property
     def params(self) -> list[np.ndarray]:
@@ -160,15 +185,35 @@ class QNetwork:
         self.layers = layers
         self.seed = seed
         self.n_actions = ACTION_COUNTS[arch]
+        f, m, n = self.input_shape
+        self.riskless = None
+        if arch == "sam-4layer" and m == 2:
+            self.riskless = np.zeros((f, 1, n))
+            self.riskless[:4] = 1.0
+        self._cm_order = _cm_order(layers)
+        # the layers drew their weights in parameter-vector order
+        self.set_params_flat(np.concatenate([p.ravel() for p in self.param_arrays()]))
 
     # -- inference / training ------------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1:] != self.input_shape:
+        f, m, n = self.input_shape
+        if self.riskless is not None and x.ndim == 4 and x.shape[1:] == (f, 1, n):
+            x = self._with_riskless_row(x)
+        elif x.ndim != 4 or x.shape[1:] != self.input_shape:
             raise DataError(f"batch shape {x.shape} incompatible with input {self.input_shape}")
         for layer in self.layers:
             x = layer.forward(x)
         return x
+
+    def _with_riskless_row(self, x: np.ndarray) -> np.ndarray:
+        """(B + 1, f, 1, n): the crypto rows, then the riskless row, as a view
+        of the channel-last memory that the first conv reads."""
+        batch, f, _, n = x.shape
+        rows = np.empty((batch + 1, 1, n, f))
+        rows[:batch] = x.transpose(0, 2, 3, 1)
+        rows[batch] = self.riskless.transpose(1, 2, 0)
+        return rows.transpose(0, 3, 1, 2)
 
     def backward(self, d_out: np.ndarray) -> None:
         """Accumulate parameter gradients; the gradient with respect to the
@@ -192,25 +237,24 @@ class QNetwork:
 
     @property
     def n_params(self) -> int:
-        return sum(p.size for p in self.param_arrays())
+        return len(self._cm_order)
 
     def params_flat(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.param_arrays()])
+        return np.concatenate([p.ravel() for p in self.param_arrays()])[self._cm_order]
 
     def set_params_flat(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64)
         if flat.size != self.n_params:
             raise DataError(f"expected {self.n_params} parameters, got {flat.size}")
+        in_memory = np.empty(self.n_params)
+        in_memory[self._cm_order] = flat
         offset = 0
         for p in self.param_arrays():
-            p[...] = flat[offset : offset + p.size].reshape(p.shape)
+            p[...] = in_memory[offset : offset + p.size].reshape(p.shape)
             offset += p.size
 
     def grads_flat(self) -> np.ndarray:
-        return np.concatenate([g.ravel() for g in self.grad_arrays()])
-
-    def layer_shapes(self) -> list[list[int]]:
-        return [list(p.shape) for p in self.param_arrays()]
+        return np.concatenate([g.ravel() for g in self.grad_arrays()])[self._cm_order]
 
     def clone(self) -> "QNetwork":
         twin = build_qnetwork(self.arch, self.input_shape, self.seed)
@@ -218,42 +262,66 @@ class QNetwork:
         return twin
 
 
+def _cm_order(layers: list) -> np.ndarray:
+    """For each entry of a parameter vector, its index in the layers'
+    parameters concatenated as they lie in memory: the same, except that
+    a first dense layer's columns run (C, m, L) there and (m, L, C) here."""
+    order = np.arange(sum(p.size for layer in layers for p in layer.params))
+    offset = 0
+    for layer in layers:
+        conv_out = getattr(layer, "conv_out", None)
+        if conv_out is not None:  # its weight is its first parameter
+            c, m, length = conv_out
+            w = order[offset : offset + layer.w.size]
+            w[:] = w.reshape(-1, m, length, c).transpose(0, 3, 1, 2).ravel()
+        offset += sum(p.size for p in layer.params)
+    return order
+
+
 ACTION_COUNTS = {"eam-1d": 3, "sam-4layer": 2}
+#: conv output channels, then hidden dense widths, of each architecture
+LAYOUTS = {"eam-1d": ((16,), ()), "sam-4layer": ((8, 16), (64,))}
 CONV_KERNEL = 3
 
 
-def build_qnetwork(arch: str, input_shape: tuple[int, int, int], seed: int) -> QNetwork:
-    """Construct a fresh, seeded network for one of the registered archs."""
+def param_shapes(arch: str, input_shape: tuple[int, int, int]) -> list[tuple[int, ...]]:
+    """The shape of each parameter array of a network, checked and computed
+    without building it (as a ``.cm`` loader does before allocating)."""
     if arch not in ACTION_COUNTS:
         raise ConfigError(f"unknown architecture {arch!r}; expected one of {sorted(ACTION_COUNTS)}")
     f, m, n = input_shape
     if f <= 0 or m <= 0 or n <= 0:
         raise ConfigError(f"bad input shape {input_shape}")
-    rng = np.random.default_rng(seed)
+    convs, hidden = LAYOUTS[arch]
     k = CONV_KERNEL
-    if arch == "eam-1d":
-        if n < k:
-            raise ConfigError(f"need n >= {k} intervals for eam-1d, got {n}")
-        length = n - k + 1
-        layers = [
-            Conv1D(f, 16, k, rng),
-            ReLU(),
-            Flatten(),
-            Dense(16 * m * length, 3, rng),
-        ]
-    else:  # sam-4layer
-        if n < 2 * k - 1:
-            raise ConfigError(f"need n >= {2 * k - 1} intervals for sam-4layer, got {n}")
-        length = n - 2 * (k - 1)
-        layers = [
-            Conv1D(f, 8, k, rng),
-            ReLU(),
-            Conv1D(8, 16, k, rng),
-            ReLU(),
-            Flatten(),
-            Dense(16 * m * length, 64, rng),
-            ReLU(),
-            Dense(64, ACTION_COUNTS[arch], rng),
-        ]
-    return QNetwork(arch, input_shape, layers, seed)
+    if n < len(convs) * (k - 1) + 1:
+        raise ConfigError(f"need n >= {len(convs) * (k - 1) + 1} intervals for {arch}, got {n}")
+    shapes, c = [], f
+    for c_out in convs:
+        shapes += [(c_out, c, k), (c_out,)]
+        c = c_out
+    d = c * m * (n - len(convs) * (k - 1))
+    for d_out in (*hidden, ACTION_COUNTS[arch]):
+        shapes += [(d_out, d), (d_out,)]
+        d = d_out
+    return shapes
 
+
+def build_qnetwork(arch: str, input_shape: tuple[int, int, int], seed: int) -> QNetwork:
+    """Construct a fresh, seeded network for one of the registered archs."""
+    param_shapes(arch, input_shape)  # validates
+    f, m, n = input_shape
+    convs, hidden = LAYOUTS[arch]
+    rng = np.random.default_rng(seed)
+    layers, c = [], f
+    for c_out in convs:
+        layers += [Conv1D(c, c_out, CONV_KERNEL, rng), ReLU()]
+        c = c_out
+    length = n - len(convs) * (CONV_KERNEL - 1)
+    layers.append(Flatten())
+    d, conv_out = c * m * length, (c, m, length)
+    for d_out in hidden:
+        layers += [Dense(d, d_out, rng, conv_out), ReLU()]
+        d, conv_out = d_out, None
+    layers.append(Dense(d, ACTION_COUNTS[arch], rng, conv_out))
+    return QNetwork(arch, input_shape, layers, seed)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import logging
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import fields
@@ -24,14 +25,15 @@ from chainfolio.config import (
     parse_config_text,
     parse_ts,
 )
-from chainfolio.cryptomodule import CmSettings, CryptoModule, DataRanges, derive_seed, save_cm, with_seed
+from chainfolio.cryptomodule import CmSettings, CryptoModule, DataRanges, derive_seed, load_cm, save_cm, with_seed
 from chainfolio.datastore import AssetId, CsvStore, DEFAULT_BAR_INTERVAL, DEFAULT_FILL_LIMIT, MetricTable
 from chainfolio.errors import ConfigError
 from chainfolio.refinery import HorizonConfig
-from chainfolio.rlcore import TrainConfig, build_qnetwork
+from chainfolio.rlcore import ContainerFormatError, TrainConfig, build_qnetwork
 from chainfolio.serial import from_doc, to_doc
 
 from _synth import INTERVAL, bar_ts, make_asset
+from test_cryptomodule import reseal
 
 
 def epoch(y, m, d):
@@ -462,6 +464,35 @@ def test_cli_corrupt_registry_exit_1(tmp_path, capsys, text):
     (registry / "registry.json").write_text(text)
     assert main(["--data-dir", str(tmp_path / "d"), "registry", "list", "--registry", str(registry)]) == 1
     assert "registry" in error_line(capsys.readouterr().err)
+
+
+#: container headers that a valid SHA-256 trailer does not make readable
+BROKEN_HEADERS = {
+    "not an object": lambda h: [h],
+    "no sections": lambda h: {"meta": h["meta"]},
+    "no meta": lambda h: {"sections": h["sections"]},
+    "sections not a list": lambda h: {**h, "sections": {"sam_params": h["sections"][0]["len"]}},
+    "unnamed section": lambda h: {**h, "sections": [{"len": h["sections"][0]["len"]}]},
+    "name not a string": lambda h: {**h, "sections": [{**h["sections"][0], "name": 7}]},
+    "no len": lambda h: {**h, "sections": [{"name": "sam_params"}]},
+    "negative len": lambda h: {**h, "sections": [{"name": "sam_params", "len": -8}]},
+    "len not an int": lambda h: {**h, "sections": [{**h["sections"][0], "len": float(h["sections"][0]["len"])}]},
+}
+
+
+@pytest.mark.parametrize("broken", list(BROKEN_HEADERS))
+def test_cli_registry_add_rejects_a_sealed_module_with_a_broken_header(tmp_path, capsys, broken):
+    path = tmp_path / "AAA.cm"
+    save_cm(allocation_stub("AAA", (0.0, 1.0)), path)
+    blob = path.read_bytes()
+    (length,) = struct.unpack("<I", blob[8:12])
+    header = BROKEN_HEADERS[broken](json.loads(blob[12 : 12 + length]))
+    path.write_bytes(reseal(blob, json.dumps(header).encode()))
+    with pytest.raises(ContainerFormatError):
+        load_cm(path)
+    assert main(["--data-dir", str(tmp_path / "d"), "registry", "add", str(path),
+                 "--registry", str(tmp_path / "registry")]) == 1
+    assert "section" in error_line(capsys.readouterr().err)
 
 
 def test_cli_train_flag_validation(tmp_path, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chainfolio.rlcore.network import CONV_KERNEL, Conv1D, ReLU
+from chainfolio.rlcore.network import CONV_KERNEL, Conv1D, Flatten, ReLU
 
 _windows = np.lib.stride_tricks.sliding_window_view
 
@@ -71,7 +71,8 @@ def test_conv_gradients_accumulate_until_zeroed():
 @pytest.mark.parametrize("shape", list(SHAPES))
 def test_conv_output_is_compact_channel_last_and_relu_keeps_it(shape):
     """The next conv reads Conv1D's output as (B, m, L, C) rows without a
-    copy, and ReLU's output keeps that memory order."""
+    copy, ReLU's output keeps that memory order, and Flatten is a view of
+    it whose gradient comes back in the same order."""
     c_out, c_in, m = SHAPES[shape]
     rng = np.random.default_rng(c_in)
     conv = Conv1D(c_in, c_out, CONV_KERNEL, rng)
@@ -82,3 +83,10 @@ def test_conv_output_is_compact_channel_last_and_relu_keeps_it(shape):
     out = relu.forward(y)
     assert out.transpose(0, 2, 3, 1).flags.c_contiguous
     np.testing.assert_array_equal(out, np.where(y > 0, y, 0.0))
+    flatten = Flatten()
+    flat = flatten.forward(out)
+    assert np.shares_memory(flat, out)
+    np.testing.assert_array_equal(flat, out.transpose(0, 2, 3, 1).reshape(4, -1))
+    back = flatten.backward(flat)
+    assert back.transpose(0, 2, 3, 1).flags.c_contiguous
+    np.testing.assert_array_equal(back, out)

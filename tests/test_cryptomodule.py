@@ -1,7 +1,11 @@
 """Tests for per-asset trading modules: observations, rewards, training, IO."""
 
+import hashlib
+import json
 import math
+import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +33,7 @@ from chainfolio.cryptomodule import (
     with_seed,
 )
 from chainfolio.datastore import AlignedFrame, AssetId
-from chainfolio.errors import ConfigError, DataError
+from chainfolio.errors import ChainfolioError, ConfigError, DataError
 from chainfolio.refinery import HorizonConfig, refine_features
 from chainfolio.rlcore import TrainConfig, build_qnetwork
 from chainfolio.rlcore.container import (
@@ -128,11 +132,13 @@ def test_sam_state_constant_prices_are_ones(rng):
     frame = make_frame(np.full(40, 50.0), {"m0": rng.normal(size=40), "m1": rng.normal(size=40)})
     refined = refine_features(frame, ["m0", "m1"], 4, 5)
     states = build_sam_state(frame, refined, [20], 5)
-    # f = 5 OHLCV channels + 2 padded component channels
-    assert states.shape == (1, 7, 2, 5)
-    crypto, cash = states[0, :, 0, :], states[0, :, 1, :]
+    # f = 5 OHLCV channels + 2 padded component channels; one asset row, the crypto
+    assert states.shape == (1, 7, 1, 5)
+    crypto = states[0, :, 0, :]
     assert np.allclose(crypto[:4], 1.0, atol=1e-12)          # flat prices
     assert np.allclose(crypto[4], 7.0 / (7.0 + 1e-8), atol=1e-12)
+    # the allocation net supplies the cash row: prices are ones, the rest zeros
+    cash = build_qnetwork("sam-4layer", (7, 2, 5), seed=0).riskless[:, 0, :]
     assert np.array_equal(cash[:4], np.ones((4, 5)))
     assert np.array_equal(cash[4:], np.zeros((3, 5)))
 
@@ -158,10 +164,11 @@ def test_sam_state_signal_channel(rng):
     signals = np.full(len(frame), np.nan)
     signals[t - n + 1 : t + 1] = expect
     state = build_sam_state(frame, refined, [t], n, signals)[0]
-    assert state.shape[0] == 5 + refined.c_max + 1
+    assert state.shape == (5 + refined.c_max + 1, 1, n)
     assert np.array_equal(state[-1, 0, :], expect)
-    # cash row carries no signal
-    assert np.array_equal(state[-1, 1, :], np.zeros(n))
+    # the cash row the allocation net supplies carries no signal
+    cash = build_qnetwork("sam-4layer", (state.shape[0], 2, n), seed=0).riskless[:, 0, :]
+    assert np.array_equal(cash[-1], np.zeros(n))
     # a hole in the signal series inside a window is a warm-up problem,
     # also when only one row of a batch sees it
     signals[t - n] = 1.0
@@ -401,7 +408,8 @@ def test_train_cm_with_signal_agent(rng):
     # signal channel widens the observation
     state = build_sam_state(frame, ctx.refined, [first], SMALL.window, ctx.signals)[0]
     assert state.shape[0] == 5 + ctx.refined.c_max + 1
-    assert cm.sam_net.input_shape == state.shape
+    # the net's input adds the riskless row to the state's crypto row
+    assert cm.sam_net.input_shape == (state.shape[0], 2, SMALL.window)
 
 
 @pytest.mark.parametrize("use_eam", [False, True])
@@ -545,4 +553,111 @@ def test_load_cm_missing_meta_key_is_format_error(tmp_path, rng, drop):
     del meta[drop]
     write_container(path, "M", meta, sections)  # valid checksum, broken schema
     with pytest.raises(ContainerFormatError):
+        load_cm(path)
+
+
+# ---------------------------------------------------------------------------
+# Modules written before the allocation net supplied its riskless row
+
+#: ``sam.cm`` (no signal agent) and ``sam_eam.cm`` (signal agent, so the
+#: allocation states carry the signal channel), trained with SMALL on
+#: ``walk_frame(np.random.default_rng(20231))`` by chainfolio at commit
+#: b3cdb84, when states held the cash row.  ``legacy_q.npz`` holds six
+#: states of each net as that version built them, and its Q-values.
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize("name", ["sam", "sam_eam"])
+def test_modules_written_with_two_row_states_load_and_keep_their_q_values(name):
+    cm = load_cm(FIXTURES / f"{name}.cm")
+    legacy = np.load(FIXTURES / "legacy_q.npz")
+    states, q = legacy[f"{name}_states"], legacy[f"{name}_q"]
+    assert cm.sam_net.input_shape == states.shape[1:]
+    # the cash row those states held is the riskless row the net now supplies
+    assert np.array_equal(states[:, :, 1:], np.broadcast_to(cm.sam_net.riskless, states[:, :, 1:].shape))
+    np.testing.assert_allclose(cm.sam_net.forward(states[:, :, :1]), q, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(cm.sam_net.forward(states), q, rtol=1e-12, atol=0)
+    if cm.use_eam:
+        np.testing.assert_allclose(cm.eam_net.forward(legacy["eam_states"]), legacy["eam_q"], rtol=1e-12, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# Damaged module files
+
+
+def reseal(blob: bytes, header: bytes) -> bytes:
+    """Container ``blob`` with its header JSON replaced by ``header`` and a
+    valid SHA-256 trailer."""
+    (length,) = struct.unpack("<I", blob[8:12])
+    prefix = blob[:8] + struct.pack("<I", len(header)) + header + blob[12 + length : -32]
+    return prefix + hashlib.sha256(prefix).digest()
+
+
+def _json_paths(node, at=()):
+    yield at
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, (*at, key))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "module.cm"
+
+
+@given(data=st.data())
+def test_damaged_module_files_raise_only_typed_errors(fuzz_path, data):
+    """Truncated, byte-flipped, or re-sealed with a mutated header: load_cm
+    either loads the file or raises a ChainfolioError."""
+    blob = (FIXTURES / "sam_eam.cm").read_bytes()
+    damage = data.draw(st.sampled_from(["truncate", "flip", "header"]))
+    if damage == "truncate":
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1))]
+    elif damage == "flip":
+        damaged = bytearray(blob)
+        for at, mask in data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255)),
+                                           min_size=1, max_size=4)):
+            damaged[at] ^= mask
+        blob = bytes(damaged)
+        if data.draw(st.booleans()):  # past the checksum, into the parser
+            blob = blob[:-32] + hashlib.sha256(blob[:-32]).digest()
+    else:
+        (length,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12 : 12 + length])
+        path = data.draw(st.sampled_from(list(_json_paths(header))))
+        if not path:
+            header = data.draw(_JSON)
+        else:
+            parent = header
+            for key in path[:-1]:
+                parent = parent[key]
+            if data.draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(_JSON)
+        blob = reseal(blob, json.dumps(header).encode())
+    fuzz_path.write_bytes(blob)
+    try:
+        load_cm(fuzz_path)
+    except ChainfolioError:
+        pass
+
+
+@pytest.mark.parametrize("name", ["sam", "sam_eam"])
+def test_load_cm_rejects_use_eam_without_its_signal_agent(tmp_path, name):
+    """A flipped ``use_eam`` flag fails at load, not as a raw AttributeError in prepare."""
+    blob = (FIXTURES / f"{name}.cm").read_bytes()
+    (length,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12 : 12 + length])
+    header["meta"]["use_eam"] = not header["meta"]["use_eam"]
+    path = tmp_path / "module.cm"
+    path.write_bytes(reseal(blob, json.dumps(header).encode()))
+    with pytest.raises(ContainerFormatError, match="use_eam"):
         load_cm(path)

@@ -149,6 +149,72 @@ def test_backprop_matches_finite_differences(arch, shape, rng):
     net.set_params_flat(theta)
 
 
+def with_riskless_row(net, states):
+    """Crypto-only states (B, f, 1, n) with the net's riskless row written out as row 1."""
+    return np.concatenate([states, np.broadcast_to(net.riskless, states.shape)], axis=2)
+
+
+@pytest.mark.parametrize("batch", [1, 5, 32])
+@pytest.mark.parametrize("f", [15, 16])  # the default allocation states without and with the signal channel
+def test_crypto_only_states_match_states_with_the_riskless_row(f, batch, rng):
+    net = build_qnetwork("sam-4layer", (f, 2, 32), seed=5)
+    assert np.array_equal(net.riskless[:4], np.ones((4, 1, 32)))
+    assert np.array_equal(net.riskless[4:], np.zeros((f - 4, 1, 32)))
+    states = rng.normal(size=(batch, f, 1, 32))
+    np.testing.assert_allclose(net.forward(states), net.forward(with_riskless_row(net, states)), rtol=1e-12, atol=0)
+
+
+def test_riskless_row_needs_a_two_row_allocation_net(rng):
+    for arch, shape in (("eam-1d", (4, 1, 9)), ("sam-4layer", (4, 1, 9)), ("sam-4layer", (4, 3, 9))):
+        net = build_qnetwork(arch, shape, seed=0)
+        assert net.riskless is None
+        if shape[1] != 1:
+            with pytest.raises(DataError):
+                net.forward(rng.normal(size=(2, 4, 1, 9)))
+
+
+def test_backprop_on_crypto_only_states_matches_finite_differences(rng):
+    """The riskless row's gradient, summed over the batch and sent back
+    through its one row, against central differences of the TD loss."""
+    net = build_qnetwork("sam-4layer", (6, 2, 5), seed=11)
+    batch = 3
+    states = rng.normal(size=(batch, 6, 1, 5))
+    actions = rng.integers(net.n_actions, size=batch)
+    targets = rng.normal(size=batch)
+    theta = net.params_flat()
+    _, analytic = _td_loss_grads(net, states, actions, targets)
+    _, explicit = _td_loss_grads(net, with_riskless_row(net, states), actions, targets)
+    np.testing.assert_allclose(analytic, explicit, rtol=1e-9, atol=1e-12)
+    for j in range(theta.size):
+        h = 1e-5 * max(1.0, abs(theta[j]))
+        up, dn = theta.copy(), theta.copy()
+        up[j] += h
+        dn[j] -= h
+        numeric = (
+            _td_loss_only(net, up, states, actions, targets)
+            - _td_loss_only(net, dn, states, actions, targets)
+        ) / (2.0 * h)
+        assert abs(analytic[j] - numeric) <= 1e-4 * max(abs(analytic[j]), abs(numeric), 1e-3)
+    net.set_params_flat(theta)
+
+
+@pytest.mark.parametrize("arch,shape", [("eam-1d", (4, 1, 9)), ("sam-4layer", (6, 2, 9))])
+def test_parameter_vectors_list_the_first_dense_columns_channel_first(arch, shape, rng):
+    """The first dense weight lies in the conv output's memory order (m, L, C);
+    parameter vectors list it (C, m, L), the order of a (B, C, m, L) reshape."""
+    net = build_qnetwork(arch, shape, seed=2)
+    dense = next(layer for layer in net.layers if getattr(layer, "conv_out", None))
+    c, m, length = dense.conv_out
+    offset = sum(p.size for layer in net.layers[: net.layers.index(dense)] for p in layer.params)
+    stored = net.params_flat()[offset : offset + dense.w.size].reshape(len(dense.w), c, m, length)
+    assert np.array_equal(stored.transpose(0, 2, 3, 1).reshape(dense.w.shape), dense.w)
+    twin = build_qnetwork(arch, shape, seed=0)
+    twin.set_params_flat(net.params_flat())
+    assert np.array_equal(twin.params_flat(), net.params_flat())
+    states = rng.normal(size=(4, *shape))
+    assert np.array_equal(twin.forward(states), net.forward(states))
+
+
 # ---------------------------------------------------------------------------
 # Epsilon schedule and policy
 
@@ -361,6 +427,31 @@ def test_target_table_training_is_bit_identical_to_a_target_forward_every_step(a
     ref_net, ref_target = net.clone(), net.clone()
     table = TargetTable(net, states, cfg.batch)
     buffer = ReplayBuffer(states, capacity, seed=4)
+    for step in range(70):
+        j = step % episode
+        buffer.push(j, int(rng.integers(net.n_actions)), float(rng.normal()), j == episode - 1)
+        batch = buffer.sample(cfg.batch)
+        assert train_step(net, table, batch, cfg) == _reference_step(ref_net, ref_target, states, batch, cfg)
+        if (step + 1) % cfg.target_sync == 0:
+            table.sync(net)
+            ref_target.set_params_flat(ref_net.params_flat())
+    assert np.array_equal(net.params_flat(), ref_net.params_flat())
+
+
+@pytest.mark.parametrize("batch_size", [16, 32])
+def test_target_table_on_crypto_only_states_is_bit_identical_to_a_target_forward_every_step(batch_size):
+    """As above, with the default allocation net fed crypto-only states, so
+    table fills and per-step forwards both supply the riskless row; a run of
+    identical states puts batches of copies of one state through both."""
+    rng = np.random.default_rng(batch_size)
+    episode = 45
+    states = rng.normal(size=(episode + 1, 16, 1, 32))
+    states[5:30] = states[5]
+    cfg = TrainConfig(gamma=0.9, lr=0.01, batch=batch_size, target_sync=20)
+    net = build_qnetwork("sam-4layer", DEFAULT_SHAPES["sam-4layer"], seed=3)
+    ref_net, ref_target = net.clone(), net.clone()
+    table = TargetTable(net, states, cfg.batch)
+    buffer = ReplayBuffer(states, 1000, seed=4)
     for step in range(70):
         j = step % episode
         buffer.push(j, int(rng.integers(net.n_actions)), float(rng.normal()), j == episode - 1)
