@@ -51,7 +51,7 @@ from .refinery import (
     rolling_pca,
     select_valid_metrics,
 )
-from .rlcore import QNetwork, ReplayBuffer, TrainConfig, build_qnetwork
+from .rlcore import QNetwork, ReplayBuffer, TrainConfig
 
 __version__ = "0.1.0"
 
@@ -87,7 +87,6 @@ __all__ = [
     "VoteSet",
     "arr",
     "build_eam_state",
-    "build_qnetwork",
     "build_sam_state",
     "correlation_table",
     "drr",

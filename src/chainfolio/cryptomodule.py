@@ -54,7 +54,6 @@ from .rlcore import (
     ReplayBuffer,
     TargetTable,
     TrainConfig,
-    build_qnetwork,
     epsilon_at,
     epsilon_greedy,
     train_step,
@@ -308,7 +307,6 @@ class CryptoModule:
     ranges: DataRanges
     interval: int
     use_eam: bool
-    format_version: int = CM_FORMAT_VERSION
 
     @property
     def warmup_bars(self) -> int:
@@ -427,7 +425,7 @@ def _run_dqn(
     net_seed, action_seed, buffer_seed = seeds
     f, _, n = train_states.shape[1:]
     # allocation states hold the crypto row; the net's input adds the riskless one
-    net = build_qnetwork(arch, (f, 2 if arch == "sam-4layer" else 1, n), net_seed)
+    net = QNetwork(arch, (f, 2 if arch == "sam-4layer" else 1, n), net_seed)
     table = TargetTable(net, train_states, cfg.batch)
     buffer = ReplayBuffer(train_states, settings.buffer_capacity, seed=buffer_seed)
     rng = np.random.default_rng(action_seed)
@@ -441,7 +439,7 @@ def _run_dqn(
         score = _greedy_score(net, *val)
         if score > best_score:
             best_score = score
-            best_params = net.params_flat().copy()
+            best_params = net.params.copy()
 
     j = prev = 0
     for step in range(cfg.max_steps):
@@ -456,7 +454,7 @@ def _run_dqn(
         if (step + 1) % settings.eval_interval == 0:
             checkpoint()
     checkpoint()
-    net.set_params_flat(best_params)
+    np.copyto(net.params, best_params)
     log.info("trained %s for %d steps; best validation score %.6f", arch, cfg.max_steps, best_score)
     return net
 
@@ -559,7 +557,7 @@ def _require_steps(idx_train: np.ndarray, idx_val: np.ndarray, who: str) -> None
 def save_cm(cm: CryptoModule, path: str | Path) -> None:
     """Write the module as a single checksummed container."""
     meta = {
-        "cm_version": cm.format_version,
+        "cm_version": CM_FORMAT_VERSION,
         "asset": to_doc(cm.asset),
         "interval": cm.interval,
         "use_eam": cm.use_eam,
@@ -604,7 +602,6 @@ def _module_from_parts(meta: dict, sections: dict[str, bytes]) -> CryptoModule:
         ranges=from_doc(DataRanges, meta["ranges"]),
         interval=meta["interval"],
         use_eam=meta["use_eam"],
-        format_version=meta["cm_version"],
     )
 
 

@@ -90,8 +90,8 @@ class AssetId:
     def __post_init__(self):
         if not isinstance(self.symbol, str) or not self.symbol.isalnum():
             raise DataError(f"invalid asset symbol {self.symbol!r}")
-        if not isinstance(self.quote, str) or not self.quote:
-            raise DataError("quote currency must be a nonempty string")
+        if not isinstance(self.quote, str) or not self.quote.isalnum():
+            raise DataError(f"invalid quote currency {self.quote!r}")
         object.__setattr__(self, "symbol", self.symbol.upper())
         object.__setattr__(self, "quote", self.quote.upper())
 

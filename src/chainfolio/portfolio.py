@@ -206,10 +206,7 @@ class CmRegistry:
             if doc.get("version") != self.VERSION:
                 raise ConfigError(f"unsupported registry version {doc.get('version')}")
             entries = doc.get("entries")
-            if not isinstance(entries, dict) or not all(
-                isinstance(e, dict) and isinstance(e.get("file"), str) and isinstance(e.get("sha256"), str)
-                for e in entries.values()
-            ):
+            if not isinstance(entries, dict) or not all(_is_entry(key, e) for key, e in entries.items()):
                 raise DataError(f"corrupt registry index {index}: bad 'entries' table")
             self._entries = entries
 
@@ -275,6 +272,17 @@ class CmRegistry:
                 state = f"error: {exc}"
             rows.append((key, entry["file"], state))
         return rows
+
+
+def _is_entry(key: str, entry) -> bool:
+    """An entry as :meth:`CmRegistry.add` writes it: a canonical asset key,
+    its module file ``<key>.cm`` inside the registry, and that file's SHA-256."""
+    try:
+        if AssetId.parse(key).key != key:
+            return False
+    except DataError:
+        return False
+    return isinstance(entry, dict) and entry.get("file") == f"{key}.cm" and isinstance(entry.get("sha256"), str)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +374,7 @@ class BacktestReport:
             raise ConfigError(f"unsupported report version {doc.get('version')}")
         try:
             return cls._from_doc(doc)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise DataError(f"malformed report {path}: bad or missing field {exc!r}") from None
 
     @classmethod
@@ -374,9 +382,9 @@ class BacktestReport:
         curves = {name: np.asarray(doc["curves"][name]) for name in doc["curve_order"]}
         summary = {
             name: SummaryStats(
-                arr=s["arr"],
-                drr=s["drr"],
-                sortino=math.inf if s["sortino"] == "+inf" else s["sortino"],
+                arr=_stat(s["arr"]),
+                drr=_stat(s["drr"]),
+                sortino=math.inf if s["sortino"] == "+inf" else _stat(s["sortino"]),
             )
             for name, s in doc["summary"].items()
         }
@@ -392,6 +400,13 @@ class BacktestReport:
             retrain_events=doc["retrain_events"],
             summary=summary,
         )
+
+
+def _stat(value) -> float:
+    """A summary statistic: a JSON number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"summary statistic {value!r} is not a number")
+    return float(value)
 
 
 def _load_json(path: Path, what: str) -> dict:

@@ -6,7 +6,7 @@ against a per-sync table of target-network values.  Everything is
 deterministic under a fixed seed.
 """
 
-from .network import QNetwork, build_qnetwork
+from .network import QNetwork
 from .replay import Batch, ReplayBuffer
 from .training import (
     DivergenceError,
@@ -26,7 +26,6 @@ from .container import (
 
 __all__ = [
     "QNetwork",
-    "build_qnetwork",
     "Batch",
     "ReplayBuffer",
     "TrainConfig",

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..datastore import atomic_write
 from ..errors import SerializationError
-from .network import QNetwork, build_qnetwork, param_shapes
+from .network import QNetwork, param_shapes
 
 MAGIC = b"CRLM"
 FORMAT_VERSION = 1
@@ -139,6 +139,6 @@ def network_from_parts(meta: dict, params: np.ndarray) -> QNetwork:
     n_params = sum(math.prod(s) for s in shapes)
     if params.size != n_params:
         raise ContainerFormatError(f"expected {n_params} parameters, found {params.size}")
-    net = build_qnetwork(arch, input_shape, meta["seed"])
+    net = QNetwork(arch, input_shape, meta["seed"])
     net.set_params_flat(params)
     return net

@@ -15,6 +15,12 @@ intervals, one asset row), valid padding, stride 1.  All math is float64
 numpy with explicit backward passes, so gradients can be checked against
 finite differences and parameter vectors serialize bit-exactly.
 
+A network owns one parameter vector, ``QNetwork.params``, and one
+gradient vector of the same shape, ``QNetwork.grads``; each layer's
+``w``, ``b``, ``dw`` and ``db`` are reshaped views into them, laid out
+as ``param_shapes`` lists them.  A training step zeroes, clips and
+updates one vector each, and copying a network copies one vector.
+
 A two-row ``sam-4layer`` net, input (f, 2, n), reads asset row 1 as cash:
 ones in the four price channels, zeros elsewhere, in every state.  Given
 crypto-only states (B, f, 1, n) it supplies that row itself
@@ -22,8 +28,10 @@ crypto-only states (B, f, 1, n) it supplies that row itself
 the first dense layer as a bias; (B, f, 2, n) states take the general
 path, and both agree to rounding.  The first dense layer keeps its weight
 columns in the conv output's memory order (asset row, interval, channel),
-so flattening copies nothing.  Parameter vectors, and so ``.cm`` files,
-list them (channel, asset row, interval), as before, so old modules load.
+so flattening copies nothing.  Parameter vectors in ``.cm`` order
+(``params_flat``) list them (channel, asset row, interval), as before, so
+old modules load; ``_cm_order``, derived from ``param_shapes`` and
+``LAYOUTS``, is the one place that maps the two orders.
 
 Results are bit-identical across runs of one version (with the same numpy
 and BLAS), not across versions: reordering float sums, as the shift-and-
@@ -33,27 +41,31 @@ their last bits, so module bytes for the same inputs and seed may change.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ConfigError, DataError
 
 
-class Conv1D:
-    """Convolution along the last (interval) axis, per asset row.
+class _Affine:
+    """A weight and a bias and their gradients, as views into a network's
+    parameter and gradient vectors."""
+
+    def __init__(self, w: np.ndarray, b: np.ndarray, dw: np.ndarray, db: np.ndarray):
+        self.w, self.b, self.dw, self.db = w, b, dw, db
+        self._x = None
+
+
+class Conv1D(_Affine):
+    """Convolution along the last (interval) axis, per asset row; ``w`` is
+    (c_out, c_in, kernel).
 
     Shift-and-matmul over channel-last rows, one row r per (batch,
     asset, interval): tap j adds ``x[r + j] @ w[:, :, j].T`` to output row r.
     The last k - 1 rows of each asset row, whose taps run into the next
     one, are cut from the output and are zero in the backward pass.
     """
-
-    def __init__(self, c_in: int, c_out: int, kernel: int, rng: np.random.Generator):
-        scale = np.sqrt(2.0 / (c_in * kernel))
-        self.w = rng.normal(0.0, scale, size=(c_out, c_in, kernel))
-        self.b = np.zeros(c_out)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
-        self._x, self._x_shape = None, None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         batch, c_in, m, n = x.shape
@@ -88,14 +100,6 @@ class Conv1D:
             dx[j:] += g[: rows - j] @ self.w[:, :, j]
         return dx.reshape(batch, m, n, c_in).transpose(0, 3, 1, 2)
 
-    @property
-    def params(self) -> list[np.ndarray]:
-        return [self.w, self.b]
-
-    @property
-    def grads(self) -> list[np.ndarray]:
-        return [self.dw, self.db]
-
 
 class ReLU:
     def __init__(self):
@@ -107,9 +111,6 @@ class ReLU:
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return dy * self._mask
-
-    params: list[np.ndarray] = []
-    grads: list[np.ndarray] = []
 
 
 class Flatten:
@@ -127,23 +128,12 @@ class Flatten:
         batch, c, m, length = self._shape
         return dy.reshape(batch, m, length, c).transpose(0, 3, 1, 2)
 
-    params: list[np.ndarray] = []
-    grads: list[np.ndarray] = []
 
-
-class Dense:
-    """Affine layer; ``conv_out`` (C, m, L) marks one over a flattened conv
-    output, with weight columns in (m, L, C) order.  Rows one asset row
-    narrower than the weight end with the row that all the others share
-    as their last asset row: its weight block enters once, as a bias."""
-
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, conv_out: tuple | None = None):
-        self.w = rng.normal(0.0, np.sqrt(2.0 / d_in), size=(d_out, d_in))
-        self.b = np.zeros(d_out)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
-        self.conv_out = conv_out
-        self._x = None
+class Dense(_Affine):
+    """Affine layer; over a flattened conv output its weight columns run in
+    (m, L, C) order.  Rows one asset row narrower than the weight end with
+    the row that all the others share as their last asset row: its weight
+    block enters once, as a bias."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
@@ -167,22 +157,15 @@ class Dense:
         dx[-1] = total @ self.w[:, d:]
         return dx
 
-    @property
-    def params(self) -> list[np.ndarray]:
-        return [self.w, self.b]
-
-    @property
-    def grads(self) -> list[np.ndarray]:
-        return [self.dw, self.db]
-
 
 class QNetwork:
-    """A stack of layers mapping a state tensor to action values."""
+    """A fresh, seeded network of a registered architecture, mapping a
+    state tensor to action values."""
 
-    def __init__(self, arch: str, input_shape: tuple[int, int, int], layers: list, seed: int):
+    def __init__(self, arch: str, input_shape: tuple[int, int, int], seed: int):
+        shapes = param_shapes(arch, input_shape)  # validates
         self.arch = arch
         self.input_shape = tuple(input_shape)
-        self.layers = layers
         self.seed = seed
         self.n_actions = ACTION_COUNTS[arch]
         f, m, n = self.input_shape
@@ -190,9 +173,21 @@ class QNetwork:
         if arch == "sam-4layer" and m == 2:
             self.riskless = np.zeros((f, 1, n))
             self.riskless[:4] = 1.0
-        self._cm_order = _cm_order(layers)
-        # the layers drew their weights in parameter-vector order
-        self.set_params_flat(np.concatenate([p.ravel() for p in self.param_arrays()]))
+        ends = np.cumsum([math.prod(s) for s in shapes])
+        self.params, self.grads = np.empty(ends[-1]), np.zeros(ends[-1])
+        p, g = ([a.reshape(s) for a, s in zip(np.split(v, ends[:-1]), shapes)] for v in (self.params, self.grads))
+        n_conv = 2 * len(LAYOUTS[arch][0])  # conv weights and biases come first
+        layers = []
+        for j in range(0, len(shapes), 2):
+            if j == n_conv:
+                layers.append(Flatten())
+            layers += [(Conv1D if j < n_conv else Dense)(p[j], p[j + 1], g[j], g[j + 1]), ReLU()]
+        self.layers = layers[:-1]  # no ReLU after the output layer
+        self._cm_order = _cm_order(arch, self.input_shape)
+        # He-normal weights and zero biases, drawn in parameter-vector order
+        rng = np.random.default_rng(seed)
+        draws = [rng.normal(0.0, np.sqrt(2.0 / math.prod(s[1:])), size=s) if len(s) > 1 else np.zeros(s) for s in shapes]
+        self.set_params_flat(np.concatenate([d.ravel() for d in draws]))
 
     # -- inference / training ------------------------------------------------
 
@@ -223,58 +218,43 @@ class QNetwork:
         self.layers[0].backward(d_out, input_grad=False)
 
     def zero_grads(self) -> None:
-        for layer in self.layers:
-            for g in layer.grads:
-                g[...] = 0.0
+        self.grads.fill(0.0)
 
-    # -- parameter plumbing ----------------------------------------------------
-
-    def param_arrays(self) -> list[np.ndarray]:
-        return [p for layer in self.layers for p in layer.params]
-
-    def grad_arrays(self) -> list[np.ndarray]:
-        return [g for layer in self.layers for g in layer.grads]
+    # -- parameter vectors in .cm order ----------------------------------------
 
     @property
     def n_params(self) -> int:
-        return len(self._cm_order)
+        return self.params.size
 
     def params_flat(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.param_arrays()])[self._cm_order]
+        return self.params[self._cm_order]
 
     def set_params_flat(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64)
         if flat.size != self.n_params:
             raise DataError(f"expected {self.n_params} parameters, got {flat.size}")
-        in_memory = np.empty(self.n_params)
-        in_memory[self._cm_order] = flat
-        offset = 0
-        for p in self.param_arrays():
-            p[...] = in_memory[offset : offset + p.size].reshape(p.shape)
-            offset += p.size
+        self.params[self._cm_order] = flat
 
     def grads_flat(self) -> np.ndarray:
-        return np.concatenate([g.ravel() for g in self.grad_arrays()])[self._cm_order]
+        return self.grads[self._cm_order]
 
     def clone(self) -> "QNetwork":
-        twin = build_qnetwork(self.arch, self.input_shape, self.seed)
-        twin.set_params_flat(self.params_flat())
+        twin = QNetwork(self.arch, self.input_shape, self.seed)
+        np.copyto(twin.params, self.params)
         return twin
 
 
-def _cm_order(layers: list) -> np.ndarray:
-    """For each entry of a parameter vector, its index in the layers'
-    parameters concatenated as they lie in memory: the same, except that
-    a first dense layer's columns run (C, m, L) there and (m, L, C) here."""
-    order = np.arange(sum(p.size for layer in layers for p in layer.params))
-    offset = 0
-    for layer in layers:
-        conv_out = getattr(layer, "conv_out", None)
-        if conv_out is not None:  # its weight is its first parameter
-            c, m, length = conv_out
-            w = order[offset : offset + layer.w.size]
-            w[:] = w.reshape(-1, m, length, c).transpose(0, 3, 1, 2).ravel()
-        offset += sum(p.size for p in layer.params)
+def _cm_order(arch: str, input_shape: tuple[int, int, int]) -> np.ndarray:
+    """For each entry of a parameter vector in ``.cm`` order, its index in
+    ``QNetwork.params``: the same, except that the first dense weight's
+    columns run (C, m, L) there and (m, L, C) here."""
+    shapes = param_shapes(arch, input_shape)
+    first = 2 * len(LAYOUTS[arch][0])  # the first dense weight follows the convs' weights and biases
+    (d_out, d), c, m = shapes[first], shapes[first - 1][0], input_shape[1]
+    order = np.arange(sum(math.prod(s) for s in shapes))
+    lo = sum(math.prod(s) for s in shapes[:first])
+    w = order[lo : lo + d_out * d]
+    w[:] = w.reshape(d_out, m, d // (c * m), c).transpose(0, 3, 1, 2).ravel()
     return order
 
 
@@ -305,23 +285,3 @@ def param_shapes(arch: str, input_shape: tuple[int, int, int]) -> list[tuple[int
         shapes += [(d_out, d), (d_out,)]
         d = d_out
     return shapes
-
-
-def build_qnetwork(arch: str, input_shape: tuple[int, int, int], seed: int) -> QNetwork:
-    """Construct a fresh, seeded network for one of the registered archs."""
-    param_shapes(arch, input_shape)  # validates
-    f, m, n = input_shape
-    convs, hidden = LAYOUTS[arch]
-    rng = np.random.default_rng(seed)
-    layers, c = [], f
-    for c_out in convs:
-        layers += [Conv1D(c, c_out, CONV_KERNEL, rng), ReLU()]
-        c = c_out
-    length = n - len(convs) * (CONV_KERNEL - 1)
-    layers.append(Flatten())
-    d, conv_out = c * m * length, (c, m, length)
-    for d_out in hidden:
-        layers += [Dense(d, d_out, rng, conv_out), ReLU()]
-        d, conv_out = d_out, None
-    layers.append(Dense(d, ACTION_COUNTS[arch], rng, conv_out))
-    return QNetwork(arch, input_shape, layers, seed)

@@ -85,7 +85,9 @@ class TargetTable:
 
     def sync(self, net: QNetwork) -> None:
         """Freeze a bit-exact copy of ``net``'s parameters; forget every value."""
-        self.net.set_params_flat(net.params_flat())
+        if (net.arch, net.input_shape) != (self.net.arch, self.net.input_shape):
+            raise DataError(f"cannot sync a {self.net.arch} {self.net.input_shape} table from {net.arch} {net.input_shape}")
+        np.copyto(self.net.params, net.params)
         self._filled[:] = False
 
     def max_q(self, indices: np.ndarray) -> np.ndarray:
@@ -125,9 +127,7 @@ def train_step(net: QNetwork, table: TargetTable, batch: Batch, cfg: TrainConfig
     net.zero_grads()
     net.backward(d_q)
 
-    grads = net.grad_arrays()
-    norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+    norm = float(np.linalg.norm(net.grads))
     scale = cfg.grad_clip / norm if norm > cfg.grad_clip else 1.0
-    for p, g in zip(net.param_arrays(), grads):
-        p -= cfg.lr * scale * g
+    net.params -= cfg.lr * scale * net.grads
     return loss

@@ -38,7 +38,7 @@ from chainfolio.refinery import (
     rolling_pca,
     select_valid_metrics,
 )
-from chainfolio.rlcore import TrainConfig, build_qnetwork
+from chainfolio.rlcore import QNetwork, TrainConfig
 
 from _synth import (
     INTERVAL,
@@ -287,7 +287,7 @@ def test_criterion_05_gradients_match_finite_differences():
     worst = 0.0
     for arch, shape, seed in cases:
         rng = np.random.default_rng(seed)
-        net = build_qnetwork(arch, shape, seed)
+        net = QNetwork(arch, shape, seed)
         states = rng.normal(size=(2, *shape))
         actions = rng.integers(net.n_actions, size=2)
         targets = rng.normal(size=2)

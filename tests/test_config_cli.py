@@ -29,7 +29,7 @@ from chainfolio.cryptomodule import CmSettings, CryptoModule, DataRanges, derive
 from chainfolio.datastore import AssetId, CsvStore, DEFAULT_BAR_INTERVAL, DEFAULT_FILL_LIMIT, MetricTable
 from chainfolio.errors import ConfigError
 from chainfolio.refinery import HorizonConfig
-from chainfolio.rlcore import ContainerFormatError, TrainConfig, build_qnetwork
+from chainfolio.rlcore import ContainerFormatError, QNetwork, TrainConfig
 from chainfolio.serial import from_doc, to_doc
 
 from _synth import INTERVAL, bar_ts, make_asset
@@ -333,7 +333,7 @@ def allocation_stub(symbol, bias, seed=0):
         window=5,
         train=TrainConfig(seed=seed),
     )
-    net = build_qnetwork("sam-4layer", (7, 2, 5), seed)
+    net = QNetwork("sam-4layer", (7, 2, 5), seed)
     net.layers[-1].w[...] = 0.0
     net.layers[-1].b[...] = [float(bias[0]), float(bias[1])]
     return CryptoModule(
@@ -441,22 +441,53 @@ def test_cli_store_is_utf8_whatever_the_locale(tmp_path):
     ingest(tmp_path / "ascii", PYTHONUTF8="0", LC_ALL="C")
 
 
+def report_with_summary(**stats) -> str:
+    """A well-formed one-curve report.json whose summary holds ``stats``."""
+    doc = {"version": 1, "config": {}, "curve_order": ["strategy"], "timestamps": [0], "curves": {"strategy": [1.0]},
+           "returns": [0.0], "events": [], "action_logs": {}, "retrain_events": [],
+           "summary": {"strategy": {"arr": 0.5, "drr": 0.001, "sortino": "+inf", **stats}}}
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "text",
     ['{"version": 1, "curve_order": [', '{"version": 1}', "[1, 2]", b"\xff\xfe",
-     '{"version": 1, "curve_order": ["strategy"], "curves": {}}'],
+     '{"version": 1, "curve_order": ["strategy"], "curves": {}}',
+     report_with_summary(arr="x"), report_with_summary(arr=None), report_with_summary(drr=True),
+     report_with_summary(drr=[0.1]), report_with_summary(sortino="-inf"), report_with_summary(sortino={}),
+     report_with_summary(arr=10**400)],
 )
 def test_cli_corrupt_report_exit_1(tmp_path, capsys, text):
     out = tmp_path / "report"
     out.mkdir()
     path = out / "report.json"
     path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
-    assert main(["report", "--report", str(out)]) == 1
-    assert "report" in error_line(capsys.readouterr().err)
+    for fmt in ("text", "csv"):
+        assert main(["report", "--report", str(out), "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert "report" in error_line(captured.err) and captured.out == ""
+
+
+def test_cli_report_reads_a_well_formed_summary(tmp_path, capsys):
+    out = tmp_path / "report"
+    out.mkdir()
+    (out / "report.json").write_text(report_with_summary(arr=1, sortino=2.5))
+    assert main(["report", "--report", str(out), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "metric,strategy\narr,1.0\ndrr,0.001\nsortino,2.5\n"
+    (out / "report.json").write_text(report_with_summary())
+    assert main(["report", "--report", str(out)]) == 0
+    assert "+inf" in capsys.readouterr().out
+
+
+#: a registry entry whose module file lies outside the registry
+ESCAPING_ENTRY = '{"version": 1, "entries": {"AAA-USDT": {"file": "../victim.txt", "sha256": "0"}}}'
 
 
 @pytest.mark.parametrize(
-    "text", ['{"version": 1, "entries": {', '{"version": 1}', '"registry"', '{"version": 1, "entries": {"A": 3}}']
+    "text", ['{"version": 1, "entries": {', '{"version": 1}', '"registry"', '{"version": 1, "entries": {"A": 3}}',
+             ESCAPING_ENTRY,
+             '{"version": 1, "entries": {"../AAA-USDT": {"file": "../AAA-USDT.cm", "sha256": "0"}}}',
+             '{"version": 1, "entries": {"AAA-../../USDT": {"file": "AAA-../../USDT.cm", "sha256": "0"}}}']
 )
 def test_cli_corrupt_registry_exit_1(tmp_path, capsys, text):
     registry = tmp_path / "registry"
@@ -464,6 +495,17 @@ def test_cli_corrupt_registry_exit_1(tmp_path, capsys, text):
     (registry / "registry.json").write_text(text)
     assert main(["--data-dir", str(tmp_path / "d"), "registry", "list", "--registry", str(registry)]) == 1
     assert "registry" in error_line(capsys.readouterr().err)
+
+
+def test_cli_registry_remove_keeps_files_outside_the_registry(tmp_path, capsys):
+    registry = tmp_path / "registry"
+    registry.mkdir()
+    (registry / "registry.json").write_text(ESCAPING_ENTRY)
+    victim = tmp_path / "victim.txt"
+    victim.write_text("keep me")
+    assert main(["--data-dir", str(tmp_path / "d"), "registry", "remove", "AAA", "--registry", str(registry)]) == 1
+    assert "registry" in error_line(capsys.readouterr().err)
+    assert victim.read_text() == "keep me"
 
 
 #: container headers that a valid SHA-256 trailer does not make readable

@@ -22,6 +22,12 @@ def reference_backward(x, w, dy):
     return dw, db, dx
 
 
+def make_conv(c_in, c_out, rng):
+    """A standalone layer with a He-normal weight and a zero bias."""
+    w = rng.normal(0.0, np.sqrt(2.0 / (c_in * CONV_KERNEL)), size=(c_out, c_in, CONV_KERNEL))
+    return Conv1D(w, np.zeros(c_out), np.zeros_like(w), np.zeros(c_out))
+
+
 def assert_close(actual, desired):
     """rtol 1e-12, with an absolute floor at 1e-12 of the largest entry: where
     terms cancel, a reordered sum differs by an ulp of the terms, not of the result."""
@@ -39,7 +45,7 @@ def test_conv_matches_einsum_reference(shape, batch):
     c_out, c_in, m = SHAPES[shape]
     n = 32
     rng = np.random.default_rng(batch + c_in)
-    conv = Conv1D(c_in, c_out, CONV_KERNEL, rng)
+    conv = make_conv(c_in, c_out, rng)
     conv.b[...] = rng.normal(size=c_out)
     x = rng.normal(size=(batch, c_in, m, n))
     dy = rng.normal(size=(batch, c_out, m, n - CONV_KERNEL + 1))
@@ -58,7 +64,7 @@ def test_conv_matches_einsum_reference(shape, batch):
 
 def test_conv_gradients_accumulate_until_zeroed():
     rng = np.random.default_rng(3)
-    conv = Conv1D(2, 3, CONV_KERNEL, rng)
+    conv = make_conv(2, 3, rng)
     y = conv.forward(rng.normal(size=(2, 2, 2, 5)))
     dy = rng.normal(size=y.shape)
     conv.backward(dy)
@@ -75,7 +81,7 @@ def test_conv_output_is_compact_channel_last_and_relu_keeps_it(shape):
     it whose gradient comes back in the same order."""
     c_out, c_in, m = SHAPES[shape]
     rng = np.random.default_rng(c_in)
-    conv = Conv1D(c_in, c_out, CONV_KERNEL, rng)
+    conv = make_conv(c_in, c_out, rng)
     y = conv.forward(rng.normal(size=(4, c_in, m, 32)))
     assert y.shape == (4, c_out, m, 32 - CONV_KERNEL + 1)
     assert y.transpose(0, 2, 3, 1).flags.c_contiguous

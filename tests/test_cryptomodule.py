@@ -35,7 +35,7 @@ from chainfolio.cryptomodule import (
 from chainfolio.datastore import AlignedFrame, AssetId
 from chainfolio.errors import ChainfolioError, ConfigError, DataError
 from chainfolio.refinery import HorizonConfig, refine_features
-from chainfolio.rlcore import TrainConfig, build_qnetwork
+from chainfolio.rlcore import QNetwork, TrainConfig
 from chainfolio.rlcore.container import (
     ChecksumMismatchError,
     ContainerFormatError,
@@ -138,7 +138,7 @@ def test_sam_state_constant_prices_are_ones(rng):
     assert np.allclose(crypto[:4], 1.0, atol=1e-12)          # flat prices
     assert np.allclose(crypto[4], 7.0 / (7.0 + 1e-8), atol=1e-12)
     # the allocation net supplies the cash row: prices are ones, the rest zeros
-    cash = build_qnetwork("sam-4layer", (7, 2, 5), seed=0).riskless[:, 0, :]
+    cash = QNetwork("sam-4layer", (7, 2, 5), seed=0).riskless[:, 0, :]
     assert np.array_equal(cash[:4], np.ones((4, 5)))
     assert np.array_equal(cash[4:], np.zeros((3, 5)))
 
@@ -167,7 +167,7 @@ def test_sam_state_signal_channel(rng):
     assert state.shape == (5 + refined.c_max + 1, 1, n)
     assert np.array_equal(state[-1, 0, :], expect)
     # the cash row the allocation net supplies carries no signal
-    cash = build_qnetwork("sam-4layer", (state.shape[0], 2, n), seed=0).riskless[:, 0, :]
+    cash = QNetwork("sam-4layer", (state.shape[0], 2, n), seed=0).riskless[:, 0, :]
     assert np.array_equal(cash[-1], np.zeros(n))
     # a hole in the signal series inside a window is a warm-up problem,
     # also when only one row of a batch sees it
@@ -277,7 +277,7 @@ def rigged_module(frame, bias, seed=0):
         train=TrainConfig(seed=seed),
     )
     names = sorted(frame.metric_names)[:2]
-    net = build_qnetwork("sam-4layer", (5 + len(names), 2, 5), seed)
+    net = QNetwork("sam-4layer", (5 + len(names), 2, 5), seed)
     head = net.layers[-1]
     head.w[...] = 0.0
     head.b[...] = np.asarray(bias, dtype=np.float64)
@@ -421,7 +421,7 @@ def test_training_episodes_equal_one_row_builds(rng, monkeypatch, use_eam):
 
     def record(arch, train, val, settings, seeds):
         episodes[arch] = (train[0], val[0])
-        return build_qnetwork(arch, train[0].shape[1:], seeds[0])  # untrained is enough here
+        return QNetwork(arch, train[0].shape[1:], seeds[0])  # untrained is enough here
 
     monkeypatch.setattr(cryptomodule, "_run_dqn", record)
     frame = walk_frame(rng)

@@ -56,6 +56,11 @@ def test_asset_id_rejects_bad_symbols():
         AssetId("")
     with pytest.raises(DataError):
         AssetId("B TC")
+    for quote in ("", "US/DT", ".."):  # a key names store and registry paths
+        with pytest.raises(DataError):
+            AssetId("BTC", quote)
+    with pytest.raises(DataError):
+        AssetId.parse("BTC-../../USDT")
 
 
 @pytest.mark.parametrize(

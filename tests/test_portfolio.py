@@ -1,11 +1,14 @@
 """Tests for vote composition, fee accounting, registry, backtests, retraining."""
 
+import json
 import os
+import shutil
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chainfolio import cli
 from chainfolio.config import RunConfig
@@ -18,8 +21,8 @@ from chainfolio.cryptomodule import (
     train_cm,
 )
 from chainfolio.datastore import AssetId, CsvStore
-from chainfolio.errors import ConfigError, DataError
-from chainfolio.metrics import write_curves_csv
+from chainfolio.errors import ChainfolioError, ConfigError, DataError
+from chainfolio.metrics import stats_csv, write_curves_csv
 from chainfolio.portfolio import (
     BacktestConfig,
     BacktestReport,
@@ -34,9 +37,10 @@ from chainfolio.portfolio import (
     vote_weights,
 )
 from chainfolio.refinery import HorizonConfig, refine_features, select_valid_metrics
-from chainfolio.rlcore import TrainConfig, build_qnetwork
+from chainfolio.rlcore import QNetwork, TrainConfig
 
 from _synth import INTERVAL, bar_ts, make_asset
+from test_cryptomodule import _JSON, _json_paths
 
 
 def bt_config(assets, start_ts, end_ts, **changes) -> BacktestConfig:
@@ -200,7 +204,7 @@ def rigged_cm(symbol, bias, seed=0):
         window=5,
         train=TrainConfig(seed=seed),
     )
-    net = build_qnetwork("sam-4layer", (7, 2, 5), seed)
+    net = QNetwork("sam-4layer", (7, 2, 5), seed)
     net.layers[-1].w[...] = 0.0
     net.layers[-1].b[...] = np.asarray(bias, dtype=np.float64)
     return CryptoModule(
@@ -464,6 +468,96 @@ def test_report_bytes_are_reproducible(tmp_path):
     run_backtest({keys[0]: flip_every(2)}, cfg, store).write(out2)
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
     assert (out1 / "curves.csv").read_bytes() == (out2 / "curves.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Damaged JSON artifacts
+
+
+@pytest.fixture(scope="module")
+def json_artifacts(tmp_path_factory):
+    """A registry of two modules and a backtest report as the program writes
+    them, and a scratch directory that each example overwrites."""
+    root = tmp_path_factory.mktemp("json_fuzz")
+    registry = CmRegistry(root / "registry")
+    for symbol in ("AAA", "BBB"):
+        save_cm(rigged_cm(symbol, [1.0, 0.0]), root / f"{symbol}.cm")
+        registry.add(root / f"{symbol}.cm")
+    store, keys = seed_store(root, ["AAA"])
+    cfg = bt_config(assets=keys, start_ts=bar_ts(0), end_ts=bar_ts(6), rebalance_interval=2)
+    run_backtest({keys[0]: flip_every(2)}, cfg, store).write(root / "report")
+    return root
+
+
+def damaged_json(data, blob: bytes, values=_JSON) -> bytes:
+    """JSON text ``blob`` truncated, byte-flipped, or with one value (picked
+    under a top-level key first) replaced by one of ``values`` or deleted."""
+    damage = data.draw(st.sampled_from(["truncate", "flip", "value"]))
+    if damage == "truncate":
+        return blob[: data.draw(st.integers(0, len(blob) - 1))]
+    if damage == "flip":
+        damaged = bytearray(blob)
+        for at, mask in data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255)),
+                                           min_size=1, max_size=4)):
+            damaged[at] ^= mask
+        return bytes(damaged)
+    doc = json.loads(blob)
+    top = data.draw(st.sampled_from(sorted(doc)))
+    path = data.draw(st.sampled_from([(), *_json_paths(doc[top], (top,))]))
+    if not path:
+        doc = data.draw(values)
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(values)
+    return json.dumps(doc).encode()
+
+
+#: module file names a damaged registry entry might hold
+FILE_NAMES = ["", ".", "..", "../victim.cm", "BBB-USDT.cm", "registry.json"]
+
+
+@settings(max_examples=400)  # about one example in a hundred puts a file name into an entry
+@given(data=st.data())
+def test_damaged_registry_index_raises_only_typed_errors(json_artifacts, data):
+    """Loading, listing and removing through a damaged registry.json either
+    work or raise a ChainfolioError, and touch nothing outside the registry."""
+    registry = json_artifacts / "scratch" / "registry"
+    shutil.rmtree(registry.parent, ignore_errors=True)
+    shutil.copytree(json_artifacts / "registry", registry)
+    (registry.parent / "victim.cm").write_text("not the registry's")
+    index = registry / "registry.json"
+    index.write_bytes(damaged_json(data, index.read_bytes(), st.sampled_from(FILE_NAMES) | _JSON))
+    try:
+        reg = CmRegistry(registry)
+        reg.status()
+    except ChainfolioError:
+        return
+    for asset in ("AAA", "BBB-USDT", "CCC"):
+        try:
+            reg.remove(asset)
+        except ChainfolioError:
+            pass
+    assert sorted(path.name for path in registry.parent.iterdir()) == ["registry", "victim.cm"]
+
+
+@given(data=st.data())
+def test_damaged_report_raises_only_typed_errors(json_artifacts, data):
+    """A damaged report.json either loads and renders in both formats or
+    raises a ChainfolioError."""
+    out = json_artifacts / "scratch" / "report"
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "report.json").write_bytes(damaged_json(data, (json_artifacts / "report" / "report.json").read_bytes()))
+    try:
+        report = BacktestReport.load(out)
+        report.table()
+        stats_csv(report.summary)
+    except ChainfolioError:
+        pass
 
 
 # ---------------------------------------------------------------------------

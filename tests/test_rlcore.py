@@ -1,6 +1,7 @@
 """Tests for the numpy Q-network stack, DQN pieces, and model container."""
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -12,11 +13,11 @@ from chainfolio.rlcore import (
     ContainerFormatError,
     DivergenceError,
     Batch,
+    QNetwork,
     ReplayBuffer,
     TargetTable,
     TrainConfig,
     UnsupportedVersionError,
-    build_qnetwork,
     epsilon_at,
     epsilon_greedy,
     read_container,
@@ -24,6 +25,7 @@ from chainfolio.rlcore import (
     write_container,
 )
 from chainfolio.rlcore.container import network_from_parts, network_meta, params_from_bytes, params_to_bytes
+from chainfolio.rlcore.network import CONV_KERNEL, Conv1D, Dense, param_shapes
 
 EAM_SHAPE = (3, 1, 6)
 SAM_SHAPE = (2, 2, 5)
@@ -39,27 +41,48 @@ def rand_state(rng, shape):
 
 def test_build_qnetwork_validation():
     with pytest.raises(ConfigError):
-        build_qnetwork("mystery", (2, 1, 8), 0)
+        QNetwork("mystery", (2, 1, 8), 0)
     with pytest.raises(ConfigError):
-        build_qnetwork("eam-1d", (2, 1, 2), 0)  # shorter than the kernel
+        QNetwork("eam-1d", (2, 1, 2), 0)  # shorter than the kernel
     with pytest.raises(ConfigError):
-        build_qnetwork("sam-4layer", (2, 1, 4), 0)  # two stacked kernels need 5
+        QNetwork("sam-4layer", (2, 1, 4), 0)  # two stacked kernels need 5
     with pytest.raises(ConfigError):
-        build_qnetwork("eam-1d", (0, 1, 8), 0)
+        QNetwork("eam-1d", (0, 1, 8), 0)
 
 
 def test_network_action_counts_and_seeding():
-    eam = build_qnetwork("eam-1d", EAM_SHAPE, seed=7)
-    sam = build_qnetwork("sam-4layer", SAM_SHAPE, seed=7)
+    eam = QNetwork("eam-1d", EAM_SHAPE, seed=7)
+    sam = QNetwork("sam-4layer", SAM_SHAPE, seed=7)
     assert eam.n_actions == 3 and sam.n_actions == 2
-    twin = build_qnetwork("eam-1d", EAM_SHAPE, seed=7)
+    twin = QNetwork("eam-1d", EAM_SHAPE, seed=7)
     assert np.array_equal(eam.params_flat(), twin.params_flat())
-    other = build_qnetwork("eam-1d", EAM_SHAPE, seed=8)
+    other = QNetwork("eam-1d", EAM_SHAPE, seed=8)
     assert not np.array_equal(eam.params_flat(), other.params_flat())
 
 
+@pytest.mark.parametrize("arch,shape", [("eam-1d", EAM_SHAPE), ("sam-4layer", SAM_SHAPE)])
+def test_layer_parameters_are_views_of_the_network_vectors(arch, shape):
+    """Each layer's w, b, dw and db lie in net.params and net.grads, in the
+    order and with the shapes param_shapes lists, covering both vectors."""
+    net = QNetwork(arch, shape, seed=4)
+    layers = [layer for layer in net.layers if isinstance(layer, (Conv1D, Dense))]
+    assert [s for layer in layers for s in (layer.w.shape, layer.b.shape)] == param_shapes(arch, shape)
+    assert net.grads.shape == net.params.shape == (net.n_params,)
+    offset = 0
+    for layer in layers:
+        for p, g in ((layer.w, layer.dw), (layer.b, layer.db)):
+            assert np.shares_memory(p, net.params) and np.shares_memory(g, net.grads)
+            assert np.array_equal(p.ravel(), net.params[offset : offset + p.size])
+            g[...] = 1.0
+            assert np.all(net.grads[offset : offset + g.size] == 1.0)
+            offset += p.size
+    assert offset == net.n_params
+    net.zero_grads()
+    assert not net.grads.any()
+
+
 def test_zeroed_head_gives_zero_q(rng):
-    net = build_qnetwork("sam-4layer", SAM_SHAPE, seed=1)
+    net = QNetwork("sam-4layer", SAM_SHAPE, seed=1)
     head = net.layers[-1]
     head.w[...] = 0.0
     head.b[...] = 0.0
@@ -68,7 +91,7 @@ def test_zeroed_head_gives_zero_q(rng):
 
 
 def test_batched_forward_matches_single(rng):
-    net = build_qnetwork("eam-1d", EAM_SHAPE, seed=3)
+    net = QNetwork("eam-1d", EAM_SHAPE, seed=3)
     states = rng.normal(size=(6, *EAM_SHAPE))
     batched = net.forward(states)
     for i in range(6):
@@ -76,7 +99,7 @@ def test_batched_forward_matches_single(rng):
 
 
 def test_forward_shape_check(rng):
-    net = build_qnetwork("eam-1d", EAM_SHAPE, seed=3)
+    net = QNetwork("eam-1d", EAM_SHAPE, seed=3)
     with pytest.raises(DataError):
         net.forward(rng.normal(size=(2, 3, 1, 7)))
     with pytest.raises(DataError):
@@ -111,7 +134,7 @@ def _td_loss_only(net, theta, states, actions, targets):
 def test_backward_without_state_gradient_keeps_parameter_gradients(arch, shape, rng):
     """QNetwork.backward skips the first layer's input gradient; every
     parameter gradient is bit-identical to a full chain through each layer."""
-    net = build_qnetwork(arch, shape, seed=3)
+    net = QNetwork(arch, shape, seed=3)
     states = rng.normal(size=(16, *shape))
     d_q = rng.normal(size=(16, net.n_actions))
     net.forward(states)
@@ -129,7 +152,7 @@ def test_backward_without_state_gradient_keeps_parameter_gradients(arch, shape, 
 
 @pytest.mark.parametrize("arch,shape", [("eam-1d", (2, 1, 5)), ("sam-4layer", (2, 2, 5))])
 def test_backprop_matches_finite_differences(arch, shape, rng):
-    net = build_qnetwork(arch, shape, seed=11)
+    net = QNetwork(arch, shape, seed=11)
     batch = 3
     states = rng.normal(size=(batch, *shape))
     actions = rng.integers(net.n_actions, size=batch)
@@ -157,7 +180,7 @@ def with_riskless_row(net, states):
 @pytest.mark.parametrize("batch", [1, 5, 32])
 @pytest.mark.parametrize("f", [15, 16])  # the default allocation states without and with the signal channel
 def test_crypto_only_states_match_states_with_the_riskless_row(f, batch, rng):
-    net = build_qnetwork("sam-4layer", (f, 2, 32), seed=5)
+    net = QNetwork("sam-4layer", (f, 2, 32), seed=5)
     assert np.array_equal(net.riskless[:4], np.ones((4, 1, 32)))
     assert np.array_equal(net.riskless[4:], np.zeros((f - 4, 1, 32)))
     states = rng.normal(size=(batch, f, 1, 32))
@@ -166,7 +189,7 @@ def test_crypto_only_states_match_states_with_the_riskless_row(f, batch, rng):
 
 def test_riskless_row_needs_a_two_row_allocation_net(rng):
     for arch, shape in (("eam-1d", (4, 1, 9)), ("sam-4layer", (4, 1, 9)), ("sam-4layer", (4, 3, 9))):
-        net = build_qnetwork(arch, shape, seed=0)
+        net = QNetwork(arch, shape, seed=0)
         assert net.riskless is None
         if shape[1] != 1:
             with pytest.raises(DataError):
@@ -176,7 +199,7 @@ def test_riskless_row_needs_a_two_row_allocation_net(rng):
 def test_backprop_on_crypto_only_states_matches_finite_differences(rng):
     """The riskless row's gradient, summed over the batch and sent back
     through its one row, against central differences of the TD loss."""
-    net = build_qnetwork("sam-4layer", (6, 2, 5), seed=11)
+    net = QNetwork("sam-4layer", (6, 2, 5), seed=11)
     batch = 3
     states = rng.normal(size=(batch, 6, 1, 5))
     actions = rng.integers(net.n_actions, size=batch)
@@ -202,13 +225,15 @@ def test_backprop_on_crypto_only_states_matches_finite_differences(rng):
 def test_parameter_vectors_list_the_first_dense_columns_channel_first(arch, shape, rng):
     """The first dense weight lies in the conv output's memory order (m, L, C);
     parameter vectors list it (C, m, L), the order of a (B, C, m, L) reshape."""
-    net = build_qnetwork(arch, shape, seed=2)
-    dense = next(layer for layer in net.layers if getattr(layer, "conv_out", None))
-    c, m, length = dense.conv_out
-    offset = sum(p.size for layer in net.layers[: net.layers.index(dense)] for p in layer.params)
+    net = QNetwork(arch, shape, seed=2)
+    dense = next(layer for layer in net.layers if isinstance(layer, Dense))
+    shapes = param_shapes(arch, shape)
+    first = next(i for i, s in enumerate(shapes) if len(s) == 2)  # the first dense weight
+    c, m, length = shapes[first - 1][0], shape[1], shape[2] - first // 2 * (CONV_KERNEL - 1)
+    offset = sum(math.prod(s) for s in shapes[:first])
     stored = net.params_flat()[offset : offset + dense.w.size].reshape(len(dense.w), c, m, length)
     assert np.array_equal(stored.transpose(0, 2, 3, 1).reshape(dense.w.shape), dense.w)
-    twin = build_qnetwork(arch, shape, seed=0)
+    twin = QNetwork(arch, shape, seed=0)
     twin.set_params_flat(net.params_flat())
     assert np.array_equal(twin.params_flat(), net.params_flat())
     states = rng.normal(size=(4, *shape))
@@ -275,7 +300,7 @@ def make_batch(rng, shape, n_actions, size, terminal=False, reward=None):
 
 
 def test_train_step_gamma_zero_loss_is_reward_mse(rng):
-    net = build_qnetwork("eam-1d", EAM_SHAPE, seed=2)
+    net = QNetwork("eam-1d", EAM_SHAPE, seed=2)
     batch, next_states = make_batch(rng, EAM_SHAPE, 3, 4)
     expect = np.mean(
         [(net.forward(s[None])[0][a] - r) ** 2 for s, a, r in zip(batch.states, batch.actions, batch.rewards)]
@@ -289,8 +314,8 @@ def test_train_step_terminal_ignores_next_state(rng):
     cfg = TrainConfig(gamma=0.9, lr=1e-3)
     batch, next_states = make_batch(rng, EAM_SHAPE, 3, 4, terminal=True)
     other_next_states = rng.normal(size=next_states.shape)
-    net1 = build_qnetwork("eam-1d", EAM_SHAPE, seed=5)
-    net2 = build_qnetwork("eam-1d", EAM_SHAPE, seed=5)
+    net1 = QNetwork("eam-1d", EAM_SHAPE, seed=5)
+    net2 = QNetwork("eam-1d", EAM_SHAPE, seed=5)
     l1 = train_step(net1, TargetTable(net1, next_states, 4), batch, cfg)
     l2 = train_step(net2, TargetTable(net2, other_next_states, 4), batch, cfg)
     assert l1 == l2
@@ -298,7 +323,7 @@ def test_train_step_terminal_ignores_next_state(rng):
 
 
 def test_train_step_converges_on_single_transition(rng):
-    net = build_qnetwork("eam-1d", (2, 1, 3), seed=4)
+    net = QNetwork("eam-1d", (2, 1, 3), seed=4)
     tr, next_states = make_batch(rng, (2, 1, 3), 1, 1, terminal=True, reward=1.0)
     table = TargetTable(net, next_states, 1)
     cfg = TrainConfig(gamma=0.5, lr=0.05)
@@ -312,7 +337,7 @@ def test_train_step_converges_on_single_transition(rng):
 
 
 def test_train_step_clips_global_gradient_norm(rng):
-    net = build_qnetwork("eam-1d", EAM_SHAPE, seed=6)
+    net = QNetwork("eam-1d", EAM_SHAPE, seed=6)
     # enormous rewards force the unclipped gradient norm far above the cap
     batch, next_states = make_batch(rng, EAM_SHAPE, 1, 4, terminal=True, reward=1e6)
     cfg = TrainConfig(gamma=0.9, lr=1e-3, grad_clip=10.0)
@@ -322,8 +347,21 @@ def test_train_step_clips_global_gradient_norm(rng):
     assert step_norm == pytest.approx(cfg.lr * cfg.grad_clip, rel=1e-9)
 
 
+@pytest.mark.parametrize("arch,shape", [("eam-1d", EAM_SHAPE), ("sam-4layer", SAM_SHAPE)])
+def test_train_step_updates_the_parameter_vector_in_place(arch, shape, rng):
+    net = QNetwork(arch, shape, seed=6)
+    params, grads = net.params, net.grads
+    before = params.copy()
+    batch, next_states = make_batch(rng, shape, net.n_actions, 4)
+    train_step(net, TargetTable(net, next_states, 4), batch, TrainConfig(gamma=0.9, lr=1e-2, grad_clip=1e12))
+    assert net.params is params and net.grads is grads
+    assert not np.array_equal(params, before)
+    assert np.array_equal(params, before - 1e-2 * grads)
+    assert all(np.shares_memory(layer.w, params) for layer in net.layers if isinstance(layer, (Conv1D, Dense)))
+
+
 def test_train_step_empty_batch(rng):
-    net = build_qnetwork("eam-1d", EAM_SHAPE, seed=6)
+    net = QNetwork("eam-1d", EAM_SHAPE, seed=6)
     batch, next_states = make_batch(rng, EAM_SHAPE, 3, 0)
     with pytest.raises(DataError):
         train_step(net, TargetTable(net, next_states, 1), batch, TrainConfig())
@@ -331,7 +369,7 @@ def test_train_step_empty_batch(rng):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_step_divergence_error(rng):
-    net = build_qnetwork("eam-1d", EAM_SHAPE, seed=6)
+    net = QNetwork("eam-1d", EAM_SHAPE, seed=6)
     net.set_params_flat(np.full(net.n_params, 1e200))
     batch, next_states = make_batch(rng, EAM_SHAPE, 3, 2)
     with pytest.raises(DivergenceError):
@@ -354,7 +392,7 @@ def test_train_config_validation():
 
 
 def test_target_table_sync_is_bit_exact(rng):
-    net = build_qnetwork("sam-4layer", SAM_SHAPE, seed=1)
+    net = QNetwork("sam-4layer", SAM_SHAPE, seed=1)
     states = rng.normal(size=(10, *SAM_SHAPE))
     everything = np.arange(10)
 
@@ -379,11 +417,11 @@ def test_target_table_sync_is_bit_exact(rng):
 
 def test_target_table_sync_rejects_another_network():
     states = np.zeros((4, *EAM_SHAPE))
-    table = TargetTable(build_qnetwork("eam-1d", EAM_SHAPE, seed=0), states, block=2)
+    table = TargetTable(QNetwork("eam-1d", EAM_SHAPE, seed=0), states, block=2)
     with pytest.raises(DataError):
-        table.sync(build_qnetwork("sam-4layer", SAM_SHAPE, seed=0))
+        table.sync(QNetwork("sam-4layer", SAM_SHAPE, seed=0))
     with pytest.raises(DataError):
-        table.sync(build_qnetwork("eam-1d", (3, 1, 8), seed=0))
+        table.sync(QNetwork("eam-1d", (3, 1, 8), seed=0))
 
 
 def _reference_step(net, target_net, states, batch, cfg):
@@ -400,11 +438,9 @@ def _reference_step(net, target_net, states, batch, cfg):
     d_q[rows, batch.actions] = 2.0 * err / size
     net.zero_grads()
     net.backward(d_q)
-    grads = net.grad_arrays()
-    norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+    norm = float(np.linalg.norm(net.grads))
     scale = cfg.grad_clip / norm if norm > cfg.grad_clip else 1.0
-    for p, g in zip(net.param_arrays(), grads):
-        p -= cfg.lr * scale * g
+    net.params -= cfg.lr * scale * net.grads
     return float(np.mean(err * err))
 
 
@@ -423,7 +459,7 @@ def test_target_table_training_is_bit_identical_to_a_target_forward_every_step(a
     episode = 45  # 46 states; transition 44 is terminal
     states = rng.normal(size=(episode + 1, *shape))
     cfg = TrainConfig(gamma=0.9, lr=0.01, batch=batch_size, target_sync=20)
-    net = build_qnetwork(arch, shape, seed=3)
+    net = QNetwork(arch, shape, seed=3)
     ref_net, ref_target = net.clone(), net.clone()
     table = TargetTable(net, states, cfg.batch)
     buffer = ReplayBuffer(states, capacity, seed=4)
@@ -448,7 +484,7 @@ def test_target_table_on_crypto_only_states_is_bit_identical_to_a_target_forward
     states = rng.normal(size=(episode + 1, 16, 1, 32))
     states[5:30] = states[5]
     cfg = TrainConfig(gamma=0.9, lr=0.01, batch=batch_size, target_sync=20)
-    net = build_qnetwork("sam-4layer", DEFAULT_SHAPES["sam-4layer"], seed=3)
+    net = QNetwork("sam-4layer", DEFAULT_SHAPES["sam-4layer"], seed=3)
     ref_net, ref_target = net.clone(), net.clone()
     table = TargetTable(net, states, cfg.batch)
     buffer = ReplayBuffer(states, 1000, seed=4)
@@ -535,7 +571,7 @@ def load_net(path):
 
 
 def test_network_container_round_trip(tmp_path, rng):
-    net = build_qnetwork("sam-4layer", SAM_SHAPE, seed=3)
+    net = QNetwork("sam-4layer", SAM_SHAPE, seed=3)
     path = tmp_path / "net.crlm"
     save_net(net, path)
     loaded = load_net(path)
@@ -548,7 +584,7 @@ def test_network_container_round_trip(tmp_path, rng):
 
 
 def test_container_writing_is_deterministic(tmp_path):
-    net = build_qnetwork("eam-1d", EAM_SHAPE, seed=9)
+    net = QNetwork("eam-1d", EAM_SHAPE, seed=9)
     p1, p2 = tmp_path / "a.crlm", tmp_path / "b.crlm"
     save_net(net, p1)
     save_net(net, p2)
@@ -556,7 +592,7 @@ def test_container_writing_is_deterministic(tmp_path):
 
 
 def test_container_detects_corruption(tmp_path):
-    net = build_qnetwork("eam-1d", EAM_SHAPE, seed=9)
+    net = QNetwork("eam-1d", EAM_SHAPE, seed=9)
     path = tmp_path / "net.crlm"
     save_net(net, path)
     blob = bytearray(path.read_bytes())
@@ -567,7 +603,7 @@ def test_container_detects_corruption(tmp_path):
 
 
 def test_container_rejects_future_version(tmp_path):
-    net = build_qnetwork("eam-1d", EAM_SHAPE, seed=9)
+    net = QNetwork("eam-1d", EAM_SHAPE, seed=9)
     path = tmp_path / "net.crlm"
     save_net(net, path)
     prefix = bytearray(path.read_bytes()[:-32])
