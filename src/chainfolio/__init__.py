@@ -18,7 +18,6 @@ from .cryptomodule import (
     build_sam_state,
     eam_reward,
     load_cm,
-    sam_step,
     save_cm,
     train_cm,
     train_cm_from_frame,
@@ -101,7 +100,6 @@ __all__ = [
     "rolling_normalize",
     "rolling_pca",
     "run_backtest",
-    "sam_step",
     "save_cm",
     "select_valid_metrics",
     "sortino",

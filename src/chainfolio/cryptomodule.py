@@ -259,27 +259,6 @@ def eam_reward(action: str, log_return: float, cfg: RewardConfig) -> float:
     raise DataError(f"unknown signal action {action!r}")
 
 
-def sam_step(
-    prev_weights: Sequence[float],
-    action: AllocationAction,
-    price_ratio: float,
-    cfg: RewardConfig,
-) -> tuple[float, float]:
-    """Log wealth growth of one allocation step net of proportional fees.
-
-    Returns (reward, growth factor g) with
-    g = (1 - fee_rate * |turnover|) * (w_cash + w_crypto * price_ratio).
-    """
-    if price_ratio <= 0:
-        raise DataError(f"price ratio must be positive, got {price_ratio}")
-    prev_crypto = float(prev_weights[1])
-    turnover = abs(action.crypto - prev_crypto)
-    growth = (1.0 - cfg.fee_rate * turnover) * (action.cash + action.crypto * price_ratio)
-    if growth <= 0:
-        raise DataError(f"non-positive wealth growth {growth}")
-    return math.log(growth), growth
-
-
 # ---------------------------------------------------------------------------
 # The trained module
 
@@ -288,7 +267,7 @@ def sam_step(
 class CmContext:
     """Per-frame inference context: features (and signals) rebuilt from raw
     data, and the greedy allocation index of every frame row (-1 where the
-    observation window is still warming up)."""
+    observation window is still warming up or no decision was asked for)."""
 
     refined: RefinedFeatureFrame
     signals: np.ndarray | None
@@ -317,27 +296,27 @@ class CryptoModule:
             warm += n - 1
         return warm
 
-    def prepare(self, frame: AlignedFrame) -> CmContext:
+    def prepare(self, frame: AlignedFrame, rows: np.ndarray | None = None) -> CmContext:
         """Rebuild observation inputs for a frame (trailing transforms only)
         and take the greedy allocation at every decision row at once:
-        observations do not depend on the portfolio's state."""
+        observations do not depend on the portfolio's state.  Given frame
+        ``rows``, decide only there, and refine only the bars they read."""
+        s = self.settings
+        start = 0 if rows is None else max(0, int(np.min(rows, initial=len(frame))) - self.warmup_bars)
         refined = refine_features(
-            frame,
-            self.selected_metrics,
-            self.settings.norm_window,
-            self.settings.pca_window,
-            self.settings.variance_target,
-            self.settings.epsilon,
+            frame, self.selected_metrics, s.norm_window, s.pca_window, s.variance_target, s.epsilon, start
         )
-        n = self.settings.window
+        n = s.window
         signals = None
         observable = refined.valid
         if self.use_eam:
             signals = _greedy_signal_array(self.eam_net, frame, refined, n)
             observable = observable & ~np.isnan(signals)
-        rows = full_windows(observable, n)
+        at = full_windows(observable, n)
+        if rows is not None:
+            at = np.intersect1d(at, rows)
         actions = np.full(len(frame), -1, dtype=np.intp)
-        actions[rows] = _greedy_actions(self.sam_net, lambda r: build_sam_state(frame, refined, r, n, signals), rows)
+        actions[at] = _greedy_actions(self.sam_net, lambda r: build_sam_state(frame, refined, r, n, signals), at)
         return CmContext(refined, signals, actions)
 
     def allocate(self, ctx: CmContext, t: int) -> AllocationAction:
@@ -387,9 +366,19 @@ def _greedy_signal_array(
 
 
 def _sam_rewards(ratios: np.ndarray, cfg: RewardConfig) -> np.ndarray:
-    """Allocation rewards ``r[j, prev, a]`` of step j from action prev to a."""
-    acts = [AllocationAction.from_index(a) for a in range(2)]
-    return np.array([[[sam_step(p.weights, a, float(r), cfg)[0] for a in acts] for p in acts] for r in ratios])
+    """Allocation rewards ``r[j, prev, a]`` of step j from action prev to a:
+    the log wealth growth (1 - fee_rate * |a - prev|) * (w_cash + w_crypto * ratio)
+    of action a's weights, net of proportional fees."""
+    ratios = np.asarray(ratios, dtype=np.float64)
+    if (ratios <= 0).any():
+        raise DataError(f"price ratio must be positive, got {ratios[ratios <= 0][0]}")
+    keep = 1.0 - cfg.fee_rate
+    growth = np.empty((len(ratios), 2, 2))
+    growth[:, :, 0] = 1.0, keep
+    growth[:, :, 1] = ratios[:, None] * [keep, 1.0]
+    if (growth <= 0).any():
+        raise DataError(f"non-positive wealth growth {growth[growth <= 0][0]}")
+    return np.array([math.log(g) for g in growth.ravel().tolist()]).reshape(growth.shape)
 
 
 def _eam_rewards(ratios: np.ndarray, cfg: RewardConfig) -> np.ndarray:
@@ -583,10 +572,9 @@ def load_cm(path: str | Path) -> CryptoModule:
 
 
 def _module_from_parts(meta: dict, sections: dict[str, bytes]) -> CryptoModule:
-    if meta["cm_version"] != CM_FORMAT_VERSION:
-        raise UnsupportedVersionError(
-            f"module version {meta['cm_version']} unsupported (expected {CM_FORMAT_VERSION})"
-        )
+    version = meta["cm_version"]
+    if type(version) is not int or version != CM_FORMAT_VERSION:  # JSON true and 1.0 equal 1 too
+        raise UnsupportedVersionError(f"module version {version} unsupported (expected {CM_FORMAT_VERSION})")
     if meta["use_eam"] != (meta["eam"] is not None):
         raise ContainerFormatError("use_eam does not match the stored signal agent")
     sam_net = network_from_parts(meta["sam"], params_from_bytes(sections["sam_params"]))

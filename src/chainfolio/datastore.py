@@ -591,6 +591,8 @@ class CsvStore:
             raise DataError(f"corrupt store manifest {path}: {exc}") from None
         if not isinstance(manifest, dict) or not isinstance(manifest.get("assets"), dict):
             raise DataError(f"corrupt store manifest {path}: no 'assets' table")
+        if not all(isinstance(entry, dict) for entry in manifest["assets"].values()):
+            raise DataError(f"corrupt store manifest {path}: an asset entry is not an object")
         return manifest
 
     def _update_manifest(self, asset: AssetId, **info) -> None:
@@ -623,6 +625,7 @@ class CsvStore:
             raise MalformedRecordError(f"duplicate ts {bars.ts[repeated]} in source stream")
 
         with self._lock(asset):
+            self._read_manifest()  # a corrupt manifest fails before the CSV is rewritten
             existing = self.load_bars(asset)
             pos = np.searchsorted(existing.ts, bars.ts)
             held = pos < len(existing)
@@ -655,6 +658,7 @@ class CsvStore:
         per_name = np.bincount(incoming.codes, minlength=len(incoming.names))
         counts = {name: int(k) for name, k in zip(incoming.names, per_name) if k}
         with self._lock(asset):
+            self._read_manifest()  # a corrupt manifest fails before the CSV is rewritten
             existing = MetricTable.from_series(self.load_metrics(asset))
             merged = existing.extend(incoming)
             order, repeat = merged._key_order()

@@ -203,8 +203,9 @@ class CmRegistry:
         index = self.root / "registry.json"
         if index.exists():
             doc = _load_json(index, "registry index")
-            if doc.get("version") != self.VERSION:
-                raise ConfigError(f"unsupported registry version {doc.get('version')}")
+            version = doc.get("version")
+            if type(version) is not int or version != self.VERSION:  # JSON true and 1.0 equal 1 too
+                raise ConfigError(f"unsupported registry version {version}")
             entries = doc.get("entries")
             if not isinstance(entries, dict) or not all(_is_entry(key, e) for key, e in entries.items()):
                 raise DataError(f"corrupt registry index {index}: bad 'entries' table")
@@ -370,8 +371,9 @@ class BacktestReport:
         DataError for a file that is not a well-formed report."""
         path = Path(out_dir) / REPORT_FILE
         doc = _load_json(path, "report")
-        if doc.get("version") != REPORT_VERSION:
-            raise ConfigError(f"unsupported report version {doc.get('version')}")
+        version = doc.get("version")
+        if type(version) is not int or version != REPORT_VERSION:  # JSON true and 1.0 equal 1 too
+            raise ConfigError(f"unsupported report version {version}")
         try:
             return cls._from_doc(doc)
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
@@ -487,6 +489,7 @@ def run_backtest(modules, cfg: BacktestConfig, store: CsvStore) -> BacktestRepor
     n_bars = (cfg.end_ts - cfg.start_ts) // cfg.interval + 1
     grid = cfg.start_ts + cfg.interval * np.arange(n_bars, dtype=np.int64)
 
+    decisions = np.arange(0, n_bars, cfg.rebalance_interval)
     frames = {}
     contexts = {}
     offsets = {}
@@ -497,8 +500,8 @@ def run_backtest(modules, cfg: BacktestConfig, store: CsvStore) -> BacktestRepor
         lead = cm.warmup_bars * cfg.interval
         frame = store.align(AssetId.parse(asset), cfg.start_ts - lead, cfg.end_ts, cfg.interval, cfg.fill_limit)
         frames[asset] = frame
-        contexts[asset] = cm.prepare(frame)
         offsets[asset] = frame.index_of(cfg.start_ts)
+        contexts[asset] = cm.prepare(frame, offsets[asset] + decisions)
 
     closes = {a: frames[a].close for a in cfg.assets}
     boundaries = retrain_boundaries(cfg.start_ts, cfg.end_ts, cfg.retrain_days)
@@ -521,7 +524,8 @@ def run_backtest(modules, cfg: BacktestConfig, store: CsvStore) -> BacktestRepor
                     active[asset], ev = _retrain_step(active[asset], store, boundary, cfg.fill_limit)
                     retrain_events.append(ev)
                     if ev["status"] == "retrained":
-                        contexts[asset] = active[asset].prepare(frames[asset])
+                        rows = offsets[asset] + decisions[decisions >= k]
+                        contexts[asset] = active[asset].prepare(frames[asset], rows)
             actions = []
             for asset in cfg.assets:
                 action = active[asset].allocate(contexts[asset], offsets[asset] + k)

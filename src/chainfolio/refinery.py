@@ -37,7 +37,9 @@ DEFAULT_EPSILON = 1e-8
 _RANK_TOL = 1e-10
 
 #: windows per stacked eigendecomposition in rolling_pca; bounds its memory
-_PCA_CHUNK = 32
+_PCA_CHUNK = 256
+#: windows per gathered (windows, window, K) block when forming covariances
+_COV_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -295,16 +297,32 @@ def rolling_pca(
 
     ends = full_windows(np.isfinite(x).all(axis=1), window)
     valid[ends] = True
-    offsets = np.arange(1 - window, 1)
+    # view[s] is the window of rows [s, s + window), a view of x
+    view = np.lib.stride_tricks.as_strided(
+        x, (max(t - window + 1, 0), window, k), (x.strides[0], *x.strides), writeable=False
+    )
+    starts = ends - (window - 1)
+    # every step below works window by window, in the same order of float
+    # operations as one window at a time.  numpy's mean sums one column
+    # pairwise, and wider rows one after another starting from zero
+    if k == 1:
+        means = np.array([view[s].mean(axis=0) for s in starts]).reshape(-1, 1)
+    else:  # one running sum over all windows adds their rows in that order
+        sums = np.zeros((len(view), k))
+        with np.errstate(invalid="ignore"):  # windows holding inf - inf are never fitted
+            for j in range(window):
+                sums += x[j : j + len(view)]
+        means = sums[starts] / window
     for lo in range(0, len(ends), _PCA_CHUNK):
         chunk = ends[lo : lo + _PCA_CHUNK]
-        # every step below works window by window, in the same order of
-        # float operations as one window at a time
-        win = x[chunk[:, None] + offsets]  # (C, window, k)
-        mean = win.mean(axis=1)
-        centered = win - mean[:, None, :]
-        cov = np.matmul(centered.transpose(0, 2, 1), centered) / (window - 1)
-        eigvals, eigvecs = np.linalg.eigh(cov)
+        mean = means[lo : lo + _PCA_CHUNK]
+        cov = np.empty((len(chunk), k, k))
+        for i in range(0, len(chunk), _COV_CHUNK):
+            part = slice(i, i + _COV_CHUNK)
+            centered = view[starts[lo : lo + _PCA_CHUNK][part]]  # (C, window, k)
+            centered -= mean[part, None, :]
+            cov[part] = np.matmul(centered.transpose(0, 2, 1), centered)
+        eigvals, eigvecs = np.linalg.eigh(cov / (window - 1))
         order = np.argsort(eigvals, axis=1)[:, ::-1]
         eigvals = np.clip(np.take_along_axis(eigvals, order, axis=1), 0.0, None)
         eigvecs = np.take_along_axis(eigvecs, order[:, None, :], axis=2)
@@ -355,12 +373,18 @@ def refine_features(
     pca_window: int = DEFAULT_PCA_WINDOW,
     variance_target: float = DEFAULT_VARIANCE_TARGET,
     epsilon: float = DEFAULT_EPSILON,
+    start: int = 0,
 ) -> RefinedFeatureFrame:
-    """Normalize then PCA-project the selected metric columns of a frame."""
+    """Normalize then PCA-project the selected metric columns of a frame.
+
+    Rows before ``start`` count as missing, so only the windows from there
+    on are fitted; a row whose windows all lie there is the same as with
+    ``start`` 0."""
     missing = [n for n in selected_names if n not in frame.metric_names]
     if missing:
         raise DataError(f"{frame.asset.key}: frame lacks selected metrics {missing}")
     cols = [frame.metric_names.index(n) for n in selected_names]
     pool = frame.metrics[:, cols]
+    pool[:start] = np.nan
     normalized = rolling_normalize(pool, norm_window, epsilon)
     return rolling_pca(normalized, pca_window, variance_target, frame.timestamps)

@@ -404,7 +404,7 @@ class ForcedModule:
         self.interval = interval
         self.warmup_bars = 0
 
-    def prepare(self, frame):
+    def prepare(self, frame, rows):
         return frame
 
     def allocate(self, frame, t):

@@ -406,6 +406,29 @@ def test_cli_corrupt_manifest_exit_1(tmp_path, capsys):
     assert "manifest" in error_line(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("flag", ["--ohlcv", "--metrics"])
+def test_cli_bad_manifest_entry_leaves_the_store_csv_alone(tmp_path, capsys, flag):
+    """An asset entry that is not an object fails the ingest before it
+    rewrites the asset's CSV."""
+    d = tmp_path / "d"
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    if flag == "--ohlcv":
+        stored = d / "AAA-USDT" / "ohlcv.csv"
+        first.write_text("ts,open,high,low,close,volume\n%d,1,1,1,1,1\n" % bar_ts(0))
+        second.write_text("ts,open,high,low,close,volume\n%d,2,2,2,2,2\n" % bar_ts(1))
+    else:
+        stored = d / "AAA-USDT" / "metrics.csv"
+        first.write_text("ts,name,value\n%d,mm,1.0\n" % bar_ts(0))
+        second.write_text("ts,name,value\n%d,mm,2.0\n" % bar_ts(1))
+    assert main(["--data-dir", str(d), "ingest", "--asset", "AAA", flag, str(first)]) == 0
+    before = stored.read_bytes()
+    (d / "manifest.json").write_text('{"assets": {"AAA-USDT": ["x"]}}')
+    capsys.readouterr()
+    assert main(["--data-dir", str(d), "ingest", "--asset", "AAA", flag, str(second)]) == 1
+    assert "manifest" in error_line(capsys.readouterr().err)
+    assert stored.read_bytes() == before
+
+
 def test_cli_undecodable_input_exit_1(tmp_path, capsys):
     """Input CSVs and config files are UTF-8; other bytes give one error line naming the file."""
     d = str(tmp_path / "d")
@@ -455,7 +478,9 @@ def report_with_summary(**stats) -> str:
      '{"version": 1, "curve_order": ["strategy"], "curves": {}}',
      report_with_summary(arr="x"), report_with_summary(arr=None), report_with_summary(drr=True),
      report_with_summary(drr=[0.1]), report_with_summary(sortino="-inf"), report_with_summary(sortino={}),
-     report_with_summary(arr=10**400)],
+     report_with_summary(arr=10**400),
+     report_with_summary().replace('"version": 1,', '"version": true,'),
+     report_with_summary().replace('"version": 1,', '"version": 1.0,')],
 )
 def test_cli_corrupt_report_exit_1(tmp_path, capsys, text):
     out = tmp_path / "report"
@@ -487,7 +512,8 @@ ESCAPING_ENTRY = '{"version": 1, "entries": {"AAA-USDT": {"file": "../victim.txt
     "text", ['{"version": 1, "entries": {', '{"version": 1}', '"registry"', '{"version": 1, "entries": {"A": 3}}',
              ESCAPING_ENTRY,
              '{"version": 1, "entries": {"../AAA-USDT": {"file": "../AAA-USDT.cm", "sha256": "0"}}}',
-             '{"version": 1, "entries": {"AAA-../../USDT": {"file": "AAA-../../USDT.cm", "sha256": "0"}}}']
+             '{"version": 1, "entries": {"AAA-../../USDT": {"file": "AAA-../../USDT.cm", "sha256": "0"}}}',
+             '{"version": true, "entries": {}}', '{"version": 1.0, "entries": {}}']
 )
 def test_cli_corrupt_registry_exit_1(tmp_path, capsys, text):
     registry = tmp_path / "registry"

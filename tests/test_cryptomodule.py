@@ -26,7 +26,6 @@ from chainfolio.cryptomodule import (
     derive_seed,
     eam_reward,
     load_cm,
-    sam_step,
     save_cm,
     train_cm,
     train_cm_from_frame,
@@ -228,38 +227,58 @@ def test_eam_reward_examples():
         eam_reward("park", 0.0, cfg)
 
 
-def test_sam_step_examples():
+def sam_growth(prev: AllocationAction, action: AllocationAction, ratio: float, cfg: RewardConfig) -> float:
+    """One allocation step's wealth growth, written out in scalars."""
+    turnover = abs(action.crypto - prev.crypto)
+    return (1.0 - cfg.fee_rate * turnover) * (action.cash + action.crypto * ratio)
+
+
+def test_sam_rewards_examples():
     free = RewardConfig(fee_rate=0.0)
     fee = RewardConfig(fee_rate=0.001)
-    r, g = sam_step((1.0, 0.0), AllocationAction.all_cash(), 1.3, fee)
-    assert (r, g) == (0.0, 1.0)
-    r, g = sam_step((0.0, 1.0), AllocationAction.all_crypto(), 1.10, free)
-    assert r == pytest.approx(math.log(1.10), abs=1e-15) and g == pytest.approx(1.10)
-    r, g = sam_step((1.0, 0.0), AllocationAction.all_crypto(), 1.0, fee)
-    assert g == pytest.approx(0.999, abs=1e-15) and r == pytest.approx(math.log(0.999), abs=1e-15)
-    r, g = sam_step((0.0, 1.0), AllocationAction.all_cash(), 0.5, RewardConfig(fee_rate=0.002))
-    assert g == pytest.approx(0.998, abs=1e-15)
-    with pytest.raises(DataError):
-        sam_step((1.0, 0.0), AllocationAction.all_cash(), 0.0, free)
+    cash, crypto = 0, 1
+    assert cryptomodule._sam_rewards(np.array([1.3]), fee)[0, cash, cash] == 0.0
+    r = cryptomodule._sam_rewards(np.array([1.10]), free)[0, crypto, crypto]
+    assert r == pytest.approx(math.log(1.10), abs=1e-15)
+    r = cryptomodule._sam_rewards(np.array([1.0]), fee)[0, cash, crypto]
+    assert r == pytest.approx(math.log(0.999), abs=1e-15)
+    r = cryptomodule._sam_rewards(np.array([0.5]), RewardConfig(fee_rate=0.002))[0, crypto, cash]
+    assert r == pytest.approx(math.log(0.998), abs=1e-15)
+    for ratios in ([0.0], [1.2, -0.5], [1.1, 0.0, 0.9]):
+        with pytest.raises(DataError, match="price ratio"):
+            cryptomodule._sam_rewards(np.array(ratios), free)
+
+
+@given(st.integers(0, 2**31 - 1), st.sampled_from([0.0, 0.001, 0.05]) | st.floats(0.0, 0.0999))
+def test_sam_rewards_equal_the_log_of_each_step_growth(seed, fee_rate):
+    """Each table entry is math.log of the scalar growth, bit for bit."""
+    ratios = np.exp(np.random.default_rng(seed).normal(0, 0.2, 30))
+    cfg = RewardConfig(fee_rate=fee_rate)
+    table = cryptomodule._sam_rewards(ratios, cfg)
+    assert table.shape == (30, 2, 2)
+    for j, ratio in enumerate(ratios.tolist()):
+        for prev in range(2):
+            for a in range(2):
+                growth = sam_growth(AllocationAction.from_index(prev), AllocationAction.from_index(a), ratio, cfg)
+                assert table[j, prev, a] == math.log(growth)
 
 
 @given(
     st.lists(st.integers(0, 1), min_size=1, max_size=40),
     st.integers(0, 2**31 - 1),
 )
-def test_sam_step_rewards_telescope_to_log_wealth(actions, seed):
+def test_sam_rewards_telescope_to_log_wealth(actions, seed):
     """With zero fees the summed rewards equal the log of final wealth."""
     rng = np.random.default_rng(seed)
     ratios = np.exp(rng.normal(0, 0.05, len(actions)))
     cfg = RewardConfig(fee_rate=0.0)
+    table = cryptomodule._sam_rewards(ratios, cfg)
     wealth, total = 1.0, 0.0
-    prev = AllocationAction.all_cash()
-    for a, ratio in zip(actions, ratios):
-        action = AllocationAction.from_index(a)
-        reward, growth = sam_step(prev.weights, action, float(ratio), cfg)
-        wealth *= growth
-        total += reward
-        prev = action
+    prev = 0
+    for j, (a, ratio) in enumerate(zip(actions, ratios)):
+        wealth *= sam_growth(AllocationAction.from_index(prev), AllocationAction.from_index(a), float(ratio), cfg)
+        total += table[j, prev, a]
+        prev = a
     assert total == pytest.approx(math.log(wealth), abs=1e-12)
 
 
@@ -338,6 +357,26 @@ def test_batched_prepare_matches_single_state_forwards(rng, monkeypatch, use_eam
         assert cm.allocate(ctx, t) == AllocationAction.from_index(int(np.argmax(q)))
     with pytest.raises(DataError):
         cm.allocate(ctx, len(frame))
+
+
+@pytest.mark.parametrize("use_eam", [False, True])
+def test_prepare_at_query_rows_equals_full_frame_prepare(rng, use_eam):
+    """Given rows, prepare decides exactly those past the warm-up, as a
+    full-frame prepare does, and refits only the windows they read."""
+    frame = walk_frame(rng)
+    cm = train_cm_from_frame(frame, RANGES, SMALL, use_eam=use_eam)
+    full = cm.prepare(frame)
+    first = first_decision(full)
+    for rows in (np.arange(first, len(frame), 6), np.arange(first + 20, len(frame)), np.array([len(frame) - 1]),
+                 np.array([first - 1, first + 3]), np.array([], dtype=np.intp)):
+        ctx = cm.prepare(frame, rows)
+        decided = np.flatnonzero(ctx.actions >= 0)
+        assert np.array_equal(decided, rows[rows >= first])
+        assert np.array_equal(ctx.actions[decided], full.actions[decided])
+        fitted = ctx.refined.valid
+        skipped = min(max(0, int(np.min(rows, initial=len(frame))) - first), full.refined.valid.sum())
+        assert fitted.sum() == full.refined.valid.sum() - skipped
+        assert np.array_equal(ctx.refined.components[fitted], full.refined.components[fitted])
 
 
 def test_warmup_bars_accounting(rng):
@@ -521,13 +560,14 @@ def test_load_cm_detects_corruption(tmp_path, rng):
         load_cm(path)
 
 
-def test_load_cm_rejects_future_module_version(tmp_path, rng):
-    frame = walk_frame(rng)
-    cm = train_cm_from_frame(frame, RANGES, SMALL)
+@pytest.mark.parametrize("version", [99, True, 1.0, "1"])
+def test_load_cm_rejects_another_module_version(tmp_path, rng, version):
+    """Only the int 1 is version 1: not JSON true or 1.0, which equal 1 in Python."""
+    cm = rigged_module(walk_frame(rng, t=40, n_metrics=2), [1.0, 0.5])
     path = tmp_path / "module.cm"
     save_cm(cm, path)
     _, meta, sections = read_container(path, expected_kind="M")
-    meta["cm_version"] = 99
+    meta["cm_version"] = version
     write_container(path, "M", meta, sections)
     with pytest.raises(UnsupportedVersionError):
         load_cm(path)

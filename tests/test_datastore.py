@@ -5,6 +5,7 @@ import io
 import json
 import logging
 import re
+import shutil
 import sys
 import tempfile
 import threading
@@ -28,9 +29,10 @@ from chainfolio.datastore import (
     parse_metrics_csv,
     parse_ohlcv_csv,
 )
-from chainfolio.errors import DataError
+from chainfolio.errors import ChainfolioError, DataError
 
 from _synth import INTERVAL, T0, bar_table, bar_ts, metric_table
+from test_portfolio import damaged_json
 
 
 def flat_rows(n, t0=T0, price=100.0, volume=5.0):
@@ -554,6 +556,39 @@ def test_corrupt_manifest_is_data_error(tmp_path, text):
         store.ingest_ohlcv(AssetId("BBB"), flat_bars(2))
     with pytest.raises(DataError, match="manifest"):
         store.ingest_metrics(AssetId("AAA"), metric_table([(T0, "mm", 1.0)]))
+
+
+@pytest.fixture(scope="module")
+def manifest_store(tmp_path_factory):
+    """A store of two assets with bars and metrics, and a scratch directory
+    that each example overwrites."""
+    root = tmp_path_factory.mktemp("manifest_fuzz")
+    store = CsvStore(root / "store")
+    for symbol in ("AAA", "BBB"):
+        store.ingest_ohlcv(AssetId(symbol), flat_bars(4))
+        store.ingest_metrics(AssetId(symbol), metric_table((bar_ts(i), "mm", 1.0) for i in range(4)))
+    return root
+
+
+@given(data=st.data())
+def test_damaged_manifest_raises_only_typed_errors(manifest_store, data):
+    """Ingesting into an existing or a new asset and aligning through a
+    damaged manifest.json either work or raise a ChainfolioError."""
+    root = manifest_store / "scratch"
+    shutil.rmtree(root, ignore_errors=True)
+    shutil.copytree(manifest_store / "store", root)
+    manifest = root / CsvStore.MANIFEST
+    manifest.write_bytes(damaged_json(data, manifest.read_bytes()))
+    store = CsvStore(root)
+    for symbol in ("AAA", "CCC"):
+        asset = AssetId(symbol)
+        for step in (lambda: store.ingest_ohlcv(asset, flat_bars(6)),
+                     lambda: store.ingest_metrics(asset, metric_table((bar_ts(i), "mm", 2.0) for i in range(6))),
+                     lambda: store.align(asset, bar_ts(0), bar_ts(5))):
+            try:
+                step()
+            except ChainfolioError:
+                pass
 
 
 def test_concurrent_ingests_of_different_assets_keep_the_manifest(tmp_path):

@@ -29,6 +29,7 @@ from chainfolio.portfolio import (
     CmRegistry,
     Holdings,
     PortfolioWeights,
+    REPORT_FILE,
     VoteSet,
     rebalance,
     retrain_boundaries,
@@ -171,7 +172,7 @@ class ForcedModule:
         self.interval = interval
         self.warmup_bars = 0
 
-    def prepare(self, frame):
+    def prepare(self, frame, rows):
         return frame
 
     def allocate(self, frame, t):
@@ -626,6 +627,23 @@ def test_backtest_retrain_cadence_half_range_fires_once(tmp_path):
     cut = (bar_ts(192) - cfg.start_ts) // INTERVAL
     assert report.action_logs[asset.key][:cut] == static.action_logs[asset.key][:cut]
     assert np.array_equal(report.curves["strategy"][:cut], static.curves["strategy"][:cut])
+
+
+def test_backtest_preparing_query_rows_equals_preparing_whole_frames(tmp_path, monkeypatch):
+    """Two retrain boundaries at rebalance interval 6: modules that refine
+    and decide only the rows the backtest queries give the report bytes of
+    modules that prepare the whole frame every time."""
+    store, asset, cm = trained_world(tmp_path)
+    cfg = bt_config(assets=[asset.key], start_ts=bar_ts(160), end_ts=bar_ts(223), fee_rate=0.001,
+                    rebalance_interval=6, retrain_days=6)
+    queried = run_backtest({asset.key: cm}, cfg, store)
+    assert [e["status"] for e in queried.retrain_events] == ["retrained", "retrained"]
+    assert {a for _, a in queried.action_logs[asset.key]} == {"cash", "crypto"}
+    queried.write(tmp_path / "queried")
+    prepare = CryptoModule.prepare
+    monkeypatch.setattr(CryptoModule, "prepare", lambda self, frame, rows: prepare(self, frame))
+    run_backtest({asset.key: cm}, cfg, store).write(tmp_path / "whole")
+    assert (tmp_path / "queried" / REPORT_FILE).read_bytes() == (tmp_path / "whole" / REPORT_FILE).read_bytes()
 
 
 def test_backtest_oversized_cadence_equals_static_run(tmp_path):

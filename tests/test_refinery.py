@@ -371,17 +371,20 @@ def reference_rolling_pca(x, window, variance_target):
     return components, valid, n_components, explained, flagged
 
 
+@pytest.mark.parametrize("k", [1, 2, 4])
 @pytest.mark.parametrize("chunk", [1, 7, 256])
-def test_pca_stacked_windows_equal_one_window_at_a_time(rng, monkeypatch, chunk):
+def test_pca_stacked_windows_equal_one_window_at_a_time(rng, monkeypatch, chunk, k):
     """Bit-identical to the per-window fit, with NaN warm-up rows and NaN
-    holes, constant (zero-variance) stretches and rank-deficient windows."""
+    holes, constant (zero-variance) stretches and rank-deficient windows;
+    for one column too, whose window means numpy sums pairwise."""
     monkeypatch.setattr(refinery, "_PCA_CHUNK", chunk)
-    t, k, w = 90, 4, 12
-    x = rng.normal(size=(t, k)) * [1.0, 3.0, 0.1, 2.0]
+    monkeypatch.setattr(refinery, "_COV_CHUNK", 3)
+    t, w = 90, 12
+    x = rng.normal(size=(t, k)) * [1.0, 3.0, 0.1, 2.0][:k]
     x[:6] = np.nan
     x[40] = np.nan
-    x[50:68] = 0.25              # constant rows: zero-variance windows
-    x[70:, 3] = 2.0 * x[70:, 0]  # duplicate direction: rank deficiency
+    x[50:68] = 0.25               # constant rows: zero-variance windows
+    x[70:, -1] = 2.0 * x[70:, 0]  # k > 1: a duplicate direction, rank deficiency
     for target in (0.5, 0.8, 1.0):
         out = rolling_pca(x, window=w, variance_target=target)
         want = reference_rolling_pca(x, w, target)
