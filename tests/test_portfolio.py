@@ -1,10 +1,12 @@
 """Tests for vote composition, fee accounting, registry, backtests, retraining."""
 
 import json
+import math
 import os
 import shutil
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -443,22 +445,48 @@ def test_backtest_through_registry_with_real_module(tmp_path):
 # Report round trip
 
 
-def test_report_write_and_load_round_trip(tmp_path):
-    store, keys = seed_store(tmp_path, ["AAA", "BBB"])
+#: ``report/report.json``, written by :func:`fixture_report` at commit
+#: 6ad12a0, before report documents took the typed ``serial`` path.
+REPORT_FIXTURE = Path(__file__).parent / "fixtures" / "report"
+
+
+def fixture_report(tmp_path) -> BacktestReport:
+    """A fee-paying two-asset backtest whose curves are not in name order and
+    whose BBB baseline only rises, so its Sortino ratio is infinite."""
+    store = CsvStore(tmp_path / "data")
+    make_asset(store, "BBB", 40, seed=5, n_signal=1, n_noise=2, drift=0.01, vol=0.0)
+    make_asset(store, "AAA", 40, seed=6, n_signal=1, n_noise=2)
     cfg = bt_config(
-        assets=keys, start_ts=bar_ts(0), end_ts=bar_ts(25),
+        assets=("BBB-USDT", "AAA-USDT"), start_ts=bar_ts(0), end_ts=bar_ts(25),
         fee_rate=0.001, rebalance_interval=2,
     )
-    report = run_backtest({k: flip_every(4) for k in keys}, cfg, store)
+    return run_backtest({"BBB-USDT": always(CRYPTO), "AAA-USDT": flip_every(4)}, cfg, store)
+
+
+def test_report_write_and_load_round_trip(tmp_path):
+    report = fixture_report(tmp_path)
     out = tmp_path / "out"
     report.write(out)
     assert (out / "report.json").exists() and (out / "curves.csv").exists()
     header = (out / "curves.csv").read_text().splitlines()[0]
-    assert header == "ts,strategy_value,baseline_AAA_value,baseline_BBB_value"
+    assert header == "ts,strategy_value,baseline_BBB_value,baseline_AAA_value"
     loaded = BacktestReport.load(out)
     assert loaded.to_doc() == report.to_doc()
+    assert loaded.timestamps.dtype == np.int64
     assert np.array_equal(loaded.timestamps, report.timestamps)
-    assert list(loaded.curves) == list(report.curves)
+    assert list(loaded.curves) == list(loaded.summary) == ["strategy", "baseline_BBB", "baseline_AAA"]
+    assert loaded.summary["baseline_BBB"].sortino == math.inf
+    assert loaded.summary == report.summary
+
+
+def test_report_fixture_bytes_are_pinned(tmp_path):
+    """The pinned report is what this backtest writes, and loading and
+    rewriting it gives back the same bytes."""
+    pinned = (REPORT_FIXTURE / REPORT_FILE).read_bytes()
+    fixture_report(tmp_path).write(tmp_path / "run")
+    BacktestReport.load(REPORT_FIXTURE).write(tmp_path / "rewritten")
+    assert (tmp_path / "run" / REPORT_FILE).read_bytes() == pinned
+    assert (tmp_path / "rewritten" / REPORT_FILE).read_bytes() == pinned
 
 
 def test_report_bytes_are_reproducible(tmp_path):
