@@ -8,6 +8,7 @@ Every run logs the effective configuration and seed to stderr.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import os
@@ -196,10 +197,8 @@ def _cmd_refine(args, cfg: RunConfig, store: CsvStore) -> int:
 
 
 def _write_table_csv(path: str, table) -> None:
-    import csv as _csv
-
     def write(fh):
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["metric", "horizon", "r", "rank"])
         for name, horizon, r, rank in table.rows():
             writer.writerow([name, horizon, "" if r is None else repr(r), "" if rank is None else rank])
@@ -208,10 +207,8 @@ def _write_table_csv(path: str, table) -> None:
 
 
 def _write_refined_csv(path: str, refined) -> None:
-    import csv as _csv
-
     def write(fh):
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["ts", "n_components"] + [f"c{i+1}" for i in range(refined.c_max)])
         for i in range(len(refined.timestamps)):
             if not refined.valid[i]:

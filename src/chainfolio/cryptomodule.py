@@ -32,7 +32,7 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -87,6 +87,9 @@ CM_FORMAT_VERSION = 1
 
 #: rows per batch when building states and taking greedy actions; bounds temporaries
 _DECISION_BATCH = 32
+
+#: the CryptoModule fields a ``.cm`` header holds as typed JSON; the nets are stored apart
+_HEADER_FIELDS = ("asset", "selected_metrics", "settings", "ranges", "interval", "use_eam")
 
 
 class WarmupError(DataError):
@@ -545,17 +548,9 @@ def _require_steps(idx_train: np.ndarray, idx_val: np.ndarray, who: str) -> None
 
 def save_cm(cm: CryptoModule, path: str | Path) -> None:
     """Write the module as a single checksummed container."""
-    meta = {
-        "cm_version": CM_FORMAT_VERSION,
-        "asset": to_doc(cm.asset),
-        "interval": cm.interval,
-        "use_eam": cm.use_eam,
-        "selected_metrics": list(cm.selected_metrics),
-        "ranges": to_doc(cm.ranges),
-        "settings": to_doc(cm.settings),
-        "sam": network_meta(cm.sam_net),
-        "eam": network_meta(cm.eam_net) if cm.eam_net is not None else None,
-    }
+    meta = {name: to_doc(getattr(cm, name)) for name in _HEADER_FIELDS}
+    meta.update(cm_version=CM_FORMAT_VERSION, sam=network_meta(cm.sam_net),
+                eam=network_meta(cm.eam_net) if cm.eam_net is not None else None)
     sections = {"sam_params": params_to_bytes(cm.sam_net.params_flat())}
     if cm.eam_net is not None:
         sections["eam_params"] = params_to_bytes(cm.eam_net.params_flat())
@@ -567,7 +562,7 @@ def load_cm(path: str | Path) -> CryptoModule:
     _, meta, sections = read_container(path, expected_kind=KIND_MODULE)
     try:
         return _module_from_parts(meta, sections)
-    except (LookupError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise ContainerFormatError(f"malformed module {path}: bad or missing field {exc}") from None
 
 
@@ -581,16 +576,9 @@ def _module_from_parts(meta: dict, sections: dict[str, bytes]) -> CryptoModule:
     eam_net = None
     if meta["eam"] is not None:
         eam_net = network_from_parts(meta["eam"], params_from_bytes(sections["eam_params"]))
-    return CryptoModule(
-        asset=from_doc(AssetId, meta["asset"]),
-        sam_net=sam_net,
-        eam_net=eam_net,
-        selected_metrics=list(meta["selected_metrics"]),
-        settings=from_doc(CmSettings, meta["settings"]),
-        ranges=from_doc(DataRanges, meta["ranges"]),
-        interval=meta["interval"],
-        use_eam=meta["use_eam"],
-    )
+    hints = get_type_hints(CryptoModule)
+    header = {name: from_doc(hints[name], meta[name]) for name in _HEADER_FIELDS}
+    return CryptoModule(sam_net=sam_net, eam_net=eam_net, **header)
 
 
 def with_seed(settings: CmSettings, seed: int) -> CmSettings:

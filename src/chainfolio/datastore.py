@@ -17,6 +17,11 @@ guards the manifest's, so concurrent ingests of different assets are
 safe.  Every file is written to a temporary sibling and moved into place
 with ``os.replace``, so a reader never sees a partly written file.
 
+The manifest, the registry index and the backtest report are JSON
+documents with one reader and one writer: :func:`read_json` takes a file
+only when its ``version`` is the expected int (not true, not 1.0), and
+:func:`write_json` writes sorted keys, indented, atomically.
+
 The CSVs are the source of truth.  A sidecar (``<csv>.cols``) caches the
 parsed columns of its CSV so that a load need not parse text again: it is
 a run of ``np.save`` records holding the SHA-256 of the CSV bytes it was
@@ -52,7 +57,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 log = logging.getLogger(__name__)
 
@@ -471,6 +476,27 @@ def atomic_write(path: Path, write, binary: bool = False) -> None:
             tmp.unlink()
 
 
+def write_json(path: Path, doc: dict) -> None:
+    """Write ``doc`` as indented JSON with sorted keys, atomically."""
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    atomic_write(path, lambda fh: fh.write(text))
+
+
+def read_json(path: Path, what: str, version: int) -> dict:
+    """The JSON object in ``path``: DataError naming ``what`` if the file is
+    not one, ConfigError unless its ``version`` is the int ``version``."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # also undecodable bytes
+        raise DataError(f"corrupt {what} {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"corrupt {what} {path}: not a JSON object")
+    found = doc.get("version")
+    if type(found) is not int or found != version:  # JSON true and 1.0 equal 1 too
+        raise ConfigError(f"unsupported {what} version {found!r} in {path} (expected {version})")
+    return doc
+
+
 #: file name suffix of the numpy sidecar beside each store CSV
 SIDECAR_SUFFIX = ".cols"
 #: layout of the sidecars' column records; a change makes old sidecars stale
@@ -564,6 +590,7 @@ class CsvStore:
     """Persists validated bar and metric series under a root directory."""
 
     MANIFEST = "manifest.json"
+    VERSION = 1
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -584,15 +611,11 @@ class CsvStore:
     def _read_manifest(self) -> dict:
         path = self.root / self.MANIFEST
         if not path.exists():
-            return {"version": 1, "assets": {}}
-        try:
-            manifest = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # also undecodable bytes
-            raise DataError(f"corrupt store manifest {path}: {exc}") from None
-        if not isinstance(manifest, dict) or not isinstance(manifest.get("assets"), dict):
-            raise DataError(f"corrupt store manifest {path}: no 'assets' table")
-        if not all(isinstance(entry, dict) for entry in manifest["assets"].values()):
-            raise DataError(f"corrupt store manifest {path}: an asset entry is not an object")
+            return {"version": self.VERSION, "assets": {}}
+        manifest = read_json(path, "store manifest", self.VERSION)
+        assets = manifest.get("assets")
+        if not isinstance(assets, dict) or not all(isinstance(entry, dict) for entry in assets.values()):
+            raise DataError(f"corrupt store manifest {path}: 'assets' is not a table of objects")
         return manifest
 
     def _update_manifest(self, asset: AssetId, **info) -> None:
@@ -603,8 +626,7 @@ class CsvStore:
                 asset.key, {"symbol": asset.symbol, "quote": asset.quote}
             )
             entry.update(info)
-            doc = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-            atomic_write(self.root / self.MANIFEST, lambda fh: fh.write(doc))
+            write_json(self.root / self.MANIFEST, manifest)
 
     # -- ingestion ---------------------------------------------------------
 

@@ -135,16 +135,8 @@ def summarize(timestamps: Sequence[int], values: Sequence[float]) -> SummaryStat
 # Rendering
 
 
-def _pct(x: float, digits: int) -> str:
-    if math.isinf(x):
-        return "+inf"
-    return f"{x * 100.0:.{digits}f}"
-
-
-def _plain(x: float, digits: int) -> str:
-    if math.isinf(x):
-        return "+inf"
-    return f"{x:.{digits}f}"
+def _cell(x: float, digits: int, scale: float = 1.0) -> str:
+    return "+inf" if math.isinf(x) else f"{x * scale:.{digits}f}"
 
 
 def render_table(stats: Mapping[str, SummaryStats]) -> str:
@@ -157,9 +149,9 @@ def render_table(stats: Mapping[str, SummaryStats]) -> str:
         raise DataError("no summary statistics to render")
     names = list(stats)
     rows = [
-        ("ARR (%)", [_pct(stats[n].arr, 2) for n in names]),
-        ("DRR (%)", [_pct(stats[n].drr, 4) for n in names]),
-        ("Sortino", [_plain(stats[n].sortino, 4) for n in names]),
+        ("ARR (%)", [_cell(stats[n].arr, 2, 100.0) for n in names]),
+        ("DRR (%)", [_cell(stats[n].drr, 4, 100.0) for n in names]),
+        ("Sortino", [_cell(stats[n].sortino, 4) for n in names]),
     ]
     header = ["metric"] + names
     widths = [len(h) for h in header]

@@ -16,9 +16,7 @@ expanding window at each boundary inside the range.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
-import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
@@ -27,18 +25,20 @@ from typing import Sequence
 import numpy as np
 
 from . import metrics as metrics_mod
-from .cryptomodule import AllocationAction, CryptoModule, DataRanges, derive_seed, load_cm, with_seed
+from .cryptomodule import AllocationAction, CryptoModule, DataRanges, derive_seed, load_cm, train_cm, with_seed
 from .datastore import (
     AssetId,
     CsvStore,
     DEFAULT_BAR_INTERVAL,
     DEFAULT_FILL_LIMIT,
     atomic_write,
+    read_json,
+    write_json,
 )
 from .errors import ChainfolioError, ConfigError, DataError
 from .metrics import SummaryStats
 from .rlcore import DivergenceError
-from .serial import from_doc, to_doc
+from .serial import Float64Array, Int64Array, from_doc, to_doc
 
 log = logging.getLogger(__name__)
 
@@ -202,20 +202,14 @@ class CmRegistry:
         self._entries: dict[str, dict] = {}
         index = self.root / "registry.json"
         if index.exists():
-            doc = _load_json(index, "registry index")
-            version = doc.get("version")
-            if type(version) is not int or version != self.VERSION:  # JSON true and 1.0 equal 1 too
-                raise ConfigError(f"unsupported registry version {version}")
-            entries = doc.get("entries")
+            entries = read_json(index, "registry index", self.VERSION).get("entries")
             if not isinstance(entries, dict) or not all(_is_entry(key, e) for key, e in entries.items()):
                 raise DataError(f"corrupt registry index {index}: bad 'entries' table")
             self._entries = entries
 
     def _save(self) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
-        doc = {"version": self.VERSION, "entries": self._entries}
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        atomic_write(self.root / "registry.json", lambda fh: fh.write(text))
+        write_json(self.root / "registry.json", {"version": self.VERSION, "entries": self._entries})
 
     def assets(self) -> list[str]:
         return sorted(self._entries)
@@ -279,11 +273,10 @@ def _is_entry(key: str, entry) -> bool:
     """An entry as :meth:`CmRegistry.add` writes it: a canonical asset key,
     its module file ``<key>.cm`` inside the registry, and that file's SHA-256."""
     try:
-        if AssetId.parse(key).key != key:
-            return False
+        canonical = AssetId.parse(key).key == key
     except DataError:
         return False
-    return isinstance(entry, dict) and entry.get("file") == f"{key}.cm" and isinstance(entry.get("sha256"), str)
+    return canonical and isinstance(entry, dict) and entry.get("file") == f"{key}.cm" and isinstance(entry.get("sha256"), str)
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +319,9 @@ class BacktestReport:
 
     version: int
     config: dict
-    timestamps: np.ndarray
-    curves: dict[str, np.ndarray]             # strategy first, then baselines
-    returns: np.ndarray                       # strategy per-bar simple returns
+    timestamps: Int64Array
+    curves: dict[str, Float64Array]           # strategy first, then baselines
+    returns: Float64Array                     # strategy per-bar simple returns
     events: list[RebalanceEvent]
     action_logs: dict[str, list[tuple[int, str]]]
     retrain_events: list[dict] = field(default_factory=list)
@@ -338,31 +331,13 @@ class BacktestReport:
         return metrics_mod.render_table(self.summary)
 
     def to_doc(self) -> dict:
-        return {
-            "version": self.version,
-            "config": self.config,
-            "curve_order": list(self.curves),
-            "timestamps": [int(t) for t in self.timestamps],
-            "curves": {k: [float(x) for x in v] for k, v in self.curves.items()},
-            "returns": [float(x) for x in self.returns],
-            "events": to_doc(self.events),
-            "action_logs": {k: [[int(t), a] for t, a in v] for k, v in self.action_logs.items()},
-            "retrain_events": self.retrain_events,
-            "summary": {
-                name: {
-                    "arr": s.arr,
-                    "drr": s.drr,
-                    "sortino": "+inf" if math.isinf(s.sortino) else s.sortino,
-                }
-                for name, s in self.summary.items()
-            },
-        }
+        """The JSON document; ``curve_order`` keeps the order that sorted keys lose."""
+        return {**to_doc(self), "curve_order": list(self.curves)}
 
     def write(self, out_dir: str | Path) -> None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        doc = json.dumps(self.to_doc(), indent=2, sort_keys=True) + "\n"
-        atomic_write(out / REPORT_FILE, lambda fh: fh.write(doc))
+        write_json(out / REPORT_FILE, self.to_doc())
         metrics_mod.write_curves_csv(out / CURVES_FILE, self.timestamps, self.curves)
 
     @classmethod
@@ -370,56 +345,15 @@ class BacktestReport:
         """Read a report; raises ConfigError for another report version and
         DataError for a file that is not a well-formed report."""
         path = Path(out_dir) / REPORT_FILE
-        doc = _load_json(path, "report")
-        version = doc.get("version")
-        if type(version) is not int or version != REPORT_VERSION:  # JSON true and 1.0 equal 1 too
-            raise ConfigError(f"unsupported report version {version}")
+        doc = read_json(path, "report", REPORT_VERSION)
         try:
-            return cls._from_doc(doc)
-        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+            report = from_doc(cls, doc)
+            order = from_doc(list[str], doc["curve_order"])
+            report.curves = {name: report.curves[name] for name in order}
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed report {path}: bad or missing field {exc!r}") from None
-
-    @classmethod
-    def _from_doc(cls, doc: dict) -> "BacktestReport":
-        curves = {name: np.asarray(doc["curves"][name]) for name in doc["curve_order"]}
-        summary = {
-            name: SummaryStats(
-                arr=_stat(s["arr"]),
-                drr=_stat(s["drr"]),
-                sortino=math.inf if s["sortino"] == "+inf" else _stat(s["sortino"]),
-            )
-            for name, s in doc["summary"].items()
-        }
-        summary = {name: summary[name] for name in doc["curve_order"] if name in summary}
-        return cls(
-            version=doc["version"],
-            config=doc["config"],
-            timestamps=np.asarray(doc["timestamps"], dtype=np.int64),
-            curves=curves,
-            returns=np.asarray(doc["returns"]),
-            events=[from_doc(RebalanceEvent, e) for e in doc["events"]],
-            action_logs={k: [(int(t), a) for t, a in v] for k, v in doc["action_logs"].items()},
-            retrain_events=doc["retrain_events"],
-            summary=summary,
-        )
-
-
-def _stat(value) -> float:
-    """A summary statistic: a JSON number, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"summary statistic {value!r} is not a number")
-    return float(value)
-
-
-def _load_json(path: Path, what: str) -> dict:
-    """A JSON object from a file, or DataError naming ``what`` is corrupt."""
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # also undecodable bytes
-        raise DataError(f"corrupt {what} {path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise DataError(f"corrupt {what} {path}: not a JSON object")
-    return doc
+        report.summary = {name: report.summary[name] for name in order if name in report.summary}
+        return report
 
 
 def _resolve_modules(source, assets: Sequence[str]) -> dict[str, CryptoModule]:
@@ -452,8 +386,6 @@ def retrain_module(
     keeps its original duration, shifted to end at the boundary.
     Selection and rolling transforms are refit on data <= boundary only.
     """
-    from .cryptomodule import train_cm
-
     val_span = cm.ranges.validation[1] - cm.ranges.validation[0]
     new_ranges = DataRanges(
         train=(cm.ranges.train[0], boundary_ts - val_span - cm.interval),

@@ -4,14 +4,17 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import struct
 import subprocess
 import sys
 from dataclasses import fields
 from datetime import datetime, timezone
+from functools import reduce
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chainfolio.cli import _inclusive_end, main
@@ -30,7 +33,7 @@ from chainfolio.datastore import AssetId, CsvStore, DEFAULT_BAR_INTERVAL, DEFAUL
 from chainfolio.errors import ConfigError
 from chainfolio.refinery import HorizonConfig
 from chainfolio.rlcore import ContainerFormatError, QNetwork, TrainConfig
-from chainfolio.serial import from_doc, to_doc
+from chainfolio.serial import Float64Array, Int64Array, from_doc, to_doc
 
 from _synth import INTERVAL, bar_ts, make_asset
 from test_cryptomodule import reseal
@@ -309,6 +312,36 @@ def test_to_doc_is_json_ready_and_complete():
     assert from_doc(RunConfig, again) == cfg
 
 
+@pytest.mark.parametrize(
+    "tp, value",
+    [(int, True), (int, 1.0), (int, "1"), (float, False), (float, "inf"), (float, None), (str, 1), (bool, 0),
+     (dict, []), (list, {}), (tuple[int, int], [1]), (tuple[int, int], [1, 2, 3]), (tuple[int, ...], [1, 2.0]),
+     (list[str], "ab"), (dict[str, float], {"a": True}), (Int64Array, [1, 2.5]), (Int64Array, [[1]]),
+     (Float64Array, [1.0, False]), (Float64Array, [1.0, "+inf"]), (HorizonConfig, [])],
+)
+def test_from_doc_rejects_another_type(tp, value):
+    with pytest.raises(TypeError):
+        from_doc(tp, value)
+
+
+def test_from_doc_checks_nested_fields_and_names_them():
+    doc = to_doc(CmSettings())
+    doc["train"]["lr"] = True
+    with pytest.raises(TypeError, match="train: lr: True is not a number"):
+        from_doc(CmSettings, doc)
+
+
+def test_from_doc_reads_numbers_inf_and_arrays():
+    assert from_doc(float, 2) == 2.0 and type(from_doc(float, 2)) is float
+    assert to_doc(math.inf) == "+inf" and from_doc(float, "+inf") == math.inf
+    ts = from_doc(Int64Array, [1, 2])
+    assert ts.dtype == np.int64 and to_doc(ts) == [1, 2]
+    assert from_doc(Float64Array, [1, 0.5]).dtype == np.float64
+    doc = {"a": [[1, "x"]]}
+    assert from_doc(dict[str, list[tuple[int, str]]], doc) == {"a": [(1, "x")]}
+    assert to_doc({"a": [(1, "x")]}) == doc
+
+
 def test_derive_asset_seed_matches_digest_oracle():
     want = int.from_bytes(hashlib.sha256(b"7:AAA-USDT").digest()[:8], "big")
     assert derive_seed(7, "AAA-USDT") == want
@@ -422,11 +455,29 @@ def test_cli_bad_manifest_entry_leaves_the_store_csv_alone(tmp_path, capsys, fla
         second.write_text("ts,name,value\n%d,mm,2.0\n" % bar_ts(1))
     assert main(["--data-dir", str(d), "ingest", "--asset", "AAA", flag, str(first)]) == 0
     before = stored.read_bytes()
-    (d / "manifest.json").write_text('{"assets": {"AAA-USDT": ["x"]}}')
+    (d / "manifest.json").write_text('{"version": 1, "assets": {"AAA-USDT": ["x"]}}')
     capsys.readouterr()
     assert main(["--data-dir", str(d), "ingest", "--asset", "AAA", flag, str(second)]) == 1
     assert "manifest" in error_line(capsys.readouterr().err)
     assert stored.read_bytes() == before
+
+
+@pytest.mark.parametrize("flag", ["--ohlcv", "--metrics"])
+@pytest.mark.parametrize("version", ["99", "true", "1.0"])
+def test_cli_ingest_rejects_another_manifest_version(tmp_path, capsys, version, flag):
+    """Only the int 1 is manifest version 1: not JSON true or 1.0, which
+    equal 1 in Python.  Another version fails before any store CSV is written."""
+    d = tmp_path / "d"
+    d.mkdir()
+    (d / "manifest.json").write_text('{"version": %s, "assets": {}}' % version)
+    source = tmp_path / "in.csv"
+    if flag == "--ohlcv":
+        source.write_text("ts,open,high,low,close,volume\n%d,1,1,1,1,1\n" % bar_ts(0))
+    else:
+        source.write_text("ts,name,value\n%d,mm,1.0\n" % bar_ts(0))
+    assert main(["--data-dir", str(d), "ingest", "--asset", "AAA", flag, str(source)]) == 1
+    assert "manifest version" in error_line(capsys.readouterr().err)
+    assert sorted(path.name for path in d.rglob("*")) == ["manifest.json"]
 
 
 def test_cli_undecodable_input_exit_1(tmp_path, capsys):
@@ -561,6 +612,32 @@ def test_cli_registry_add_rejects_a_sealed_module_with_a_broken_header(tmp_path,
     assert main(["--data-dir", str(tmp_path / "d"), "registry", "add", str(path),
                  "--registry", str(tmp_path / "registry")]) == 1
     assert "section" in error_line(capsys.readouterr().err)
+
+
+#: a settings field of a re-sealed module header, and a value of the wrong JSON type for it
+MISTYPED_SETTINGS = {
+    "window": (("window",), 8.0),
+    "lr": (("train", "lr"), True),
+    "horizons": (("horizon", "horizons"), [1.0, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("field", list(MISTYPED_SETTINGS))
+def test_cli_registry_add_rejects_mistyped_settings(tmp_path, capsys, field):
+    """A settings header scalar of the wrong type fails at ``registry add``,
+    not later as a raw TypeError in a backtest."""
+    path = tmp_path / "AAA.cm"
+    save_cm(allocation_stub("AAA", (0.0, 1.0)), path)
+    blob = path.read_bytes()
+    (length,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12 : 12 + length])
+    (*parents, name), value = MISTYPED_SETTINGS[field]
+    reduce(dict.__getitem__, parents, header["meta"]["settings"])[name] = value
+    path.write_bytes(reseal(blob, json.dumps(header).encode()))
+    registry = tmp_path / "registry"
+    assert main(["--data-dir", str(tmp_path / "d"), "registry", "add", str(path), "--registry", str(registry)]) == 1
+    assert f"{name}: " in error_line(capsys.readouterr().err)
+    assert not (registry / "AAA-USDT.cm").exists()
 
 
 def test_cli_train_flag_validation(tmp_path, capsys):

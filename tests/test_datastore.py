@@ -591,6 +591,48 @@ def test_damaged_manifest_raises_only_typed_errors(manifest_store, data):
                 pass
 
 
+#: the store files of one asset that a damage may hit
+STORE_FILES = ["ohlcv.csv", "metrics.csv", "ohlcv.csv" + datastore.SIDECAR_SUFFIX, "metrics.csv" + datastore.SIDECAR_SUFFIX]
+
+
+def damaged_bytes(data, blob: bytes) -> bytes:
+    """``blob`` truncated, byte-flipped, or with CSV-significant bytes
+    (quote, comma, CR, LF or NUL) inserted."""
+    damage = data.draw(st.sampled_from(["truncate", "flip", "insert"]))
+    if damage == "truncate":
+        return blob[: data.draw(st.integers(0, len(blob) - 1))]
+    damaged = bytearray(blob)
+    for _ in range(data.draw(st.integers(1, 4))):
+        at = data.draw(st.integers(0, len(damaged) - 1))
+        if damage == "flip":
+            damaged[at] ^= data.draw(st.integers(1, 255))
+        else:
+            damaged[at:at] = data.draw(st.sampled_from([b'"', b",", b"\r", b"\n", b"\0"]))
+    return bytes(damaged)
+
+
+@given(data=st.data())
+def test_damaged_store_csvs_and_sidecars_raise_only_typed_errors(manifest_store, data):
+    """Loading, aligning and ingesting through a damaged store CSV or
+    sidecar either work or raise a ChainfolioError."""
+    root = manifest_store / "csv_scratch"
+    shutil.rmtree(root, ignore_errors=True)
+    shutil.copytree(manifest_store / "store", root)
+    target = root / "AAA-USDT" / data.draw(st.sampled_from(STORE_FILES))
+    target.write_bytes(damaged_bytes(data, target.read_bytes()))
+    store = CsvStore(root)
+    asset = AssetId("AAA")
+    for step in (lambda: store.load_bars(asset),
+                 lambda: store.load_metrics(asset),
+                 lambda: store.align(asset, bar_ts(0), bar_ts(3)),
+                 lambda: store.ingest_ohlcv(asset, flat_bars(6)),
+                 lambda: store.ingest_metrics(asset, metric_table((bar_ts(i), "mm", 2.0) for i in range(6)))):
+        try:
+            step()
+        except ChainfolioError:
+            pass
+
+
 def test_concurrent_ingests_of_different_assets_keep_the_manifest(tmp_path):
     """Eight threads ingest eight assets; the shared manifest must end valid
     with every entry (a per-asset lock alone loses updates to it)."""
