@@ -273,10 +273,11 @@ def _is_entry(key: str, entry) -> bool:
     """An entry as :meth:`CmRegistry.add` writes it: a canonical asset key,
     its module file ``<key>.cm`` inside the registry, and that file's SHA-256."""
     try:
-        canonical = AssetId.parse(key).key == key
+        if AssetId.parse(key).key != key:
+            return False
     except DataError:
         return False
-    return canonical and isinstance(entry, dict) and entry.get("file") == f"{key}.cm" and isinstance(entry.get("sha256"), str)
+    return isinstance(entry, dict) and entry.get("file") == f"{key}.cm" and isinstance(entry.get("sha256"), str)
 
 
 # ---------------------------------------------------------------------------
