@@ -126,17 +126,16 @@ def _setup_logging(verbose: bool) -> None:
 
 
 def _dispatch(args, cfg: RunConfig) -> int:
-    store = CsvStore(cfg.data_dir)
     if args.command == "ingest":
-        return _cmd_ingest(args, cfg, store)
+        return _cmd_ingest(args, CsvStore(cfg.data_dir))
     if args.command == "refine":
-        return _cmd_refine(args, cfg, store)
+        return _cmd_refine(args, cfg, CsvStore(cfg.data_dir))
     if args.command == "train-cm":
         return _cmd_train(args, cfg)
     if args.command == "registry":
         return _cmd_registry(args, cfg)
     if args.command == "backtest":
-        return _cmd_backtest(args, cfg, store)
+        return _cmd_backtest(args, cfg, CsvStore(cfg.data_dir))
     if args.command == "report":
         return _cmd_report(args)
     raise ConfigError(f"unknown command {args.command!r}")
@@ -158,7 +157,7 @@ def _inclusive_end(text: str, interval: int) -> int:
     return ts
 
 
-def _cmd_ingest(args, cfg: RunConfig, store: CsvStore) -> int:
+def _cmd_ingest(args, store: CsvStore) -> int:
     if not args.ohlcv and not args.metrics:
         raise ConfigError("ingest needs --ohlcv and/or --metrics")
     asset = AssetId.parse(args.asset)

@@ -49,17 +49,7 @@ from .refinery import (
     refine_features,
     select_valid_metrics,
 )
-from .rlcore import (
-    QNetwork,
-    ReplayBuffer,
-    TargetTable,
-    TrainConfig,
-    epsilon_at,
-    epsilon_greedy,
-    train_step,
-)
 from .rlcore.container import (
-    KIND_MODULE,
     ContainerFormatError,
     UnsupportedVersionError,
     network_from_parts,
@@ -69,6 +59,9 @@ from .rlcore.container import (
     read_container,
     write_container,
 )
+from .rlcore.network import QNetwork
+from .rlcore.replay import ReplayBuffer
+from .rlcore.training import TargetTable, TrainConfig, epsilon_at, epsilon_greedy, train_step
 from .serial import from_doc, to_doc
 
 log = logging.getLogger(__name__)
@@ -554,12 +547,12 @@ def save_cm(cm: CryptoModule, path: str | Path) -> None:
     sections = {"sam_params": params_to_bytes(cm.sam_net.params_flat())}
     if cm.eam_net is not None:
         sections["eam_params"] = params_to_bytes(cm.eam_net.params_flat())
-    write_container(path, KIND_MODULE, meta, sections)
+    write_container(path, meta, sections)
 
 
 def load_cm(path: str | Path) -> CryptoModule:
     """Load a module; raises on bad magic, version, checksum, or header fields."""
-    _, meta, sections = read_container(path, expected_kind=KIND_MODULE)
+    meta, sections = read_container(path)
     try:
         return _module_from_parts(meta, sections)
     except (LookupError, TypeError, ValueError, OverflowError) as exc:
@@ -572,10 +565,10 @@ def _module_from_parts(meta: dict, sections: dict[str, bytes]) -> CryptoModule:
         raise UnsupportedVersionError(f"module version {version} unsupported (expected {CM_FORMAT_VERSION})")
     if meta["use_eam"] != (meta["eam"] is not None):
         raise ContainerFormatError("use_eam does not match the stored signal agent")
-    sam_net = network_from_parts(meta["sam"], params_from_bytes(sections["sam_params"]))
+    sam_net = network_from_parts(meta["sam"], params_from_bytes(sections["sam_params"]), "sam-4layer")
     eam_net = None
     if meta["eam"] is not None:
-        eam_net = network_from_parts(meta["eam"], params_from_bytes(sections["eam_params"]))
+        eam_net = network_from_parts(meta["eam"], params_from_bytes(sections["eam_params"]), "eam-1d")
     hints = get_type_hints(CryptoModule)
     header = {name: from_doc(hints[name], meta[name]) for name in _HEADER_FIELDS}
     return CryptoModule(sam_net=sam_net, eam_net=eam_net, **header)

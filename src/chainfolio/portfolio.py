@@ -37,7 +37,7 @@ from .datastore import (
 )
 from .errors import ChainfolioError, ConfigError, DataError
 from .metrics import SummaryStats
-from .rlcore import DivergenceError
+from .rlcore.training import DivergenceError
 from .serial import Float64Array, Int64Array, from_doc, to_doc
 
 log = logging.getLogger(__name__)

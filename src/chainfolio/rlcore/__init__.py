@@ -1,42 +1,12 @@
 """Self-contained deep Q-learning machinery (numpy, float64, seeded).
 
-Small convolutional Q-networks with hand-written backprop, a FIFO replay
-buffer, epsilon-greedy action selection, and the TD(0) training step
-against a per-sync table of target-network values.  Everything is
-deterministic under a fixed seed.
+Small convolutional Q-networks with hand-written backprop (``network``), a
+FIFO replay buffer (``replay``), epsilon-greedy action selection and the
+TD(0) training step against a per-sync table of target-network values
+(``training``), and the checksummed model container, whose kind byte is
+always ``M`` (``container``).  Import each name from its own module.
 """
 
-from .network import QNetwork
-from .replay import Batch, ReplayBuffer
-from .training import (
-    DivergenceError,
-    TargetTable,
-    TrainConfig,
-    epsilon_at,
-    epsilon_greedy,
-    train_step,
-)
-from .container import (
-    ChecksumMismatchError,
-    ContainerFormatError,
-    UnsupportedVersionError,
-    read_container,
-    write_container,
-)
+from .training import DivergenceError
 
-__all__ = [
-    "QNetwork",
-    "Batch",
-    "ReplayBuffer",
-    "TrainConfig",
-    "TargetTable",
-    "DivergenceError",
-    "epsilon_at",
-    "epsilon_greedy",
-    "train_step",
-    "read_container",
-    "write_container",
-    "ContainerFormatError",
-    "ChecksumMismatchError",
-    "UnsupportedVersionError",
-]
+__all__ = ["DivergenceError"]

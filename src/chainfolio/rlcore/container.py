@@ -5,7 +5,7 @@ Layout, all integers little-endian:
     offset  size  field
     0       4     magic ``CRLM``
     4       2     format version (uint16), currently 1
-    6       1     payload kind: ``M`` composite module
+    6       1     payload kind, always ``M`` (any other is rejected)
     7       1     reserved, 0
     8       4     header length H (uint32)
     12      H     header JSON (UTF-8, sorted keys): {"meta": ..., "sections":
@@ -23,17 +23,18 @@ import hashlib
 import json
 import math
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..datastore import atomic_write
 from ..errors import SerializationError
-from .network import QNetwork, param_shapes
+from ..serial import from_doc, to_doc
+from .network import ACTION_COUNTS, QNetwork, param_shapes
 
 MAGIC = b"CRLM"
 FORMAT_VERSION = 1
-KIND_MODULE = "M"
 
 _DIGEST_LEN = 32
 
@@ -50,7 +51,7 @@ class ChecksumMismatchError(SerializationError):
     """Stored digest does not match the container bytes."""
 
 
-def encode_container(kind: str, meta: dict, sections: dict[str, bytes]) -> bytes:
+def encode_container(meta: dict, sections: dict[str, bytes]) -> bytes:
     names = sorted(sections)
     header = {
         "meta": meta,
@@ -58,17 +59,17 @@ def encode_container(kind: str, meta: dict, sections: dict[str, bytes]) -> bytes
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     body = b"".join(sections[n] for n in names)
-    prefix = MAGIC + struct.pack("<HBB", FORMAT_VERSION, ord(kind), 0)
+    prefix = MAGIC + struct.pack("<HBB", FORMAT_VERSION, ord("M"), 0)
     prefix += struct.pack("<I", len(header_bytes)) + header_bytes + body
     return prefix + hashlib.sha256(prefix).digest()
 
 
-def write_container(path: str | Path, kind: str, meta: dict, sections: dict[str, bytes]) -> None:
-    blob = encode_container(kind, meta, sections)
+def write_container(path: str | Path, meta: dict, sections: dict[str, bytes]) -> None:
+    blob = encode_container(meta, sections)
     atomic_write(Path(path), lambda fh: fh.write(blob), binary=True)
 
 
-def decode_container(blob: bytes, expected_kind: str | None = None) -> tuple[str, dict, dict[str, bytes]]:
+def decode_container(blob: bytes) -> tuple[dict, dict[str, bytes]]:
     if len(blob) < 12 + _DIGEST_LEN or blob[:4] != MAGIC:
         raise ContainerFormatError("not a CRLM container")
     digest = blob[-_DIGEST_LEN:]
@@ -77,9 +78,8 @@ def decode_container(blob: bytes, expected_kind: str | None = None) -> tuple[str
     version, kind_byte, _ = struct.unpack("<HBB", blob[4:8])
     if version != FORMAT_VERSION:
         raise UnsupportedVersionError(f"container format version {version} unsupported (expected {FORMAT_VERSION})")
-    kind = chr(kind_byte)
-    if expected_kind is not None and kind != expected_kind:
-        raise ContainerFormatError(f"expected a {expected_kind!r} container, found {kind!r}")
+    if kind_byte != ord("M"):
+        raise ContainerFormatError(f"expected a 'M' container, found {chr(kind_byte)!r}")
     (header_len,) = struct.unpack("<I", blob[8:12])
     try:
         header = json.loads(blob[12 : 12 + header_len].decode())
@@ -96,15 +96,15 @@ def decode_container(blob: bytes, expected_kind: str | None = None) -> tuple[str
         offset += entry["len"]
     if offset != len(blob) - _DIGEST_LEN:
         raise ContainerFormatError("section table inconsistent with container size")
-    return kind, header["meta"], sections
+    return header["meta"], sections
 
 
 def _is_size(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def read_container(path: str | Path, expected_kind: str | None = None) -> tuple[str, dict, dict[str, bytes]]:
-    return decode_container(Path(path).read_bytes(), expected_kind)
+def read_container(path: str | Path) -> tuple[dict, dict[str, bytes]]:
+    return decode_container(Path(path).read_bytes())
 
 
 # ---------------------------------------------------------------------------
@@ -119,26 +119,39 @@ def params_from_bytes(blob: bytes) -> np.ndarray:
     return np.frombuffer(blob, dtype="<f8").astype(np.float64)
 
 
+@dataclass(frozen=True)
+class NetworkMeta:
+    """The header block of one stored network; ``n_actions`` and
+    ``layer_shapes`` follow from the other three, so a loader checks it whole."""
+
+    arch: str
+    input_shape: tuple[int, int, int]
+    n_actions: int
+    seed: int
+    layer_shapes: list[tuple[int, ...]]
+
+    @classmethod
+    def of(cls, arch: str, input_shape: tuple[int, int, int], seed: int) -> NetworkMeta:
+        """The block a network of these settings has (checked, nothing allocated)."""
+        return cls(arch, tuple(input_shape), ACTION_COUNTS[arch], seed, param_shapes(arch, input_shape))
+
+
 def network_meta(net: QNetwork) -> dict:
-    return {
-        "arch": net.arch,
-        "input_shape": list(net.input_shape),
-        "n_actions": net.n_actions,
-        "seed": net.seed,
-        "layer_shapes": [list(s) for s in param_shapes(net.arch, net.input_shape)],
-    }
+    return to_doc(NetworkMeta.of(net.arch, net.input_shape, net.seed))
 
 
-def network_from_parts(meta: dict, params: np.ndarray) -> QNetwork:
-    """The stored network; its shapes are checked against the parameters
-    present before any array is allocated."""
-    arch, input_shape = meta["arch"], tuple(meta["input_shape"])
-    shapes = [list(s) for s in param_shapes(arch, input_shape)]
-    if shapes != [list(s) for s in meta["layer_shapes"]]:
-        raise ContainerFormatError("stored layer shapes do not match the architecture")
-    n_params = sum(math.prod(s) for s in shapes)
+def network_from_parts(doc, params: np.ndarray, arch: str) -> QNetwork:
+    """The stored network of the role that needs architecture ``arch``; its
+    block must be the one its input shape and seed imply, and the parameter
+    count is checked before any array is allocated."""
+    meta = from_doc(NetworkMeta, doc)
+    if meta.arch != arch:
+        raise ContainerFormatError(f"stored network is {meta.arch!r}, not {arch!r}")
+    if meta != NetworkMeta.of(arch, meta.input_shape, meta.seed):
+        raise ContainerFormatError(f"stored {arch} block does not match its input shape and seed")
+    n_params = sum(math.prod(s) for s in meta.layer_shapes)
     if params.size != n_params:
         raise ContainerFormatError(f"expected {n_params} parameters, found {params.size}")
-    net = QNetwork(arch, input_shape, meta["seed"])
+    net = QNetwork(arch, meta.input_shape, meta.seed)
     net.set_params_flat(params)
     return net

@@ -38,7 +38,8 @@ from chainfolio.refinery import (
     rolling_pca,
     select_valid_metrics,
 )
-from chainfolio.rlcore import QNetwork, TrainConfig
+from chainfolio.rlcore.network import QNetwork
+from chainfolio.rlcore.training import TrainConfig
 
 from _synth import (
     INTERVAL,

@@ -32,7 +32,15 @@ from chainfolio.cryptomodule import CmSettings, CryptoModule, DataRanges, derive
 from chainfolio.datastore import AssetId, CsvStore, DEFAULT_BAR_INTERVAL, DEFAULT_FILL_LIMIT, MetricTable
 from chainfolio.errors import ConfigError
 from chainfolio.refinery import HorizonConfig
-from chainfolio.rlcore import ContainerFormatError, QNetwork, TrainConfig
+from chainfolio.rlcore.container import (
+    ContainerFormatError,
+    network_meta,
+    params_to_bytes,
+    read_container,
+    write_container,
+)
+from chainfolio.rlcore.network import QNetwork
+from chainfolio.rlcore.training import TrainConfig
 from chainfolio.serial import Float64Array, Int64Array, from_doc, to_doc
 
 from _synth import INTERVAL, bar_ts, make_asset
@@ -614,29 +622,58 @@ def test_cli_registry_add_rejects_a_sealed_module_with_a_broken_header(tmp_path,
     assert "section" in error_line(capsys.readouterr().err)
 
 
-#: a settings field of a re-sealed module header, and a value of the wrong JSON type for it
+#: a field of a re-sealed module header, as a path under ``meta``, and a value of the wrong JSON type for it
 MISTYPED_SETTINGS = {
-    "window": (("window",), 8.0),
-    "lr": (("train", "lr"), True),
-    "horizons": (("horizon", "horizons"), [1.0, 2, 3]),
+    "window": (("settings", "window"), 8.0),
+    "lr": (("settings", "train", "lr"), True),
+    "horizons": (("settings", "horizon", "horizons"), [1.0, 2, 3]),
+    "sam seed": (("sam", "seed"), True),
+    "sam n_actions": (("sam", "n_actions"), 2.0),
 }
 
 
 @pytest.mark.parametrize("field", list(MISTYPED_SETTINGS))
 def test_cli_registry_add_rejects_mistyped_settings(tmp_path, capsys, field):
-    """A settings header scalar of the wrong type fails at ``registry add``,
-    not later as a raw TypeError in a backtest."""
+    """A header scalar of the wrong type fails at ``registry add``, not later
+    as a raw TypeError in a backtest."""
     path = tmp_path / "AAA.cm"
     save_cm(allocation_stub("AAA", (0.0, 1.0)), path)
     blob = path.read_bytes()
     (length,) = struct.unpack("<I", blob[8:12])
     header = json.loads(blob[12 : 12 + length])
     (*parents, name), value = MISTYPED_SETTINGS[field]
-    reduce(dict.__getitem__, parents, header["meta"]["settings"])[name] = value
+    reduce(dict.__getitem__, parents, header["meta"])[name] = value
     path.write_bytes(reseal(blob, json.dumps(header).encode()))
     registry = tmp_path / "registry"
     assert main(["--data-dir", str(tmp_path / "d"), "registry", "add", str(path), "--registry", str(registry)]) == 1
     assert f"{name}: " in error_line(capsys.readouterr().err)
+    assert not (registry / "AAA-USDT.cm").exists()
+
+
+def _eam_net_as_sam(meta, sections):
+    net = QNetwork("eam-1d", tuple(meta["sam"]["input_shape"]), 5)
+    meta["sam"], sections["sam_params"] = network_meta(net), params_to_bytes(net.params_flat())
+
+
+#: a change to a module's header and sections that gives its allocation agent
+#: a network block that does not fit the role, and what the error line says
+MISFIT_NETWORKS = {
+    "sam n_actions 3": (lambda meta, sections: meta["sam"].update(n_actions=3), "does not match"),
+    "eam-1d net as sam": (_eam_net_as_sam, "not 'sam-4layer'"),
+}
+
+
+@pytest.mark.parametrize("misfit", list(MISFIT_NETWORKS))
+def test_cli_registry_add_rejects_a_network_block_that_does_not_fit_its_role(tmp_path, capsys, misfit):
+    path = tmp_path / "AAA.cm"
+    save_cm(allocation_stub("AAA", (0.0, 1.0)), path)
+    meta, sections = read_container(path)
+    change, message = MISFIT_NETWORKS[misfit]
+    change(meta, sections)
+    write_container(path, meta, sections)
+    registry = tmp_path / "registry"
+    assert main(["--data-dir", str(tmp_path / "d"), "registry", "add", str(path), "--registry", str(registry)]) == 1
+    assert message in error_line(capsys.readouterr().err)
     assert not (registry / "AAA-USDT.cm").exists()
 
 
@@ -650,27 +687,36 @@ def test_cli_train_flag_validation(tmp_path, capsys):
     assert "no assets" in capsys.readouterr().err
 
 
-def test_cli_env_var_sets_data_dir(tmp_path, monkeypatch, capsys):
-    envd = tmp_path / "envd"
-    clid = tmp_path / "clid"
-    monkeypatch.setenv(ENV_DATA_DIR, str(envd))
-    assert main(["registry", "list"]) == 0
-    assert envd.is_dir()  # store root was created from the env var
-    assert main(["--data-dir", str(clid), "registry", "list"]) == 0
-    assert clid.is_dir()
-    out = capsys.readouterr().out
-    assert "asset\tfile\tstatus" in out
+def logged_config(caplog, argv) -> dict:
+    """The effective config that a successful command logs."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO):
+        assert main(argv) == 0
+    blob = next(r.getMessage() for r in caplog.records if r.getMessage().startswith("effective config: "))
+    return json.loads(blob.split(": ", 1)[1])
+
+
+def test_cli_env_var_sets_data_dir(tmp_path, monkeypatch, caplog, capsys):
+    envd, clid = str(tmp_path / "envd"), str(tmp_path / "clid")
+    monkeypatch.setenv(ENV_DATA_DIR, envd)
+    assert logged_config(caplog, ["registry", "list"])["data_dir"] == envd
+    assert logged_config(caplog, ["--data-dir", clid, "registry", "list"])["data_dir"] == clid
+    assert "asset\tfile\tstatus" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, code", [(["report", "--report", "missing"], 1), (["registry", "list"], 0)])
+def test_commands_that_read_no_store_leave_no_data_dir(tmp_path, monkeypatch, argv, code):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(ENV_DATA_DIR, raising=False)
+    assert main(argv) == code
+    assert not (tmp_path / "data").exists()
 
 
 def test_cli_logs_effective_config(tmp_path, caplog):
     d = str(tmp_path / "d")
-    with caplog.at_level(logging.INFO):
-        assert main(["--data-dir", d, "registry", "list"]) == 0
-    messages = [r.getMessage() for r in caplog.records]
-    blob = next(m for m in messages if m.startswith("effective config: "))
-    doc = json.loads(blob.split(": ", 1)[1])
+    doc = logged_config(caplog, ["--data-dir", d, "registry", "list"])
     assert doc["data_dir"] == d and doc["seed"] == 0
-    assert any(m == "seed: 0" for m in messages)
+    assert any(r.getMessage() == "seed: 0" for r in caplog.records)
 
 
 def test_cli_subprocess_logs_to_stderr(tmp_path):

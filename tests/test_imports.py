@@ -1,6 +1,10 @@
-"""Every name a module in src/ or tests/ imports is used in that module."""
+"""Every name a module in src/ or tests/ imports is used in that module, and
+every class or function it imports from the package comes from the module
+that defines it."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,3 +36,37 @@ def test_unused_imports_are_found():
 def test_every_import_is_used():
     unused = [f"{path.relative_to(ROOT)}: {name}" for path in SOURCES for name in unused_imports(path.read_text())]
     assert unused == []
+
+
+def package_imports(source: str, package: str) -> list[tuple[str, str]]:
+    """(module, name) of each ``from <chainfolio module> import name`` in a
+    module of ``package``, relative imports resolved against it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        base = package.rsplit(".", node.level - 1)[0] if node.level else ""
+        module = ".".join(part for part in (base, node.module) if part)
+        if module.partition(".")[0] == "chainfolio":
+            found += [(module, alias.name) for alias in node.names]
+    return found
+
+
+def test_package_imports_are_resolved():
+    source = "from ..datastore import a\nfrom .network import b\nfrom chainfolio.x import c\nfrom os import d\n"
+    assert package_imports(source, "chainfolio.rlcore") == [
+        ("chainfolio.datastore", "a"), ("chainfolio.rlcore.network", "b"), ("chainfolio.x", "c")]
+
+
+def test_every_class_or_function_is_imported_from_its_own_module():
+    """No re-export layer: a class or function is imported from where it is
+    defined, not through a module that imported it in turn."""
+    src = ROOT / "src"
+    misplaced = []
+    for path in SOURCES:
+        parts = path.relative_to(src).parent.parts if path.is_relative_to(src) else ()
+        for module, name in package_imports(path.read_text(), ".".join(parts) or "tests"):
+            value = getattr(importlib.import_module(module), name)
+            if (inspect.isclass(value) or inspect.isfunction(value)) and value.__module__ != module:
+                misplaced.append(f"{path.relative_to(ROOT)}: {name} from {module}, defined in {value.__module__}")
+    assert misplaced == []

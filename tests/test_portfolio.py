@@ -40,7 +40,8 @@ from chainfolio.portfolio import (
     vote_weights,
 )
 from chainfolio.refinery import HorizonConfig, refine_features, select_valid_metrics
-from chainfolio.rlcore import QNetwork, TrainConfig
+from chainfolio.rlcore.network import QNetwork
+from chainfolio.rlcore.training import TrainConfig
 
 from _synth import INTERVAL, bar_ts, make_asset
 from test_cryptomodule import _JSON, _json_paths

@@ -8,24 +8,20 @@ import numpy as np
 import pytest
 
 from chainfolio.errors import ConfigError, DataError
-from chainfolio.rlcore import (
+from chainfolio.rlcore.container import (
     ChecksumMismatchError,
     ContainerFormatError,
-    DivergenceError,
-    Batch,
-    QNetwork,
-    ReplayBuffer,
-    TargetTable,
-    TrainConfig,
     UnsupportedVersionError,
-    epsilon_at,
-    epsilon_greedy,
+    network_from_parts,
+    network_meta,
+    params_from_bytes,
+    params_to_bytes,
     read_container,
-    train_step,
     write_container,
 )
-from chainfolio.rlcore.container import network_from_parts, network_meta, params_from_bytes, params_to_bytes
-from chainfolio.rlcore.network import CONV_KERNEL, Conv1D, Dense, param_shapes
+from chainfolio.rlcore.network import CONV_KERNEL, Conv1D, Dense, QNetwork, param_shapes
+from chainfolio.rlcore.replay import Batch, ReplayBuffer
+from chainfolio.rlcore.training import DivergenceError, TargetTable, TrainConfig, epsilon_at, epsilon_greedy, train_step
 
 EAM_SHAPE = (3, 1, 6)
 SAM_SHAPE = (2, 2, 5)
@@ -562,19 +558,19 @@ def test_replay_validation():
 
 def save_net(net, path):
     """A one-network container, written as save_cm writes each network."""
-    write_container(path, "M", network_meta(net), {"params": params_to_bytes(net.params_flat())})
+    write_container(path, network_meta(net), {"params": params_to_bytes(net.params_flat())})
 
 
-def load_net(path):
-    _, meta, sections = read_container(path, expected_kind="M")
-    return network_from_parts(meta, params_from_bytes(sections["params"]))
+def load_net(path, arch):
+    meta, sections = read_container(path)
+    return network_from_parts(meta, params_from_bytes(sections["params"]), arch)
 
 
 def test_network_container_round_trip(tmp_path, rng):
     net = QNetwork("sam-4layer", SAM_SHAPE, seed=3)
     path = tmp_path / "net.crlm"
     save_net(net, path)
-    loaded = load_net(path)
+    loaded = load_net(path, "sam-4layer")
     assert loaded.arch == net.arch
     assert loaded.input_shape == net.input_shape
     assert np.array_equal(loaded.params_flat(), net.params_flat())
@@ -599,7 +595,7 @@ def test_container_detects_corruption(tmp_path):
     blob[len(blob) // 2] ^= 0xFF
     path.write_bytes(bytes(blob))
     with pytest.raises(ChecksumMismatchError):
-        load_net(path)
+        load_net(path, "eam-1d")
 
 
 def test_container_rejects_future_version(tmp_path):
@@ -610,16 +606,19 @@ def test_container_rejects_future_version(tmp_path):
     struct.pack_into("<H", prefix, 4, 2)  # bump the version field
     path.write_bytes(bytes(prefix) + hashlib.sha256(bytes(prefix)).digest())
     with pytest.raises(UnsupportedVersionError):
-        load_net(path)
+        load_net(path, "eam-1d")
 
 
 def test_container_kind_and_structure_checks(tmp_path):
     path = tmp_path / "box.crlm"
-    write_container(path, "M", {"note": 1}, {"blob": b"\x01\x02"})
-    kind, meta, sections = read_container(path)
-    assert kind == "M" and meta == {"note": 1} and sections == {"blob": b"\x01\x02"}
-    with pytest.raises(ContainerFormatError):
-        read_container(path, expected_kind="N")
+    write_container(path, {"note": 1}, {"blob": b"\x01\x02"})
+    assert read_container(path) == ({"note": 1}, {"blob": b"\x01\x02"})
+    assert path.read_bytes()[6:7] == b"M"  # the one payload kind
+    prefix = bytearray(path.read_bytes()[:-32])
+    prefix[6] = ord("N")  # another kind byte, re-sealed
+    (tmp_path / "kind.crlm").write_bytes(bytes(prefix) + hashlib.sha256(bytes(prefix)).digest())
+    with pytest.raises(ContainerFormatError, match="found 'N'"):
+        read_container(tmp_path / "kind.crlm")
     (tmp_path / "junk.crlm").write_bytes(b"JUNKJUNKJUNK")
     with pytest.raises(ContainerFormatError):
         read_container(tmp_path / "junk.crlm")
