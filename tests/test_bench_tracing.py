@@ -11,9 +11,12 @@ from pathlib import Path
 
 import pytest
 
+from chainfolio import portfolio
 from chainfolio.cryptomodule import train_cm_from_frame
 
+from _synth import bar_ts
 from test_cryptomodule import RANGES, SMALL, walk_frame
+from test_portfolio import bt_config, trained_pair
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -59,3 +62,24 @@ def test_traced_training_run_fills_the_rl_metrics(tracing, tmp_path, rng):
     assert metrics["rlcore.qnet.forward_b1.calls"] == 2 * cfg.max_steps
     assert metrics["cryptomodule.build_state.calls"] > 0
     assert len(samples["rlcore.train_step.sam-4layer"]) == updates
+
+
+def test_traced_retrain_backtest_fills_the_portfolio_metrics(tracing, tmp_path):
+    """Bars 160-223 decide every 12 bars (6 decision bars) and retrain every
+    2 days: 7 boundaries, each before a decision bar, for 2 assets."""
+    store, modules = trained_pair(tmp_path)
+    cfg = bt_config(assets=list(modules), start_ts=bar_ts(160), end_ts=bar_ts(223),
+                    rebalance_interval=12, retrain_days=2)
+    tracer = tracing.Tracer(tmp_path)
+    tracer.install()
+    try:
+        report = tracer.command_span("backtest", lambda: portfolio.run_backtest(modules, cfg, store))
+    finally:
+        tracer.uninstall()
+    agg, _ = tracer.summarize(range(0, 1))
+    metrics = tracing.layer_metrics(agg, tracer.counts)
+
+    assert len(report.retrain_events) == 14
+    assert metrics["portfolio.retrain_module.calls"] == len(report.retrain_events)
+    assert metrics["cryptomodule.allocate.calls"] == 6 * 2
+    assert metrics["portfolio.rebalance.calls"] == agg["portfolio.vote_weights"]["calls"] == 6

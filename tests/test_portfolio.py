@@ -658,21 +658,39 @@ def test_backtest_retrain_cadence_half_range_fires_once(tmp_path):
     assert np.array_equal(report.curves["strategy"][:cut], static.curves["strategy"][:cut])
 
 
-def test_backtest_preparing_query_rows_equals_preparing_whole_frames(tmp_path, monkeypatch):
-    """Two retrain boundaries at rebalance interval 6: modules that refine
-    and decide only the rows the backtest queries give the report bytes of
-    modules that prepare the whole frame every time."""
+def trained_pair(tmp_path):
+    """trained_world's store and module plus a second asset, BBB, and its module."""
     store, asset, cm = trained_world(tmp_path)
-    cfg = bt_config(assets=[asset.key], start_ts=bar_ts(160), end_ts=bar_ts(223), fee_rate=0.001,
-                    rebalance_interval=6, retrain_days=6)
-    queried = run_backtest({asset.key: cm}, cfg, store)
-    assert [e["status"] for e in queried.retrain_events] == ["retrained", "retrained"]
-    assert {a for _, a in queried.action_logs[asset.key]} == {"cash", "crypto"}
-    queried.write(tmp_path / "queried")
+    other = make_asset(store, "BBB", 240, seed=4, n_signal=1, n_noise=2)
+    return store, {asset.key: cm, other.key: train_cm(store, other, TRAIN_RANGES, SMALL, interval=INTERVAL)}
+
+
+def test_backtest_preparing_query_rows_equals_preparing_whole_frames(tmp_path, monkeypatch):
+    """Modules that refine and decide only the rows the backtest queries give
+    the report bytes of modules that prepare the whole frame every time."""
+    store, modules = trained_pair(tmp_path)
+    aaa, bbb = modules
+    cases = [
+        # one asset at rebalance interval 6: both boundaries fall on decision bars
+        (bt_config(assets=[aaa], start_ts=bar_ts(160), end_ts=bar_ts(223), fee_rate=0.001,
+                   rebalance_interval=6, retrain_days=6), [184, 208]),
+        # decision bars 160, 180 and 200: boundaries 168 and 176 take effect at
+        # 180, 184 to 200 at 200, and 208 and 216 come after the last decision
+        (bt_config(assets=[aaa, bbb], start_ts=bar_ts(160), end_ts=bar_ts(219), fee_rate=0.001,
+                   rebalance_interval=20, retrain_days=2), [168, 176, 184, 192, 200]),
+    ]
+    for i, (cfg, boundaries) in enumerate(cases):
+        queried = run_backtest(modules, cfg, store)
+        assert queried.retrain_events == [
+            {"ts": bar_ts(b), "asset": key, "status": "retrained"} for b in boundaries for key in cfg.assets
+        ]
+        assert {a for key in cfg.assets for _, a in queried.action_logs[key]} == {"cash", "crypto"}
+        queried.write(tmp_path / f"queried{i}")
     prepare = CryptoModule.prepare
     monkeypatch.setattr(CryptoModule, "prepare", lambda self, frame, rows: prepare(self, frame))
-    run_backtest({asset.key: cm}, cfg, store).write(tmp_path / "whole")
-    assert (tmp_path / "queried" / REPORT_FILE).read_bytes() == (tmp_path / "whole" / REPORT_FILE).read_bytes()
+    for i, (cfg, _) in enumerate(cases):
+        run_backtest(modules, cfg, store).write(tmp_path / f"whole{i}")
+        assert (tmp_path / f"queried{i}" / REPORT_FILE).read_bytes() == (tmp_path / f"whole{i}" / REPORT_FILE).read_bytes()
 
 
 def test_backtest_oversized_cadence_equals_static_run(tmp_path):
