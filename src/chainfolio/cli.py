@@ -278,7 +278,8 @@ def _cmd_backtest(args, cfg: RunConfig, store: CsvStore) -> int:
     end = _inclusive_end(args.end, cfg.interval) if args.end else None
     bt_cfg = cfg.backtest_config(assets, start_ts=start, end_ts=end)
     registry = CmRegistry(_registry_dir(args, cfg))
-    report = run_backtest(registry, bt_cfg, store)
+    modules = {a: registry.load(a) for a in bt_cfg.assets if a in registry}
+    report = run_backtest(modules, bt_cfg, store)  # names every unregistered asset
     report.write(args.out)
     print(report.table())
     print(f"report written to {args.out}")

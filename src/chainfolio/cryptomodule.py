@@ -565,13 +565,23 @@ def _module_from_parts(meta: dict, sections: dict[str, bytes]) -> CryptoModule:
         raise UnsupportedVersionError(f"module version {version} unsupported (expected {CM_FORMAT_VERSION})")
     if meta["use_eam"] != (meta["eam"] is not None):
         raise ContainerFormatError("use_eam does not match the stored signal agent")
-    sam_net = network_from_parts(meta["sam"], params_from_bytes(sections["sam_params"]), "sam-4layer")
+    sam_net = _read_field("sam", network_from_parts, meta["sam"], params_from_bytes(sections["sam_params"]),
+                          "sam-4layer")
     eam_net = None
     if meta["eam"] is not None:
-        eam_net = network_from_parts(meta["eam"], params_from_bytes(sections["eam_params"]), "eam-1d")
+        eam_net = _read_field("eam", network_from_parts, meta["eam"], params_from_bytes(sections["eam_params"]),
+                              "eam-1d")
     hints = get_type_hints(CryptoModule)
-    header = {name: from_doc(hints[name], meta[name]) for name in _HEADER_FIELDS}
+    header = {name: _read_field(name, from_doc, hints[name], meta[name]) for name in _HEADER_FIELDS}
     return CryptoModule(sam_net=sam_net, eam_net=eam_net, **header)
+
+
+def _read_field(name: str, read, *args):
+    """``read(*args)`` for header field ``name``; a TypeError names the field."""
+    try:
+        return read(*args)
+    except TypeError as exc:
+        raise TypeError(f"{name}: {exc}") from None
 
 
 def with_seed(settings: CmSettings, seed: int) -> CmSettings:

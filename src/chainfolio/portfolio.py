@@ -6,11 +6,16 @@ weight is its module's crypto entry divided by the module count m, and
 the residual mass stays in cash.  Weight vectors are kept in rational
 arithmetic so they sum to 1 exactly.
 
-Backtest loop: per rebalance interval query every module, average the
-votes, rebalance at current closes paying proportional fees on turnover
-(crypto entries only); between rebalances holdings drift with prices.
-A retrain cadence in days optionally re-fits every module on an
-expanding window at each boundary inside the range.
+Backtest: a module decides from its own asset's data alone, never from
+the portfolio's state, so every module's decisions (one per rebalance
+interval) are taken before the bar loop.  A retrain cadence in days
+optionally re-fits every module on an expanding window at each boundary
+inside the range, also before the loop; a retrain takes effect at the
+first decision bar at or after its boundary, and a boundary after the
+last decision bar is not retrained.  The bar loop then averages each
+decision bar's votes and rebalances at current closes, paying
+proportional fees on turnover (crypto entries only); between rebalances
+holdings drift with prices.
 """
 
 from __future__ import annotations
@@ -20,13 +25,14 @@ import logging
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import metrics as metrics_mod
 from .cryptomodule import AllocationAction, CryptoModule, DataRanges, derive_seed, load_cm, train_cm, with_seed
 from .datastore import (
+    AlignedFrame,
     AssetId,
     CsvStore,
     DEFAULT_BAR_INTERVAL,
@@ -50,26 +56,6 @@ _ACTION_NAMES = ("cash", "crypto")
 
 
 @dataclass(frozen=True)
-class VoteSet:
-    """One binary allocation per module, in portfolio order."""
-
-    assets: tuple[str, ...]
-    actions: tuple[AllocationAction, ...]
-
-    def __post_init__(self):
-        if len(self.assets) != len(self.actions):
-            raise DataError("one action per asset required")
-        if len(self.assets) == 0:
-            raise DataError("a vote set needs at least one module")
-        if len(set(self.assets)) != len(self.assets):
-            raise DataError("duplicate assets in vote set")
-
-    @property
-    def m(self) -> int:
-        return len(self.assets)
-
-
-@dataclass(frozen=True)
 class PortfolioWeights:
     """(m+1)-vector [crypto_1..crypto_m, cash]; exact rational sum of 1."""
 
@@ -84,24 +70,14 @@ class PortfolioWeights:
         if sum(self.values) != 1:
             raise DataError(f"weights must sum to 1 exactly, got {sum(self.values)}")
 
-    @property
-    def crypto(self) -> tuple[Fraction, ...]:
-        return self.values[:-1]
-
-    @property
-    def cash(self) -> Fraction:
-        return self.values[-1]
-
     def to_floats(self) -> np.ndarray:
         return np.array([float(v) for v in self.values])
 
 
-def vote_weights(votes: VoteSet) -> PortfolioWeights:
-    """Average the crypto-side votes; residual mass is cash."""
-    m = votes.m
-    crypto = tuple(Fraction(int(a.crypto), m) for a in votes.actions)
-    cash = Fraction(1) - sum(crypto)
-    return PortfolioWeights(votes.assets, crypto + (cash,))
+def vote_weights(assets: tuple[str, ...], actions: Sequence[AllocationAction]) -> PortfolioWeights:
+    """Average the crypto-side votes, one action per asset; residual mass is cash."""
+    crypto = tuple(Fraction(int(a.crypto), len(assets)) for a in actions)
+    return PortfolioWeights(assets, crypto + (Fraction(1) - sum(crypto),))
 
 
 @dataclass(frozen=True)
@@ -357,19 +333,6 @@ class BacktestReport:
         return report
 
 
-def _resolve_modules(source, assets: Sequence[str]) -> dict[str, CryptoModule]:
-    if isinstance(source, CmRegistry):
-        missing = [a for a in assets if a not in source]
-        if missing:
-            raise ConfigError(f"no module registered for: {', '.join(missing)}")
-        return {a: source.load(a) for a in assets}
-    modules = dict(source)
-    missing = [a for a in assets if a not in modules]
-    if missing:
-        raise ConfigError(f"no module supplied for: {', '.join(missing)}")
-    return {a: modules[a] for a in assets}
-
-
 def retrain_boundaries(start_ts: int, end_ts: int, cadence_days: int) -> list[int]:
     """Boundary timestamps strictly inside (start, end) at the day cadence."""
     if cadence_days <= 0:
@@ -397,84 +360,67 @@ def retrain_module(
     return replace(fresh, settings=cm.settings)  # keep the original seed for future boundaries
 
 
-def _retrain_step(
-    cm: CryptoModule, store: CsvStore, boundary: int, fill_limit: int
-) -> tuple[CryptoModule, dict]:
-    try:
-        fresh = retrain_module(cm, store, boundary, fill_limit)
-    except DivergenceError as exc:
-        log.warning("retraining %s at ts=%d diverged, keeping previous module: %s", cm.asset.key, boundary, exc)
-        return cm, {"ts": boundary, "asset": cm.asset.key, "status": "diverged-kept-previous"}
-    log.info("retrained %s at ts=%d", cm.asset.key, boundary)
-    return fresh, {"ts": boundary, "asset": cm.asset.key, "status": "retrained"}
+def run_backtest(modules: Mapping[str, CryptoModule], cfg: BacktestConfig, store: CsvStore) -> BacktestReport:
+    """Fee-aware portfolio backtest over aligned bars of the assets that
+    `modules` maps to their trained modules.
 
-
-def run_backtest(modules, cfg: BacktestConfig, store: CsvStore) -> BacktestReport:
-    """Fee-aware portfolio backtest over aligned bars.
-
-    `modules` is a CmRegistry or a mapping asset key -> trained module.
-    Every bar is marked to market; every `rebalance_interval` bars the
-    modules are queried, their votes averaged, and holdings re-split at
-    the bar's close.  The value curve records post-rebalance values on
-    decision bars.
+    Every asset is aligned first.  Then, per asset, every retrain runs and
+    the module in force decides at each decision bar (every
+    `rebalance_interval` bars); a retrain takes effect at the first decision
+    bar at or after its boundary, and a boundary after the last decision bar
+    is not retrained.  The bar loop then only marks every bar to market and,
+    on decision bars, averages the votes and re-splits holdings at the close.
     """
-    active = _resolve_modules(modules, cfg.assets)
+    missing = [a for a in cfg.assets if a not in modules]
+    if missing:
+        raise ConfigError(f"no trained module for: {', '.join(missing)}")
     n_bars = (cfg.end_ts - cfg.start_ts) // cfg.interval + 1
     grid = cfg.start_ts + cfg.interval * np.arange(n_bars, dtype=np.int64)
-
     decisions = np.arange(0, n_bars, cfg.rebalance_interval)
+
     frames = {}
-    contexts = {}
     offsets = {}
     for asset in cfg.assets:
-        cm = active[asset]
-        if getattr(cm, "interval", cfg.interval) != cfg.interval:
+        cm = modules[asset]
+        if cm.interval != cfg.interval:
             raise ConfigError(f"module for {asset} was trained at a different bar interval")
         lead = cm.warmup_bars * cfg.interval
-        frame = store.align(AssetId.parse(asset), cfg.start_ts - lead, cfg.end_ts, cfg.interval, cfg.fill_limit)
-        frames[asset] = frame
-        offsets[asset] = frame.index_of(cfg.start_ts)
-        contexts[asset] = cm.prepare(frame, offsets[asset] + decisions)
+        frames[asset] = store.align(AssetId.parse(asset), cfg.start_ts - lead, cfg.end_ts, cfg.interval, cfg.fill_limit)
+        offsets[asset] = frames[asset].index_of(cfg.start_ts)
 
-    closes = {a: frames[a].close for a in cfg.assets}
+    # each retrained boundary and the index into `decisions` where it takes effect
     boundaries = retrain_boundaries(cfg.start_ts, cfg.end_ts, cfg.retrain_days)
-    pending = list(boundaries)
+    takes_effect = np.searchsorted(grid[decisions], boundaries)
+    schedule = [(b, int(at)) for b, at in zip(boundaries, takes_effect) if at < len(decisions)]
+    retrain_events: list[dict] = []
+    action_logs: dict[str, list[tuple[int, str]]] = {}
+    votes = []
+    for asset in cfg.assets:
+        actions, asset_events = _decide(modules[asset], store, frames[asset], offsets[asset] + decisions,
+                                        schedule, cfg.fill_limit)
+        action_logs[asset] = [(int(grid[k]), _ACTION_NAMES[a.index]) for k, a in zip(decisions, actions)]
+        votes.append(actions)
+        retrain_events += asset_events
+    retrain_events.sort(key=lambda ev: ev["ts"])  # boundary by boundary, assets in portfolio order
+    ballots = list(zip(*votes))
 
+    prices_at = np.column_stack([frames[a].close[offsets[a] : offsets[a] + n_bars] for a in cfg.assets])
     holdings = Holdings(cfg.assets, tuple(0.0 for _ in cfg.assets), float(cfg.initial_capital))
     curve = np.empty(n_bars)
     events: list[RebalanceEvent] = []
-    retrain_events: list[dict] = []
-    action_logs: dict[str, list[tuple[int, str]]] = {a: [] for a in cfg.assets}
-
     for k in range(n_bars):
-        ts = int(grid[k])
-        prices = np.array([closes[a][offsets[a] + k] for a in cfg.assets])
+        prices = prices_at[k]
         value = holdings.value(prices)
         if k % cfg.rebalance_interval == 0:
-            while pending and ts >= pending[0]:
-                boundary = pending.pop(0)
-                for asset in cfg.assets:
-                    active[asset], ev = _retrain_step(active[asset], store, boundary, cfg.fill_limit)
-                    retrain_events.append(ev)
-                    if ev["status"] == "retrained":
-                        rows = offsets[asset] + decisions[decisions >= k]
-                        contexts[asset] = active[asset].prepare(frames[asset], rows)
-            actions = []
-            for asset in cfg.assets:
-                action = active[asset].allocate(contexts[asset], offsets[asset] + k)
-                actions.append(action)
-                action_logs[asset].append((ts, _ACTION_NAMES[action.index]))
-            target = vote_weights(VoteSet(cfg.assets, tuple(actions)))
-            holdings, event = rebalance(value, holdings.weights(prices), target, prices, cfg.fee_rate, ts)
+            target = vote_weights(cfg.assets, ballots[k // cfg.rebalance_interval])
+            holdings, event = rebalance(value, holdings.weights(prices), target, prices, cfg.fee_rate, int(grid[k]))
             events.append(event)
             value = event.post_value
         curve[k] = value
 
     curves: dict[str, np.ndarray] = {"strategy": curve}
-    for asset in cfg.assets:
-        o = offsets[asset]
-        name = _baseline_name(asset, cfg.assets)
-        curves[name] = cfg.initial_capital * (closes[asset][o : o + n_bars] / closes[asset][o])
+    for i, asset in enumerate(cfg.assets):
+        curves[_baseline_name(asset, cfg.assets)] = cfg.initial_capital * (prices_at[:, i] / prices_at[0, i])
 
     summary = {name: metrics_mod.summarize(grid, vals) for name, vals in curves.items()}
     return BacktestReport(
@@ -488,6 +434,35 @@ def run_backtest(modules, cfg: BacktestConfig, store: CsvStore) -> BacktestRepor
         retrain_events=retrain_events,
         summary=summary,
     )
+
+
+def _decide(
+    cm: CryptoModule, store: CsvStore, frame: AlignedFrame, rows: np.ndarray,
+    schedule: list[tuple[int, int]], fill_limit: int,
+) -> tuple[list[AllocationAction], list[dict]]:
+    """One asset's actions at the frame ``rows`` and its retrain events.
+    Each (boundary, index into ``rows``) of ``schedule`` retrains the module
+    in force; one that diverges keeps it, and a module that a later retrain
+    replaces at the same row is never prepared."""
+    in_force = {0: cm}
+    events = []
+    for boundary, at in schedule:
+        try:
+            cm = retrain_module(cm, store, boundary, fill_limit)
+        except DivergenceError as exc:
+            log.warning("retraining %s at ts=%d diverged, keeping previous module: %s", cm.asset.key, boundary, exc)
+            status = "diverged-kept-previous"
+        else:
+            log.info("retrained %s at ts=%d", cm.asset.key, boundary)
+            in_force[at] = cm
+            status = "retrained"
+        events.append({"ts": boundary, "asset": cm.asset.key, "status": status})
+    starts = list(in_force)
+    actions = []
+    for lo, hi in zip(starts, starts[1:] + [len(rows)]):
+        ctx = in_force[lo].prepare(frame, rows[lo:])
+        actions += [in_force[lo].allocate(ctx, int(t)) for t in rows[lo:hi]]
+    return actions, events
 
 
 def _baseline_name(asset: str, assets: Sequence[str]) -> str:

@@ -235,9 +235,6 @@ class QNetwork:
             raise DataError(f"expected {self.n_params} parameters, got {flat.size}")
         self.params[self._cm_order] = flat
 
-    def grads_flat(self) -> np.ndarray:
-        return self.grads[self._cm_order]
-
     def clone(self) -> "QNetwork":
         twin = QNetwork(self.arch, self.input_shape, self.seed)
         np.copyto(twin.params, self.params)

@@ -265,11 +265,11 @@ def loss_and_grads(net, states, actions, targets):
     d_q[np.arange(len(actions)), actions] = 2.0 * err / len(actions)
     net.zero_grads()
     net.backward(d_q)
-    return loss, net.grads_flat().copy()
+    return loss, net.grads.copy()
 
 
 def loss_at(net, theta, states, actions, targets):
-    net.set_params_flat(theta)
+    net.params[:] = theta
     q = net.forward(states)
     picked = q[np.arange(len(actions)), actions]
     err = picked - targets
@@ -292,7 +292,7 @@ def test_criterion_05_gradients_match_finite_differences():
         states = rng.normal(size=(2, *shape))
         actions = rng.integers(net.n_actions, size=2)
         targets = rng.normal(size=2)
-        theta = net.params_flat()
+        theta = net.params.copy()
         _, analytic = loss_and_grads(net, states, actions, targets)
         for j in range(theta.size):
             base = 1e-5 * max(1.0, abs(theta[j]))
@@ -310,7 +310,7 @@ def test_criterion_05_gradients_match_finite_differences():
                     break
             worst = max(worst, rel)
             assert rel <= 1e-4, f"{arch} {shape} param {j}: {analytic[j]} vs {numeric}"
-        net.set_params_flat(theta)
+        net.params[:] = theta
     print(f"[PASS] criterion 5: gradients match central differences on 20 "
           f"instances (worst relative error {worst:.2e} <= 1e-4)")
 

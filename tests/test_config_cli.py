@@ -646,7 +646,7 @@ def test_cli_registry_add_rejects_mistyped_settings(tmp_path, capsys, field):
     path.write_bytes(reseal(blob, json.dumps(header).encode()))
     registry = tmp_path / "registry"
     assert main(["--data-dir", str(tmp_path / "d"), "registry", "add", str(path), "--registry", str(registry)]) == 1
-    assert f"{name}: " in error_line(capsys.readouterr().err)
+    assert f"{': '.join([*parents, name])}: " in error_line(capsys.readouterr().err)
     assert not (registry / "AAA-USDT.cm").exists()
 
 
@@ -962,9 +962,8 @@ def test_cli_backtest_writes_report_and_renders(tmp_path, capsys):
 
 def test_cli_backtest_missing_module_names_asset(tmp_path, capsys):
     data, reg = seeded_backtest_world(tmp_path)
-    rc = main(["--data-dir", str(data), "backtest", "--portfolio", "AAA,CCC",
+    rc = main(["--data-dir", str(data), "backtest", "--portfolio", "AAA,CCC,DDD",
                "--from", str(bar_ts(12)), "--to", str(bar_ts(39)),
                "--registry", str(reg), "--out", str(tmp_path / "r")])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "CCC-USDT" in err
+    assert "CCC-USDT, DDD-USDT" in error_line(capsys.readouterr().err)

@@ -32,7 +32,6 @@ from chainfolio.portfolio import (
     Holdings,
     PortfolioWeights,
     REPORT_FILE,
-    VoteSet,
     rebalance,
     retrain_boundaries,
     retrain_module,
@@ -61,26 +60,16 @@ CRYPTO = AllocationAction.all_crypto()
 
 
 def test_vote_weights_three_modules_exact():
-    votes = VoteSet(("A-USDT", "B-USDT", "C-USDT"), (CRYPTO, CASH, CRYPTO))
-    w = vote_weights(votes)
+    w = vote_weights(("A-USDT", "B-USDT", "C-USDT"), (CRYPTO, CASH, CRYPTO))
     assert w.values == (Fraction(1, 3), Fraction(0), Fraction(1, 3), Fraction(1, 3))
-    assert w.crypto == (Fraction(1, 3), Fraction(0), Fraction(1, 3))
-    assert w.cash == Fraction(1, 3)
     assert sum(w.values) == 1
 
 
 def test_vote_weights_single_module():
-    assert vote_weights(VoteSet(("A-USDT",), (CRYPTO,))).values == (Fraction(1), Fraction(0))
-    assert vote_weights(VoteSet(("A-USDT",), (CASH,))).values == (Fraction(0), Fraction(1))
-
-
-def test_vote_set_validation():
+    assert vote_weights(("A-USDT",), (CRYPTO,)).values == (Fraction(1), Fraction(0))
+    assert vote_weights(("A-USDT",), (CASH,)).values == (Fraction(0), Fraction(1))
     with pytest.raises(DataError):
-        VoteSet((), ())
-    with pytest.raises(DataError):
-        VoteSet(("A-USDT", "A-USDT"), (CASH, CASH))
-    with pytest.raises(DataError):
-        VoteSet(("A-USDT",), (CASH, CRYPTO))
+        vote_weights(("A-USDT",), (CASH, CRYPTO))
 
 
 def test_portfolio_weights_validation():
@@ -423,6 +412,8 @@ def test_backtest_missing_module_and_interval_mismatch(tmp_path):
     cfg = bt_config(assets=keys, start_ts=bar_ts(0), end_ts=bar_ts(20))
     with pytest.raises(ConfigError, match="BBB-USDT"):
         run_backtest({keys[0]: always(CASH)}, cfg, store)
+    with pytest.raises(ConfigError, match="AAA-USDT, BBB-USDT"):
+        run_backtest({}, cfg, store)
     bad = {keys[0]: always(CASH), keys[1]: ForcedModule(lambda f, t: CASH, interval=INTERVAL * 2)}
     with pytest.raises(ConfigError, match="interval"):
         run_backtest(bad, cfg, store)
@@ -435,11 +426,8 @@ def test_backtest_through_registry_with_real_module(tmp_path):
     reg = CmRegistry(tmp_path / "reg")
     reg.add(tmp_path / "aaa.cm")
     cfg = bt_config(assets=keys, start_ts=bar_ts(12), end_ts=bar_ts(30), fee_rate=0.0)
-    report = run_backtest(reg, cfg, store)
+    report = run_backtest({keys[0]: reg.load(keys[0])}, cfg, store)
     assert np.allclose(report.curves["strategy"], report.curves["baseline_AAA"], rtol=1e-9)
-    missing_cfg = bt_config(assets=["AAA", "CCC"], start_ts=bar_ts(12), end_ts=bar_ts(30))
-    with pytest.raises(ConfigError, match="CCC-USDT"):
-        run_backtest(reg, missing_cfg, store)
 
 
 # ---------------------------------------------------------------------------

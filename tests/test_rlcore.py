@@ -115,11 +115,11 @@ def _td_loss_grads(net, states, actions, targets):
     d_q[np.arange(len(actions)), actions] = 2.0 * err / len(actions)
     net.zero_grads()
     net.backward(d_q)
-    return loss, net.grads_flat().copy()
+    return loss, net.grads.copy()
 
 
 def _td_loss_only(net, theta, states, actions, targets):
-    net.set_params_flat(theta)
+    net.params[:] = theta
     q_all = net.forward(states)
     q_sa = q_all[np.arange(len(actions)), actions]
     err = q_sa - targets
@@ -136,14 +136,14 @@ def test_backward_without_state_gradient_keeps_parameter_gradients(arch, shape, 
     net.forward(states)
     net.zero_grads()
     net.backward(d_q)
-    skipped = net.grads_flat().copy()
+    skipped = net.grads.copy()
     net.forward(states)
     net.zero_grads()
     d = d_q
     for layer in reversed(net.layers):
         d = layer.backward(d)
     assert d.shape == states.shape
-    assert np.array_equal(net.grads_flat(), skipped)
+    assert np.array_equal(net.grads, skipped)
 
 
 @pytest.mark.parametrize("arch,shape", [("eam-1d", (2, 1, 5)), ("sam-4layer", (2, 2, 5))])
@@ -153,7 +153,7 @@ def test_backprop_matches_finite_differences(arch, shape, rng):
     states = rng.normal(size=(batch, *shape))
     actions = rng.integers(net.n_actions, size=batch)
     targets = rng.normal(size=batch)
-    theta = net.params_flat()
+    theta = net.params.copy()
     _, analytic = _td_loss_grads(net, states, actions, targets)
     for j in range(theta.size):
         h = 1e-5 * max(1.0, abs(theta[j]))
@@ -165,7 +165,7 @@ def test_backprop_matches_finite_differences(arch, shape, rng):
             - _td_loss_only(net, dn, states, actions, targets)
         ) / (2.0 * h)
         assert abs(analytic[j] - numeric) <= 1e-4 * max(abs(analytic[j]), abs(numeric), 1e-3)
-    net.set_params_flat(theta)
+    net.params[:] = theta
 
 
 def with_riskless_row(net, states):
@@ -200,7 +200,7 @@ def test_backprop_on_crypto_only_states_matches_finite_differences(rng):
     states = rng.normal(size=(batch, 6, 1, 5))
     actions = rng.integers(net.n_actions, size=batch)
     targets = rng.normal(size=batch)
-    theta = net.params_flat()
+    theta = net.params.copy()
     _, analytic = _td_loss_grads(net, states, actions, targets)
     _, explicit = _td_loss_grads(net, with_riskless_row(net, states), actions, targets)
     np.testing.assert_allclose(analytic, explicit, rtol=1e-9, atol=1e-12)
@@ -214,7 +214,7 @@ def test_backprop_on_crypto_only_states_matches_finite_differences(rng):
             - _td_loss_only(net, dn, states, actions, targets)
         ) / (2.0 * h)
         assert abs(analytic[j] - numeric) <= 1e-4 * max(abs(analytic[j]), abs(numeric), 1e-3)
-    net.set_params_flat(theta)
+    net.params[:] = theta
 
 
 @pytest.mark.parametrize("arch,shape", [("eam-1d", (4, 1, 9)), ("sam-4layer", (6, 2, 9))])
