@@ -147,6 +147,18 @@ def _registry_dir(args, cfg: RunConfig) -> Path:
     return Path(cfg.data_dir) / "registry"
 
 
+def _asset_keys(text: str, flag: str) -> tuple[str, ...]:
+    """Canonical keys of a comma-separated asset list; entries are stripped,
+    empty ones skipped, and an asset named twice is an error."""
+    keys = tuple(AssetId.parse(a.strip()).key for a in text.split(",") if a.strip())
+    if not keys:
+        raise ConfigError(f"no assets given in {flag}")
+    repeated = sorted({k for k in keys if keys.count(k) > 1})
+    if repeated:
+        raise ConfigError(f"{flag} names {', '.join(repeated)} more than once")
+    return keys
+
+
 def _inclusive_end(text: str, interval: int) -> int:
     """A bare date means 'through the end of that UTC day'."""
     ts = parse_ts(text)
@@ -233,9 +245,7 @@ def _train_worker(payload) -> tuple[str, str]:
 def _cmd_train(args, cfg: RunConfig) -> int:
     if args.jobs < 1:
         raise ConfigError("--jobs must be >= 1")
-    keys = [AssetId.parse(a).key for a in args.assets.split(",") if a.strip()]
-    if not keys:
-        raise ConfigError("no assets given")
+    keys = _asset_keys(args.assets, "--assets")
     out_dir = Path(args.out_dir) if args.out_dir else Path(cfg.data_dir) / "models"
     out_dir.mkdir(parents=True, exist_ok=True)
     payloads = [(cfg, key, str(out_dir)) for key in keys]
@@ -271,9 +281,7 @@ def _cmd_registry(args, cfg: RunConfig) -> int:
 
 
 def _cmd_backtest(args, cfg: RunConfig, store: CsvStore) -> int:
-    assets = tuple(a for a in args.portfolio.split(",") if a.strip())
-    if not assets:
-        raise ConfigError("empty --portfolio")
+    assets = _asset_keys(args.portfolio, "--portfolio")
     start = parse_ts(args.start) if args.start else None
     end = _inclusive_end(args.end, cfg.interval) if args.end else None
     bt_cfg = cfg.backtest_config(assets, start_ts=start, end_ts=end)

@@ -52,11 +52,11 @@ from .refinery import (
 from .rlcore.container import (
     ContainerFormatError,
     UnsupportedVersionError,
+    decode_container,
     network_from_parts,
     network_meta,
     params_from_bytes,
     params_to_bytes,
-    read_container,
     write_container,
 )
 from .rlcore.network import QNetwork
@@ -68,6 +68,10 @@ log = logging.getLogger(__name__)
 
 #: Signal-agent actions in index order; epsilon-greedy ties resolve to "buy".
 SIGNAL_ACTIONS = ("buy", "sell", "hold")
+
+#: Allocation-agent actions in index order: 0 is all cash, 1 all crypto, so
+#: argmax ties go to cash.
+ALLOCATION_ACTIONS = ("cash", "crypto")
 
 #: Signal channel encoding used in allocation-agent observations.
 SIGNAL_VALUES = {"buy": 1.0, "hold": 0.0, "sell": -1.0}
@@ -87,42 +91,6 @@ _HEADER_FIELDS = ("asset", "selected_metrics", "settings", "ranges", "interval",
 
 class WarmupError(DataError):
     """A decision index that still falls inside a rolling warm-up."""
-
-
-@dataclass(frozen=True)
-class AllocationAction:
-    """Binary allocation over (cash, crypto): exactly [1,0] or [0,1]."""
-
-    weights: tuple[float, float]
-
-    def __post_init__(self):
-        if self.weights not in ((1.0, 0.0), (0.0, 1.0)):
-            raise DataError(f"allocation must be (1,0) or (0,1), got {self.weights}")
-
-    @property
-    def cash(self) -> float:
-        return self.weights[0]
-
-    @property
-    def crypto(self) -> float:
-        return self.weights[1]
-
-    @property
-    def index(self) -> int:
-        return int(self.weights[1])
-
-    @classmethod
-    def all_cash(cls) -> "AllocationAction":
-        return cls((1.0, 0.0))
-
-    @classmethod
-    def all_crypto(cls) -> "AllocationAction":
-        return cls((0.0, 1.0))
-
-    @classmethod
-    def from_index(cls, index: int) -> "AllocationAction":
-        # action index 0 is cash so that argmax tie-breaking prefers cash
-        return cls.all_cash() if index == 0 else cls.all_crypto()
 
 
 @dataclass(frozen=True)
@@ -315,13 +283,14 @@ class CryptoModule:
         actions[at] = _greedy_actions(self.sam_net, lambda r: build_sam_state(frame, refined, r, n, signals), at)
         return CmContext(refined, signals, actions)
 
-    def allocate(self, ctx: CmContext, t: int) -> AllocationAction:
-        """Greedy allocation at frame index t; Q-value ties go to cash."""
+    def allocate(self, ctx: CmContext, t: int) -> int:
+        """Greedy allocation at frame index t, an index into ALLOCATION_ACTIONS
+        (0 cash, 1 crypto); Q-value ties go to cash."""
         if t >= len(ctx.actions):
             raise DataError(f"index {t} beyond frame of length {len(ctx.actions)}")
         if t < 0 or ctx.actions[t] < 0:
             raise WarmupError(f"index {t} inside the {self.settings.window}-bar observation window warm-up")
-        return AllocationAction.from_index(int(ctx.actions[t]))
+        return int(ctx.actions[t])
 
 
 def _map_batches(fn, rows: np.ndarray) -> np.ndarray:
@@ -550,9 +519,10 @@ def save_cm(cm: CryptoModule, path: str | Path) -> None:
     write_container(path, meta, sections)
 
 
-def load_cm(path: str | Path) -> CryptoModule:
-    """Load a module; raises on bad magic, version, checksum, or header fields."""
-    meta, sections = read_container(path)
+def load_cm(path: str | Path, blob: bytes | None = None) -> CryptoModule:
+    """Load a module from ``path``, or decode ``blob``, bytes already read
+    from it; raises on bad magic, version, checksum, or header fields."""
+    meta, sections = decode_container(Path(path).read_bytes() if blob is None else blob)
     try:
         return _module_from_parts(meta, sections)
     except (LookupError, TypeError, ValueError, OverflowError) as exc:

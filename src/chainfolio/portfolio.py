@@ -2,9 +2,9 @@
 
 The engine composes per-asset trading modules by vote averaging: each
 module contributes a binary cash/crypto allocation, asset i's portfolio
-weight is its module's crypto entry divided by the module count m, and
-the residual mass stays in cash.  Weight vectors are kept in rational
-arithmetic so they sum to 1 exactly.
+weight is its module's vote (0 cash, 1 crypto) divided by the module
+count m, and the residual mass stays in cash.  Weights are plain float
+(m+1)-vectors [crypto_1..crypto_m, cash].
 
 Backtest: a module decides from its own asset's data alone, never from
 the portfolio's state, so every module's decisions (one per rebalance
@@ -23,14 +23,13 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import metrics as metrics_mod
-from .cryptomodule import AllocationAction, CryptoModule, DataRanges, derive_seed, load_cm, train_cm, with_seed
+from .cryptomodule import ALLOCATION_ACTIONS, CryptoModule, DataRanges, derive_seed, load_cm, train_cm, with_seed
 from .datastore import (
     AlignedFrame,
     AssetId,
@@ -52,58 +51,12 @@ REPORT_VERSION = 1
 REPORT_FILE = "report.json"
 CURVES_FILE = "curves.csv"
 
-_ACTION_NAMES = ("cash", "crypto")
-
-
-@dataclass(frozen=True)
-class PortfolioWeights:
-    """(m+1)-vector [crypto_1..crypto_m, cash]; exact rational sum of 1."""
-
-    assets: tuple[str, ...]
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.values) != len(self.assets) + 1:
-            raise DataError("need one weight per asset plus cash")
-        if any(v < 0 for v in self.values):
-            raise DataError("weights must be nonnegative")
-        if sum(self.values) != 1:
-            raise DataError(f"weights must sum to 1 exactly, got {sum(self.values)}")
-
-    def to_floats(self) -> np.ndarray:
-        return np.array([float(v) for v in self.values])
-
-
-def vote_weights(assets: tuple[str, ...], actions: Sequence[AllocationAction]) -> PortfolioWeights:
-    """Average the crypto-side votes, one action per asset; residual mass is cash."""
-    crypto = tuple(Fraction(int(a.crypto), len(assets)) for a in actions)
-    return PortfolioWeights(assets, crypto + (Fraction(1) - sum(crypto),))
-
-
-@dataclass(frozen=True)
-class Holdings:
-    """Positions in units: crypto units per asset plus quote-currency cash."""
-
-    assets: tuple[str, ...]
-    units: tuple[float, ...]
-    cash: float
-
-    def __post_init__(self):
-        if len(self.units) != len(self.assets):
-            raise DataError("one unit entry per asset required")
-        if self.cash < 0 or any(u < 0 for u in self.units):
-            raise DataError("short positions are out of scope")
-
-    def value(self, prices: Sequence[float]) -> float:
-        return self.cash + float(np.dot(self.units, prices))
-
-    def weights(self, prices: Sequence[float]) -> np.ndarray:
-        """Current (m+1) weight vector [crypto_1..m, cash] at given prices."""
-        v = self.value(prices)
-        if v <= 0:
-            raise DataError("portfolio value must be positive")
-        crypto = np.multiply(self.units, prices) / v
-        return np.append(crypto, self.cash / v)
+def vote_weights(actions: np.ndarray) -> np.ndarray:
+    """Weights [k_1/m .. k_m/m, (m - sum k)/m] of m votes k_i (0 cash, 1 crypto);
+    each entry is the correctly rounded quotient of two integers."""
+    k = np.asarray(actions)
+    m = len(k)
+    return np.append(k / m, (m - k.sum()) / m)
 
 
 @dataclass(frozen=True)
@@ -120,43 +73,45 @@ class RebalanceEvent:
 def rebalance(
     value: float,
     current_weights: Sequence[float],
-    target: PortfolioWeights,
+    target: Sequence[float],
     prices: Sequence[float],
     fee_rate: float,
     ts: int = 0,
-) -> tuple[Holdings, RebalanceEvent]:
+) -> tuple[np.ndarray, float, RebalanceEvent]:
     """Re-split value to the target weights, paying fees on crypto turnover.
 
-    turnover = sum_i |target_i - current_i| over crypto entries only;
-    fee = fee_rate * turnover * value; holdings are re-split on the
-    post-fee value.
+    ``target`` is a nonnegative (m+1)-vector [crypto_1..m, cash] summing to
+    1 within 1e-12.  turnover = sum_i |target_i - current_i| over crypto
+    entries only; fee = fee_rate * turnover * value; the post-fee value is
+    re-split into crypto units per asset and quote-currency cash, which
+    are returned with the event.
     """
     if value <= 0:
         raise DataError(f"portfolio value must be positive, got {value}")
     prices = np.asarray(prices, dtype=np.float64)
-    if prices.shape != (len(target.assets),) or (prices <= 0).any():
+    if prices.ndim != 1 or (prices <= 0).any():
         raise DataError("need one positive price per asset")
+    target = np.asarray(target, dtype=np.float64)
     current = np.asarray(current_weights, dtype=np.float64)
-    if current.shape != (len(target.assets) + 1,):
-        raise DataError("current weights must be an (m+1)-vector")
-    target_f = target.to_floats()
-    turnover = float(np.abs(target_f[:-1] - current[:-1]).sum())
+    if target.shape != (len(prices) + 1,) or current.shape != target.shape:
+        raise DataError("target and current weights must be (m+1)-vectors for m prices")
+    if (target < 0).any() or abs(target.sum() - 1.0) > 1e-12:
+        raise DataError(f"target weights must be nonnegative and sum to 1, got {target.tolist()}")
+    turnover = float(np.abs(target[:-1] - current[:-1]).sum())
     fee = fee_rate * turnover * value
     if fee >= value:
         raise ConfigError(f"fee {fee} would consume the whole portfolio value {value}")
     post = value - fee
-    units = tuple(float(target_f[i]) * post / float(prices[i]) for i in range(len(prices)))
-    holdings = Holdings(target.assets, units, float(target_f[-1]) * post)
     event = RebalanceEvent(
         ts=ts,
         pre_value=float(value),
-        pre_weights=tuple(float(w) for w in current),
-        target_weights=tuple(float(w) for w in target_f),
+        pre_weights=tuple(current.tolist()),
+        target_weights=tuple(target.tolist()),
         turnover=turnover,
         fee=float(fee),
         post_value=float(post),
     )
-    return holdings, event
+    return target[:-1] * post / prices, float(target[-1]) * post, event
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +149,16 @@ class CmRegistry:
         return asset in self._entries
 
     def add(self, path: str | Path, asset: str | None = None) -> str:
-        """Register a module file; returns the asset key it now serves."""
-        cm = load_cm(path)  # full validation: magic, version, checksum
-        key = cm.asset.key
+        """Register a module file; returns the asset key it now serves.  The
+        file is read once: the bytes validated are the bytes copied and hashed."""
+        blob = Path(path).read_bytes()
+        key = load_cm(path, blob).asset.key  # full validation: magic, version, checksum
         if asset is not None and AssetId.parse(asset).key != key:
             raise ConfigError(f"module file is for {key}, not {asset}")
         if key in self._entries:
             raise ConfigError(f"a module for {key} is already registered")
         self.root.mkdir(parents=True, exist_ok=True)
         dest = self.root / f"{key}.cm"
-        blob = Path(path).read_bytes()
         if Path(path).resolve() != dest.resolve():
             atomic_write(dest, lambda fh: fh.write(blob), binary=True)
         self._entries[key] = {"file": dest.name, "sha256": hashlib.sha256(blob).hexdigest()}
@@ -226,10 +181,10 @@ class CmRegistry:
         if entry is None:
             raise ConfigError(f"no module registered for {key}")
         path = self.root / entry["file"]
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        if digest != entry["sha256"]:
+        blob = path.read_bytes()
+        if hashlib.sha256(blob).hexdigest() != entry["sha256"]:
             raise DataError(f"module file for {key} changed since registration")
-        return load_cm(path)
+        return load_cm(path, blob)
 
     def status(self) -> list[tuple[str, str, str]]:
         """(asset, file, status) rows; status is 'ok' or the load error."""
@@ -288,6 +243,8 @@ class BacktestConfig:
             raise ConfigError("retrain cadence must be >= 0 days")
         if self.interval <= 0 or self.fill_limit < 0:
             raise ConfigError("interval must be positive and fill_limit nonnegative")
+        if metrics_mod.SECONDS_PER_DAY % self.interval != 0:
+            raise ConfigError(f"backtest bar interval {self.interval}s must divide one day")
 
 
 @dataclass
@@ -398,22 +355,24 @@ def run_backtest(modules: Mapping[str, CryptoModule], cfg: BacktestConfig, store
     for asset in cfg.assets:
         actions, asset_events = _decide(modules[asset], store, frames[asset], offsets[asset] + decisions,
                                         schedule, cfg.fill_limit)
-        action_logs[asset] = [(int(grid[k]), _ACTION_NAMES[a.index]) for k, a in zip(decisions, actions)]
+        action_logs[asset] = [(int(grid[k]), ALLOCATION_ACTIONS[a]) for k, a in zip(decisions, actions)]
         votes.append(actions)
         retrain_events += asset_events
     retrain_events.sort(key=lambda ev: ev["ts"])  # boundary by boundary, assets in portfolio order
-    ballots = list(zip(*votes))
+    ballots = np.column_stack(votes)  # one row of votes per decision bar
 
     prices_at = np.column_stack([frames[a].close[offsets[a] : offsets[a] + n_bars] for a in cfg.assets])
-    holdings = Holdings(cfg.assets, tuple(0.0 for _ in cfg.assets), float(cfg.initial_capital))
+    units = np.zeros(len(cfg.assets))
+    cash = float(cfg.initial_capital)
     curve = np.empty(n_bars)
     events: list[RebalanceEvent] = []
     for k in range(n_bars):
         prices = prices_at[k]
-        value = holdings.value(prices)
+        value = cash + float(np.dot(units, prices))
         if k % cfg.rebalance_interval == 0:
-            target = vote_weights(cfg.assets, ballots[k // cfg.rebalance_interval])
-            holdings, event = rebalance(value, holdings.weights(prices), target, prices, cfg.fee_rate, int(grid[k]))
+            weights = np.append(units * prices / value, cash / value)
+            target = vote_weights(ballots[k // cfg.rebalance_interval])
+            units, cash, event = rebalance(value, weights, target, prices, cfg.fee_rate, int(grid[k]))
             events.append(event)
             value = event.post_value
         curve[k] = value
@@ -439,8 +398,8 @@ def run_backtest(modules: Mapping[str, CryptoModule], cfg: BacktestConfig, store
 def _decide(
     cm: CryptoModule, store: CsvStore, frame: AlignedFrame, rows: np.ndarray,
     schedule: list[tuple[int, int]], fill_limit: int,
-) -> tuple[list[AllocationAction], list[dict]]:
-    """One asset's actions at the frame ``rows`` and its retrain events.
+) -> tuple[list[int], list[dict]]:
+    """One asset's actions (0 cash, 1 crypto) at the frame ``rows`` and its retrain events.
     Each (boundary, index into ``rows``) of ``schedule`` retrains the module
     in force; one that diverges keeps it, and a module that a later retrain
     replaces at the same row is never prepared."""

@@ -103,10 +103,6 @@ def _is_size(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def read_container(path: str | Path) -> tuple[dict, dict[str, bytes]]:
-    return decode_container(Path(path).read_bytes())
-
-
 # ---------------------------------------------------------------------------
 # Network payloads
 

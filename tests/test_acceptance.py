@@ -10,13 +10,11 @@ import csv
 import hashlib
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 
 from chainfolio.cli import main
 from chainfolio.cryptomodule import (
-    AllocationAction,
     CmSettings,
     DataRanges,
     RewardConfig,
@@ -27,8 +25,6 @@ from chainfolio.datastore import AlignedFrame, AssetId, CsvStore
 from chainfolio.metrics import SECONDS_PER_DAY, ReturnSeries, arr, summarize
 from chainfolio.portfolio import (
     BacktestConfig,
-    Holdings,
-    PortfolioWeights,
     rebalance,
     run_backtest,
 )
@@ -52,8 +48,7 @@ from _synth import (
     price_path,
 )
 
-CASH = AllocationAction.all_cash()
-CRYPTO = AllocationAction.all_crypto()
+CASH, CRYPTO = 0, 1
 
 
 def frame_from_columns(closes, metrics, names, symbol="ACC"):
@@ -376,7 +371,7 @@ def test_criterion_06_learnability_beats_buy_and_hold():
     ctx = cm.prepare(frame)
     wealth, position = 1.0, 0
     for t in range(h0, h1):
-        a = cm.allocate(ctx, t).index
+        a = cm.allocate(ctx, t)
         rho = closes[t + 1] / closes[t]
         wealth *= (1.0 - fee * abs(a - position)) * ((1.0 - a) + a * rho)
         position = a
@@ -417,22 +412,20 @@ def test_criterion_07_accounting_identities(tmp_path):
     rng = np.random.default_rng(700)
     n = 10_000
     prices = np.exp(np.cumsum(rng.normal(0, 0.02, size=(n, 2)), axis=0)) * [50.0, 20.0]
-    keys = ("A-USDT", "B-USDT")
-    holdings = Holdings(keys, (0.0, 0.0), 10_000.0)
+    units, cash = np.zeros(2), 10_000.0
     oracle = 10_000.0
     for k in range(n - 1):
         a = int(rng.integers(0, 1001))
         b = int(rng.integers(0, 1001 - a))
-        target = PortfolioWeights(
-            keys, (Fraction(a, 1000), Fraction(b, 1000), Fraction(1000 - a - b, 1000))
-        )
-        value = holdings.value(prices[k])
-        holdings, event = rebalance(value, holdings.weights(prices[k]), target, prices[k], 0.0, ts=k)
+        target = np.array([a, b, 1000 - a - b]) / 1000
+        value = cash + float(np.dot(units, prices[k]))
+        weights = np.append(units * prices[k] / value, cash / value)
+        units, cash, event = rebalance(value, weights, target, prices[k], 0.0, ts=k)
         assert event.fee == 0.0
         growth = (1000 - a - b) / 1000 + (a / 1000) * (prices[k + 1, 0] / prices[k, 0]) \
             + (b / 1000) * (prices[k + 1, 1] / prices[k, 1])
         oracle *= growth
-    final = holdings.value(prices[-1])
+    final = cash + float(np.dot(units, prices[-1]))
     assert abs(final - oracle) <= 1e-9 * oracle
 
     # (b, c, d) engine-level identities on a synthetic store

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chainfolio import cli
 from chainfolio.cli import _inclusive_end, main
 from chainfolio.config import (
     CONFIG_KEYS,
@@ -36,7 +37,7 @@ from chainfolio.rlcore.container import (
     ContainerFormatError,
     network_meta,
     params_to_bytes,
-    read_container,
+    decode_container,
     write_container,
 )
 from chainfolio.rlcore.network import QNetwork
@@ -667,7 +668,7 @@ MISFIT_NETWORKS = {
 def test_cli_registry_add_rejects_a_network_block_that_does_not_fit_its_role(tmp_path, capsys, misfit):
     path = tmp_path / "AAA.cm"
     save_cm(allocation_stub("AAA", (0.0, 1.0)), path)
-    meta, sections = read_container(path)
+    meta, sections = decode_container(path.read_bytes())
     change, message = MISFIT_NETWORKS[misfit]
     change(meta, sections)
     write_container(path, meta, sections)
@@ -882,6 +883,24 @@ def test_cli_train_cm_is_deterministic_and_parallel_safe(tmp_path, capsys):
     assert "AAA-USDT\t" in out and "BBB-USDT\t" in out
 
 
+def test_cli_train_asset_list_is_stripped_canonical_and_unrepeated(tmp_path, monkeypatch, capsys):
+    trained = []
+
+    def train_worker(payload):
+        _, key, _ = payload
+        trained.append(key)
+        return key, "m.cm"
+
+    monkeypatch.setattr(cli, "_train_worker", train_worker)
+    d = str(tmp_path / "d")
+    assert main(["--data-dir", d, "train-cm", "--assets", " aaa, ,BBB-usdt ,"]) == 0
+    assert trained == ["AAA-USDT", "BBB-USDT"]
+    assert capsys.readouterr().out == "AAA-USDT\tm.cm\nBBB-USDT\tm.cm\n"
+    assert main(["--data-dir", d, "train-cm", "--assets", "BTC,btc", "--jobs", "2"]) == 1
+    assert "--assets names BTC-USDT more than once" in error_line(capsys.readouterr().err)
+    assert trained == ["AAA-USDT", "BBB-USDT"]
+
+
 # ---------------------------------------------------------------------------
 # Registry management via the CLI
 
@@ -967,3 +986,35 @@ def test_cli_backtest_missing_module_names_asset(tmp_path, capsys):
                "--registry", str(reg), "--out", str(tmp_path / "r")])
     assert rc == 1
     assert "CCC-USDT, DDD-USDT" in error_line(capsys.readouterr().err)
+
+
+def test_cli_backtest_portfolio_is_stripped_canonical_and_unrepeated(tmp_path, capsys):
+    data, reg = seeded_backtest_world(tmp_path)
+    out = tmp_path / "report"
+    argv = ["--data-dir", str(data), "backtest", "--from", str(bar_ts(12)), "--to", str(bar_ts(39)),
+            "--registry", str(reg), "--out", str(out), "--portfolio"]
+    assert main([*argv, "aaa, BBB-usdt, "]) == 0
+    capsys.readouterr()
+    assert json.loads((out / "report.json").read_text())["config"]["assets"] == ["AAA-USDT", "BBB-USDT"]
+    assert main([*argv, "AAA, BBB, aaa-USDT"]) == 1
+    assert "--portfolio names AAA-USDT more than once" in error_line(capsys.readouterr().err)
+    assert main([*argv, " , "]) == 1
+    assert "no assets given in --portfolio" in error_line(capsys.readouterr().err)
+
+
+def test_cli_backtest_interval_must_divide_a_day_before_any_read(tmp_path, monkeypatch, capsys):
+    """A bar interval that does not divide a day fails when the backtest is
+    configured, before the registry or the store is read."""
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("read before the config was checked")
+
+    monkeypatch.setattr(cli, "CmRegistry", no_read)
+    monkeypatch.setattr(CsvStore, "align", no_read)
+    config = tmp_path / "run.cfg"
+    config.write_text("interval = 25200\n")
+    rc = main(["--config", str(config), "--data-dir", str(tmp_path / "d"), "backtest", "--portfolio", "AAA",
+               "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert "bar interval 25200s must divide one day" in error_line(capsys.readouterr().err)
+    assert not (tmp_path / "r").exists()

@@ -15,7 +15,7 @@ from chainfolio import cryptomodule
 from chainfolio.cryptomodule import (
     SIGNAL_ACTIONS,
     SIGNAL_VALUES,
-    AllocationAction,
+    ALLOCATION_ACTIONS,
     CmSettings,
     CryptoModule,
     DataRanges,
@@ -38,7 +38,7 @@ from chainfolio.rlcore.container import (
     ChecksumMismatchError,
     ContainerFormatError,
     UnsupportedVersionError,
-    read_container,
+    decode_container,
     write_container,
 )
 from chainfolio.rlcore.network import QNetwork
@@ -93,14 +93,8 @@ def test_signal_action_conventions():
     assert SIGNAL_VALUES == {"buy": 1.0, "hold": 0.0, "sell": -1.0}
 
 
-def test_allocation_action_basics():
-    assert AllocationAction.all_cash().weights == (1.0, 0.0)
-    assert AllocationAction.all_crypto().weights == (0.0, 1.0)
-    assert AllocationAction.from_index(0).cash == 1.0
-    assert AllocationAction.from_index(1).crypto == 1.0
-    assert AllocationAction.all_crypto().index == 1
-    with pytest.raises(DataError):
-        AllocationAction((0.5, 0.5))
+def test_allocation_action_conventions():
+    assert ALLOCATION_ACTIONS == ("cash", "crypto")  # index 0 is cash: argmax ties go to cash
 
 
 def test_reward_config_bounds():
@@ -228,10 +222,12 @@ def test_eam_reward_examples():
         eam_reward("park", 0.0, cfg)
 
 
-def sam_growth(prev: AllocationAction, action: AllocationAction, ratio: float, cfg: RewardConfig) -> float:
-    """One allocation step's wealth growth, written out in scalars."""
-    turnover = abs(action.crypto - prev.crypto)
-    return (1.0 - cfg.fee_rate * turnover) * (action.cash + action.crypto * ratio)
+def sam_growth(prev: int, action: int, ratio: float, cfg: RewardConfig) -> float:
+    """One allocation step's wealth growth from action prev to action (0 cash,
+    1 crypto), written out in scalars."""
+    cash, crypto = 1.0 - action, float(action)
+    turnover = abs(action - prev)
+    return (1.0 - cfg.fee_rate * turnover) * (cash + crypto * ratio)
 
 
 def test_sam_rewards_examples():
@@ -260,7 +256,7 @@ def test_sam_rewards_equal_the_log_of_each_step_growth(seed, fee_rate):
     for j, ratio in enumerate(ratios.tolist()):
         for prev in range(2):
             for a in range(2):
-                growth = sam_growth(AllocationAction.from_index(prev), AllocationAction.from_index(a), ratio, cfg)
+                growth = sam_growth(prev, a, ratio, cfg)
                 assert table[j, prev, a] == math.log(growth)
 
 
@@ -277,7 +273,7 @@ def test_sam_rewards_telescope_to_log_wealth(actions, seed):
     wealth, total = 1.0, 0.0
     prev = 0
     for j, (a, ratio) in enumerate(zip(actions, ratios)):
-        wealth *= sam_growth(AllocationAction.from_index(prev), AllocationAction.from_index(a), float(ratio), cfg)
+        wealth *= sam_growth(prev, a, float(ratio), cfg)
         total += table[j, prev, a]
         prev = a
     assert total == pytest.approx(math.log(wealth), abs=1e-12)
@@ -325,9 +321,9 @@ def test_infer_allocation_greedy_and_tie_to_cash(rng):
     tie_cm = rigged_module(frame, [1.0, 1.0])
     ctx = cash_cm.prepare(frame)
     t = first_decision(ctx)
-    assert cash_cm.allocate(ctx, t) == AllocationAction.all_cash()
-    assert crypto_cm.allocate(crypto_cm.prepare(frame), t) == AllocationAction.all_crypto()
-    assert tie_cm.allocate(tie_cm.prepare(frame), t) == AllocationAction.all_cash()
+    assert cash_cm.allocate(ctx, t) == 0 and type(cash_cm.allocate(ctx, t)) is int
+    assert crypto_cm.allocate(crypto_cm.prepare(frame), t) == 1
+    assert tie_cm.allocate(tie_cm.prepare(frame), t) == 0
     assert cash_cm.allocate(ctx, t) == cash_cm.allocate(ctx, t)
     with pytest.raises(WarmupError):
         cash_cm.allocate(ctx, t - 1)
@@ -355,7 +351,7 @@ def test_batched_prepare_matches_single_state_forwards(rng, monkeypatch, use_eam
             cm.allocate(ctx, t)
     for t in range(first, len(frame)):
         q = cm.sam_net.forward(build_sam_state(frame, ctx.refined, [t], n, ctx.signals))[0]
-        assert cm.allocate(ctx, t) == AllocationAction.from_index(int(np.argmax(q)))
+        assert cm.allocate(ctx, t) == int(np.argmax(q))
     with pytest.raises(DataError):
         cm.allocate(ctx, len(frame))
 
@@ -444,7 +440,7 @@ def test_train_cm_with_signal_agent(rng):
     assert first == cm.warmup_bars
     assert not np.isnan(ctx.signals[first - SMALL.window + 1 :]).any()
     action = cm.allocate(ctx, first)
-    assert action in (AllocationAction.all_cash(), AllocationAction.all_crypto())
+    assert action in (0, 1)
     # signal channel widens the observation
     state = build_sam_state(frame, ctx.refined, [first], SMALL.window, ctx.signals)[0]
     assert state.shape[0] == 5 + ctx.refined.c_max + 1
@@ -567,7 +563,7 @@ def test_load_cm_rejects_another_module_version(tmp_path, rng, version):
     cm = rigged_module(walk_frame(rng, t=40, n_metrics=2), [1.0, 0.5])
     path = tmp_path / "module.cm"
     save_cm(cm, path)
-    meta, sections = read_container(path)
+    meta, sections = decode_container(path.read_bytes())
     meta["cm_version"] = version
     write_container(path, meta, sections)
     with pytest.raises(UnsupportedVersionError):
@@ -591,7 +587,7 @@ def test_load_cm_missing_meta_key_is_format_error(tmp_path, rng, drop):
     cm = train_cm_from_frame(frame, RANGES, SMALL)
     path = tmp_path / "module.cm"
     save_cm(cm, path)
-    meta, sections = read_container(path)
+    meta, sections = decode_container(path.read_bytes())
     del meta[drop]
     write_container(path, meta, sections)  # valid checksum, broken schema
     with pytest.raises(ContainerFormatError):

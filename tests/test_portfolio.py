@@ -1,5 +1,6 @@
 """Tests for vote composition, fee accounting, registry, backtests, retraining."""
 
+import itertools
 import json
 import math
 import os
@@ -12,10 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainfolio import cli
+from chainfolio import cli, portfolio
 from chainfolio.config import RunConfig
 from chainfolio.cryptomodule import (
-    AllocationAction,
     CmSettings,
     CryptoModule,
     DataRanges,
@@ -29,8 +29,6 @@ from chainfolio.portfolio import (
     BacktestConfig,
     BacktestReport,
     CmRegistry,
-    Holdings,
-    PortfolioWeights,
     REPORT_FILE,
     rebalance,
     retrain_boundaries,
@@ -51,8 +49,7 @@ def bt_config(assets, start_ts, end_ts, **changes) -> BacktestConfig:
     return replace(RunConfig().backtest_config(assets, start_ts, end_ts), **changes)
 
 
-CASH = AllocationAction.all_cash()
-CRYPTO = AllocationAction.all_crypto()
+CASH, CRYPTO = 0, 1
 
 
 # ---------------------------------------------------------------------------
@@ -60,96 +57,87 @@ CRYPTO = AllocationAction.all_crypto()
 
 
 def test_vote_weights_three_modules_exact():
-    w = vote_weights(("A-USDT", "B-USDT", "C-USDT"), (CRYPTO, CASH, CRYPTO))
-    assert w.values == (Fraction(1, 3), Fraction(0), Fraction(1, 3), Fraction(1, 3))
-    assert sum(w.values) == 1
+    w = vote_weights([CRYPTO, CASH, CRYPTO])
+    assert w.tolist() == [1 / 3, 0.0, 1 / 3, 1 / 3]
+    assert w.sum() == 1.0
 
 
 def test_vote_weights_single_module():
-    assert vote_weights(("A-USDT",), (CRYPTO,)).values == (Fraction(1), Fraction(0))
-    assert vote_weights(("A-USDT",), (CASH,)).values == (Fraction(0), Fraction(1))
-    with pytest.raises(DataError):
-        vote_weights(("A-USDT",), (CASH, CRYPTO))
+    assert vote_weights([CRYPTO]).tolist() == [1.0, 0.0]
+    assert vote_weights([CASH]).tolist() == [0.0, 1.0]
 
 
-def test_portfolio_weights_validation():
-    with pytest.raises(DataError):
-        PortfolioWeights(("A",), (Fraction(1, 2), Fraction(1, 3)))
-    with pytest.raises(DataError):
-        PortfolioWeights(("A",), (Fraction(-1, 4), Fraction(5, 4)))
-    with pytest.raises(DataError):
-        PortfolioWeights(("A",), (Fraction(1),))
-    w = PortfolioWeights(("A",), (Fraction(2, 5), Fraction(3, 5)))
-    assert np.allclose(w.to_floats(), [0.4, 0.6])
+def test_vote_weights_equal_exact_fractions_bit_for_bit():
+    """Every vote pattern with m <= 10: each weight is the float of the exact
+    rational k/m (and (m - sum k)/m for cash)."""
+    patterns = 0
+    for m in range(1, 11):
+        for votes in itertools.product((CASH, CRYPTO), repeat=m):
+            oracle = [float(Fraction(k, m)) for k in votes] + [float(Fraction(m - sum(votes), m))]
+            got = vote_weights(np.array(votes))
+            assert got.dtype == np.float64 and got.tolist() == oracle
+            patterns += 1
+    assert patterns == 2046
 
 
 # ---------------------------------------------------------------------------
 # Rebalancing arithmetic
 
 
+def value_of(units, cash, prices) -> float:
+    return cash + float(np.dot(units, prices))
+
+
 def test_rebalance_noop_charges_nothing():
-    target = PortfolioWeights(("A", "B"), (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
-    holdings, event = rebalance(1000.0, [0.25, 0.25, 0.5], target, [10.0, 20.0], 0.001, ts=5)
+    units, cash, event = rebalance(1000.0, [0.25, 0.25, 0.5], [0.25, 0.25, 0.5], [10.0, 20.0], 0.001, ts=5)
     assert event.turnover == 0.0 and event.fee == 0.0
     assert event.post_value == 1000.0
-    assert holdings.units == (25.0, 12.5)
-    assert holdings.cash == 500.0
-    assert holdings.value([10.0, 20.0]) == pytest.approx(1000.0, abs=1e-12)
+    assert units.tolist() == [25.0, 12.5]
+    assert cash == 500.0
+    assert value_of(units, cash, [10.0, 20.0]) == pytest.approx(1000.0, abs=1e-12)
     assert event.ts == 5
 
 
 def test_rebalance_full_entry_pays_full_turnover():
-    target = PortfolioWeights(("A",), (Fraction(1), Fraction(0)))
-    holdings, event = rebalance(10_000.0, [0.0, 1.0], target, [250.0], 0.001)
+    units, cash, event = rebalance(10_000.0, [0.0, 1.0], vote_weights([CRYPTO]), [250.0], 0.001)
     assert event.turnover == 1.0
     assert event.fee == pytest.approx(10.0, abs=1e-9)
     assert event.post_value == pytest.approx(9_990.0, abs=1e-9)
-    assert holdings.cash == 0.0
-    assert holdings.units[0] == pytest.approx(9_990.0 / 250.0, abs=1e-12)
+    assert cash == 0.0
+    assert units[0] == pytest.approx(9_990.0 / 250.0, abs=1e-12)
 
 
 def test_rebalance_zero_fee_preserves_value(rng):
     for _ in range(20):
         raw = rng.dirichlet(np.ones(3))
-        target = PortfolioWeights(
-            ("A", "B"), (Fraction(1, 3), Fraction(1, 6), Fraction(1, 2))
-        )
         prices = rng.uniform(1, 100, size=2)
-        holdings, event = rebalance(5000.0, raw, target, prices, 0.0)
+        units, cash, event = rebalance(5000.0, raw, [1 / 3, 1 / 6, 1 / 2], prices, 0.0)
         assert event.fee == 0.0
         assert event.post_value == 5000.0
-        assert holdings.value(prices) == pytest.approx(5000.0, abs=1e-9)
+        assert value_of(units, cash, prices) == pytest.approx(5000.0, abs=1e-9)
 
 
 def test_rebalance_fee_cannot_consume_value():
     # flipping fully from one asset to the other doubles the turnover
-    target = PortfolioWeights(("A", "B"), (Fraction(0), Fraction(1), Fraction(0)))
     with pytest.raises(ConfigError):
-        rebalance(100.0, [1.0, 0.0, 0.0], target, [10.0, 10.0], 0.6)  # turnover 2 at 60%
+        rebalance(100.0, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [10.0, 10.0], 0.6)  # turnover 2 at 60%
 
 
 def test_rebalance_validation():
-    target = PortfolioWeights(("A",), (Fraction(1, 2), Fraction(1, 2)))
+    half = [0.5, 0.5]
+    with pytest.raises(DataError, match="value must be positive"):
+        rebalance(0.0, [0.0, 1.0], half, [10.0], 0.001)
     with pytest.raises(DataError):
-        rebalance(0.0, [0.0, 1.0], target, [10.0], 0.001)
+        rebalance(100.0, [0.0, 1.0], half, [10.0, 20.0], 0.001)
+    with pytest.raises(DataError, match="positive price"):
+        rebalance(100.0, [0.0, 1.0], half, [-1.0], 0.001)
     with pytest.raises(DataError):
-        rebalance(100.0, [0.0, 1.0], target, [10.0, 20.0], 0.001)
-    with pytest.raises(DataError):
-        rebalance(100.0, [0.0, 1.0], target, [-1.0], 0.001)
-    with pytest.raises(DataError):
-        rebalance(100.0, [0.0, 0.5, 0.5], target, [10.0], 0.001)
-
-
-def test_holdings_weights_and_validation():
-    h = Holdings(("A", "B"), (2.0, 1.0), 30.0)
-    prices = [10.0, 50.0]
-    assert h.value(prices) == 100.0
-    assert np.allclose(h.weights(prices), [0.2, 0.5, 0.3], atol=1e-15)
-    assert h.weights(prices).sum() == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(DataError):
-        Holdings(("A",), (-1.0,), 10.0)
-    with pytest.raises(DataError):
-        Holdings(("A",), (1.0, 2.0), 10.0)
+        rebalance(100.0, [0.0, 0.5, 0.5], half, [10.0], 0.001)
+    # the target: one weight per asset plus cash, nonnegative, summing to 1
+    for bad in ([1.0], vote_weights([CASH, CRYPTO]), [0.5, 1 / 3], [-0.25, 1.25], [0.5, 0.5 + 2e-12]):
+        with pytest.raises(DataError):
+            rebalance(100.0, [0.0, 1.0], bad, [10.0], 0.001)
+    rebalance(100.0, [0.0, 1.0], [0.4, 0.6 + 5e-13], [10.0], 0.001)  # within 1e-12 of 1
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +274,37 @@ def test_registry_detects_tampering(tmp_path):
     assert state.startswith("error:")
 
 
+def test_registry_reads_each_file_once(tmp_path, monkeypatch):
+    """A writer that replaces the file between validation and copy (add), or
+    between hashing and decoding (load), changes nothing: the bytes
+    validated are the bytes copied and hashed, and the bytes hashed are the
+    bytes decoded."""
+    src, other = tmp_path / "fresh.cm", tmp_path / "other.cm"
+    save_cm(rigged_cm("AAA", [1.0, 0.0]), src)
+    save_cm(rigged_cm("BBB", [0.0, 1.0]), other)
+    validated = src.read_bytes()
+    real_load_cm = portfolio.load_cm
+
+    def load_then_replace(path, *args):
+        cm = real_load_cm(path, *args)
+        shutil.copyfile(other, path)
+        return cm
+
+    monkeypatch.setattr(portfolio, "load_cm", load_then_replace)
+    reg = CmRegistry(tmp_path / "reg")
+    assert reg.add(src) == "AAA-USDT"
+    stored = tmp_path / "reg" / "AAA-USDT.cm"
+    assert stored.read_bytes() == validated
+    assert src.read_bytes() == other.read_bytes()
+
+    def replace_then_load(path, *args):
+        shutil.copyfile(other, path)
+        return real_load_cm(path, *args)
+
+    monkeypatch.setattr(portfolio, "load_cm", replace_then_load)
+    assert reg.load("AAA-USDT").asset.key == "AAA-USDT"
+
+
 def test_registry_persistence_and_readd(tmp_path):
     src = tmp_path / "fresh.cm"
     save_cm(rigged_cm("AAA", [0.0, 1.0], seed=3), src)
@@ -318,6 +337,8 @@ def test_backtest_config_validation():
         bt_config(assets=("AAA",), start_ts=0, end_ts=100, retrain_days=-1)
     with pytest.raises(ConfigError):
         bt_config(assets=("AAA",), start_ts=0, end_ts=100, initial_capital=0.0)
+    with pytest.raises(ConfigError, match="must divide one day"):
+        bt_config(assets=("AAA",), start_ts=0, end_ts=100, interval=25200)
 
 
 def test_backtest_always_cash_is_flat(tmp_path):

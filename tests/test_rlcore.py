@@ -16,7 +16,7 @@ from chainfolio.rlcore.container import (
     network_meta,
     params_from_bytes,
     params_to_bytes,
-    read_container,
+    decode_container,
     write_container,
 )
 from chainfolio.rlcore.network import CONV_KERNEL, Conv1D, Dense, QNetwork, param_shapes
@@ -562,7 +562,7 @@ def save_net(net, path):
 
 
 def load_net(path, arch):
-    meta, sections = read_container(path)
+    meta, sections = decode_container(path.read_bytes())
     return network_from_parts(meta, params_from_bytes(sections["params"]), arch)
 
 
@@ -612,22 +612,22 @@ def test_container_rejects_future_version(tmp_path):
 def test_container_kind_and_structure_checks(tmp_path):
     path = tmp_path / "box.crlm"
     write_container(path, {"note": 1}, {"blob": b"\x01\x02"})
-    assert read_container(path) == ({"note": 1}, {"blob": b"\x01\x02"})
+    assert decode_container(path.read_bytes()) == ({"note": 1}, {"blob": b"\x01\x02"})
     assert path.read_bytes()[6:7] == b"M"  # the one payload kind
     prefix = bytearray(path.read_bytes()[:-32])
     prefix[6] = ord("N")  # another kind byte, re-sealed
     (tmp_path / "kind.crlm").write_bytes(bytes(prefix) + hashlib.sha256(bytes(prefix)).digest())
     with pytest.raises(ContainerFormatError, match="found 'N'"):
-        read_container(tmp_path / "kind.crlm")
+        decode_container((tmp_path / "kind.crlm").read_bytes())
     (tmp_path / "junk.crlm").write_bytes(b"JUNKJUNKJUNK")
     with pytest.raises(ContainerFormatError):
-        read_container(tmp_path / "junk.crlm")
+        decode_container((tmp_path / "junk.crlm").read_bytes())
     truncated = path.read_bytes()[:-1]
     (tmp_path / "trunc.crlm").write_bytes(truncated)
     with pytest.raises(ChecksumMismatchError):
-        read_container(tmp_path / "trunc.crlm")
+        decode_container((tmp_path / "trunc.crlm").read_bytes())
     # extra body byte with a fixed-up digest breaks the section table
     prefix = path.read_bytes()[:-32] + b"x"
     (tmp_path / "extra.crlm").write_bytes(prefix + hashlib.sha256(prefix).digest())
     with pytest.raises(ContainerFormatError):
-        read_container(tmp_path / "extra.crlm")
+        decode_container((tmp_path / "extra.crlm").read_bytes())
