@@ -8,7 +8,6 @@ Every run logs the effective configuration and seed to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -17,7 +16,7 @@ from pathlib import Path
 
 from .config import ENV_DATA_DIR, RunConfig, config_values, load_config, parse_ts
 from .cryptomodule import derive_seed, save_cm, train_cm, with_seed
-from .datastore import AssetId, CsvStore, atomic_write, parse_metrics_csv, parse_ohlcv_csv
+from .datastore import AssetId, CsvStore, atomic_write, csv_text, parse_metrics_csv, parse_ohlcv_csv
 from .errors import ChainfolioError, ConfigError
 from .metrics import SECONDS_PER_DAY, stats_csv
 from .portfolio import BacktestReport, CmRegistry, run_backtest
@@ -208,27 +207,15 @@ def _cmd_refine(args, cfg: RunConfig, store: CsvStore) -> int:
 
 
 def _write_table_csv(path: str, table) -> None:
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "horizon", "r", "rank"])
-        for name, horizon, r, rank in table.rows():
-            writer.writerow([name, horizon, "" if r is None else repr(r), "" if rank is None else rank])
-
-    atomic_write(Path(path), write)
+    rows = ([name, horizon, "" if r is None else repr(r), "" if rank is None else rank]
+            for name, horizon, r, rank in table.rows())
+    atomic_write(path, [csv_text([["metric", "horizon", "r", "rank"], *rows])])
 
 
 def _write_refined_csv(path: str, refined) -> None:
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["ts", "n_components"] + [f"c{i+1}" for i in range(refined.c_max)])
-        for i in range(len(refined.timestamps)):
-            if not refined.valid[i]:
-                continue
-            row = [int(refined.timestamps[i]), int(refined.n_components[i])]
-            row += [repr(float(x)) for x in refined.components[i]]
-            writer.writerow(row)
-
-    atomic_write(Path(path), write)
+    rows = ([int(refined.timestamps[i]), int(refined.n_components[i]), *map(repr, refined.components[i].tolist())]
+            for i in range(len(refined.timestamps)) if refined.valid[i])
+    atomic_write(path, [csv_text([["ts", "n_components"] + [f"c{i+1}" for i in range(refined.c_max)], *rows])])
 
 
 def _train_worker(payload) -> tuple[str, str]:
@@ -247,7 +234,6 @@ def _cmd_train(args, cfg: RunConfig) -> int:
         raise ConfigError("--jobs must be >= 1")
     keys = _asset_keys(args.assets, "--assets")
     out_dir = Path(args.out_dir) if args.out_dir else Path(cfg.data_dir) / "models"
-    out_dir.mkdir(parents=True, exist_ok=True)
     payloads = [(cfg, key, str(out_dir)) for key in keys]
     if args.jobs == 1 or len(keys) == 1:
         results = [_train_worker(p) for p in payloads]

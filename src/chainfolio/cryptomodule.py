@@ -355,7 +355,7 @@ def _eam_rewards(ratios: np.ndarray, cfg: RewardConfig) -> np.ndarray:
 
 def _greedy_score(net: QNetwork, states: np.ndarray, rewards: np.ndarray) -> float:
     """Validation score: summed rewards of the greedy policy, starting from action 0."""
-    actions = np.argmax(net.forward(states[:-1]), axis=1)
+    actions = _greedy_actions(net, lambda rows: states[rows], np.arange(len(states) - 1))
     prev = np.concatenate(([0], actions[:-1]))
     # cumsum adds left to right, like a running total
     return float(np.cumsum(rewards[np.arange(len(rewards)), prev, actions])[-1])

@@ -9,13 +9,15 @@ that indexes the assets:
     <root>/BTC-USDT/ohlcv.csv.cols     sidecar: ts, ohlcv
     <root>/BTC-USDT/metrics.csv        header: ts,name,value
     <root>/BTC-USDT/metrics.csv.cols   sidecar: names, count per name, ts, values
+    <root>/.manifest.lock              flock held across each manifest update
 
-Everything is inspectable and diff-able with standard tools.  Within one
-process, ingestion is single-writer per asset (an in-process lock per
-asset guards each CSV's read-modify-write) and one store-wide lock
-guards the manifest's, so concurrent ingests of different assets are
-safe.  Every file is written to a temporary sibling and moved into place
-with ``os.replace``, so a reader never sees a partly written file.
+Everything is inspectable and diff-able with standard tools.  An
+in-process lock per asset guards each CSV's read-modify-write, and an
+``flock`` on the lock file, excluding threads and processes alike, guards
+the manifest's.  :func:`atomic_write` writes every file: it creates the
+directory, writes a temporary sibling and moves it into place with
+``os.replace``, so a reader never sees a partly written file.  A store's
+directory appears with its first ingest.
 
 The manifest, the registry index and the backtest report are JSON
 documents with one reader and one writer: :func:`read_json` takes a file
@@ -43,6 +45,7 @@ once, in :meth:`MetricTable.stripped`.
 from __future__ import annotations
 
 import csv
+import fcntl
 import hashlib
 import io
 import itertools
@@ -462,24 +465,25 @@ def parse_metrics_csv(source: str | Path | io.TextIOBase) -> MetricTable:
 # The store
 
 
-def atomic_write(path: Path, write, binary: bool = False) -> None:
-    """Create or replace ``path`` with what ``write(fh)`` writes to a text
-    (or ``binary``) file, through a temporary sibling and ``os.replace``, so
-    readers never see a partial file and a failed write keeps the old one."""
+def atomic_write(path: str | Path, chunks: Iterable[str | bytes]) -> None:
+    """Create or replace ``path`` with the ``chunks`` (text as UTF-8), creating
+    its directory, through a temporary sibling and ``os.replace``, so readers
+    never see a partial file and a failed write keeps the old one."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        with open(tmp, "wb") if binary else open(tmp, "w", newline="", encoding="utf-8") as fh:
-            write(fh)
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk.encode() if isinstance(chunk, str) else chunk)
         os.replace(tmp, path)
     finally:
-        if tmp.exists():
-            tmp.unlink()
+        tmp.unlink(missing_ok=True)
 
 
 def write_json(path: Path, doc: dict) -> None:
     """Write ``doc`` as indented JSON with sorted keys, atomically."""
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    atomic_write(path, lambda fh: fh.write(text))
+    atomic_write(path, [json.dumps(doc, indent=2, sort_keys=True), "\n"])
 
 
 def read_json(path: Path, what: str, version: int) -> dict:
@@ -528,32 +532,32 @@ def _write_sidecar(csv_path: Path, csv_digest: bytes, columns: list[np.ndarray])
     """Write the sidecar of the CSV whose bytes hash to ``csv_digest``.  A
     failure is only a warning: loads then parse the CSV."""
     body = b"".join(map(_npy, columns))
-    data = _digest_record(csv_digest) + _digest_record(_columns_digest(csv_path, body)) + body
     try:
-        atomic_write(_sidecar_path(csv_path), lambda fh: fh.write(data), binary=True)
+        atomic_write(_sidecar_path(csv_path),
+                     [_digest_record(csv_digest), _digest_record(_columns_digest(csv_path, body)), body])
     except OSError as exc:
         log.warning("%s: sidecar not written, loads parse the CSV: %s", csv_path, exc)
 
 
-def _csv_line(fields: list[str]) -> str:
-    """One CSV record as ``csv.writer`` writes it, quoting and ``\\r\\n`` included."""
+def csv_text(rows: Iterable[list]) -> str:
+    """CSV records as ``csv.writer`` writes them, quoting and ``\\r\\n`` included."""
     buf = io.StringIO()
-    csv.writer(buf).writerow(fields)
+    csv.writer(buf).writerows(rows)
     return buf.getvalue()
 
 
 def _write_csv(path: Path, texts: Iterable[str], columns: list[np.ndarray]) -> None:
     """Write a store CSV, one piece of text at a time, then its sidecar
     holding ``columns``: what parsing the CSV gives."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     digest = hashlib.sha256()
 
-    def write(fh):
+    def hashed():
         for text in texts:
-            fh.write(text)
-            digest.update(text.encode(fh.encoding))  # newline="" translates nothing
+            data = text.encode()
+            digest.update(data)
+            yield data
 
-    atomic_write(path, write)
+    atomic_write(path, hashed())
     _write_sidecar(path, digest.digest(), columns)
 
 
@@ -594,10 +598,8 @@ class CsvStore:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         self._locks: dict[str, threading.RLock] = {}
         self._locks_guard = threading.Lock()
-        self._manifest_lock = threading.Lock()
 
     def _lock(self, asset: AssetId) -> threading.RLock:
         with self._locks_guard:
@@ -619,8 +621,10 @@ class CsvStore:
         return manifest
 
     def _update_manifest(self, asset: AssetId, **info) -> None:
-        # one lock for the whole store: every asset's ingest rewrites this file
-        with self._manifest_lock:
+        # every ingest rewrites this file; an flock on a file opened here excludes
+        # threads and processes alike (the asset's CSV, written first, made the root)
+        with open(self.root / ".manifest.lock", "ab") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
             manifest = self._read_manifest()
             entry = manifest["assets"].setdefault(
                 asset.key, {"symbol": asset.symbol, "quote": asset.quote}
@@ -704,13 +708,13 @@ class CsvStore:
     def _write_ohlcv(self, asset: AssetId, bars: BarTable) -> None:
         rows = "".join([f"{ts},{o!r},{h!r},{lo!r},{c!r},{v!r}\r\n"
                         for ts, (o, h, lo, c, v) in zip(bars.ts.tolist(), bars.ohlcv.tolist())])
-        _write_csv(self._dir(asset) / "ohlcv.csv", [_csv_line(OHLCV_HEADER), rows], [bars.ts, bars.ohlcv])
+        _write_csv(self._dir(asset) / "ohlcv.csv", [csv_text([OHLCV_HEADER]), rows], [bars.ts, bars.ohlcv])
 
     def _write_metrics(self, asset: AssetId, series: dict[str, tuple[np.ndarray, np.ndarray]]) -> None:
         def texts():
-            yield _csv_line(METRICS_HEADER)
+            yield csv_text([METRICS_HEADER])
             for name, (ts, values) in series.items():
-                field = _csv_line([name])[:-2]
+                field = csv_text([[name]])[:-2]
                 yield "".join([f"{t},{field},{v!r}\r\n" for t, v in zip(ts.tolist(), values.tolist())])
 
         _write_csv(self._dir(asset) / "metrics.csv", texts(), _metric_columns(series))

@@ -11,7 +11,6 @@ Conventions, stated once and flagged in every rendered table:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .datastore import atomic_write
+from .datastore import atomic_write, csv_text
 from .errors import DataError
 
 SECONDS_PER_DAY = 86_400
@@ -187,10 +186,5 @@ def write_curves_csv(path: str | Path, timestamps: Sequence[int], curves: Mappin
         if len(vals) != len(ts):
             raise DataError(f"curve {name!r} does not share the report range")
 
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["ts"] + [f"{name}_value" for name in cols])
-        for i in range(len(ts)):
-            writer.writerow([int(ts[i])] + [_fmt(float(vals[i])) for vals in cols.values()])
-
-    atomic_write(Path(path), write)
+    rows = ([int(ts[i])] + [_fmt(float(vals[i])) for vals in cols.values()] for i in range(len(ts)))
+    atomic_write(path, [csv_text([["ts"] + [f"{name}_value" for name in cols], *rows])])

@@ -139,7 +139,6 @@ class CmRegistry:
             self._entries = entries
 
     def _save(self) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
         write_json(self.root / "registry.json", {"version": self.VERSION, "entries": self._entries})
 
     def assets(self) -> list[str]:
@@ -157,10 +156,9 @@ class CmRegistry:
             raise ConfigError(f"module file is for {key}, not {asset}")
         if key in self._entries:
             raise ConfigError(f"a module for {key} is already registered")
-        self.root.mkdir(parents=True, exist_ok=True)
         dest = self.root / f"{key}.cm"
         if Path(path).resolve() != dest.resolve():
-            atomic_write(dest, lambda fh: fh.write(blob), binary=True)
+            atomic_write(dest, [blob])
         self._entries[key] = {"file": dest.name, "sha256": hashlib.sha256(blob).hexdigest()}
         self._save()
         return key
@@ -170,9 +168,7 @@ class CmRegistry:
         entry = self._entries.pop(key, None)
         if entry is None:
             raise ConfigError(f"no module registered for {key}")
-        target = self.root / entry["file"]
-        if target.exists():
-            target.unlink()
+        (self.root / entry["file"]).unlink(missing_ok=True)
         self._save()
 
     def load(self, asset: str) -> CryptoModule:
@@ -270,7 +266,6 @@ class BacktestReport:
 
     def write(self, out_dir: str | Path) -> None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         write_json(out / REPORT_FILE, self.to_doc())
         metrics_mod.write_curves_csv(out / CURVES_FILE, self.timestamps, self.curves)
 

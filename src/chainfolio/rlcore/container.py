@@ -65,8 +65,7 @@ def encode_container(meta: dict, sections: dict[str, bytes]) -> bytes:
 
 
 def write_container(path: str | Path, meta: dict, sections: dict[str, bytes]) -> None:
-    blob = encode_container(meta, sections)
-    atomic_write(Path(path), lambda fh: fh.write(blob), binary=True)
+    atomic_write(path, [encode_container(meta, sections)])
 
 
 def decode_container(blob: bytes) -> tuple[dict, dict[str, bytes]]:

@@ -713,6 +713,18 @@ def test_commands_that_read_no_store_leave_no_data_dir(tmp_path, monkeypatch, ar
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--asset", "B@D", "--ohlcv", "bars.csv"],
+    ["refine", "--asset", "B@D"],
+    ["--config", "run.cfg", "backtest", "--portfolio", "AAA", "--out", "r"],
+])
+def test_refused_commands_leave_no_data_dir(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("interval = 25200\n")
+    assert main(["--data-dir", "d", *argv]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
 def test_cli_logs_effective_config(tmp_path, caplog):
     d = str(tmp_path / "d")
     doc = logged_config(caplog, ["--data-dir", d, "registry", "list"])
@@ -802,8 +814,8 @@ def test_cli_refine_writes_table_and_features(tmp_path, capsys):
     store = CsvStore(tmp_path / "store")
     make_asset(store, "AAA", 140, seed=5)
     cfg = small_config(tmp_path)
-    table = tmp_path / "table.csv"
-    refined = tmp_path / "refined.csv"
+    table = tmp_path / "new" / "table.csv"
+    refined = tmp_path / "newer" / "deeper" / "refined.csv"
     rc = main(["--config", cfg, "--data-dir", str(tmp_path / "store"), "refine",
                "--asset", "AAA", "--from", str(bar_ts(0)), "--to", str(bar_ts(139)),
                "--table", str(table), "--out", str(refined)])

@@ -6,6 +6,7 @@ import json
 import logging
 import re
 import shutil
+import subprocess
 import sys
 import tempfile
 import threading
@@ -666,18 +667,72 @@ def test_concurrent_ingests_of_different_assets_keep_the_manifest(tmp_path):
     assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
 
 
+#: a child process that ingests 40 assets named <prefix>0..39 once its parent says go
+MANIFEST_RACER = """
+import sys
+import numpy as np
+from chainfolio.datastore import AssetId, BarTable, CsvStore
+root, prefix = sys.argv[1:]
+store = CsvStore(root)
+print("ready", flush=True)
+sys.stdin.readline()
+for i in range(40):
+    store.ingest_ohlcv(AssetId(f"{prefix}{i}"), BarTable(np.arange(3) * 21600, np.full((3, 5), 100.0)))
+"""
+
+
+@pytest.mark.parametrize("round_", range(3))
+def test_concurrent_ingests_from_two_processes_keep_the_manifest(tmp_path, round_):
+    """Two processes ingest 40 assets each into one store, starting together;
+    the manifest must list all 80 (an in-process lock alone loses entries)."""
+    procs = [subprocess.Popen([sys.executable, "-c", MANIFEST_RACER, str(tmp_path), prefix],
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+             for prefix in ("P", "Q")]
+    try:
+        for proc in procs:
+            assert proc.stdout.readline() == "ready\n"
+        for proc in procs:
+            proc.stdin.write("go\n")
+            proc.stdin.flush()
+        for proc in procs:
+            proc.stdin.close()
+            assert proc.wait(timeout=120) == 0
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.stdout.close()
+    manifest = json.loads((tmp_path / CsvStore.MANIFEST).read_text())
+    assert sorted(manifest["assets"]) == sorted(f"{p}{i}-USDT" for p in "PQ" for i in range(40))
+
+
+def test_opening_a_store_creates_nothing(tmp_path):
+    store = CsvStore(tmp_path / "store")
+    assert store.load_bars(AssetId("AAA")).ts.size == 0
+    assert not (tmp_path / "store").exists()
+    store.ingest_ohlcv(AssetId("AAA"), flat_bars(3))
+    assert sorted(p.name for p in (tmp_path / "store").iterdir()) == [".manifest.lock", "AAA-USDT", CsvStore.MANIFEST]
+
+
 @pytest.mark.parametrize("binary", [False, True])
 def test_atomic_write_that_raises_midway_keeps_previous_file(tmp_path, binary):
+    chunk = b"partial" if binary else "partial"
     path = tmp_path / "artifact"
     path.write_bytes(b"previous\n")
 
-    def write(fh):
-        fh.write(b"partial" if binary else "partial")
+    def chunks():
+        yield chunk
         raise RuntimeError("disk full")
 
     with pytest.raises(RuntimeError, match="disk full"):
-        atomic_write(path, write, binary=binary)
+        atomic_write(path, chunks())
     assert path.read_bytes() == b"previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
-    atomic_write(path, lambda fh: fh.write(b"new" if binary else "new"), binary=binary)
-    assert path.read_bytes() == b"new"
+    atomic_write(path, [chunk[:0], chunk, chunk[:3]])
+    assert path.read_bytes() == b"partialpar"
+
+
+def test_atomic_write_creates_the_directory_and_writes_text_as_utf8(tmp_path):
+    path = tmp_path / "a" / "b" / "out.txt"
+    atomic_write(path, ["caf\u00e9\r\n", b"\x00"])
+    assert path.read_bytes() == "caf\u00e9\r\n".encode() + b"\x00"
+    assert [p.name for p in path.parent.iterdir()] == ["out.txt"]
