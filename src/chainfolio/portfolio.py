@@ -12,7 +12,8 @@ interval) are taken before the bar loop.  A retrain cadence in days
 optionally re-fits every module on an expanding window at each boundary
 inside the range, also before the loop; a retrain takes effect at the
 first decision bar at or after its boundary, and a boundary after the
-last decision bar is not retrained.  The bar loop then averages each
+last decision bar is not retrained.  Each module in force decides only
+at the decision bars it serves.  The bar loop then averages each
 decision bar's votes and rebalances at current closes, paying
 proportional fees on turnover (crypto entries only); between rebalances
 holdings drift with prices.
@@ -396,8 +397,9 @@ def _decide(
 ) -> tuple[list[int], list[dict]]:
     """One asset's actions (0 cash, 1 crypto) at the frame ``rows`` and its retrain events.
     Each (boundary, index into ``rows``) of ``schedule`` retrains the module
-    in force; one that diverges keeps it, and a module that a later retrain
-    replaces at the same row is never prepared."""
+    in force; one that diverges keeps it.  Each module in force is prepared
+    over only the rows it decides, up to the next retrain that takes effect,
+    and one that a later retrain replaces at the same row is never prepared."""
     in_force = {0: cm}
     events = []
     for boundary, at in schedule:
@@ -414,7 +416,7 @@ def _decide(
     starts = list(in_force)
     actions = []
     for lo, hi in zip(starts, starts[1:] + [len(rows)]):
-        ctx = in_force[lo].prepare(frame, rows[lo:])
+        ctx = in_force[lo].prepare(frame, rows[lo:hi])
         actions += [in_force[lo].allocate(ctx, int(t)) for t in rows[lo:hi]]
     return actions, events
 

@@ -36,7 +36,8 @@ DEFAULT_EPSILON = 1e-8
 # eigenvalues below max_eig * RANK_TOL are treated as numerically zero
 _RANK_TOL = 1e-10
 
-#: windows per stacked eigendecomposition in rolling_pca; bounds its memory
+#: windows per block of rolling_normalize and per stacked eigendecomposition
+#: of rolling_pca; bounds their temporaries
 _PCA_CHUNK = 256
 #: windows per gathered (windows, window, K) block when forming covariances
 _COV_CHUNK = 32
@@ -227,9 +228,10 @@ def rolling_normalize(
     out = np.full((t, k), np.nan)
     if t >= window:
         sw = np.lib.stride_tricks.sliding_window_view(x, window, axis=0)  # (t-w+1, k, w)
-        mean = sw.mean(axis=2)
-        std = sw.std(axis=2)
-        out[window - 1:] = (x[window - 1:] - mean) / (std + epsilon)
+        for lo in range(0, len(sw), _PCA_CHUNK):  # std's deviations stay one block's
+            block = sw[lo : lo + _PCA_CHUNK]
+            rows = slice(lo + window - 1, lo + window - 1 + _PCA_CHUNK)
+            out[rows] = (x[rows] - block.mean(axis=2)) / (block.std(axis=2) + epsilon)
     return out[:, 0] if squeeze else out
 
 

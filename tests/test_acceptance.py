@@ -22,7 +22,7 @@ from chainfolio.cryptomodule import (
     train_cm_from_frame,
 )
 from chainfolio.datastore import AlignedFrame, AssetId, CsvStore
-from chainfolio.metrics import SECONDS_PER_DAY, ReturnSeries, arr, summarize
+from chainfolio.metrics import SECONDS_PER_DAY, arr, drr, sortino, summarize
 from chainfolio.portfolio import (
     BacktestConfig,
     rebalance,
@@ -509,12 +509,8 @@ def test_criterion_08_metric_oracles():
             assert abs(got.sortino - want_sortino) <= 1e-9 * max(1.0, abs(want_sortino))
 
     # documented hand examples
-    day = SECONDS_PER_DAY
-    series = ReturnSeries(np.array([day, 2 * day]), np.array([0.1, -0.1]), 1)
-    from chainfolio.metrics import drr, sortino
-
-    assert sortino(series) == 0.0  # exactly
-    flat_up = ReturnSeries(np.array([day, 2 * day, 3 * day]), np.array([0.01, 0.01, 0.01]), 1)
+    assert sortino(np.array([0.1, -0.1])) == 0.0  # exactly
+    flat_up = np.array([0.01, 0.01, 0.01])
     assert abs(drr(flat_up) - 0.01) <= 1e-15
     assert math.isinf(sortino(flat_up))
     assert abs(arr([10_000.0, 11_000.0, 13_126.0]) - 0.3126) <= 1e-12

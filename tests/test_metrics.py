@@ -11,7 +11,6 @@ from chainfolio.errors import DataError
 from chainfolio.metrics import (
     SECONDS_PER_DAY,
     SORTINO_NOTE,
-    ReturnSeries,
     SummaryStats,
     arr,
     daily_returns,
@@ -31,10 +30,10 @@ def day_grid(n, spacing=SECONDS_PER_DAY, t0=MIDNIGHT):
     return t0 + spacing * np.arange(n, dtype=np.int64)
 
 
-def series_from(returns, spacing=SECONDS_PER_DAY, t0=MIDNIGHT):
-    returns = np.asarray(returns, dtype=np.float64)
-    ts = t0 + spacing * np.arange(1, len(returns) + 1, dtype=np.int64)
-    return ReturnSeries(ts, returns, SECONDS_PER_DAY // spacing)
+def curve_from(returns, spacing=SECONDS_PER_DAY, t0=MIDNIGHT):
+    """A value curve from 100 whose bar returns are ``returns``, up to rounding."""
+    values = 100.0 * np.cumprod(np.concatenate([[1.0], 1.0 + np.asarray(returns, dtype=np.float64)]))
+    return day_grid(len(values), spacing, t0), values
 
 
 # ---------------------------------------------------------------------------
@@ -70,37 +69,36 @@ def test_arr_composes_across_a_split(values, data):
 
 
 # ---------------------------------------------------------------------------
-# Return series construction
+# Curve checks
 
 
-def test_from_curve_derives_periods_per_day():
-    ts = day_grid(4, spacing=BAR)
-    series = ReturnSeries.from_curve(ts, [100.0, 110.0, 99.0, 99.0])
-    assert series.periods_per_day == 4
-    assert np.allclose(series.returns, [0.10, -0.10, 0.0], atol=1e-12)
-    assert np.array_equal(series.timestamps, ts[1:])
+def test_daily_bars_give_their_bar_returns():
+    daily = daily_returns(day_grid(4), [100.0, 110.0, 99.0, 99.0])
+    assert np.allclose(daily, [0.10, -0.10, 0.0], atol=1e-12)
 
 
-def test_from_curve_validation():
-    with pytest.raises(DataError):
-        ReturnSeries.from_curve(day_grid(1), [100.0])
-    with pytest.raises(DataError):
-        ReturnSeries.from_curve(day_grid(2), [100.0, -1.0])
-    odd = MIDNIGHT + 10_000 * np.arange(3, dtype=np.int64)  # 10000s doesn't divide a day
-    with pytest.raises(DataError):
-        ReturnSeries.from_curve(odd, [1.0, 2.0, 3.0])
+UNEVEN = np.array([MIDNIGHT, MIDNIGHT + 100, MIDNIGHT + 300])
 
 
-def test_return_series_validation():
+@pytest.mark.parametrize("fn", [daily_returns, summarize])
+@pytest.mark.parametrize("ts, values", [
+    (day_grid(1), [100.0]),                                          # fewer than 2 points
+    (day_grid(0), []),
+    (day_grid(2), [100.0, -1.0]),                                    # non-positive value
+    (day_grid(2), [100.0, 0.0]),
+    (day_grid(2), [100.0, float("nan")]),                            # non-finite value
+    (day_grid(2), [float("inf"), 100.0]),
+    (day_grid(3), [1.0, 2.0]),                                       # length mismatch
+    (day_grid(2), [1.0, 2.0, 3.0]),
+    (UNEVEN, [1.0, 2.0, 3.0]),                                       # not equispaced
+    (day_grid(3)[::-1], [1.0, 2.0, 3.0]),                            # decreasing
+    (day_grid(3, spacing=10_000), [1.0, 2.0, 3.0]),                  # 10000 s does not divide a day
+    (day_grid(3, spacing=2 * SECONDS_PER_DAY), [1.0, 2.0, 3.0]),
+], ids=["one-point", "empty", "negative", "zero", "nan", "inf", "short-values", "short-ts",
+        "uneven", "decreasing", "10000s", "two-days"])
+def test_curve_checks_raise_data_error(fn, ts, values):
     with pytest.raises(DataError):
-        ReturnSeries(day_grid(2), np.array([0.1]), 1)
-    with pytest.raises(DataError):
-        series_from([0.5, -1.0])
-    with pytest.raises(DataError):
-        ReturnSeries(day_grid(2), np.array([0.1, 0.1]), 4)  # ppd disagrees with spacing
-    bad_ts = np.array([MIDNIGHT, MIDNIGHT + 100, MIDNIGHT + 300])
-    with pytest.raises(DataError):
-        ReturnSeries(bad_ts, np.array([0.1, 0.1, 0.1]), 864)
+        fn(ts, values)
 
 
 # ---------------------------------------------------------------------------
@@ -108,36 +106,33 @@ def test_return_series_validation():
 
 
 def test_drr_constant_daily_returns():
-    assert drr(series_from([0.01] * 5)) == pytest.approx(0.01, abs=1e-15)
+    assert drr(np.array([0.01] * 5)) == pytest.approx(0.01, abs=1e-15)
 
 
 def test_drr_symmetric_days_average_to_zero():
     # dyadic returns survive the 1+r compounding round trip exactly
-    assert drr(series_from([0.5, -0.5])) == 0.0
-    assert drr(series_from([0.10, -0.10])) == pytest.approx(0.0, abs=1e-15)
+    assert drr(np.array([0.5, -0.5])) == 0.0
+    assert drr(np.array([0.10, -0.10])) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_drr_compounds_within_each_day():
-    series = series_from([0.01] * 12, spacing=BAR)
-    assert drr(series) == pytest.approx(1.01**4 - 1.0, abs=1e-15)
-    days, daily = daily_returns(series)
-    assert len(days) == 3
+    daily = daily_returns(*curve_from([0.01] * 12, spacing=BAR))
+    assert len(daily) == 3
     assert np.allclose(daily, 1.01**4 - 1.0, atol=1e-15)
+    assert drr(daily) == pytest.approx(1.01**4 - 1.0, abs=1e-15)
 
 
 def test_drr_partial_final_day():
-    series = series_from([0.01] * 11, spacing=BAR)
+    daily = daily_returns(*curve_from([0.01] * 11, spacing=BAR))
     expect = (2 * (1.01**4 - 1.0) + (1.01**3 - 1.0)) / 3.0
-    assert drr(series) == pytest.approx(expect, abs=1e-15)
+    assert drr(daily) == pytest.approx(expect, abs=1e-15)
 
 
 def test_daily_attribution_uses_period_start():
-    # one period ends exactly at midnight: it belongs to the day it started
-    ts = np.array([MIDNIGHT, MIDNIGHT + BAR], dtype=np.int64)
-    series = ReturnSeries(ts, np.array([0.02, 0.03]), 4)
-    days, daily = daily_returns(series)
-    assert list(days) == [MIDNIGHT // SECONDS_PER_DAY - 1, MIDNIGHT // SECONDS_PER_DAY]
+    # the bar ending exactly at midnight belongs to the day it started
+    daily = daily_returns(*curve_from([0.02, 0.03], spacing=BAR, t0=MIDNIGHT - BAR))
     assert np.allclose(daily, [0.02, 0.03], atol=1e-15)
+    assert daily_returns(*curve_from([0.02, 0.03], spacing=BAR)) == pytest.approx([1.02 * 1.03 - 1.0], abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -145,30 +140,29 @@ def test_daily_attribution_uses_period_start():
 
 
 def test_sortino_zero_mean_is_zero():
-    assert sortino(series_from([0.5, -0.5])) == 0.0
-    assert sortino(series_from([0.1, -0.1])) == pytest.approx(0.0, abs=1e-14)
+    assert sortino(np.array([0.5, -0.5])) == 0.0
+    assert sortino(np.array([0.1, -0.1])) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_sortino_no_downside_is_infinite():
-    assert sortino(series_from([0.01, 0.02, 0.005])) == math.inf
+    assert sortino(np.array([0.01, 0.02, 0.005])) == math.inf
 
 
 def test_sortino_flat_series_is_zero():
-    assert sortino(series_from([0.0, 0.0, 0.0])) == 0.0
+    assert sortino(np.array([0.0, 0.0, 0.0])) == 0.0
 
 
 def test_sortino_hand_formula():
     rets = [0.02, -0.01, 0.03, -0.02]
     mean = sum(rets) / 4.0
     downside = math.sqrt((0.01**2 + 0.02**2) / 4.0)
-    assert sortino(series_from(rets)) == pytest.approx(mean / downside, abs=1e-12)
+    assert sortino(np.array(rets)) == pytest.approx(mean / downside, abs=1e-12)
 
 
 def test_sortino_respects_target():
-    rets = [0.02, 0.01]
-    s = series_from(rets)
-    assert sortino(s, target=0.0) == math.inf
-    got = sortino(s, target=0.03)
+    daily = np.array([0.02, 0.01])
+    assert sortino(daily, target=0.0) == math.inf
+    got = sortino(daily, target=0.03)
     mean = 0.015
     downside = math.sqrt(((0.02 - 0.03) ** 2 + (0.01 - 0.03) ** 2) / 2.0)
     assert got == pytest.approx((mean - 0.03) / downside, abs=1e-12)
@@ -178,10 +172,10 @@ def test_summarize_matches_parts(rng):
     values = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.01, 20)))
     ts = day_grid(20, spacing=BAR)
     stats = summarize(ts, values)
-    series = ReturnSeries.from_curve(ts, values)
+    daily = daily_returns(ts, values)
     assert stats.arr == arr(values)
-    assert stats.drr == drr(series)
-    assert stats.sortino == sortino(series)
+    assert stats.drr == drr(daily)
+    assert stats.sortino == sortino(daily)
 
 
 # ---------------------------------------------------------------------------

@@ -702,6 +702,34 @@ def test_backtest_preparing_query_rows_equals_preparing_whole_frames(tmp_path, m
         assert (tmp_path / f"queried{i}" / REPORT_FILE).read_bytes() == (tmp_path / f"whole{i}" / REPORT_FILE).read_bytes()
 
 
+def test_each_module_in_force_is_prepared_over_only_the_rows_it_decides(tmp_path, monkeypatch):
+    """Decision bars 160, 180 and 200 with retrains taking effect at 180 and
+    200: each asset's three modules are each prepared at their one bar."""
+    store, modules = trained_pair(tmp_path)
+    cfg = bt_config(assets=list(modules), start_ts=bar_ts(160), end_ts=bar_ts(219), fee_rate=0.001,
+                    rebalance_interval=20, retrain_days=2)
+    calls = []  # (module, context, rows prepared, rows allocated) per prepare call
+    prepare, allocate = CryptoModule.prepare, CryptoModule.allocate
+
+    def spy_prepare(self, frame, rows):
+        ctx = prepare(self, frame, rows)
+        calls.append((self, ctx, [int(r) for r in rows], []))
+        return ctx
+
+    def spy_allocate(self, ctx, t):
+        next(call for call in calls if call[1] is ctx)[3].append(t)
+        return allocate(self, ctx, t)
+
+    monkeypatch.setattr(CryptoModule, "prepare", spy_prepare)
+    monkeypatch.setattr(CryptoModule, "allocate", spy_allocate)
+    report = run_backtest(modules, cfg, store)
+    assert len(report.retrain_events) == 2 * 5
+    assert [call[0] for call in calls[::3]] == list(modules.values())
+    assert len({id(call[0]) for call in calls}) == 6
+    for _, _, prepared, allocated in calls:
+        assert prepared == allocated and len(prepared) == 1
+
+
 def test_backtest_oversized_cadence_equals_static_run(tmp_path):
     store, asset, cm = trained_world(tmp_path)
     base_cfg = dict(assets=[asset.key], start_ts=bar_ts(160), end_ts=bar_ts(223))

@@ -248,6 +248,29 @@ def test_rolling_normalize_matches_direct_loop(rng):
         assert np.allclose(out[t], expect, atol=1e-12)
 
 
+def one_shot_normalize(x, window, eps):
+    """rolling_normalize as one sliding_window_view mean/std over every window."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.full(x.shape, np.nan)
+    if len(x) >= window:
+        sw = np.lib.stride_tricks.sliding_window_view(x, window, axis=0)
+        out[window - 1:] = (x[window - 1:] - sw.mean(axis=-1)) / (sw.std(axis=-1) + eps)
+    return out
+
+
+@pytest.mark.parametrize("n_windows", [1, refinery._PCA_CHUNK - 1, refinery._PCA_CHUNK,
+                                       refinery._PCA_CHUNK + 1, 2 * refinery._PCA_CHUNK + 37])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_rolling_normalize_blocks_equal_one_pass_over_all_windows(rng, n_windows, order):
+    """Bounded blocks of windows give the bits of one pass over every window."""
+    for w, k in [(50, 10), (2, 1), (17, 30)]:
+        x = np.asarray(rng.normal(size=(n_windows + w - 1, k)) * 10.0, order=order)
+        x[rng.integers(0, len(x), size=3), rng.integers(0, k, size=3)] = np.nan
+        assert np.array_equal(rolling_normalize(x, w, 1e-8), one_shot_normalize(x, w, 1e-8), equal_nan=True)
+        assert np.array_equal(rolling_normalize(x[:, 0], w), one_shot_normalize(x[:, 0], w, 1e-8), equal_nan=True)
+    assert np.isnan(rolling_normalize(x[: w - 1], w)).all()
+
+
 def test_rolling_normalize_no_lookahead(rng):
     x = rng.normal(size=30)
     base = rolling_normalize(x, 5)
