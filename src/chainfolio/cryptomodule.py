@@ -23,6 +23,9 @@ each takes an array of frame rows and returns the (B, f, 1, n) states of
 the windows ending there, with one warm-up and finiteness check per call.
 Training episodes and ``CryptoModule.prepare`` both call them on batches
 of ``_DECISION_BATCH`` rows, so a row's state is the same bits in both.
+Both refine only the bars their rows read: ``prepare`` the observation
+windows of the rows it decides, training those of its validation episode
+and of the training rows its step budget reaches.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .refinery import (
     full_windows,
     refine_features,
     select_valid_metrics,
+    window_rows,
 )
 from .rlcore.container import (
     ContainerFormatError,
@@ -264,13 +268,15 @@ class CryptoModule:
         """Rebuild observation inputs for a frame (trailing transforms only)
         and take the greedy allocation at every decision row at once:
         observations do not depend on the portfolio's state.  Given frame
-        ``rows``, decide only there, and refine only the bars they read."""
+        ``rows``, decide only there, and refine only the bars their
+        observation windows read: n bars, or 2n - 1 with the signal agent,
+        whose signals each read n bars."""
         s = self.settings
-        start = 0 if rows is None else max(0, int(np.min(rows, initial=len(frame))) - self.warmup_bars)
-        refined = refine_features(
-            frame, self.selected_metrics, s.norm_window, s.pca_window, s.variance_target, s.epsilon, start
-        )
         n = s.window
+        read = None if rows is None else window_rows(rows, 2 * n - 1 if self.use_eam else n, len(frame))
+        refined = refine_features(
+            frame, self.selected_metrics, s.norm_window, s.pca_window, s.variance_target, s.epsilon, read
+        )
         signals = None
         observable = refined.valid
         if self.use_eam:
@@ -372,7 +378,11 @@ def _run_dqn(
 
     ``train`` and ``val`` are :func:`_episode` (states, rewards): step j moves
     from state j to j + 1 and earns ``rewards[j, prev, a]``, where prev is
-    the episode's previous action (0 at its start).
+    the episode's previous action (0 at its start).  The move does not
+    depend on the action, so ``max_steps`` steps read training states 0 to
+    ``max_steps`` only, the last as a next state.  A training episode cut to
+    its first ``max_steps + 2`` states trains the same net: its terminal
+    index, the last, stays out of reach, as it does in the whole episode.
     """
     cfg = settings.train
     train_states, train_rewards = train
@@ -419,51 +429,50 @@ def train_cm_from_frame(
     settings: CmSettings,
     use_eam: bool = False,
 ) -> CryptoModule:
-    """Select metrics, refine features, and train the agent pair on one frame."""
+    """Select metrics, refine features, and train the agent pair on one frame.
+
+    Each agent's episodes are the rows ``prepare`` would decide at inside
+    each range, but only the validation episode and the training rows the
+    step budget reaches (see :func:`_run_dqn`) get states, signals and
+    refined features."""
     train_frame = frame.slice(*ranges.train)
     selected = select_valid_metrics(train_frame, settings.horizon)
-    refined = refine_features(
-        frame,
-        selected.names,
-        settings.norm_window,
-        settings.pca_window,
-        settings.variance_target,
-        settings.epsilon,
-    )
     # network, exploration and replay seeds of the signal agent, then of the allocation agent
     seeds = [derive_seed(settings.train.seed, role) for role in range(6)]
-    closes = frame.close
-
     n = settings.window
+    span = 2 * n - 1 if use_eam else n  # bars an allocation decision reads, signals included
+    # aligned frames are finite, so a whole-frame refine fits every row past its warm-up
+    fitted = np.arange(len(frame)) >= settings.norm_window + settings.pca_window - 2
 
-    def episodes(observable, states_of, reward_table, who):
-        """The training and validation episodes over the rows that ``prepare``
-        decides at (a full window of ``observable`` rows) inside each range."""
-        rows = full_windows(observable, n)
+    def episode_rows(width, who):
+        """Training and validation rows: those past a ``width``-bar window of
+        fitted rows inside each range; training keeps the reachable ones."""
+        rows = full_windows(fitted, width)
         ts = frame.timestamps[rows]
         idx_train, idx_val = (rows[(ts >= lo) & (ts <= hi)] for lo, hi in (ranges.train, ranges.validation))
         _require_steps(idx_train, idx_val, who)
-        return [_episode(states_of, idx, closes, reward_table, settings.reward) for idx in (idx_train, idx_val)]
+        return [idx_train[: settings.train.max_steps + 2], idx_val]
 
-    eam_net = None
-    signals = None
-    observable = refined.valid
+    eam_rows = episode_rows(n, "signal agent") if use_eam else []
+    sam_rows = episode_rows(span, "allocation agent")
+    read = window_rows(np.concatenate(eam_rows + sam_rows), span, len(frame))
+    refined = refine_features(frame, selected.names, settings.norm_window, settings.pca_window,
+                              settings.variance_target, settings.epsilon, read)
+
+    def episodes(rows, states_of, reward_table):
+        return [_episode(states_of, idx, frame.close, reward_table, settings.reward) for idx in rows]
+
+    eam_net = signals = None
     if use_eam:
         eam_net = _run_dqn(
-            "eam-1d",
-            *episodes(observable, lambda rows: build_eam_state(frame, refined, rows, n), _eam_rewards, "signal agent"),
-            settings,
-            seeds[:3],
+            "eam-1d", *episodes(eam_rows, lambda r: build_eam_state(frame, refined, r, n), _eam_rewards),
+            settings, seeds[:3],
         )
         signals = _greedy_signal_array(eam_net, frame, refined, n)
-        observable = observable & ~np.isnan(signals)
 
     sam_net = _run_dqn(
-        "sam-4layer",
-        *episodes(observable, lambda rows: build_sam_state(frame, refined, rows, n, signals), _sam_rewards,
-                  "allocation agent"),
-        settings,
-        seeds[3:],
+        "sam-4layer", *episodes(sam_rows, lambda r: build_sam_state(frame, refined, r, n, signals), _sam_rewards),
+        settings, seeds[3:],
     )
     return CryptoModule(
         asset=frame.asset,

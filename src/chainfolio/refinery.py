@@ -242,6 +242,21 @@ def full_windows(ok: np.ndarray, window: int) -> np.ndarray:
     return np.flatnonzero(np.lib.stride_tricks.sliding_window_view(ok, window).all(axis=1)) + window - 1
 
 
+def window_rows(ends: np.ndarray, window: int, length: int) -> np.ndarray:
+    """Rows of [0, length) inside the trailing window [e - window + 1, e] of
+    some row e >= 0 in ``ends``."""
+    # before[i] counts the ends before row i
+    before = np.concatenate(([0], np.bincount(np.asarray(ends, dtype=np.intp), minlength=length).cumsum()))
+    rows = np.arange(length)
+    return np.flatnonzero(before[np.minimum(rows + window, length)] > before[rows])
+
+
+def _runs(rows: np.ndarray) -> list[tuple[int, int]]:
+    """[lo, hi) index bounds of each run of consecutive values in sorted ``rows``."""
+    cuts = np.flatnonzero(np.diff(rows) != 1) + 1
+    return list(zip(np.r_[0, cuts], np.r_[cuts, len(rows)])) if len(rows) else []
+
+
 @dataclass
 class RefinedFeatureFrame:
     """Per-timestamp principal-component features with a validity mask.
@@ -251,6 +266,8 @@ class RefinedFeatureFrame:
     are real.  ``explained[t]`` is the cumulative variance fraction of
     the retained set.  ``rank_flagged`` marks windows where the variance
     target was unreachable (rank deficiency or a zero-variance window).
+    ``valid`` marks exactly the fitted rows: rows past the warm-up whose
+    windows are finite, only those asked for when a refine is given rows.
     """
 
     timestamps: np.ndarray
@@ -270,15 +287,17 @@ def rolling_pca(
     window: int,
     variance_target: float = DEFAULT_VARIANCE_TARGET,
     timestamps: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> RefinedFeatureFrame:
-    """Refit PCA on a trailing window at every row and project that row.
+    """Refit PCA on a trailing window at every row (or at each of ``rows``)
+    and project that row.
 
     At each t the window is rows [t-window+1, t]; the smallest component
     count whose cumulative explained variance reaches ``variance_target``
     is retained and row t (centered on the window mean) is projected onto
     those components.  Component signs are fixed so each eigenvector's
     largest-magnitude loading is positive.  Rows whose window touches
-    NaN warm-up rows of the input are invalid.
+    NaN warm-up rows of the input, and rows not fitted, are invalid.
     """
     x = np.asarray(normalized, dtype=np.float64)
     if x.ndim != 2:
@@ -298,6 +317,8 @@ def rolling_pca(
     rank_flagged = np.zeros(t, dtype=bool)
 
     ends = full_windows(np.isfinite(x).all(axis=1), window)
+    if rows is not None:
+        ends = np.intersect1d(ends, rows)
     valid[ends] = True
     # view[s] is the window of rows [s, s + window), a view of x
     view = np.lib.stride_tricks.as_strided(
@@ -309,12 +330,13 @@ def rolling_pca(
     # pairwise, and wider rows one after another starting from zero
     if k == 1:
         means = np.array([view[s].mean(axis=0) for s in starts]).reshape(-1, 1)
-    else:  # one running sum over all windows adds their rows in that order
-        sums = np.zeros((len(view), k))
-        with np.errstate(invalid="ignore"):  # windows holding inf - inf are never fitted
-            for j in range(window):
-                sums += x[j : j + len(view)]
-        means = sums[starts] / window
+    else:  # a running sum over each run of consecutive windows adds their rows in that order
+        means = np.empty((len(starts), k))
+        for lo, hi in _runs(starts):
+            sums = np.zeros((hi - lo, k))
+            for j in range(starts[lo], starts[lo] + window):
+                sums += x[j : j + hi - lo]
+            means[lo:hi] = sums / window
     for lo in range(0, len(ends), _PCA_CHUNK):
         chunk = ends[lo : lo + _PCA_CHUNK]
         mean = means[lo : lo + _PCA_CHUNK]
@@ -375,18 +397,23 @@ def refine_features(
     pca_window: int = DEFAULT_PCA_WINDOW,
     variance_target: float = DEFAULT_VARIANCE_TARGET,
     epsilon: float = DEFAULT_EPSILON,
-    start: int = 0,
+    rows: np.ndarray | None = None,
 ) -> RefinedFeatureFrame:
     """Normalize then PCA-project the selected metric columns of a frame.
 
-    Rows before ``start`` count as missing, so only the windows from there
-    on are fitted; a row whose windows all lie there is the same as with
-    ``start`` 0."""
+    Given ``rows``, the frame rows whose components will be read, only the
+    contiguous spans their windows reach are normalized, each from its own
+    warm-up, and only those rows are fitted; every other row is invalid.  A
+    fitted row is the same bits as in a whole-frame refine: every transform
+    is trailing-window only and works window by window."""
     missing = [n for n in selected_names if n not in frame.metric_names]
     if missing:
         raise DataError(f"{frame.asset.key}: frame lacks selected metrics {missing}")
     cols = [frame.metric_names.index(n) for n in selected_names]
     pool = frame.metrics[:, cols]
-    pool[:start] = np.nan
-    normalized = rolling_normalize(pool, norm_window, epsilon)
-    return rolling_pca(normalized, pca_window, variance_target, frame.timestamps)
+    normalized = np.full(pool.shape, np.nan)
+    need = window_rows(np.arange(len(frame)) if rows is None else rows, norm_window + pca_window - 1, len(frame))
+    for lo, hi in _runs(need):
+        span = slice(need[lo], need[hi - 1] + 1)
+        normalized[span] = rolling_normalize(pool[span], norm_window, epsilon)
+    return rolling_pca(normalized, pca_window, variance_target, frame.timestamps, rows)

@@ -7,6 +7,7 @@ metrics.  The file is loaded here read-only, outside the package.
 
 import importlib
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -39,18 +40,30 @@ def test_every_traced_target_resolves(tracing):
         assert callable(cls.__dict__[attr]), (mod_name, cls_name, attr)
 
 
-def test_traced_training_run_fills_the_rl_metrics(tracing, tmp_path, rng):
+# (step budget, refits, state-builder calls) of a training run on walk_frame.
+# 250 steps reach every training row: rows 18-139 are fitted, every row past
+# the 8 + 12 - 2 warm-up.  40 steps reach 42 training rows per agent, so
+# only the 15-bar windows (signals included) of the training rows 25-73 and
+# the validation rows 100-139 are fitted: rows 18-73 and 86-139.  States are built 32 rows at a time: the
+# signal agent's training (75 or 42 rows) and validation (40) episodes, its
+# signals (115 or 96 rows), the allocation agent's episodes (68 or 42, and 40).
+TRAINING_COUNTS = [(250, 122, 3 + 2 + 4 + 3 + 2), (40, 56 + 54, 2 + 2 + 3 + 2 + 2)]
+
+
+@pytest.mark.parametrize("max_steps, refits, builds", TRAINING_COUNTS)
+def test_traced_training_run_fills_the_rl_metrics(tracing, tmp_path, rng, max_steps, refits, builds):
     frame = walk_frame(rng)
+    settings = replace(SMALL, train=replace(SMALL.train, max_steps=max_steps))
     tracer = tracing.Tracer(tmp_path)
     tracer.install()
     try:
-        tracer.command_span("train-cm", lambda: train_cm_from_frame(frame, RANGES, SMALL, use_eam=True))
+        tracer.command_span("train-cm", lambda: train_cm_from_frame(frame, RANGES, settings, use_eam=True))
     finally:
         tracer.uninstall()
     agg, samples = tracer.summarize(range(0, 1))
     metrics = tracing.layer_metrics(agg, tracer.counts)
 
-    cfg = SMALL.train
+    cfg = settings.train
     updates = cfg.max_steps - cfg.batch + 1  # one train_step per step once the buffer holds a batch
     assert metrics["cryptomodule.env_steps"] == 2 * cfg.max_steps
     assert agg["rlcore.train_step.eam-1d"]["calls"] == updates
@@ -60,7 +73,8 @@ def test_traced_training_run_fills_the_rl_metrics(tracing, tmp_path, rng):
     assert agg["rlcore.conv1d.backward"]["calls"] == 3 * updates
     assert metrics["rlcore.conv1d.flops"] > 0 and metrics["rlcore.conv1d.gflop_per_s"] > 0
     assert metrics["rlcore.qnet.forward_b1.calls"] == 2 * cfg.max_steps
-    assert metrics["cryptomodule.build_state.calls"] > 0
+    assert metrics["refinery.rolling_pca.refits"] == refits
+    assert metrics["cryptomodule.build_state.calls"] == builds
     assert len(samples["rlcore.train_step.sam-4layer"]) == updates
 
 
@@ -83,3 +97,11 @@ def test_traced_retrain_backtest_fills_the_portfolio_metrics(tracing, tmp_path):
     assert metrics["portfolio.retrain_module.calls"] == len(report.retrain_events)
     assert metrics["cryptomodule.allocate.calls"] == 6 * 2
     assert metrics["portfolio.rebalance.calls"] == agg["portfolio.vote_weights"]["calls"] == 6
+    # each retrain's 150-step budget reaches its whole training episode, so
+    # it fits rows 18 to b of the frame that ends at its boundary b; each of
+    # the 6 modules in force decides one bar and fits only its 8-bar window.
+    # States come 32 rows at a time: each retrain's training rows 25 to
+    # b - 41 and its 40 validation rows, then one batch per module in force
+    boundaries = range(168, 217, 8)  # bar indices
+    assert metrics["refinery.rolling_pca.refits"] == 2 * (sum(b - 17 for b in boundaries) + 6 * 8)
+    assert metrics["cryptomodule.build_state.calls"] == 2 * (sum(-(-(b - 65) // 32) + 2 for b in boundaries) + 6)

@@ -33,7 +33,7 @@ from chainfolio.cryptomodule import (
 )
 from chainfolio.datastore import AlignedFrame, AssetId
 from chainfolio.errors import ChainfolioError, ConfigError, DataError
-from chainfolio.refinery import HorizonConfig, refine_features
+from chainfolio.refinery import HorizonConfig, full_windows, refine_features, select_valid_metrics
 from chainfolio.rlcore.container import (
     ChecksumMismatchError,
     ContainerFormatError,
@@ -42,6 +42,7 @@ from chainfolio.rlcore.container import (
     write_container,
 )
 from chainfolio.rlcore.network import QNetwork
+from chainfolio.rlcore.replay import ReplayBuffer
 from chainfolio.rlcore.training import TrainConfig
 
 from _synth import INTERVAL, T0, bar_ts, make_asset
@@ -359,21 +360,28 @@ def test_batched_prepare_matches_single_state_forwards(rng, monkeypatch, use_eam
 @pytest.mark.parametrize("use_eam", [False, True])
 def test_prepare_at_query_rows_equals_full_frame_prepare(rng, use_eam):
     """Given rows, prepare decides exactly those past the warm-up, as a
-    full-frame prepare does, and refits only the windows they read."""
+    full-frame prepare does, and refits only the rows inside their
+    observation windows: n bars, 2n - 1 with the signal agent."""
     frame = walk_frame(rng)
     cm = train_cm_from_frame(frame, RANGES, SMALL, use_eam=use_eam)
     full = cm.prepare(frame)
     first = first_decision(full)
+    width = 2 * SMALL.window - 1 if use_eam else SMALL.window
     for rows in (np.arange(first, len(frame), 6), np.arange(first + 20, len(frame)), np.array([len(frame) - 1]),
-                 np.array([first - 1, first + 3]), np.array([], dtype=np.intp)):
+                 np.array([first - 1, first + 3]), np.array([first, first + 60]), np.array([], dtype=np.intp)):
         ctx = cm.prepare(frame, rows)
         decided = np.flatnonzero(ctx.actions >= 0)
         assert np.array_equal(decided, rows[rows >= first])
         assert np.array_equal(ctx.actions[decided], full.actions[decided])
         fitted = ctx.refined.valid
-        skipped = min(max(0, int(np.min(rows, initial=len(frame))) - first), full.refined.valid.sum())
-        assert fitted.sum() == full.refined.valid.sum() - skipped
+        read = np.zeros(len(frame), dtype=bool)
+        for t in rows:
+            read[max(0, t - width + 1) : t + 1] = True
+        assert np.array_equal(fitted, read & full.refined.valid)
         assert np.array_equal(ctx.refined.components[fitted], full.refined.components[fitted])
+        if use_eam:
+            signalled = ~np.isnan(ctx.signals)
+            assert np.array_equal(ctx.signals[signalled], full.signals[signalled])
 
 
 def test_warmup_bars_accounting(rng):
@@ -448,9 +456,11 @@ def test_train_cm_with_signal_agent(rng):
     assert cm.sam_net.input_shape == (state.shape[0], 2, SMALL.window)
 
 
+@pytest.mark.parametrize("max_steps", [SMALL.train.max_steps, 20])
 @pytest.mark.parametrize("use_eam", [False, True])
-def test_training_episodes_equal_one_row_builds(rng, monkeypatch, use_eam):
-    """Each training and validation episode, filled batch by batch, equals
+def test_training_episodes_equal_one_row_builds(rng, monkeypatch, use_eam, max_steps):
+    """Each validation episode, and each training episode up to the
+    max_steps + 2 states its walk can reach, filled batch by batch, equals
     a stack of the states of its decision rows built one row at a time."""
     monkeypatch.setattr(cryptomodule, "_DECISION_BATCH", 7)  # many uneven batches
     episodes = {}
@@ -461,7 +471,8 @@ def test_training_episodes_equal_one_row_builds(rng, monkeypatch, use_eam):
 
     monkeypatch.setattr(cryptomodule, "_run_dqn", record)
     frame = walk_frame(rng)
-    cm = train_cm_from_frame(frame, RANGES, SMALL, use_eam=use_eam)
+    settings = replace(SMALL, train=replace(SMALL.train, max_steps=max_steps))
+    cm = train_cm_from_frame(frame, RANGES, settings, use_eam=use_eam)
     ctx = cm.prepare(frame)  # the training features, and the signals of the same signal net
     n = SMALL.window
     builds = {"sam-4layer": (use_eam, lambda t: build_sam_state(frame, ctx.refined, [t], n, ctx.signals)[0])}
@@ -471,9 +482,67 @@ def test_training_episodes_equal_one_row_builds(rng, monkeypatch, use_eam):
     for arch, (after_eam, build) in builds.items():
         # the first row whose window of features (and of signals) is valid
         first = int(np.flatnonzero(ctx.refined.valid)[0]) + (n - 1) * (1 + after_eam)
-        for states, (lo, hi) in zip(episodes[arch], (RANGES.train, RANGES.validation)):
-            rows = [t for t in range(first, len(frame)) if lo <= frame.timestamps[t] <= hi]
+        for states, (lo, hi), keep in zip(episodes[arch], (RANGES.train, RANGES.validation), (max_steps + 2, None)):
+            rows = [t for t in range(first, len(frame)) if lo <= frame.timestamps[t] <= hi][:keep]
             assert np.array_equal(states, np.stack([build(t) for t in rows]))
+
+
+def whole_episode_train_cm(frame, ranges, settings, use_eam):
+    """Reference training that refines every bar and builds every state of
+    both episodes, whatever the step budget."""
+    selected = select_valid_metrics(frame.slice(*ranges.train), settings.horizon)
+    refined = refine_features(frame, selected.names, settings.norm_window, settings.pca_window,
+                              settings.variance_target, settings.epsilon)
+    seeds = [derive_seed(settings.train.seed, role) for role in range(6)]
+    n = settings.window
+
+    def episodes(observable, states_of, reward_table):
+        rows = full_windows(observable, n)
+        ts = frame.timestamps[rows]
+        return [cryptomodule._episode(states_of, rows[(ts >= lo) & (ts <= hi)], frame.close, reward_table,
+                                      settings.reward) for lo, hi in (ranges.train, ranges.validation)]
+
+    eam_net = signals = None
+    observable = refined.valid
+    if use_eam:
+        eam_net = cryptomodule._run_dqn(
+            "eam-1d", *episodes(observable, lambda rows: build_eam_state(frame, refined, rows, n),
+                                cryptomodule._eam_rewards), settings, seeds[:3])
+        signals = cryptomodule._greedy_signal_array(eam_net, frame, refined, n)
+        observable = observable & ~np.isnan(signals)
+    sam_net = cryptomodule._run_dqn(
+        "sam-4layer", *episodes(observable, lambda rows: build_sam_state(frame, refined, rows, n, signals),
+                                cryptomodule._sam_rewards), settings, seeds[3:])
+    return CryptoModule(frame.asset, sam_net, eam_net, list(selected.names), settings, ranges, frame.interval,
+                        use_eam)
+
+
+@pytest.mark.parametrize("use_eam", [False, True])
+def test_short_budget_training_equals_whole_episode_training(tmp_path, rng, monkeypatch, use_eam):
+    """Budgets around each agent's training episode length L, where L - 3
+    cuts the episode to max_steps + 2 states and L - 2 is the longest
+    budget that does not cut it, push the transitions and give the module
+    bytes of whole-episode training, and so does a budget that wraps the
+    episode."""
+    pushed = []
+    push = ReplayBuffer.push
+    monkeypatch.setattr(ReplayBuffer, "push", lambda self, *step: (pushed.append(step), push(self, *step)))
+    frame = walk_frame(rng)
+    n = SMALL.window
+    first = SMALL.norm_window + SMALL.pca_window - 2 + n - 1  # the signal agent's first decision row
+    in_train = frame.timestamps <= RANGES.train[1]
+    lengths = [int(in_train[first:].sum())]  # the allocation agent's without a signal agent
+    if use_eam:
+        lengths.append(int(in_train[first + n - 1 :].sum()))
+    budgets = sorted({length + d for length in lengths for d in (-3, -2, -1, 0)} | {3 * lengths[0]})
+    for max_steps in budgets:
+        settings = replace(SMALL, train=replace(SMALL.train, max_steps=max_steps))
+        runs = []
+        for train in (train_cm_from_frame, whole_episode_train_cm):
+            pushed.clear()
+            save_cm(train(frame, RANGES, settings, use_eam), tmp_path / "module.cm")
+            runs.append((list(pushed), (tmp_path / "module.cm").read_bytes()))
+        assert runs[0] == runs[1], max_steps  # the transitions, terminal flags included, and the bytes
 
 
 def test_train_cm_requires_enough_decisions(rng):

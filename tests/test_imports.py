@@ -70,3 +70,16 @@ def test_every_class_or_function_is_imported_from_its_own_module():
             if (inspect.isclass(value) or inspect.isfunction(value)) and value.__module__ != module:
                 misplaced.append(f"{path.relative_to(ROOT)}: {name} from {module}, defined in {value.__module__}")
     assert misplaced == []
+
+
+def test_only_the_refinery_imports_the_rolling_transforms():
+    """Every other module refines through ``refine_features``, which decides
+    the rows to fit, so the benchmark's traced refit count, taken from the
+    wrapped ``chainfolio.refinery.rolling_pca``, sees every fit."""
+    bound = [
+        f"{path.relative_to(ROOT)}: {alias.name}"
+        for path in (ROOT / "src").rglob("*.py") if path.name != "refinery.py"
+        for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.name in ("rolling_pca", "rolling_normalize")
+    ]
+    assert bound == []

@@ -415,6 +415,15 @@ def test_pca_stacked_windows_equal_one_window_at_a_time(rng, monkeypatch, chunk,
         for g, r in zip(got, want):
             assert np.array_equal(g, r)
         assert out.rank_flagged[61:68].all() and out.valid[61:68].all()
+        # refit rows: gaps shorter and longer than the window, rows inside the
+        # warm-up and the NaN hole, a run of consecutive windows, one row, none
+        for rows in ([20, 25, 60, 89], [3, 15, 16, 17, 18], np.arange(30, 58), [45, 44, 45], [30], []):
+            out = rolling_pca(x, window=w, variance_target=target, rows=np.asarray(rows, dtype=np.intp))
+            fitted = np.isin(np.arange(t), rows) & want[1]
+            assert np.array_equal(out.valid, fitted)
+            got = (out.components, out.n_components, out.explained, out.rank_flagged)
+            for g, r in zip(got, want[:1] + want[2:]):
+                assert np.array_equal(g[fitted], r[fitted])
 
 
 def test_pca_no_lookahead(rng):
@@ -453,6 +462,39 @@ def test_refine_features_warmup_and_shape(rng):
     assert not refined.valid[:first_valid].any()
     assert refined.valid[first_valid:].all()
     assert np.array_equal(refined.timestamps, frame.timestamps)
+
+
+@pytest.mark.parametrize("chunk", [7, 256])
+def test_refine_features_at_rows_equals_whole_frame_refine(rng, monkeypatch, chunk):
+    """Refining only the rows to be read fits exactly those the whole-frame
+    refine fits among them, to the same bits; every other row is invalid."""
+    monkeypatch.setattr(refinery, "_PCA_CHUNK", chunk)
+    monkeypatch.setattr(refinery, "_COV_CHUNK", 3)
+    t, nw, pw = 120, 5, 8  # a row's windows reach back nw + pw - 2 = 11 rows
+    metrics = {f"m{i}": rng.normal(size=t) * (i + 1) for i in range(3)}
+    metrics["m2"][90:100] = 1.5
+    frame = make_frame(100.0 * np.exp(np.cumsum(rng.normal(0, 0.02, t))), metrics)
+    names = ["m2", "m0", "m1"]
+    whole = refine_features(frame, names, nw, pw)
+    assert np.array_equal(whole.valid, np.arange(t) >= nw + pw - 2)
+    # gaps shorter and longer than the warm-up, spans that start inside it,
+    # many short spans, unsorted rows, one row, none, and every row
+    for rows in ([30, 35], [30, 60], [5, 20], [0, 11, 12], np.arange(40, 119, 3), [3, 110, 40], [119], [],
+                 np.arange(t)):
+        rows = np.asarray(rows, dtype=np.intp)
+        part = refine_features(frame, names, nw, pw, rows=rows)
+        fitted = np.isin(np.arange(t), rows) & whole.valid
+        assert np.array_equal(part.valid, fitted)
+        for name in ("components", "n_components", "explained", "rank_flagged"):
+            assert np.array_equal(getattr(part, name)[fitted], getattr(whole, name)[fitted]), name
+        assert np.array_equal(part.timestamps, frame.timestamps) and part.c_max == whole.c_max
+
+
+def test_window_rows_covers_each_trailing_window():
+    assert refinery.window_rows([4, 5, 12], 3, 14).tolist() == [2, 3, 4, 5, 10, 11, 12]
+    assert refinery.window_rows([1, 20], 4, 10).tolist() == [0, 1]
+    assert refinery.window_rows([], 4, 10).tolist() == []
+    assert refinery.window_rows([0], 4, 0).tolist() == []
 
 
 def test_refine_features_missing_metric(rng):
