@@ -14,6 +14,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import ENV_DATA_DIR, RunConfig, config_values, load_config, parse_ts
 from .cryptomodule import derive_seed, save_cm, train_cm, with_seed
 from .datastore import AssetId, CsvStore, atomic_write, csv_text, parse_metrics_csv, parse_ohlcv_csv
@@ -198,9 +200,8 @@ def _cmd_refine(args, cfg: RunConfig, store: CsvStore) -> int:
         print(f"correlation table written to {args.table}")
     if args.out:
         cm = cfg.cm
-        refined = refine_features(
-            frame, selected.names, cm.norm_window, cm.pca_window, cm.variance_target, cm.epsilon
-        )
+        refined = refine_features(frame, selected.names, cm.norm_window, cm.pca_window, cm.variance_target,
+                                  cm.epsilon, np.arange(len(frame)))
         _write_refined_csv(args.out, refined)
         print(f"refined features written to {args.out}")
     return 0

@@ -19,6 +19,7 @@ backtest March through September 2022, all UTC.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from functools import reduce
@@ -26,7 +27,6 @@ from pathlib import Path
 from typing import Mapping, get_type_hints
 
 from .cryptomodule import CmSettings, DataRanges
-from .datastore import DEFAULT_BAR_INTERVAL, DEFAULT_FILL_LIMIT
 from .errors import ConfigError
 from .portfolio import BacktestConfig
 from .serial import from_doc, to_doc
@@ -45,7 +45,11 @@ def parse_ts(value: str | int) -> int:
         pass
     try:
         if len(text) == 10:
-            dt = datetime.strptime(text, "%Y-%m-%d").replace(tzinfo=timezone.utc)
+            # the dates strptime(text, "%Y-%m-%d") reads, without loading _strptime at start-up
+            date = re.fullmatch(r"(\d{4})-(1[0-2]|0[1-9])-(3[01]|[12]\d|0[1-9]| [1-9])", text)
+            if date is None:
+                raise ValueError(f"time data {text!r} does not match format '%Y-%m-%d'")
+            dt = datetime(*map(int, date.groups()), tzinfo=timezone.utc)
         else:
             dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
             if dt.tzinfo is None:
@@ -81,8 +85,8 @@ class RunConfig:
     ``seed`` per asset; every other field has a config key (CONFIG_KEYS)."""
 
     data_dir: str = "data"
-    interval: int = DEFAULT_BAR_INTERVAL
-    fill_limit: int = DEFAULT_FILL_LIMIT
+    interval: int = 21600            # seconds per bar: 6-hour bars
+    fill_limit: int = 4              # most consecutive carried-forward metric values
     seed: int = 0
     use_eam: bool = False
     cm: CmSettings = CmSettings()

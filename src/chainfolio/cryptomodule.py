@@ -39,13 +39,9 @@ from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from .datastore import AlignedFrame, AssetId, CsvStore, DEFAULT_BAR_INTERVAL, DEFAULT_FILL_LIMIT
+from .datastore import AlignedFrame, AssetId, CsvStore
 from .errors import ConfigError, DataError
 from .refinery import (
-    DEFAULT_EPSILON,
-    DEFAULT_NORM_WINDOW,
-    DEFAULT_PCA_WINDOW,
-    DEFAULT_VARIANCE_TARGET,
     HorizonConfig,
     RefinedFeatureFrame,
     full_windows,
@@ -79,8 +75,6 @@ ALLOCATION_ACTIONS = ("cash", "crypto")
 
 #: Signal channel encoding used in allocation-agent observations.
 SIGNAL_VALUES = {"buy": 1.0, "hold": 0.0, "sell": -1.0}
-
-DEFAULT_OBS_WINDOW = 32
 
 _VOLUME_EPS = 1e-8
 
@@ -124,11 +118,11 @@ class CmSettings:
     """Everything needed to refit features and train both agents."""
 
     horizon: HorizonConfig = HorizonConfig()
-    norm_window: int = DEFAULT_NORM_WINDOW
-    pca_window: int = DEFAULT_PCA_WINDOW
-    variance_target: float = DEFAULT_VARIANCE_TARGET
-    epsilon: float = DEFAULT_EPSILON
-    window: int = DEFAULT_OBS_WINDOW
+    norm_window: int = 50
+    pca_window: int = 200
+    variance_target: float = 0.80
+    epsilon: float = 1e-8
+    window: int = 32
     buffer_capacity: int = 10_000
     eval_interval: int = 500
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -191,14 +185,15 @@ def build_sam_state(
     refined: RefinedFeatureFrame,
     rows: np.ndarray,
     n: int,
-    signals: np.ndarray | None = None,
+    signals: np.ndarray | None,
 ) -> np.ndarray:
     """Allocation-agent states (B, f, 1, n) of the windows ending at ``rows``:
     the crypto row; the allocation net adds the riskless row.
 
-    With ``signals`` (one value per frame row, NaN where there is none) the
-    states gain one channel encoding buy=1, hold=0, sell=-1 over the window,
-    so f = 5 + c_max + 1; otherwise f = 5 + c_max.
+    With ``signals`` (one value per frame row, NaN where there is none; None
+    without the signal agent) the states gain one channel encoding buy=1,
+    hold=0, sell=-1 over the window, so f = 5 + c_max + 1; otherwise
+    f = 5 + c_max.
     """
     idx, channels = _windows(frame, refined, rows, n)
     if signals is not None:
@@ -264,16 +259,15 @@ class CryptoModule:
             warm += n - 1
         return warm
 
-    def prepare(self, frame: AlignedFrame, rows: np.ndarray | None = None) -> CmContext:
+    def prepare(self, frame: AlignedFrame, rows: np.ndarray) -> CmContext:
         """Rebuild observation inputs for a frame (trailing transforms only)
-        and take the greedy allocation at every decision row at once:
-        observations do not depend on the portfolio's state.  Given frame
-        ``rows``, decide only there, and refine only the bars their
-        observation windows read: n bars, or 2n - 1 with the signal agent,
-        whose signals each read n bars."""
+        and take the greedy allocation at each of the frame ``rows`` at once:
+        observations do not depend on the portfolio's state.  Only the bars
+        their observation windows read are refined: n bars, or 2n - 1 with
+        the signal agent, whose signals each read n bars."""
         s = self.settings
         n = s.window
-        read = None if rows is None else window_rows(rows, 2 * n - 1 if self.use_eam else n, len(frame))
+        read = window_rows(rows, 2 * n - 1 if self.use_eam else n, len(frame))
         refined = refine_features(
             frame, self.selected_metrics, s.norm_window, s.pca_window, s.variance_target, s.epsilon, read
         )
@@ -283,8 +277,7 @@ class CryptoModule:
             signals = _greedy_signal_array(self.eam_net, frame, refined, n)
             observable = observable & ~np.isnan(signals)
         at = full_windows(observable, n)
-        if rows is not None:
-            at = np.intersect1d(at, rows)
+        at = at[np.isin(at, rows)]
         actions = np.full(len(frame), -1, dtype=np.intp)
         actions[at] = _greedy_actions(self.sam_net, lambda r: build_sam_state(frame, refined, r, n, signals), at)
         return CmContext(refined, signals, actions)
@@ -407,8 +400,9 @@ def _run_dqn(
 
     j = prev = 0
     for step in range(cfg.max_steps):
-        q = net.forward(train_states[j : j + 1])[0]
-        action = epsilon_greedy(q, epsilon_at(cfg, step), rng)
+        # an exploring step draws its action without a forward
+        action = epsilon_greedy(lambda: net.forward(train_states[j : j + 1])[0], net.n_actions,
+                                epsilon_at(cfg, step), rng)
         buffer.push(j, action, train_rewards[j, prev, action], j == last)
         j, prev = (0, 0) if j == last else (j + 1, action)
         if len(buffer) >= cfg.batch:
@@ -427,7 +421,7 @@ def train_cm_from_frame(
     frame: AlignedFrame,
     ranges: DataRanges,
     settings: CmSettings,
-    use_eam: bool = False,
+    use_eam: bool,
 ) -> CryptoModule:
     """Select metrics, refine features, and train the agent pair on one frame.
 
@@ -491,9 +485,9 @@ def train_cm(
     asset: AssetId,
     ranges: DataRanges,
     settings: CmSettings,
-    use_eam: bool = False,
-    interval: int = DEFAULT_BAR_INTERVAL,
-    fill_limit: int = DEFAULT_FILL_LIMIT,
+    use_eam: bool,
+    interval: int,
+    fill_limit: int,
 ) -> CryptoModule:
     """Align the training span from the store and train a module for one asset."""
     frame = store.align(asset, ranges.train[0], ranges.validation[1], interval, fill_limit)

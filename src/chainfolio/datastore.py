@@ -67,12 +67,6 @@ log = logging.getLogger(__name__)
 OHLCV_HEADER = ["ts", "open", "high", "low", "close", "volume"]
 METRICS_HEADER = ["ts", "name", "value"]
 
-#: Default bar interval in seconds (6-hour bars).
-DEFAULT_BAR_INTERVAL = 21600
-
-#: Default cap on consecutive carried-forward metric values during alignment.
-DEFAULT_FILL_LIMIT = 4
-
 
 class MalformedRecordError(DataError):
     """A source row that cannot be parsed or violates a bar invariant."""
@@ -771,14 +765,7 @@ class CsvStore:
 
     # -- alignment ---------------------------------------------------------
 
-    def align(
-        self,
-        asset: AssetId,
-        start_ts: int,
-        end_ts: int,
-        interval: int = DEFAULT_BAR_INTERVAL,
-        fill_limit: int = DEFAULT_FILL_LIMIT,
-    ) -> AlignedFrame:
+    def align(self, asset: AssetId, start_ts: int, end_ts: int, interval: int, fill_limit: int) -> AlignedFrame:
         """Join bars and metrics on the bar grid over [start_ts, end_ts].
 
         Metrics are resampled to bar timestamps by last-observation-

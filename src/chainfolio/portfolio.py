@@ -31,16 +31,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .cryptomodule import ALLOCATION_ACTIONS, CryptoModule, DataRanges, derive_seed, load_cm, train_cm, with_seed
-from .datastore import (
-    AlignedFrame,
-    AssetId,
-    CsvStore,
-    DEFAULT_BAR_INTERVAL,
-    DEFAULT_FILL_LIMIT,
-    atomic_write,
-    read_json,
-    write_json,
-)
+from .datastore import AlignedFrame, AssetId, CsvStore, atomic_write, read_json, write_json
 from .errors import ChainfolioError, ConfigError, DataError
 from .metrics import SummaryStats
 from .rlcore.training import DivergenceError
@@ -77,7 +68,7 @@ def rebalance(
     target: Sequence[float],
     prices: Sequence[float],
     fee_rate: float,
-    ts: int = 0,
+    ts: int,
 ) -> tuple[np.ndarray, float, RebalanceEvent]:
     """Re-split value to the target weights, paying fees on crypto turnover.
 
@@ -221,8 +212,8 @@ class BacktestConfig:
     fee_rate: float
     rebalance_interval: int          # bars between reallocation decisions
     retrain_days: int                # 0 disables scheduled retraining
-    interval: int = DEFAULT_BAR_INTERVAL
-    fill_limit: int = DEFAULT_FILL_LIMIT
+    interval: int
+    fill_limit: int
 
     def __post_init__(self):
         object.__setattr__(self, "assets", tuple(AssetId.parse(a).key for a in self.assets))
@@ -294,9 +285,7 @@ def retrain_boundaries(start_ts: int, end_ts: int, cadence_days: int) -> list[in
     return list(range(start_ts + step, end_ts, step))
 
 
-def retrain_module(
-    cm: CryptoModule, store: CsvStore, boundary_ts: int, fill_limit: int = DEFAULT_FILL_LIMIT
-) -> CryptoModule:
+def retrain_module(cm: CryptoModule, store: CsvStore, boundary_ts: int, fill_limit: int) -> CryptoModule:
     """Re-fit one module on an expanding window ending at the boundary.
 
     The training window keeps its original start; the validation window

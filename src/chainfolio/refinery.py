@@ -9,7 +9,10 @@ feature matrix:
 3. rank the union by how many horizons picked each metric,
 4. rolling-normalize the surviving columns, then
 5. rolling PCA keeping the fewest components that explain at least the
-   target fraction (default 80%) of trailing-window variance.
+   target fraction of trailing-window variance.
+
+Every function takes its windows, target and epsilon explicitly; their
+defaults live on :class:`~chainfolio.cryptomodule.CmSettings` alone.
 
 Every transform is trailing-window only; no output row ever depends on
 data after its own timestamp.
@@ -27,11 +30,6 @@ from .datastore import AlignedFrame
 from .errors import ConfigError, DataError
 
 log = logging.getLogger(__name__)
-
-DEFAULT_NORM_WINDOW = 50
-DEFAULT_PCA_WINDOW = 200
-DEFAULT_VARIANCE_TARGET = 0.80
-DEFAULT_EPSILON = 1e-8
 
 # eigenvalues below max_eig * RANK_TOL are treated as numerically zero
 _RANK_TOL = 1e-10
@@ -209,9 +207,7 @@ def select_valid_metrics(frame: AlignedFrame, cfg: HorizonConfig) -> SelectedMet
 # Rolling transforms
 
 
-def rolling_normalize(
-    series: np.ndarray, window: int, epsilon: float = DEFAULT_EPSILON
-) -> np.ndarray:
+def rolling_normalize(series: np.ndarray, window: int, epsilon: float) -> np.ndarray:
     """Trailing z-score per column: (x[t] - mean) / (std + epsilon).
 
     Mean and population std are taken over rows [t-window+1, t].  The
@@ -266,8 +262,8 @@ class RefinedFeatureFrame:
     are real.  ``explained[t]`` is the cumulative variance fraction of
     the retained set.  ``rank_flagged`` marks windows where the variance
     target was unreachable (rank deficiency or a zero-variance window).
-    ``valid`` marks exactly the fitted rows: rows past the warm-up whose
-    windows are finite, only those asked for when a refine is given rows.
+    ``valid`` marks exactly the fitted rows: the rows asked for that are
+    past the warm-up and whose windows are finite.
     """
 
     timestamps: np.ndarray
@@ -285,19 +281,19 @@ class RefinedFeatureFrame:
 def rolling_pca(
     normalized: np.ndarray,
     window: int,
-    variance_target: float = DEFAULT_VARIANCE_TARGET,
-    timestamps: np.ndarray | None = None,
-    rows: np.ndarray | None = None,
+    variance_target: float,
+    timestamps: np.ndarray,
+    rows: np.ndarray,
 ) -> RefinedFeatureFrame:
-    """Refit PCA on a trailing window at every row (or at each of ``rows``)
-    and project that row.
+    """Refit PCA on a trailing window at each of ``rows`` and project that row.
 
-    At each t the window is rows [t-window+1, t]; the smallest component
+    At each such t the window is rows [t-window+1, t]; the smallest component
     count whose cumulative explained variance reaches ``variance_target``
     is retained and row t (centered on the window mean) is projected onto
     those components.  Component signs are fixed so each eigenvector's
     largest-magnitude loading is positive.  Rows whose window touches
-    NaN warm-up rows of the input, and rows not fitted, are invalid.
+    NaN warm-up rows of the input, and rows not in ``rows``, are invalid;
+    ``timestamps`` label the rows.
     """
     x = np.asarray(normalized, dtype=np.float64)
     if x.ndim != 2:
@@ -307,8 +303,6 @@ def rolling_pca(
         raise ConfigError(f"window ({window}) must be >= K+1 ({k + 1})")
     if not 0.0 < variance_target <= 1.0:
         raise ConfigError("variance_target must be in (0, 1]")
-    if timestamps is None:
-        timestamps = np.arange(t, dtype=np.int64)
 
     components = np.zeros((t, k))
     valid = np.zeros(t, dtype=bool)
@@ -317,8 +311,7 @@ def rolling_pca(
     rank_flagged = np.zeros(t, dtype=bool)
 
     ends = full_windows(np.isfinite(x).all(axis=1), window)
-    if rows is not None:
-        ends = np.intersect1d(ends, rows)
+    ends = ends[np.isin(ends, rows)]  # intersect1d and unique would import numpy.ma
     valid[ends] = True
     # view[s] is the window of rows [s, s + window), a view of x
     view = np.lib.stride_tricks.as_strided(
@@ -374,7 +367,7 @@ def rolling_pca(
         # column-major bases, the layout a per-window fit's column-indexed
         # basis has: BLAS's rounding depends on the matrix layout
         basis_t = np.ascontiguousarray(basis.transpose(0, 2, 1))
-        for ci in np.unique(c):
+        for ci in np.flatnonzero(np.bincount(c)):  # the distinct counts, ascending
             same = c == ci
             projected = np.matmul(centered_row[same, None, :], basis_t[same, :ci].transpose(0, 2, 1))
             components[chunk[same], :ci] = projected[:, 0]
@@ -393,26 +386,26 @@ def rolling_pca(
 def refine_features(
     frame: AlignedFrame,
     selected_names: list[str],
-    norm_window: int = DEFAULT_NORM_WINDOW,
-    pca_window: int = DEFAULT_PCA_WINDOW,
-    variance_target: float = DEFAULT_VARIANCE_TARGET,
-    epsilon: float = DEFAULT_EPSILON,
-    rows: np.ndarray | None = None,
+    norm_window: int,
+    pca_window: int,
+    variance_target: float,
+    epsilon: float,
+    rows: np.ndarray,
 ) -> RefinedFeatureFrame:
-    """Normalize then PCA-project the selected metric columns of a frame.
+    """Normalize then PCA-project the selected metric columns of a frame at
+    ``rows``, the frame rows whose components will be read.
 
-    Given ``rows``, the frame rows whose components will be read, only the
-    contiguous spans their windows reach are normalized, each from its own
-    warm-up, and only those rows are fitted; every other row is invalid.  A
-    fitted row is the same bits as in a whole-frame refine: every transform
-    is trailing-window only and works window by window."""
+    Only the contiguous spans their windows reach are normalized, each from
+    its own warm-up, and only those rows are fitted; every other row is
+    invalid.  A fitted row is the same bits whatever the other rows: every
+    transform is trailing-window only and works window by window."""
     missing = [n for n in selected_names if n not in frame.metric_names]
     if missing:
         raise DataError(f"{frame.asset.key}: frame lacks selected metrics {missing}")
     cols = [frame.metric_names.index(n) for n in selected_names]
     pool = frame.metrics[:, cols]
     normalized = np.full(pool.shape, np.nan)
-    need = window_rows(np.arange(len(frame)) if rows is None else rows, norm_window + pca_window - 1, len(frame))
+    need = window_rows(rows, norm_window + pca_window - 1, len(frame))
     for lo, hi in _runs(need):
         span = slice(need[lo], need[hi - 1] + 1)
         normalized[span] = rolling_normalize(pool[span], norm_window, epsilon)

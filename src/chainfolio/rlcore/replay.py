@@ -30,7 +30,7 @@ class ReplayBuffer:
     per-transition arrays are kept.
     """
 
-    def __init__(self, states: np.ndarray, capacity: int, seed: int = 0):
+    def __init__(self, states: np.ndarray, capacity: int, seed: int):
         if capacity <= 0:
             raise ConfigError("capacity must be positive")
         self.states = states

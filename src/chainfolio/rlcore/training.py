@@ -4,6 +4,7 @@ target-network values."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -50,14 +51,14 @@ def epsilon_at(cfg: TrainConfig, step: int) -> float:
     return cfg.eps_start + (cfg.eps_end - cfg.eps_start) * frac
 
 
-def epsilon_greedy(q: np.ndarray, eps: float, rng: np.random.Generator) -> int:
-    """With probability eps a uniform action, else argmax (ties -> lowest)."""
-    q = np.asarray(q)
-    if q.size == 0:
-        raise DataError("empty action-value vector")
+def epsilon_greedy(q_of: Callable[[], np.ndarray], n_actions: int, eps: float, rng: np.random.Generator) -> int:
+    """With probability eps a uniform action of ``n_actions``, else the argmax
+    (ties -> lowest) of the action values ``q_of()``, called only then."""
+    if n_actions <= 0:
+        raise DataError("empty action set")
     if eps > 0.0 and rng.random() < eps:
-        return int(rng.integers(q.size))
-    return int(np.argmax(q))
+        return int(rng.integers(n_actions))
+    return int(np.argmax(q_of()))
 
 
 class TargetTable:
@@ -65,13 +66,13 @@ class TargetTable:
 
     The target network is a copy of the online one, frozen at the last
     :meth:`sync` (Mnih et al. 2015).  Its values change only there, and
-    replay draws every next state from the same array, so each value is
-    computed once per sync: lazily, by one forward of the ``block``
-    consecutive states holding it (the last block padded with the last
-    state).  A forward's bits for a row depend on the batch size, so
-    ``block`` is the training batch.  Where they do not also depend on
-    the row's place in the batch (measured with OpenBLAS: sizes up to 4
-    and multiples of 4, such as the default 32), the values are
+    replay draws every next state from the same array, so the whole table
+    is computed once per sync, at the first :meth:`max_q` after it: one
+    forward per ``block`` consecutive states (the last block padded with
+    the last state).  A forward's bits for a row depend on the batch
+    size, so ``block`` is the training batch.  Where they do not also
+    depend on the row's place in the batch (measured with OpenBLAS: sizes
+    up to 4 and multiples of 4, such as the default 32), the values are
     bit-identical to forwarding each sampled batch of next states.
     """
 
@@ -79,25 +80,23 @@ class TargetTable:
         self.net = net.clone()  # fills never read the online parameters
         self.states = states
         self.block = block
-        n_blocks = -(-len(states) // block)
-        self._max_q = np.empty(n_blocks * block)
-        self._filled = np.zeros(n_blocks, dtype=bool)
+        self._max_q = np.empty(-(-len(states) // block) * block)
+        self._stale = True
 
     def sync(self, net: QNetwork) -> None:
         """Freeze a bit-exact copy of ``net``'s parameters; forget every value."""
         if (net.arch, net.input_shape) != (self.net.arch, self.net.input_shape):
             raise DataError(f"cannot sync a {self.net.arch} {self.net.input_shape} table from {net.arch} {net.input_shape}")
         np.copyto(self.net.params, net.params)
-        self._filled[:] = False
+        self._stale = True
 
     def max_q(self, indices: np.ndarray) -> np.ndarray:
-        """The target value of each state index, filling missing blocks first."""
-        blocks = indices // self.block
-        for b in np.unique(blocks[~self._filled[blocks]]):
-            lo = b * self.block
-            rows = np.minimum(np.arange(lo, lo + self.block), len(self.states) - 1)
-            self._max_q[lo : lo + self.block] = self.net.forward(self.states[rows]).max(axis=1)
-            self._filled[b] = True
+        """The target value of each state index, filling the table first after a sync."""
+        if self._stale:
+            for lo in range(0, len(self._max_q), self.block):
+                rows = np.minimum(np.arange(lo, lo + self.block), len(self.states) - 1)
+                self._max_q[lo : lo + self.block] = self.net.forward(self.states[rows]).max(axis=1)
+            self._stale = False
         return self._max_q[indices]
 
 

@@ -196,12 +196,13 @@ def test_criterion_03_planted_signal_recovery():
 def test_criterion_04_rolling_pca_variance_and_no_lookahead():
     target = 0.80
     window = 12
+    epsilon = 1e-8
     rows_checked = 0
     for seed in range(10):
         rng = np.random.default_rng(400 + seed)
         raw = rng.normal(size=(60, 5)) * rng.uniform(0.5, 3.0, size=5)
-        normed = rolling_normalize(raw, 8)
-        res = rolling_pca(normed, window, target)
+        normed = rolling_normalize(raw, 8, epsilon)
+        res = rolling_pca(normed, window, target, np.arange(60), np.arange(60))
         assert not res.rank_flagged.any()
         for i in np.nonzero(res.valid)[0]:
             assert res.explained[i] >= target - 1e-12
@@ -230,12 +231,12 @@ def test_criterion_04_rolling_pca_variance_and_no_lookahead():
     for seed in range(10):
         rng = np.random.default_rng(440 + seed)
         raw = rng.normal(size=(40, 4))
-        base = rolling_pca(rolling_normalize(raw, 6), 8, target)
+        base = rolling_pca(rolling_normalize(raw, 6, epsilon), 8, target, np.arange(40), np.arange(40))
         for _ in range(100):
             cut = int(rng.integers(8, 39))
             poked = raw.copy()
             poked[cut:] = rng.normal(size=poked[cut:].shape)
-            other = rolling_pca(rolling_normalize(poked, 6), 8, target)
+            other = rolling_pca(rolling_normalize(poked, 6, epsilon), 8, target, np.arange(40), np.arange(40))
             assert np.array_equal(base.components[:cut], other.components[:cut])
             assert np.array_equal(base.n_components[:cut], other.n_components[:cut])
             assert np.array_equal(base.explained[:cut], other.explained[:cut])
@@ -368,7 +369,7 @@ def test_criterion_06_learnability_beats_buy_and_hold():
 
     fee = LEARN_SETTINGS.reward.fee_rate
     h0, h1 = 240, 319  # held-out bars, disjoint from both training ranges
-    ctx = cm.prepare(frame)
+    ctx = cm.prepare(frame, np.arange(len(frame)))
     wealth, position = 1.0, 0
     for t in range(h0, h1):
         a = cm.allocate(ctx, t)
@@ -543,7 +544,8 @@ def test_criterion_09_modules_compose_without_retraining(tmp_path):
     modules = {}
     for i, sym in enumerate(("AAA", "BBB", "CCC")):
         asset = make_asset(store, sym, 140, seed=21 + i)
-        modules[asset.key] = train_cm(store, asset, ranges, small_settings(31 + i))
+        settings = small_settings(31 + i)
+        modules[asset.key] = train_cm(store, asset, ranges, settings, use_eam=False, interval=INTERVAL, fill_limit=4)
 
     def run(*keys):
         cfg = BacktestConfig(keys, bar_ts(110), bar_ts(139), 10_000.0, 0.001, 1, 0, INTERVAL, 4)

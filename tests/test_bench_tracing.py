@@ -10,10 +10,12 @@ import importlib.util
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chainfolio import portfolio
-from chainfolio.cryptomodule import train_cm_from_frame
+from chainfolio.cryptomodule import derive_seed, train_cm_from_frame
+from chainfolio.rlcore.training import epsilon_at
 
 from _synth import bar_ts
 from test_cryptomodule import RANGES, SMALL, walk_frame
@@ -47,6 +49,19 @@ def test_every_traced_target_resolves(tracing):
 # the validation rows 100-139 are fitted: rows 18-73 and 86-139.  States are built 32 rows at a time: the
 # signal agent's training (75 or 42 rows) and validation (40) episodes, its
 # signals (115 or 96 rows), the allocation agent's episodes (68 or 42, and 40).
+def greedy_steps(cfg, role, n_actions):
+    """Steps at which the exploration generator of agent ``role`` (1 signal,
+    4 allocation) takes the greedy action, replayed as epsilon_greedy draws."""
+    rng = np.random.default_rng(derive_seed(cfg.seed, role))
+    explored = 0
+    for step in range(cfg.max_steps):
+        eps = epsilon_at(cfg, step)
+        if eps > 0.0 and rng.random() < eps:
+            rng.integers(n_actions)
+            explored += 1
+    return cfg.max_steps - explored
+
+
 TRAINING_COUNTS = [(250, 122, 3 + 2 + 4 + 3 + 2), (40, 56 + 54, 2 + 2 + 3 + 2 + 2)]
 
 
@@ -72,7 +87,8 @@ def test_traced_training_run_fills_the_rl_metrics(tracing, tmp_path, rng, max_st
     # eam-1d has one conv layer, sam-4layer two; each trained batch runs backward once
     assert agg["rlcore.conv1d.backward"]["calls"] == 3 * updates
     assert metrics["rlcore.conv1d.flops"] > 0 and metrics["rlcore.conv1d.gflop_per_s"] > 0
-    assert metrics["rlcore.qnet.forward_b1.calls"] == 2 * cfg.max_steps
+    # an acting forward runs only on greedy steps
+    assert metrics["rlcore.qnet.forward_b1.calls"] == greedy_steps(cfg, 1, 3) + greedy_steps(cfg, 4, 2)
     assert metrics["refinery.rolling_pca.refits"] == refits
     assert metrics["cryptomodule.build_state.calls"] == builds
     assert len(samples["rlcore.train_step.sam-4layer"]) == updates

@@ -30,7 +30,7 @@ from chainfolio.config import (
     parse_ts,
 )
 from chainfolio.cryptomodule import CmSettings, CryptoModule, DataRanges, derive_seed, load_cm, save_cm, with_seed
-from chainfolio.datastore import AssetId, CsvStore, DEFAULT_BAR_INTERVAL, DEFAULT_FILL_LIMIT, MetricTable
+from chainfolio.datastore import AssetId, CsvStore, MetricTable
 from chainfolio.errors import ConfigError
 from chainfolio.refinery import HorizonConfig
 from chainfolio.rlcore.container import (
@@ -225,8 +225,8 @@ def test_readme_key_table_names_exactly_the_config_keys():
 def test_load_config_defaults():
     cfg = load_config()
     assert cfg.data_dir == "data"
-    assert cfg.interval == DEFAULT_BAR_INTERVAL
-    assert cfg.fill_limit == DEFAULT_FILL_LIMIT
+    assert cfg.interval == 21600
+    assert cfg.fill_limit == 4
     assert cfg.seed == 0 and cfg.use_eam is False
 
 

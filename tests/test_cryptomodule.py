@@ -123,10 +123,16 @@ def test_cm_settings_validation():
 # Observations
 
 
+def refine_every_row(frame, names, norm_window, pca_window):
+    """Features of every frame row, at CmSettings' variance target and epsilon."""
+    s = CmSettings()
+    return refine_features(frame, names, norm_window, pca_window, s.variance_target, s.epsilon, np.arange(len(frame)))
+
+
 def test_sam_state_constant_prices_are_ones(rng):
     frame = make_frame(np.full(40, 50.0), {"m0": rng.normal(size=40), "m1": rng.normal(size=40)})
-    refined = refine_features(frame, ["m0", "m1"], 4, 5)
-    states = build_sam_state(frame, refined, [20], 5)
+    refined = refine_every_row(frame, ["m0", "m1"], 4, 5)
+    states = build_sam_state(frame, refined, [20], 5, None)
     # f = 5 OHLCV channels + 2 padded component channels; one asset row, the crypto
     assert states.shape == (1, 7, 1, 5)
     crypto = states[0, :, 0, :]
@@ -140,9 +146,9 @@ def test_sam_state_constant_prices_are_ones(rng):
 
 def test_sam_state_price_normalization_oracle(rng):
     frame = walk_frame(rng, t=60)
-    refined = refine_features(frame, sorted(frame.metric_names), 8, 12)
+    refined = refine_every_row(frame, sorted(frame.metric_names), 8, 12)
     t, n = 40, 8
-    state = build_sam_state(frame, refined, [t], n)[0]
+    state = build_sam_state(frame, refined, [t], n, None)[0]
     rows = frame.ohlcv[t - n + 1 : t + 1]
     expect_prices = (rows[:, :4] / rows[-1, 3]).T
     assert np.allclose(state[:4, 0, :], expect_prices, atol=1e-12)
@@ -153,7 +159,7 @@ def test_sam_state_price_normalization_oracle(rng):
 
 def test_sam_state_signal_channel(rng):
     frame = walk_frame(rng, t=60)
-    refined = refine_features(frame, sorted(frame.metric_names), 8, 12)
+    refined = refine_every_row(frame, sorted(frame.metric_names), 8, 12)
     t, n = 40, 8
     expect = np.array([1.0, 0.0, -1.0] * 3)[:n]
     signals = np.full(len(frame), np.nan)
@@ -175,17 +181,17 @@ def test_sam_state_signal_channel(rng):
 
 def test_observation_warmup_errors(rng):
     frame = walk_frame(rng, t=60)
-    refined = refine_features(frame, sorted(frame.metric_names), 8, 12)
+    refined = refine_every_row(frame, sorted(frame.metric_names), 8, 12)
     first_valid = int(np.flatnonzero(refined.valid)[0])
     with pytest.raises(WarmupError):
-        build_sam_state(frame, refined, [first_valid + 2], 8)
+        build_sam_state(frame, refined, [first_valid + 2], 8, None)
     with pytest.raises(WarmupError):
         build_eam_state(frame, refined, [4], 8)
     # one warm-up row fails its whole batch
     with pytest.raises(WarmupError, match=f"index {first_valid + 2}$"):
-        build_sam_state(frame, refined, [40, first_valid + 2, 41], 8)
+        build_sam_state(frame, refined, [40, first_valid + 2, 41], 8, None)
     with pytest.raises(DataError, match="beyond frame"):
-        build_sam_state(frame, refined, [len(frame)], 8)
+        build_sam_state(frame, refined, [len(frame)], 8, None)
     with pytest.raises(DataError, match="beyond frame"):
         build_eam_state(frame, refined, [40, len(frame)], 8)
     # a non-finite component inside an otherwise valid window
@@ -194,15 +200,15 @@ def test_observation_warmup_errors(rng):
     with pytest.raises(DataError, match="non-finite"):
         build_eam_state(frame, refined, [37, 40], 8)
     with pytest.raises(DataError, match="non-finite"):
-        build_sam_state(frame, refined, [40], 8)
+        build_sam_state(frame, refined, [40], 8, None)
 
 
 def test_eam_state_shape(rng):
     frame = walk_frame(rng, t=60)
-    refined = refine_features(frame, sorted(frame.metric_names), 8, 12)
+    refined = refine_every_row(frame, sorted(frame.metric_names), 8, 12)
     states = build_eam_state(frame, refined, [40, 41, 45], 8)
     assert states.shape == (3, 5 + refined.c_max, 1, 8)
-    sam = build_sam_state(frame, refined, [40, 41, 45], 8)
+    sam = build_sam_state(frame, refined, [40, 41, 45], 8, None)
     # the signal agent sees the allocation agent's crypto row
     assert np.array_equal(states[:, :, 0], sam[:, :, 0])
 
@@ -320,11 +326,11 @@ def test_infer_allocation_greedy_and_tie_to_cash(rng):
     cash_cm = rigged_module(frame, [1.0, 0.5])
     crypto_cm = rigged_module(frame, [0.5, 1.0])
     tie_cm = rigged_module(frame, [1.0, 1.0])
-    ctx = cash_cm.prepare(frame)
+    ctx = cash_cm.prepare(frame, np.arange(len(frame)))
     t = first_decision(ctx)
     assert cash_cm.allocate(ctx, t) == 0 and type(cash_cm.allocate(ctx, t)) is int
-    assert crypto_cm.allocate(crypto_cm.prepare(frame), t) == 1
-    assert tie_cm.allocate(tie_cm.prepare(frame), t) == 0
+    assert crypto_cm.allocate(crypto_cm.prepare(frame, np.arange(len(frame))), t) == 1
+    assert tie_cm.allocate(tie_cm.prepare(frame, np.arange(len(frame))), t) == 0
     assert cash_cm.allocate(ctx, t) == cash_cm.allocate(ctx, t)
     with pytest.raises(WarmupError):
         cash_cm.allocate(ctx, t - 1)
@@ -338,7 +344,7 @@ def test_batched_prepare_matches_single_state_forwards(rng, monkeypatch, use_eam
     monkeypatch.setattr(cryptomodule, "_DECISION_BATCH", 7)  # many uneven batches
     frame = walk_frame(rng)
     cm = train_cm_from_frame(frame, RANGES, SMALL, use_eam=use_eam)
-    ctx = cm.prepare(frame)
+    ctx = cm.prepare(frame, np.arange(len(frame)))
     n = SMALL.window
     if use_eam:
         encode = np.array([SIGNAL_VALUES[a] for a in SIGNAL_ACTIONS])
@@ -364,7 +370,7 @@ def test_prepare_at_query_rows_equals_full_frame_prepare(rng, use_eam):
     observation windows: n bars, 2n - 1 with the signal agent."""
     frame = walk_frame(rng)
     cm = train_cm_from_frame(frame, RANGES, SMALL, use_eam=use_eam)
-    full = cm.prepare(frame)
+    full = cm.prepare(frame, np.arange(len(frame)))
     first = first_decision(full)
     width = 2 * SMALL.window - 1 if use_eam else SMALL.window
     for rows in (np.arange(first, len(frame), 6), np.arange(first + 20, len(frame)), np.array([len(frame) - 1]),
@@ -388,7 +394,7 @@ def test_warmup_bars_accounting(rng):
     frame = walk_frame(rng, t=40, n_metrics=2)
     cm = rigged_module(frame, [1.0, 0.0])
     assert cm.warmup_bars == (4 - 1) + (5 - 1) + (5 - 1)
-    assert first_decision(cm.prepare(frame)) == cm.warmup_bars
+    assert first_decision(cm.prepare(frame, np.arange(len(frame)))) == cm.warmup_bars
     # the signal agent's window adds n - 1 bars before its first signal
     assert replace(cm, use_eam=True).warmup_bars == cm.warmup_bars + 4
 
@@ -396,7 +402,7 @@ def test_warmup_bars_accounting(rng):
 def test_allocate_has_no_lookahead(rng):
     frame = walk_frame(rng, t=60, n_metrics=2)
     cm = rigged_module(frame, [1.0, 0.5])
-    ctx = cm.prepare(frame)
+    ctx = cm.prepare(frame, np.arange(len(frame)))
     t = first_decision(ctx) + 3
     base = cm.allocate(ctx, t)
     ohlcv = frame.ohlcv.copy()
@@ -411,11 +417,11 @@ def test_allocate_has_no_lookahead(rng):
         metric_names=list(frame.metric_names),
         interval=frame.interval,
     )
-    ctx2 = cm.prepare(altered)
+    ctx2 = cm.prepare(altered, np.arange(len(altered)))
     assert cm.allocate(ctx2, t) == base
     # the rigged head hides state differences, so compare the tensors too
-    s1 = build_sam_state(frame, ctx.refined, [t], 5)
-    s2 = build_sam_state(altered, ctx2.refined, [t], 5)
+    s1 = build_sam_state(frame, ctx.refined, [t], 5, None)
+    s2 = build_sam_state(altered, ctx2.refined, [t], 5, None)
     assert np.array_equal(s1, s2)
 
 
@@ -425,13 +431,13 @@ def test_allocate_has_no_lookahead(rng):
 
 def test_train_cm_from_frame_deterministic(tmp_path, rng):
     frame = walk_frame(rng)
-    cm1 = train_cm_from_frame(frame, RANGES, SMALL)
-    cm2 = train_cm_from_frame(frame, RANGES, SMALL)
+    cm1 = train_cm_from_frame(frame, RANGES, SMALL, use_eam=False)
+    cm2 = train_cm_from_frame(frame, RANGES, SMALL, use_eam=False)
     p1, p2 = tmp_path / "a.cm", tmp_path / "b.cm"
     save_cm(cm1, p1)
     save_cm(cm2, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    cm3 = train_cm_from_frame(frame, RANGES, with_seed(SMALL, 8))
+    cm3 = train_cm_from_frame(frame, RANGES, with_seed(SMALL, 8), use_eam=False)
     assert not np.array_equal(cm3.sam_net.params_flat(), cm1.sam_net.params_flat())
 
 
@@ -443,7 +449,7 @@ def test_train_cm_with_signal_agent(rng):
     assert cm.eam_net.seed == derive_seed(SMALL.train.seed, 0)
     assert cm.sam_net.seed == derive_seed(SMALL.train.seed, 3)
     assert cm.warmup_bars == 7 + 11 + 7 + 7
-    ctx = cm.prepare(frame)
+    ctx = cm.prepare(frame, np.arange(len(frame)))
     first = first_decision(ctx)
     assert first == cm.warmup_bars
     assert not np.isnan(ctx.signals[first - SMALL.window + 1 :]).any()
@@ -473,7 +479,7 @@ def test_training_episodes_equal_one_row_builds(rng, monkeypatch, use_eam, max_s
     frame = walk_frame(rng)
     settings = replace(SMALL, train=replace(SMALL.train, max_steps=max_steps))
     cm = train_cm_from_frame(frame, RANGES, settings, use_eam=use_eam)
-    ctx = cm.prepare(frame)  # the training features, and the signals of the same signal net
+    ctx = cm.prepare(frame, np.arange(len(frame)))  # the training features, and the signals of the same signal net
     n = SMALL.window
     builds = {"sam-4layer": (use_eam, lambda t: build_sam_state(frame, ctx.refined, [t], n, ctx.signals)[0])}
     if use_eam:
@@ -492,7 +498,7 @@ def whole_episode_train_cm(frame, ranges, settings, use_eam):
     both episodes, whatever the step budget."""
     selected = select_valid_metrics(frame.slice(*ranges.train), settings.horizon)
     refined = refine_features(frame, selected.names, settings.norm_window, settings.pca_window,
-                              settings.variance_target, settings.epsilon)
+                              settings.variance_target, settings.epsilon, np.arange(len(frame)))
     seeds = [derive_seed(settings.train.seed, role) for role in range(6)]
     n = settings.window
 
@@ -549,7 +555,7 @@ def test_train_cm_requires_enough_decisions(rng):
     frame = walk_frame(rng)
     tight = DataRanges((bar_ts(0), bar_ts(25)), (bar_ts(26), bar_ts(139)))
     with pytest.raises(DataError, match="decision bars"):
-        train_cm_from_frame(frame, tight, SMALL)
+        train_cm_from_frame(frame, tight, SMALL, use_eam=False)
 
 
 def test_train_cm_from_store(tmp_path, rng):
@@ -557,7 +563,7 @@ def test_train_cm_from_store(tmp_path, rng):
 
     store = CsvStore(tmp_path)
     asset = make_asset(store, "AAA", 140, seed=5)
-    cm = train_cm(store, asset, RANGES, SMALL, interval=INTERVAL)
+    cm = train_cm(store, asset, RANGES, SMALL, use_eam=False, interval=INTERVAL, fill_limit=4)
     assert cm.asset == asset
     assert cm.interval == INTERVAL
     assert len(cm.selected_metrics) == SMALL.horizon.final_count
@@ -587,7 +593,7 @@ def test_default_settings_header_bytes_are_pinned(tmp_path, rng):
 
 def test_save_load_round_trip_preserves_actions(tmp_path, rng):
     frame = walk_frame(rng)
-    cm = train_cm_from_frame(frame, RANGES, SMALL)
+    cm = train_cm_from_frame(frame, RANGES, SMALL, use_eam=False)
     path = tmp_path / "module.cm"
     save_cm(cm, path)
     loaded = load_cm(path)
@@ -596,8 +602,8 @@ def test_save_load_round_trip_preserves_actions(tmp_path, rng):
     assert loaded.settings == cm.settings
     assert loaded.ranges == cm.ranges
     assert np.array_equal(loaded.sam_net.params_flat(), cm.sam_net.params_flat())
-    ctx_a = cm.prepare(frame)
-    ctx_b = loaded.prepare(frame)
+    ctx_a = cm.prepare(frame, np.arange(len(frame)))
+    ctx_b = loaded.prepare(frame, np.arange(len(frame)))
     first = first_decision(ctx_a)
     for t in range(first, len(frame)):
         assert cm.allocate(ctx_a, t) == loaded.allocate(ctx_b, t)
@@ -610,13 +616,13 @@ def test_save_load_round_trip_with_eam(tmp_path, rng):
     save_cm(cm, path)
     loaded = load_cm(path)
     assert np.array_equal(loaded.eam_net.params_flat(), cm.eam_net.params_flat())
-    ctx_a, ctx_b = cm.prepare(frame), loaded.prepare(frame)
+    ctx_a, ctx_b = cm.prepare(frame, np.arange(len(frame))), loaded.prepare(frame, np.arange(len(frame)))
     assert np.array_equal(ctx_a.signals, ctx_b.signals, equal_nan=True)
 
 
 def test_load_cm_detects_corruption(tmp_path, rng):
     frame = walk_frame(rng)
-    cm = train_cm_from_frame(frame, RANGES, SMALL)
+    cm = train_cm_from_frame(frame, RANGES, SMALL, use_eam=False)
     path = tmp_path / "module.cm"
     save_cm(cm, path)
     blob = bytearray(path.read_bytes())
@@ -653,7 +659,7 @@ def test_load_cm_rejects_another_container_kind(tmp_path, rng):
 @pytest.mark.parametrize("drop", ["sam", "settings", "cm_version"])
 def test_load_cm_missing_meta_key_is_format_error(tmp_path, rng, drop):
     frame = walk_frame(rng)
-    cm = train_cm_from_frame(frame, RANGES, SMALL)
+    cm = train_cm_from_frame(frame, RANGES, SMALL, use_eam=False)
     path = tmp_path / "module.cm"
     save_cm(cm, path)
     meta, sections = decode_container(path.read_bytes())

@@ -263,7 +263,7 @@ def test_stored_bars_out_of_order_are_data_error(tmp_path):
     header, *rows = path.read_text().splitlines()
     path.write_text("\n".join([header, *reversed(rows)]) + "\n")
     with pytest.raises(DataError, match="ascending"):
-        store.align(AssetId("AAA"), bar_ts(0), bar_ts(2))
+        store.align(AssetId("AAA"), bar_ts(0), bar_ts(2), INTERVAL, fill_limit=4)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +442,7 @@ def make_store_with_metric(tmp_path, n_bars, metric_ts_values):
 def test_align_copies_exactly_sampled_metric(tmp_path):
     values = [(bar_ts(i), 10.0 + i) for i in range(6)]
     store, asset = make_store_with_metric(tmp_path, 6, values)
-    frame = store.align(asset, bar_ts(0), bar_ts(5))
+    frame = store.align(asset, bar_ts(0), bar_ts(5), INTERVAL, fill_limit=4)
     assert frame.metric_names == ["mm"]
     np.testing.assert_array_equal(frame.metrics[:, 0], [10.0 + i for i in range(6)])
 
@@ -451,7 +451,7 @@ def test_align_locf_every_second_bar(tmp_path):
     # oracle: manual LOCF on a 6-row fixture, metric present on even bars
     values = [(bar_ts(i), float(i)) for i in range(0, 6, 2)]
     store, asset = make_store_with_metric(tmp_path, 6, values)
-    frame = store.align(asset, bar_ts(0), bar_ts(5), fill_limit=2)
+    frame = store.align(asset, bar_ts(0), bar_ts(5), INTERVAL, fill_limit=2)
     np.testing.assert_array_equal(frame.metrics[:, 0], [0.0, 0.0, 2.0, 2.0, 4.0, 4.0])
 
 
@@ -460,7 +460,7 @@ def test_align_drops_metric_with_long_gap(tmp_path):
     values = [(bar_ts(0), 1.0), (bar_ts(1), 2.0), (bar_ts(12), 3.0)]
     store, asset = make_store_with_metric(tmp_path, 14, values)
     store.ingest_metrics(asset, metric_table((bar_ts(i), "good", float(i)) for i in range(14)))
-    frame = store.align(asset, bar_ts(0), bar_ts(13), fill_limit=4)
+    frame = store.align(asset, bar_ts(0), bar_ts(13), INTERVAL, fill_limit=4)
     assert frame.metric_names == ["good"]
     assert frame.dropped_metrics == ["mm"]
 
@@ -469,10 +469,10 @@ def test_align_requires_point_at_or_before_start(tmp_path):
     values = [(bar_ts(3), 1.0)] + [(bar_ts(i), 2.0) for i in range(4, 8)]
     store, asset = make_store_with_metric(tmp_path, 8, values)
     store.ingest_metrics(asset, metric_table((bar_ts(i), "aa", 5.0) for i in range(8)))
-    frame = store.align(asset, bar_ts(2), bar_ts(7), fill_limit=4)
+    frame = store.align(asset, bar_ts(2), bar_ts(7), INTERVAL, fill_limit=4)
     assert frame.dropped_metrics == ["mm"] and frame.metric_names == ["aa"]
     # but aligning from bar 3 onwards keeps it
-    frame = store.align(asset, bar_ts(3), bar_ts(7), fill_limit=4)
+    frame = store.align(asset, bar_ts(3), bar_ts(7), INTERVAL, fill_limit=4)
     assert frame.metric_names == ["aa", "mm"]
 
 
@@ -484,14 +484,14 @@ def test_align_errors_on_ohlcv_gap(tmp_path):
     store.ingest_ohlcv(asset, bar_table(rows))
     store.ingest_metrics(asset, metric_table((bar_ts(i), "mm", 1.0) for i in range(8)))
     with pytest.raises(AlignmentError):
-        store.align(asset, bar_ts(0), bar_ts(7))
+        store.align(asset, bar_ts(0), bar_ts(7), INTERVAL, fill_limit=4)
 
 
 def test_align_errors_on_empty_metric_pool(tmp_path):
     values = [(bar_ts(0), 1.0)]
     store, asset = make_store_with_metric(tmp_path, 12, values)
     with pytest.raises(AlignmentError):
-        store.align(asset, bar_ts(0), bar_ts(11), fill_limit=2)
+        store.align(asset, bar_ts(0), bar_ts(11), INTERVAL, fill_limit=2)
 
 
 def test_align_no_lookahead(tmp_path, rng):
@@ -500,7 +500,7 @@ def test_align_no_lookahead(tmp_path, rng):
     values = [(bar_ts(i), float(rng.normal())) for i in range(0, n, 2)]
     store, asset = make_store_with_metric(tmp_path, n, values)
     cut = 7
-    base = store.align(asset, bar_ts(0), bar_ts(cut), fill_limit=2)
+    base = store.align(asset, bar_ts(0), bar_ts(cut), INTERVAL, fill_limit=2)
 
     store2 = CsvStore(tmp_path / "alt")
     store2.ingest_ohlcv(asset, bar_table(flat_rows(cut + 1) + [
@@ -511,7 +511,7 @@ def test_align_no_lookahead(tmp_path, rng):
         metric_table([(int(t), "mm", v) for t, v in values if t <= bar_ts(cut)]
                      + [(bar_ts(cut + 2), "mm", 1e9)]),
     )
-    alt = store2.align(asset, bar_ts(0), bar_ts(cut), fill_limit=2)
+    alt = store2.align(asset, bar_ts(0), bar_ts(cut), INTERVAL, fill_limit=2)
     np.testing.assert_array_equal(base.metrics, alt.metrics)
     np.testing.assert_array_equal(base.ohlcv, alt.ohlcv)
 
@@ -519,8 +519,8 @@ def test_align_no_lookahead(tmp_path, rng):
 def test_align_deterministic(tmp_path):
     values = [(bar_ts(i), float(i * i % 7)) for i in range(10)]
     store, asset = make_store_with_metric(tmp_path, 10, values)
-    a = store.align(asset, bar_ts(0), bar_ts(9))
-    b = store.align(asset, bar_ts(0), bar_ts(9))
+    a = store.align(asset, bar_ts(0), bar_ts(9), INTERVAL, fill_limit=4)
+    b = store.align(asset, bar_ts(0), bar_ts(9), INTERVAL, fill_limit=4)
     np.testing.assert_array_equal(a.metrics, b.metrics)
     np.testing.assert_array_equal(a.ohlcv, b.ohlcv)
     np.testing.assert_array_equal(a.timestamps, b.timestamps)
@@ -529,7 +529,7 @@ def test_align_deterministic(tmp_path):
 def test_frame_slice_and_index(tmp_path):
     values = [(bar_ts(i), float(i)) for i in range(10)]
     store, asset = make_store_with_metric(tmp_path, 10, values)
-    frame = store.align(asset, bar_ts(0), bar_ts(9))
+    frame = store.align(asset, bar_ts(0), bar_ts(9), INTERVAL, fill_limit=4)
     assert frame.index_of(bar_ts(4)) == 4
     sub = frame.slice(bar_ts(2), bar_ts(6))
     assert len(sub) == 5 and sub.timestamps[0] == bar_ts(2)
@@ -585,7 +585,7 @@ def test_damaged_manifest_raises_only_typed_errors(manifest_store, data):
         asset = AssetId(symbol)
         for step in (lambda: store.ingest_ohlcv(asset, flat_bars(6)),
                      lambda: store.ingest_metrics(asset, metric_table((bar_ts(i), "mm", 2.0) for i in range(6))),
-                     lambda: store.align(asset, bar_ts(0), bar_ts(5))):
+                     lambda: store.align(asset, bar_ts(0), bar_ts(5), INTERVAL, fill_limit=4)):
             try:
                 step()
             except ChainfolioError:
@@ -625,7 +625,7 @@ def test_damaged_store_csvs_and_sidecars_raise_only_typed_errors(manifest_store,
     asset = AssetId("AAA")
     for step in (lambda: store.load_bars(asset),
                  lambda: store.load_metrics(asset),
-                 lambda: store.align(asset, bar_ts(0), bar_ts(3)),
+                 lambda: store.align(asset, bar_ts(0), bar_ts(3), INTERVAL, fill_limit=4),
                  lambda: store.ingest_ohlcv(asset, flat_bars(6)),
                  lambda: store.ingest_metrics(asset, metric_table((bar_ts(i), "mm", 2.0) for i in range(6)))):
         try:

@@ -1,11 +1,20 @@
-"""Every name a module in src/ or tests/ imports is used in that module, and
+"""Every name a module in src/ or tests/ imports is used in that module,
 every class or function it imports from the package comes from the module
-that defines it."""
+that defines it, and the pipeline's commands load no module that only
+adds to their start-up."""
 
 import ast
 import importlib
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+from chainfolio.datastore import CsvStore
+
+from _synth import bar_ts, make_asset
+from test_config_cli import small_config
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py")])
@@ -83,3 +92,28 @@ def test_only_the_refinery_imports_the_rolling_transforms():
         for alias in node.names if alias.name in ("rolling_pca", "rolling_normalize")
     ]
     assert bound == []
+
+
+def test_commands_load_neither_numpy_ma_nor_strptime(tmp_path):
+    """``numpy.ma`` (loaded by ``np.unique`` and ``np.intersect1d``) and
+    ``_strptime`` (loaded by ``datetime.strptime``) cost every command
+    start-up time; refine, train-cm and backtest run without either."""
+    data, reg = tmp_path / "store", tmp_path / "registry"
+    make_asset(CsvStore(data), "AAA", 140, seed=5)
+    common = ["--config", small_config(tmp_path), "--data-dir", str(data)]
+    module = str(tmp_path / "models" / "AAA-USDT.cm")
+    commands = [
+        [*common, "refine", "--asset", "AAA", "--from", str(bar_ts(0)), "--to", str(bar_ts(139)),
+         "--out", str(tmp_path / "refined.csv")],
+        [*common, "train-cm", "--assets", "AAA", "--out-dir", str(tmp_path / "models")],
+        [*common, "registry", "add", module, "--registry", str(reg)],
+        [*common, "backtest", "--portfolio", "AAA", "--from", str(bar_ts(100)), "--to", str(bar_ts(139)),
+         "--registry", str(reg), "--out", str(tmp_path / "report")],
+    ]
+    code = ("import json, sys\n"
+            "from chainfolio.cli import main\n"
+            "assert [main(argv) for argv in json.loads(sys.argv[1])] == [0, 0, 0, 0]\n"
+            "print(json.dumps([name for name in ('numpy.ma', '_strptime') if name in sys.modules]))\n")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

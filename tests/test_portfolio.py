@@ -99,7 +99,7 @@ def test_rebalance_noop_charges_nothing():
 
 
 def test_rebalance_full_entry_pays_full_turnover():
-    units, cash, event = rebalance(10_000.0, [0.0, 1.0], vote_weights([CRYPTO]), [250.0], 0.001)
+    units, cash, event = rebalance(10_000.0, [0.0, 1.0], vote_weights([CRYPTO]), [250.0], 0.001, ts=0)
     assert event.turnover == 1.0
     assert event.fee == pytest.approx(10.0, abs=1e-9)
     assert event.post_value == pytest.approx(9_990.0, abs=1e-9)
@@ -111,7 +111,7 @@ def test_rebalance_zero_fee_preserves_value(rng):
     for _ in range(20):
         raw = rng.dirichlet(np.ones(3))
         prices = rng.uniform(1, 100, size=2)
-        units, cash, event = rebalance(5000.0, raw, [1 / 3, 1 / 6, 1 / 2], prices, 0.0)
+        units, cash, event = rebalance(5000.0, raw, [1 / 3, 1 / 6, 1 / 2], prices, 0.0, ts=0)
         assert event.fee == 0.0
         assert event.post_value == 5000.0
         assert value_of(units, cash, prices) == pytest.approx(5000.0, abs=1e-9)
@@ -120,24 +120,24 @@ def test_rebalance_zero_fee_preserves_value(rng):
 def test_rebalance_fee_cannot_consume_value():
     # flipping fully from one asset to the other doubles the turnover
     with pytest.raises(ConfigError):
-        rebalance(100.0, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [10.0, 10.0], 0.6)  # turnover 2 at 60%
+        rebalance(100.0, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [10.0, 10.0], 0.6, ts=0)  # turnover 2 at 60%
 
 
 def test_rebalance_validation():
     half = [0.5, 0.5]
     with pytest.raises(DataError, match="value must be positive"):
-        rebalance(0.0, [0.0, 1.0], half, [10.0], 0.001)
+        rebalance(0.0, [0.0, 1.0], half, [10.0], 0.001, ts=0)
     with pytest.raises(DataError):
-        rebalance(100.0, [0.0, 1.0], half, [10.0, 20.0], 0.001)
+        rebalance(100.0, [0.0, 1.0], half, [10.0, 20.0], 0.001, ts=0)
     with pytest.raises(DataError, match="positive price"):
-        rebalance(100.0, [0.0, 1.0], half, [-1.0], 0.001)
+        rebalance(100.0, [0.0, 1.0], half, [-1.0], 0.001, ts=0)
     with pytest.raises(DataError):
-        rebalance(100.0, [0.0, 0.5, 0.5], half, [10.0], 0.001)
+        rebalance(100.0, [0.0, 0.5, 0.5], half, [10.0], 0.001, ts=0)
     # the target: one weight per asset plus cash, nonnegative, summing to 1
     for bad in ([1.0], vote_weights([CASH, CRYPTO]), [0.5, 1 / 3], [-0.25, 1.25], [0.5, 0.5 + 2e-12]):
         with pytest.raises(DataError):
-            rebalance(100.0, [0.0, 1.0], bad, [10.0], 0.001)
-    rebalance(100.0, [0.0, 1.0], [0.4, 0.6 + 5e-13], [10.0], 0.001)  # within 1e-12 of 1
+            rebalance(100.0, [0.0, 1.0], bad, [10.0], 0.001, ts=0)
+    rebalance(100.0, [0.0, 1.0], [0.4, 0.6 + 5e-13], [10.0], 0.001, ts=0)  # within 1e-12 of 1
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +365,7 @@ def test_backtest_matches_independent_simulator(tmp_path):
     cfg = bt_config(assets=keys, start_ts=bar_ts(0), end_ts=bar_ts(30), fee_rate=0.0)
     report = run_backtest({k: always(CRYPTO) for k in keys}, cfg, store)
     closes = {
-        k: store.align(AssetId.parse(k), cfg.start_ts, cfg.end_ts, INTERVAL).close for k in keys
+        k: store.align(AssetId.parse(k), cfg.start_ts, cfg.end_ts, INTERVAL, fill_limit=4).close for k in keys
     }
     oracle = simulate(closes, {k: (lambda k_: 1) for k in keys}, 10_000.0, 0.0, 1)
     assert np.allclose(report.curves["strategy"], oracle, rtol=1e-12, atol=0)
@@ -380,7 +380,7 @@ def test_backtest_with_fees_and_sparse_rebalance_matches_simulator(tmp_path):
     modules = {keys[0]: flip_every(3), keys[1]: flip_every(6)}
     report = run_backtest(modules, cfg, store)
     closes = {
-        k: store.align(AssetId.parse(k), cfg.start_ts, cfg.end_ts, INTERVAL).close for k in keys
+        k: store.align(AssetId.parse(k), cfg.start_ts, cfg.end_ts, INTERVAL, fill_limit=4).close for k in keys
     }
     policies = {
         keys[0]: lambda t: 1 if (t // 3) % 2 == 0 else 0,
@@ -411,7 +411,7 @@ def test_backtest_baseline_arr_identity(tmp_path):
     store, keys = seed_store(tmp_path, ["AAA"])
     cfg = bt_config(assets=keys, start_ts=bar_ts(0), end_ts=bar_ts(30))
     report = run_backtest({keys[0]: always(CASH)}, cfg, store)
-    closes = store.align(AssetId.parse(keys[0]), cfg.start_ts, cfg.end_ts, INTERVAL).close
+    closes = store.align(AssetId.parse(keys[0]), cfg.start_ts, cfg.end_ts, INTERVAL, fill_limit=4).close
     expect = closes[-1] / closes[0] - 1.0
     assert report.summary["baseline_AAA"].arr == pytest.approx(expect, abs=1e-12)
 
@@ -630,7 +630,7 @@ TRAIN_RANGES = DataRanges((bar_ts(0), bar_ts(99)), (bar_ts(100), bar_ts(139)))
 def trained_world(tmp_path):
     store = CsvStore(tmp_path / "data")
     asset = make_asset(store, "AAA", 240, seed=3, n_signal=1, n_noise=2)
-    cm = train_cm(store, asset, TRAIN_RANGES, SMALL, interval=INTERVAL)
+    cm = train_cm(store, asset, TRAIN_RANGES, SMALL, use_eam=False, interval=INTERVAL, fill_limit=4)
     return store, asset, cm
 
 
@@ -638,7 +638,7 @@ def test_retrain_module_expands_windows_deterministically(tmp_path):
     store, asset, cm = trained_world(tmp_path)
     assert retrain_boundaries(bar_ts(160), bar_ts(223), 8) == [bar_ts(192)]
     boundary = bar_ts(192)
-    fresh = retrain_module(cm, store, boundary)
+    fresh = retrain_module(cm, store, boundary, fill_limit=4)
     val_span = TRAIN_RANGES.validation[1] - TRAIN_RANGES.validation[0]
     assert fresh.ranges.validation == (boundary - val_span, boundary)
     assert fresh.ranges.train == (TRAIN_RANGES.train[0], boundary - val_span - INTERVAL)
@@ -646,7 +646,7 @@ def test_retrain_module_expands_windows_deterministically(tmp_path):
     assert fresh.settings == cm.settings
     p1, p2 = tmp_path / "m1.cm", tmp_path / "m2.cm"
     save_cm(fresh, p1)
-    save_cm(retrain_module(cm, store, boundary), p2)
+    save_cm(retrain_module(cm, store, boundary, fill_limit=4), p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert not np.array_equal(fresh.sam_net.params_flat(), cm.sam_net.params_flat())
 
@@ -671,7 +671,8 @@ def trained_pair(tmp_path):
     """trained_world's store and module plus a second asset, BBB, and its module."""
     store, asset, cm = trained_world(tmp_path)
     other = make_asset(store, "BBB", 240, seed=4, n_signal=1, n_noise=2)
-    return store, {asset.key: cm, other.key: train_cm(store, other, TRAIN_RANGES, SMALL, interval=INTERVAL)}
+    other_cm = train_cm(store, other, TRAIN_RANGES, SMALL, use_eam=False, interval=INTERVAL, fill_limit=4)
+    return store, {asset.key: cm, other.key: other_cm}
 
 
 def test_backtest_preparing_query_rows_equals_preparing_whole_frames(tmp_path, monkeypatch):
@@ -696,7 +697,7 @@ def test_backtest_preparing_query_rows_equals_preparing_whole_frames(tmp_path, m
         assert {a for key in cfg.assets for _, a in queried.action_logs[key]} == {"cash", "crypto"}
         queried.write(tmp_path / f"queried{i}")
     prepare = CryptoModule.prepare
-    monkeypatch.setattr(CryptoModule, "prepare", lambda self, frame, rows: prepare(self, frame))
+    monkeypatch.setattr(CryptoModule, "prepare", lambda self, frame, rows: prepare(self, frame, np.arange(len(frame))))
     for i, (cfg, _) in enumerate(cases):
         run_backtest(modules, cfg, store).write(tmp_path / f"whole{i}")
         assert (tmp_path / f"queried{i}" / REPORT_FILE).read_bytes() == (tmp_path / f"whole{i}" / REPORT_FILE).read_bytes()
@@ -754,12 +755,12 @@ def test_artifact_writes_that_fail_keep_the_previous_file(tmp_path, monkeypatch)
     save_cm(rigged_cm("AAA", [0.5, 1.0]), module)
     reg = CmRegistry(tmp_path / "reg")
     reg.add(module)
-    frame = store.align(AssetId.parse(keys[0]), bar_ts(0), bar_ts(39), INTERVAL)
+    frame = store.align(AssetId.parse(keys[0]), bar_ts(0), bar_ts(39), INTERVAL, fill_limit=4)
     horizon = HorizonConfig(horizons=(1, 2, 3), top_per_group=2, final_count=2)
     selected = select_valid_metrics(frame, horizon)
     table, refined = tmp_path / "table.csv", tmp_path / "refined.csv"  # refine --table / --out
     cli._write_table_csv(str(table), selected.table)
-    cli._write_refined_csv(str(refined), refine_features(frame, selected.names, 4, 5))
+    cli._write_refined_csv(str(refined), refine_features(frame, selected.names, 4, 5, 0.8, 1e-8, np.arange(len(frame))))
     artifacts = [out / "report.json", out / "curves.csv", module, reg.root / "registry.json", table, refined]
     before = {p: p.read_bytes() for p in artifacts}
 
@@ -775,7 +776,7 @@ def test_artifact_writes_that_fail_keep_the_previous_file(tmp_path, monkeypatch)
         lambda: save_cm(rigged_cm("AAA", [1.0, 0.5]), module),
         lambda: reg.remove("AAA"),
         lambda: cli._write_table_csv(str(table), shorter.table),
-        lambda: cli._write_refined_csv(str(refined), refine_features(frame, selected.names, 6, 8)),
+        lambda: cli._write_refined_csv(str(refined), refine_features(frame, selected.names, 6, 8, 0.8, 1e-8, np.arange(len(frame)))),
     ]
     for write in writes:
         with pytest.raises(OSError, match="interrupted"):

@@ -223,7 +223,7 @@ def test_correlation_table_too_short():
 
 
 def test_rolling_normalize_constant_is_zero():
-    out = rolling_normalize(np.full(10, 4.2), 3)
+    out = rolling_normalize(np.full(10, 4.2), 3, 1e-8)
     assert np.isnan(out[:2]).all()
     assert np.allclose(out[2:], 0.0, atol=1e-12)
 
@@ -267,32 +267,37 @@ def test_rolling_normalize_blocks_equal_one_pass_over_all_windows(rng, n_windows
         x = np.asarray(rng.normal(size=(n_windows + w - 1, k)) * 10.0, order=order)
         x[rng.integers(0, len(x), size=3), rng.integers(0, k, size=3)] = np.nan
         assert np.array_equal(rolling_normalize(x, w, 1e-8), one_shot_normalize(x, w, 1e-8), equal_nan=True)
-        assert np.array_equal(rolling_normalize(x[:, 0], w), one_shot_normalize(x[:, 0], w, 1e-8), equal_nan=True)
-    assert np.isnan(rolling_normalize(x[: w - 1], w)).all()
+        assert np.array_equal(rolling_normalize(x[:, 0], w, 1e-8), one_shot_normalize(x[:, 0], w, 1e-8), equal_nan=True)
+    assert np.isnan(rolling_normalize(x[: w - 1], w, 1e-8)).all()
 
 
 def test_rolling_normalize_no_lookahead(rng):
     x = rng.normal(size=30)
-    base = rolling_normalize(x, 5)
+    base = rolling_normalize(x, 5, 1e-8)
     x2 = x.copy()
     x2[20] += 100.0
-    pert = rolling_normalize(x2, 5)
+    pert = rolling_normalize(x2, 5, 1e-8)
     assert np.array_equal(base[:20], pert[:20], equal_nan=True)
 
 
 def test_rolling_normalize_window_validation():
     with pytest.raises(ConfigError):
-        rolling_normalize(np.arange(5.0), 1)
+        rolling_normalize(np.arange(5.0), 1, 1e-8)
 
 
 # ---------------------------------------------------------------------------
 # Rolling PCA
 
 
+def every_row(x):
+    """The ``timestamps`` and ``rows`` of a refit at every row of ``x``."""
+    return {"timestamps": np.arange(len(x)), "rows": np.arange(len(x))}
+
+
 def test_pca_duplicate_columns_need_one_component(rng):
     z = rng.normal(size=40)
     x = np.column_stack([z, z])
-    out = rolling_pca(x, window=10, variance_target=0.8)
+    out = rolling_pca(x, window=10, variance_target=0.8, **every_row(x))
     v = out.valid
     assert v[9:].all() and not v[:9].any()
     assert (out.n_components[v] == 1).all()
@@ -305,13 +310,13 @@ def test_pca_known_eigenvalues_nine_one():
     a = math.sqrt(27.0) / 2.0
     b = math.sqrt(3.0) / 2.0
     x = np.array([[a, b], [-a, b], [a, -b], [-a, -b]])
-    out = rolling_pca(x, window=4, variance_target=0.8)
+    out = rolling_pca(x, window=4, variance_target=0.8, **every_row(x))
     # eigenvalues are exactly 9 and 1, so one component explains 0.9
     assert out.n_components[3] == 1
     assert out.explained[3] == pytest.approx(0.9, abs=1e-12)
     assert out.components[3, 0] == pytest.approx(-a, abs=1e-9)
     assert out.components[3, 1] == 0.0
-    out2 = rolling_pca(x, window=4, variance_target=0.95)
+    out2 = rolling_pca(x, window=4, variance_target=0.95, **every_row(x))
     assert out2.n_components[3] == 2
     assert out2.explained[3] == pytest.approx(1.0, abs=1e-12)
 
@@ -324,7 +329,7 @@ def _hadamard8():
 def test_pca_equal_variance_needs_ceiling_count():
     # five zero-mean orthogonal columns of equal variance: each explains 20%
     x = _hadamard8()[:, 1:6]
-    out = rolling_pca(x, window=8, variance_target=0.8)
+    out = rolling_pca(x, window=8, variance_target=0.8, **every_row(x))
     assert out.valid[7]
     assert out.n_components[7] == 4
     assert out.explained[7] == pytest.approx(0.8, abs=1e-9)
@@ -334,7 +339,7 @@ def test_pca_equal_variance_needs_ceiling_count():
 def test_pca_minimal_count_matches_independent_eigh(rng):
     x = rng.normal(size=(60, 4))
     w, target = 12, 0.8
-    out = rolling_pca(x, window=w, variance_target=target)
+    out = rolling_pca(x, window=w, variance_target=target, **every_row(x))
     for i in range(w - 1, 60):
         win = x[i - w + 1 : i + 1]
         cov = np.cov(win.T, ddof=1)
@@ -349,7 +354,8 @@ def test_pca_minimal_count_matches_independent_eigh(rng):
 
 
 def test_pca_zero_variance_window_is_flagged():
-    out = rolling_pca(np.zeros((12, 3)), window=5, variance_target=0.8)
+    x = np.zeros((12, 3))
+    out = rolling_pca(x, window=5, variance_target=0.8, **every_row(x))
     v = out.valid
     assert v[4:].all()
     assert out.rank_flagged[v].all()
@@ -409,7 +415,7 @@ def test_pca_stacked_windows_equal_one_window_at_a_time(rng, monkeypatch, chunk,
     x[50:68] = 0.25               # constant rows: zero-variance windows
     x[70:, -1] = 2.0 * x[70:, 0]  # k > 1: a duplicate direction, rank deficiency
     for target in (0.5, 0.8, 1.0):
-        out = rolling_pca(x, window=w, variance_target=target)
+        out = rolling_pca(x, window=w, variance_target=target, **every_row(x))
         want = reference_rolling_pca(x, w, target)
         got = (out.components, out.valid, out.n_components, out.explained, out.rank_flagged)
         for g, r in zip(got, want):
@@ -418,7 +424,8 @@ def test_pca_stacked_windows_equal_one_window_at_a_time(rng, monkeypatch, chunk,
         # refit rows: gaps shorter and longer than the window, rows inside the
         # warm-up and the NaN hole, a run of consecutive windows, one row, none
         for rows in ([20, 25, 60, 89], [3, 15, 16, 17, 18], np.arange(30, 58), [45, 44, 45], [30], []):
-            out = rolling_pca(x, window=w, variance_target=target, rows=np.asarray(rows, dtype=np.intp))
+            out = rolling_pca(x, window=w, variance_target=target, timestamps=np.arange(t),
+                              rows=np.asarray(rows, dtype=np.intp))
             fitted = np.isin(np.arange(t), rows) & want[1]
             assert np.array_equal(out.valid, fitted)
             got = (out.components, out.n_components, out.explained, out.rank_flagged)
@@ -428,22 +435,23 @@ def test_pca_stacked_windows_equal_one_window_at_a_time(rng, monkeypatch, chunk,
 
 def test_pca_no_lookahead(rng):
     x = rng.normal(size=(30, 3))
-    base = rolling_pca(x, window=8)
+    base = rolling_pca(x, window=8, variance_target=0.8, **every_row(x))
     x2 = x.copy()
     x2[20] += 50.0
-    pert = rolling_pca(x2, window=8)
+    pert = rolling_pca(x2, window=8, variance_target=0.8, **every_row(x2))
     assert np.array_equal(base.components[:20], pert.components[:20])
     assert np.array_equal(base.n_components[:20], pert.n_components[:20])
     assert np.array_equal(base.valid[:20], pert.valid[:20])
 
 
 def test_pca_validation_errors(rng):
+    rows = every_row(np.zeros(20))
     with pytest.raises(ConfigError):
-        rolling_pca(rng.normal(size=(20, 4)), window=4)
+        rolling_pca(rng.normal(size=(20, 4)), window=4, variance_target=0.8, **rows)
     with pytest.raises(ConfigError):
-        rolling_pca(rng.normal(size=(20, 2)), window=5, variance_target=1.5)
+        rolling_pca(rng.normal(size=(20, 2)), window=5, variance_target=1.5, **rows)
     with pytest.raises(DataError):
-        rolling_pca(rng.normal(size=20), window=5)
+        rolling_pca(rng.normal(size=20), window=5, variance_target=0.8, **rows)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +463,8 @@ def test_refine_features_warmup_and_shape(rng):
     closes = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.02, t)))
     metrics = {f"m{i}": rng.normal(size=t) for i in range(3)}
     frame = make_frame(closes, metrics)
-    refined = refine_features(frame, sorted(metrics), norm_window=5, pca_window=6)
+    refined = refine_features(frame, sorted(metrics), norm_window=5, pca_window=6, variance_target=0.8, epsilon=1e-8,
+                              rows=np.arange(t))
     assert len(refined) == t
     assert refined.c_max == 3
     first_valid = (5 - 1) + (6 - 1)
@@ -475,14 +484,14 @@ def test_refine_features_at_rows_equals_whole_frame_refine(rng, monkeypatch, chu
     metrics["m2"][90:100] = 1.5
     frame = make_frame(100.0 * np.exp(np.cumsum(rng.normal(0, 0.02, t))), metrics)
     names = ["m2", "m0", "m1"]
-    whole = refine_features(frame, names, nw, pw)
+    whole = refine_features(frame, names, nw, pw, 0.8, 1e-8, np.arange(t))
     assert np.array_equal(whole.valid, np.arange(t) >= nw + pw - 2)
     # gaps shorter and longer than the warm-up, spans that start inside it,
     # many short spans, unsorted rows, one row, none, and every row
     for rows in ([30, 35], [30, 60], [5, 20], [0, 11, 12], np.arange(40, 119, 3), [3, 110, 40], [119], [],
                  np.arange(t)):
         rows = np.asarray(rows, dtype=np.intp)
-        part = refine_features(frame, names, nw, pw, rows=rows)
+        part = refine_features(frame, names, nw, pw, 0.8, 1e-8, rows)
         fitted = np.isin(np.arange(t), rows) & whole.valid
         assert np.array_equal(part.valid, fitted)
         for name in ("components", "n_components", "explained", "rank_flagged"):
@@ -500,4 +509,5 @@ def test_window_rows_covers_each_trailing_window():
 def test_refine_features_missing_metric(rng):
     frame = make_frame(np.linspace(100, 120, 30), {"m0": rng.normal(size=30)})
     with pytest.raises(DataError, match="absent"):
-        refine_features(frame, ["m0", "absent"], norm_window=4, pca_window=5)
+        refine_features(frame, ["m0", "absent"], norm_window=4, pca_window=5, variance_target=0.8, epsilon=1e-8,
+                        rows=np.arange(30))

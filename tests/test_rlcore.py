@@ -249,11 +249,11 @@ def test_epsilon_at_endpoints_and_midpoint():
 
 
 def test_epsilon_greedy_exploit_and_ties(rng):
-    assert epsilon_greedy(np.array([1.0, 3.0, 2.0]), 0.0, rng) == 1
-    assert epsilon_greedy(np.array([2.0, 2.0]), 0.0, rng) == 0
-    assert epsilon_greedy(np.array([5.0, 5.0, 5.0]), 0.0, rng) == 0
+    assert epsilon_greedy(lambda: np.array([1.0, 3.0, 2.0]), 3, 0.0, rng) == 1
+    assert epsilon_greedy(lambda: np.array([2.0, 2.0]), 2, 0.0, rng) == 0
+    assert epsilon_greedy(lambda: np.array([5.0, 5.0, 5.0]), 3, 0.0, rng) == 0
     with pytest.raises(DataError):
-        epsilon_greedy(np.array([]), 0.0, rng)
+        epsilon_greedy(lambda: np.array([]), 0, 0.0, rng)
 
 
 def test_epsilon_greedy_explores_uniformly():
@@ -262,21 +262,43 @@ def test_epsilon_greedy_explores_uniformly():
     counts = np.zeros(3)
     n = 10_000
     for _ in range(n):
-        counts[epsilon_greedy(q, 1.0, rng)] += 1
+        counts[epsilon_greedy(lambda: q, q.size, 1.0, rng)] += 1
     chi2 = float(np.sum((counts - n / 3) ** 2 / (n / 3)))
     assert chi2 < 13.8  # df=2 at p ~ 0.001
 
 
 def test_epsilon_greedy_reproducible():
     q = np.array([0.0, 1.0, 2.0])
-    a = [epsilon_greedy(q, 0.5, np.random.default_rng(9)) for _ in range(1)]
+    a = [epsilon_greedy(lambda: q, q.size, 0.5, np.random.default_rng(9)) for _ in range(1)]
     seq1 = []
     r1 = np.random.default_rng(9)
     r2 = np.random.default_rng(9)
     for _ in range(50):
-        seq1.append((epsilon_greedy(q, 0.5, r1), epsilon_greedy(q, 0.5, r2)))
+        seq1.append((epsilon_greedy(lambda: q, q.size, 0.5, r1), epsilon_greedy(lambda: q, q.size, 0.5, r2)))
     assert all(x == y for x, y in seq1)
     assert a[0] == seq1[0][0]
+
+
+def test_epsilon_greedy_computes_action_values_only_when_greedy():
+    """An exploring step draws a uniform action and never calls ``q_of``; the
+    generator's draws are those of a policy that always has the values."""
+    q = np.array([0.0, 1.0, 0.5])
+    calls = []
+
+    def q_of():
+        calls.append(1)
+        return q
+
+    rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+    for step in range(300):
+        eps = 1.0 - step / 300
+        explore = twin.random() < eps
+        want = int(twin.integers(3)) if explore else 1
+        before = len(calls)
+        assert epsilon_greedy(q_of, 3, eps, rng) == want
+        assert len(calls) - before == (not explore)
+    assert epsilon_greedy(q_of, 3, 0.0, rng) == 1 and epsilon_greedy(q_of, 3, 0.0, twin) == 1
+    assert rng.random() == twin.random()  # eps 0 draws nothing
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +569,9 @@ def test_replay_draws_after_wraparound_are_pinned():
 def test_replay_validation():
     states = np.zeros((2, 1, 1, 3))
     with pytest.raises(ConfigError):
-        ReplayBuffer(states, capacity=0)
+        ReplayBuffer(states, capacity=0, seed=0)
     with pytest.raises(DataError):
-        ReplayBuffer(states, capacity=4).sample(1)
+        ReplayBuffer(states, capacity=4, seed=0).sample(1)
 
 
 # ---------------------------------------------------------------------------
