@@ -206,23 +206,6 @@ def build_sam_state(
 
 
 # ---------------------------------------------------------------------------
-# Rewards
-
-
-def eam_reward(action: str, log_return: float, cfg: RewardConfig) -> float:
-    """Signal-aligned log return: buy earns it, sell earns its negative."""
-    if not math.isfinite(log_return):
-        raise DataError(f"non-finite log return {log_return}")
-    if action == "buy":
-        return log_return
-    if action == "sell":
-        return -log_return
-    if action == "hold":
-        return cfg.eam_hold_reward
-    raise DataError(f"unknown signal action {action!r}")
-
-
-# ---------------------------------------------------------------------------
 # The trained module
 
 
@@ -329,27 +312,35 @@ def _greedy_signal_array(
 # Training
 
 
+def _positive_ratios(ratios: np.ndarray) -> np.ndarray:
+    """``ratios`` as float64; DataError unless each is positive and finite."""
+    ratios = np.asarray(ratios, dtype=np.float64)
+    bad = ~(np.isfinite(ratios) & (ratios > 0))
+    if bad.any():
+        raise DataError(f"price ratio must be positive and finite, got {ratios[bad][0]}")
+    return ratios
+
+
 def _sam_rewards(ratios: np.ndarray, cfg: RewardConfig) -> np.ndarray:
     """Allocation rewards ``r[j, prev, a]`` of step j from action prev to a:
     the log wealth growth (1 - fee_rate * |a - prev|) * (w_cash + w_crypto * ratio)
     of action a's weights, net of proportional fees."""
-    ratios = np.asarray(ratios, dtype=np.float64)
-    if (ratios <= 0).any():
-        raise DataError(f"price ratio must be positive, got {ratios[ratios <= 0][0]}")
+    ratios = _positive_ratios(ratios)
     keep = 1.0 - cfg.fee_rate
     growth = np.empty((len(ratios), 2, 2))
     growth[:, :, 0] = 1.0, keep
-    growth[:, :, 1] = ratios[:, None] * [keep, 1.0]
-    if (growth <= 0).any():
-        raise DataError(f"non-positive wealth growth {growth[growth <= 0][0]}")
+    growth[:, :, 1] = ratios[:, None] * [keep, 1.0]  # positive: fee_rate < 0.1
     return np.array([math.log(g) for g in growth.ravel().tolist()]).reshape(growth.shape)
 
 
 def _eam_rewards(ratios: np.ndarray, cfg: RewardConfig) -> np.ndarray:
-    """Signal rewards ``r[j, a]``, the same for every previous action: ``r[j, prev, a]``."""
-    table = np.array([[eam_reward(a, math.log(float(r)), cfg) for a in SIGNAL_ACTIONS] for r in ratios])
+    """Signal rewards ``r[j, prev, a]``, the same for every previous action:
+    buy earns the log price ratio, sell its negation and hold ``eam_hold_reward``."""
+    log_returns = np.array([math.log(r) for r in _positive_ratios(ratios).tolist()])
+    # columns in SIGNAL_ACTIONS order: buy, sell, hold
+    table = np.column_stack([log_returns, -log_returns, np.full(len(log_returns), cfg.eam_hold_reward)])
     n = len(SIGNAL_ACTIONS)
-    return np.broadcast_to(table[:, None, :], (len(ratios), n, n))
+    return np.broadcast_to(table[:, None, :], (len(table), n, n))
 
 
 def _greedy_score(net: QNetwork, states: np.ndarray, rewards: np.ndarray) -> float:

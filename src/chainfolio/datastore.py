@@ -9,15 +9,16 @@ that indexes the assets:
     <root>/BTC-USDT/ohlcv.csv.cols     sidecar: ts, ohlcv
     <root>/BTC-USDT/metrics.csv        header: ts,name,value
     <root>/BTC-USDT/metrics.csv.cols   sidecar: names, count per name, ts, values
+    <root>/BTC-USDT/.lock              flock held across each ingest of the asset
     <root>/.manifest.lock              flock held across each manifest update
 
-Everything is inspectable and diff-able with standard tools.  An
-in-process lock per asset guards each CSV's read-modify-write, and an
-``flock`` on the lock file, excluding threads and processes alike, guards
-the manifest's.  :func:`atomic_write` writes every file: it creates the
-directory, writes a temporary sibling and moves it into place with
-``os.replace``, so a reader never sees a partly written file.  A store's
-directory appears with its first ingest.
+Everything is inspectable and diff-able with standard tools.
+:func:`atomic_write` writes every file: it creates the directory, writes a
+temporary sibling and moves it into place with ``os.replace``, so a reader
+never sees a partly written file.  A store's directory appears with its
+first ingest.  An ingest holds its asset's :func:`flocked` lock and, inside
+it, the manifest's, which exclude threads and processes on one POSIX host
+alike.  Loads take no lock: each hashes and parses one whole file.
 
 The manifest, the registry index and the backtest report are JSON
 documents with one reader and one writer: :func:`read_json` takes a file
@@ -33,7 +34,8 @@ in any other case (no sidecar, a CSV changed since, a damaged sidecar) it
 parses the CSV, logs why at INFO and rewrites the sidecar.  A load thus
 returns what parsing the current CSV returns.  The CSV digest sits in the
 sidecar, not in the manifest, so one ``os.replace`` ties it to the columns
-it vouches for, whichever of two racing writers moves last.
+it vouches for, whichever of two racing writers moves last; a stale
+sidecar that a load racing an ingest leaves, the next load replaces.
 
 Columns are the only record type: the parsers return, and ingestion
 takes, a :class:`BarTable` or a :class:`MetricTable`, and alignment works
@@ -475,6 +477,16 @@ def atomic_write(path: str | Path, chunks: Iterable[str | bytes]) -> None:
         tmp.unlink(missing_ok=True)
 
 
+@contextmanager
+def flocked(path: Path) -> Iterator[None]:
+    """Hold an exclusive ``flock`` on ``path``, creating the file and its directory.
+    Each call opens its own file, so threads and processes alike wait for it."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "ab") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        yield
+
+
 def write_json(path: Path, doc: dict) -> None:
     """Write ``doc`` as indented JSON with sorted keys, atomically."""
     atomic_write(path, [json.dumps(doc, indent=2, sort_keys=True), "\n"])
@@ -592,12 +604,6 @@ class CsvStore:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self._locks: dict[str, threading.RLock] = {}
-        self._locks_guard = threading.Lock()
-
-    def _lock(self, asset: AssetId) -> threading.RLock:
-        with self._locks_guard:
-            return self._locks.setdefault(asset.key, threading.RLock())
 
     def _dir(self, asset: AssetId) -> Path:
         return self.root / asset.key
@@ -615,15 +621,9 @@ class CsvStore:
         return manifest
 
     def _update_manifest(self, asset: AssetId, **info) -> None:
-        # every ingest rewrites this file; an flock on a file opened here excludes
-        # threads and processes alike (the asset's CSV, written first, made the root)
-        with open(self.root / ".manifest.lock", "ab") as lock:
-            fcntl.flock(lock, fcntl.LOCK_EX)
+        with flocked(self.root / ".manifest.lock"):  # every ingest rewrites this file
             manifest = self._read_manifest()
-            entry = manifest["assets"].setdefault(
-                asset.key, {"symbol": asset.symbol, "quote": asset.quote}
-            )
-            entry.update(info)
+            manifest["assets"].setdefault(asset.key, {"symbol": asset.symbol, "quote": asset.quote}).update(info)
             write_json(self.root / self.MANIFEST, manifest)
 
     # -- ingestion ---------------------------------------------------------
@@ -644,8 +644,8 @@ class CsvStore:
             repeated = np.setdiff1d(np.arange(len(bars)), first)[0]
             raise MalformedRecordError(f"duplicate ts {bars.ts[repeated]} in source stream")
 
-        with self._lock(asset):
-            self._read_manifest()  # a corrupt manifest fails before the CSV is rewritten
+        self._read_manifest()  # a corrupt manifest fails before anything is written
+        with flocked(self._dir(asset) / ".lock"):
             existing = self.load_bars(asset)
             pos = np.searchsorted(existing.ts, bars.ts)
             held = pos < len(existing)
@@ -677,8 +677,8 @@ class CsvStore:
         incoming = points.stripped()
         per_name = np.bincount(incoming.codes, minlength=len(incoming.names))
         counts = {name: int(k) for name, k in zip(incoming.names, per_name) if k}
-        with self._lock(asset):
-            self._read_manifest()  # a corrupt manifest fails before the CSV is rewritten
+        self._read_manifest()  # a corrupt manifest fails before anything is written
+        with flocked(self._dir(asset) / ".lock"):
             existing = MetricTable.from_series(self.load_metrics(asset))
             merged = existing.extend(incoming)
             order, repeat = merged._key_order()
@@ -715,30 +715,29 @@ class CsvStore:
 
     # -- loading -----------------------------------------------------------
 
-    def _load_columns(self, asset: AssetId, path: Path, parse, columns_of) -> list[np.ndarray] | None:
+    def _load_columns(self, path: Path, parse, columns_of) -> list[np.ndarray] | None:
         """The sidecar columns of the store CSV at ``path``; None if there is
         no CSV.  They come from the sidecar when it matches the CSV's
         bytes, else from ``columns_of(parse(csv))``, and the sidecar is rewritten."""
-        with self._lock(asset):
-            try:
-                fh = open(path, "rb")
-            except FileNotFoundError:
-                return None
-            # hashing and parsing read one open file, which os.replace leaves as it is
-            with fh:
-                sha = hashlib.sha256()
-                for block in iter(lambda: fh.read(1 << 18), b""):
-                    sha.update(block)
-                digest = sha.digest()
-                columns, why = _read_sidecar(path, digest)
-                if columns is not None:
-                    return columns
-                log.info("%s: %s; parsing the CSV", path, why)
-                fh.seek(0)
-                with io.TextIOWrapper(fh, newline="", encoding="utf-8") as text:
-                    columns = columns_of(parse(text))
-            _write_sidecar(path, digest, columns)
-            return columns
+        try:
+            fh = open(path, "rb")
+        except FileNotFoundError:
+            return None
+        # hashing and parsing read one open file, which os.replace leaves as it is
+        with fh:
+            sha = hashlib.sha256()
+            for block in iter(lambda: fh.read(1 << 18), b""):
+                sha.update(block)
+            digest = sha.digest()
+            columns, why = _read_sidecar(path, digest)
+            if columns is not None:
+                return columns
+            log.info("%s: %s; parsing the CSV", path, why)
+            fh.seek(0)
+            with io.TextIOWrapper(fh, newline="", encoding="utf-8") as text:
+                columns = columns_of(parse(text))
+        _write_sidecar(path, digest, columns)
+        return columns
 
     def load_bars(self, asset: AssetId) -> BarTable:
         """The stored bars, in strictly ascending ts order."""
@@ -749,12 +748,12 @@ class CsvStore:
                 raise DataError(f"{path}: bar timestamps not strictly ascending")
             return [bars.ts, bars.ohlcv]
 
-        columns = self._load_columns(asset, path, parse_ohlcv_csv, columns_of)
+        columns = self._load_columns(path, parse_ohlcv_csv, columns_of)
         return BarTable(np.zeros(0, dtype=np.int64), np.zeros((0, 5))) if columns is None else BarTable(*columns)
 
     def load_metrics(self, asset: AssetId) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Per stored metric name, in name order: (ascending ts, values)."""
-        columns = self._load_columns(asset, self._dir(asset) / "metrics.csv", parse_metrics_csv,
+        columns = self._load_columns(self._dir(asset) / "metrics.csv", parse_metrics_csv,
                                      lambda table: _metric_columns(table.series()))
         if columns is None:
             return {}
@@ -778,9 +777,8 @@ class CsvStore:
             raise DataError("interval must be positive")
         if fill_limit < 0:
             raise DataError("fill_limit must be >= 0")
-        with self._lock(asset):
-            bars = self.load_bars(asset)
-            series = self.load_metrics(asset)
+        bars = self.load_bars(asset)
+        series = self.load_metrics(asset)
 
         grid = np.arange(start_ts, end_ts + 1, interval, dtype=np.int64)
         if len(grid) == 0:

@@ -23,15 +23,16 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import metrics as metrics_mod
 from .cryptomodule import ALLOCATION_ACTIONS, CryptoModule, DataRanges, derive_seed, load_cm, train_cm, with_seed
-from .datastore import AlignedFrame, AssetId, CsvStore, atomic_write, read_json, write_json
+from .datastore import AlignedFrame, AssetId, CsvStore, atomic_write, flocked, read_json, write_json
 from .errors import ChainfolioError, ConfigError, DataError
 from .metrics import SummaryStats
 from .rlcore.training import DivergenceError
@@ -116,28 +117,43 @@ class CmRegistry:
     Layout: `<root>/registry.json` listing entries, plus one `<asset>.cm`
     file per registered module.  Adding validates the file fully (magic,
     version, checksum) before it is copied in.
+
+    Every call reads the index afresh.  ``add`` and ``remove`` re-read it
+    under an ``flock`` on `<root>/.registry.lock`, so threads and processes on
+    one POSIX host never lose one another's entries; reads take no lock.
     """
 
     VERSION = 1
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self._entries: dict[str, dict] = {}
-        index = self.root / "registry.json"
-        if index.exists():
-            entries = read_json(index, "registry index", self.VERSION).get("entries")
-            if not isinstance(entries, dict) or not all(_is_entry(key, e) for key, e in entries.items()):
-                raise DataError(f"corrupt registry index {index}: bad 'entries' table")
-            self._entries = entries
 
-    def _save(self) -> None:
-        write_json(self.root / "registry.json", {"version": self.VERSION, "entries": self._entries})
+    def _entries(self) -> dict[str, dict]:
+        index = self.root / "registry.json"
+        entries = read_json(index, "registry index", self.VERSION).get("entries") if index.exists() else {}
+        if not isinstance(entries, dict) or not all(_is_entry(key, e) for key, e in entries.items()):
+            raise DataError(f"corrupt registry index {index}: bad 'entries' table")
+        return entries
+
+    def _entry(self, entries: dict[str, dict], asset: str) -> tuple[str, dict]:
+        key = AssetId.parse(asset).key
+        if key not in entries:
+            raise ConfigError(f"no module registered for {key}")
+        return key, entries[key]
+
+    @contextmanager
+    def _changing(self) -> Iterator[dict[str, dict]]:
+        """The entries, read under the registry's lock and saved unless the body raises."""
+        with flocked(self.root / ".registry.lock"):
+            entries = self._entries()
+            yield entries
+            write_json(self.root / "registry.json", {"version": self.VERSION, "entries": entries})
 
     def assets(self) -> list[str]:
-        return sorted(self._entries)
+        return sorted(self._entries())
 
     def __contains__(self, asset: str) -> bool:
-        return asset in self._entries
+        return asset in self._entries()
 
     def add(self, path: str | Path, asset: str | None = None) -> str:
         """Register a module file; returns the asset key it now serves.  The
@@ -146,28 +162,24 @@ class CmRegistry:
         key = load_cm(path, blob).asset.key  # full validation: magic, version, checksum
         if asset is not None and AssetId.parse(asset).key != key:
             raise ConfigError(f"module file is for {key}, not {asset}")
-        if key in self._entries:
-            raise ConfigError(f"a module for {key} is already registered")
         dest = self.root / f"{key}.cm"
-        if Path(path).resolve() != dest.resolve():
-            atomic_write(dest, [blob])
-        self._entries[key] = {"file": dest.name, "sha256": hashlib.sha256(blob).hexdigest()}
-        self._save()
+        with self._changing() as entries:
+            if key in entries:
+                raise ConfigError(f"a module for {key} is already registered")
+            if Path(path).resolve() != dest.resolve():
+                atomic_write(dest, [blob])
+            entries[key] = {"file": dest.name, "sha256": hashlib.sha256(blob).hexdigest()}
         return key
 
     def remove(self, asset: str) -> None:
-        key = AssetId.parse(asset).key
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            raise ConfigError(f"no module registered for {key}")
-        (self.root / entry["file"]).unlink(missing_ok=True)
-        self._save()
+        self._entry(self._entries(), asset)  # refused before the lock, which creates the registry
+        with self._changing() as entries:
+            key, entry = self._entry(entries, asset)
+            (self.root / entry["file"]).unlink(missing_ok=True)
+            del entries[key]
 
     def load(self, asset: str) -> CryptoModule:
-        key = AssetId.parse(asset).key
-        entry = self._entries.get(key)
-        if entry is None:
-            raise ConfigError(f"no module registered for {key}")
+        key, entry = self._entry(self._entries(), asset)
         path = self.root / entry["file"]
         blob = path.read_bytes()
         if hashlib.sha256(blob).hexdigest() != entry["sha256"]:
@@ -177,8 +189,7 @@ class CmRegistry:
     def status(self) -> list[tuple[str, str, str]]:
         """(asset, file, status) rows; status is 'ok' or the load error."""
         rows = []
-        for key in self.assets():
-            entry = self._entries[key]
+        for key, entry in sorted(self._entries().items()):
             try:
                 self.load(key)
                 state = "ok"
@@ -291,6 +302,7 @@ def retrain_module(cm: CryptoModule, store: CsvStore, boundary_ts: int, fill_lim
     The training window keeps its original start; the validation window
     keeps its original duration, shifted to end at the boundary.
     Selection and rolling transforms are refit on data <= boundary only.
+    ``cm`` is the original module; the boundary derives the seed from its seed.
     """
     val_span = cm.ranges.validation[1] - cm.ranges.validation[0]
     new_ranges = DataRanges(
@@ -298,8 +310,7 @@ def retrain_module(cm: CryptoModule, store: CsvStore, boundary_ts: int, fill_lim
         validation=(boundary_ts - val_span, boundary_ts),
     )
     settings = with_seed(cm.settings, derive_seed(cm.settings.train.seed, cm.asset.key, boundary_ts))
-    fresh = train_cm(store, cm.asset, new_ranges, settings, cm.use_eam, cm.interval, fill_limit)
-    return replace(fresh, settings=cm.settings)  # keep the original seed for future boundaries
+    return train_cm(store, cm.asset, new_ranges, settings, cm.use_eam, cm.interval, fill_limit)
 
 
 def run_backtest(modules: Mapping[str, CryptoModule], cfg: BacktestConfig, store: CsvStore) -> BacktestReport:
@@ -385,21 +396,20 @@ def _decide(
     schedule: list[tuple[int, int]], fill_limit: int,
 ) -> tuple[list[int], list[dict]]:
     """One asset's actions (0 cash, 1 crypto) at the frame ``rows`` and its retrain events.
-    Each (boundary, index into ``rows``) of ``schedule`` retrains the module
-    in force; one that diverges keeps it.  Each module in force is prepared
-    over only the rows it decides, up to the next retrain that takes effect,
-    and one that a later retrain replaces at the same row is never prepared."""
+    Each (boundary, index into ``rows``) of ``schedule`` retrains the original
+    module ``cm``; one that diverges keeps the module in force.  Each module in
+    force is prepared over only the rows it decides, up to the next retrain that
+    takes effect, and one that a later retrain replaces at the same row is never prepared."""
     in_force = {0: cm}
     events = []
     for boundary, at in schedule:
         try:
-            cm = retrain_module(cm, store, boundary, fill_limit)
+            in_force[at] = retrain_module(cm, store, boundary, fill_limit)
         except DivergenceError as exc:
             log.warning("retraining %s at ts=%d diverged, keeping previous module: %s", cm.asset.key, boundary, exc)
             status = "diverged-kept-previous"
         else:
             log.info("retrained %s at ts=%d", cm.asset.key, boundary)
-            in_force[at] = cm
             status = "retrained"
         events.append({"ts": boundary, "asset": cm.asset.key, "status": status})
     starts = list(in_force)

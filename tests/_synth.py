@@ -2,10 +2,14 @@
 
 Prices are geometric random walks rendered as consistent OHLCV bars on
 a fixed 6-hour grid; metric pools mix noisy copies of forward k-bar
-returns (the planted signal) with pure noise series.
+returns (the planted signal) with pure noise series.  ``race`` starts
+processes that write one store or registry together.
 """
 
 from __future__ import annotations
+
+import subprocess
+import sys
 
 import numpy as np
 
@@ -98,3 +102,24 @@ def metric_table(rows) -> MetricTable:
     return MetricTable(np.array([r[0] for r in rows], dtype=np.int64),
                        np.array([code[r[1]] for r in rows], dtype=np.intp),
                        list(code), np.array([r[2] for r in rows], dtype=np.float64))
+
+
+def race(script: str, argvs: list[list[str]]) -> None:
+    """Run ``python -c script`` once per argv, releasing every child at once:
+    each prints ``ready``, then waits for a line on stdin.  Each must exit 0."""
+    procs = [subprocess.Popen([sys.executable, "-c", script, *argv],
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+             for argv in argvs]
+    try:
+        for proc in procs:
+            assert proc.stdout.readline() == "ready\n"
+        for proc in procs:
+            proc.stdin.write("go\n")
+            proc.stdin.flush()
+        for proc in procs:
+            proc.stdin.close()
+            assert proc.wait(timeout=120) == 0
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.stdout.close()

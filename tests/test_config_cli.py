@@ -594,6 +594,13 @@ def test_cli_registry_remove_keeps_files_outside_the_registry(tmp_path, capsys):
     assert victim.read_text() == "keep me"
 
 
+def test_cli_registry_remove_of_an_unregistered_asset_creates_nothing(tmp_path, capsys):
+    """Refused before the registry's lock is taken, so no registry or data directory appears."""
+    assert main(["--data-dir", str(tmp_path / "d"), "registry", "remove", "AAA"]) == 1
+    assert "no module registered for AAA-USDT" in error_line(capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
 #: container headers that a valid SHA-256 trailer does not make readable
 BROKEN_HEADERS = {
     "not an object": lambda h: [h],

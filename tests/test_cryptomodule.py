@@ -24,7 +24,6 @@ from chainfolio.cryptomodule import (
     build_eam_state,
     build_sam_state,
     derive_seed,
-    eam_reward,
     load_cm,
     save_cm,
     train_cm,
@@ -217,16 +216,19 @@ def test_eam_state_shape(rng):
 # Rewards
 
 
-def test_eam_reward_examples():
+def test_eam_rewards_examples():
     cfg = RewardConfig(eam_hold_reward=0.001)
-    assert eam_reward("buy", 0.05, cfg) == 0.05
-    assert eam_reward("sell", 0.05, cfg) == -0.05
-    assert eam_reward("sell", -0.02, cfg) == 0.02
-    assert eam_reward("hold", 123.0, cfg) == 0.001
-    with pytest.raises(DataError):
-        eam_reward("buy", float("nan"), cfg)
-    with pytest.raises(DataError):
-        eam_reward("park", 0.0, cfg)
+    buy, sell, hold = (SIGNAL_ACTIONS.index(a) for a in ("buy", "sell", "hold"))
+    table = cryptomodule._eam_rewards(np.array([1.05, 0.98]), cfg)
+    assert table.shape == (2, 3, 3)
+    assert table[0, hold, buy] == math.log(1.05)
+    assert table[0, buy, sell] == -math.log(1.05)
+    assert table[1, sell, sell] == -math.log(0.98) > 0
+    assert (table[:, :, hold] == 0.001).all()
+    assert (table == table[:, :1]).all()  # the same for every previous action
+    for ratios in ([float("nan")], [1.2, 0.0], [float("inf")], [1.1, -0.5]):
+        with pytest.raises(DataError, match="price ratio"):
+            cryptomodule._eam_rewards(np.array(ratios), cfg)
 
 
 def sam_growth(prev: int, action: int, ratio: float, cfg: RewardConfig) -> float:

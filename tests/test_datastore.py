@@ -6,7 +6,6 @@ import json
 import logging
 import re
 import shutil
-import subprocess
 import sys
 import tempfile
 import threading
@@ -32,7 +31,7 @@ from chainfolio.datastore import (
 )
 from chainfolio.errors import ChainfolioError, DataError
 
-from _synth import INTERVAL, T0, bar_table, bar_ts, metric_table
+from _synth import INTERVAL, T0, bar_table, bar_ts, metric_table, race
 from test_portfolio import damaged_json
 
 
@@ -667,6 +666,35 @@ def test_concurrent_ingests_of_different_assets_keep_the_manifest(tmp_path):
     assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
 
 
+def test_concurrent_ingests_of_one_asset_from_threads_keep_every_metric(tmp_path):
+    """Eight threads ingest five metric names each into one asset: the lock
+    file, opened once per ingest, excludes threads as it does processes."""
+    store = CsvStore(tmp_path)
+    names = [f"T{t}M{i}" for t in range(8) for i in range(5)]
+    errors = []
+
+    def ingest(thread_names):
+        try:
+            for name in thread_names:
+                store.ingest_metrics(AssetId("AAA"), metric_table((bar_ts(i), name, 1.0) for i in range(3)))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ingest, args=(names[t::8],)) for t in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert sorted(CsvStore(tmp_path).load_metrics(AssetId("AAA"))) == sorted(names)
+
+
 #: a child process that ingests 40 assets named <prefix>0..39 once its parent says go
 MANIFEST_RACER = """
 import sys
@@ -685,24 +713,50 @@ for i in range(40):
 def test_concurrent_ingests_from_two_processes_keep_the_manifest(tmp_path, round_):
     """Two processes ingest 40 assets each into one store, starting together;
     the manifest must list all 80 (an in-process lock alone loses entries)."""
-    procs = [subprocess.Popen([sys.executable, "-c", MANIFEST_RACER, str(tmp_path), prefix],
-                              stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-             for prefix in ("P", "Q")]
-    try:
-        for proc in procs:
-            assert proc.stdout.readline() == "ready\n"
-        for proc in procs:
-            proc.stdin.write("go\n")
-            proc.stdin.flush()
-        for proc in procs:
-            proc.stdin.close()
-            assert proc.wait(timeout=120) == 0
-    finally:
-        for proc in procs:
-            proc.kill()
-            proc.stdout.close()
+    race(MANIFEST_RACER, [[str(tmp_path), prefix] for prefix in ("P", "Q")])
     manifest = json.loads((tmp_path / CsvStore.MANIFEST).read_text())
     assert sorted(manifest["assets"]) == sorted(f"{p}{i}-USDT" for p in "PQ" for i in range(40))
+
+
+#: a child process that ingests 30 metrics named <prefix>0..29 into AAA once its parent says go
+SAME_ASSET_RACER = """
+import sys
+import numpy as np
+from chainfolio.datastore import AssetId, CsvStore, MetricTable
+root, prefix = sys.argv[1:]
+store = CsvStore(root)
+print("ready", flush=True)
+sys.stdin.readline()
+for i in range(30):
+    store.ingest_metrics(AssetId("AAA"), MetricTable.from_series({f"{prefix}{i}": (np.arange(3) * 21600, np.ones(3))}))
+"""
+
+
+@pytest.mark.parametrize("round_", range(3))
+def test_concurrent_ingests_of_one_asset_from_two_processes_keep_every_metric(tmp_path, round_):
+    """Two processes ingest 30 metric names each into one asset, starting
+    together; the store and its manifest must keep all 60 names (each
+    ingest is a read-modify-write of the asset's CSV)."""
+    race(SAME_ASSET_RACER, [[str(tmp_path), prefix] for prefix in ("P", "Q")])
+    names = sorted(f"{p}{i}" for p in "PQ" for i in range(30))
+    assert sorted(CsvStore(tmp_path).load_metrics(AssetId("AAA"))) == names
+    manifest = json.loads((tmp_path / CsvStore.MANIFEST).read_text())
+    assert sorted(manifest["assets"]["AAA-USDT"]["metrics"]) == names
+
+
+@pytest.mark.parametrize("kind", ["bars", "metrics"])
+@pytest.mark.parametrize("manifest", ['{"version": 2, "assets": {}}', '{"version": 1, "assets": []}', "{"])
+def test_a_refused_ingest_creates_nothing(tmp_path, kind, manifest):
+    """A manifest of another version or a corrupt one refuses an ingest
+    before the asset's directory or any lock file is created."""
+    (tmp_path / CsvStore.MANIFEST).write_text(manifest)
+    store = CsvStore(tmp_path)
+    with pytest.raises(ChainfolioError, match="manifest"):
+        if kind == "bars":
+            store.ingest_ohlcv(AssetId("AAA"), flat_bars(3))
+        else:
+            store.ingest_metrics(AssetId("AAA"), metric_table([(bar_ts(0), "mm", 1.0)]))
+    assert [p.name for p in tmp_path.rglob("*")] == [CsvStore.MANIFEST]
 
 
 def test_opening_a_store_creates_nothing(tmp_path):

@@ -19,8 +19,10 @@ from chainfolio.cryptomodule import (
     CmSettings,
     CryptoModule,
     DataRanges,
+    derive_seed,
     save_cm,
     train_cm,
+    with_seed,
 )
 from chainfolio.datastore import AssetId, CsvStore
 from chainfolio.errors import ChainfolioError, ConfigError, DataError
@@ -40,7 +42,7 @@ from chainfolio.refinery import HorizonConfig, refine_features, select_valid_met
 from chainfolio.rlcore.network import QNetwork
 from chainfolio.rlcore.training import TrainConfig
 
-from _synth import INTERVAL, bar_ts, make_asset
+from _synth import INTERVAL, bar_ts, make_asset, race
 from test_cryptomodule import _JSON, _json_paths
 
 
@@ -303,6 +305,41 @@ def test_registry_reads_each_file_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(portfolio, "load_cm", replace_then_load)
     assert reg.load("AAA-USDT").asset.key == "AAA-USDT"
+
+
+#: a child process that registers each module file it is given, each through
+#: a fresh CmRegistry, once its parent says go
+REGISTRY_RACER = """
+import sys
+from chainfolio.portfolio import CmRegistry
+root, *files = sys.argv[1:]
+print("ready", flush=True)
+sys.stdin.readline()
+for path in files:
+    CmRegistry(root).add(path)
+"""
+
+
+@pytest.fixture(scope="module")
+def racing_modules(tmp_path_factory):
+    """40 module files, for assets P0..P19 and Q0..Q19."""
+    root = tmp_path_factory.mktemp("racing_modules")
+    paths = {prefix: [root / f"{prefix}{i}.cm" for i in range(20)] for prefix in "PQ"}
+    for path in paths["P"] + paths["Q"]:
+        save_cm(rigged_cm(path.stem, [1.0, 0.0]), path)
+    return paths
+
+
+@pytest.mark.parametrize("round_", range(3))
+def test_concurrent_adds_from_two_processes_keep_every_entry(tmp_path, racing_modules, round_):
+    """Two processes register 20 modules each into one registry, starting
+    together; every entry must be listed (each add is a read-modify-write
+    of the index)."""
+    registry = tmp_path / "reg"
+    race(REGISTRY_RACER, [[str(registry), *map(str, paths)] for paths in racing_modules.values()])
+    keys = sorted(f"{p}{i}-USDT" for p in "PQ" for i in range(20))
+    assert CmRegistry(registry).assets() == keys
+    assert CmRegistry(registry).status() == [(key, f"{key}.cm", "ok") for key in keys]
 
 
 def test_registry_persistence_and_readd(tmp_path):
@@ -642,8 +679,8 @@ def test_retrain_module_expands_windows_deterministically(tmp_path):
     val_span = TRAIN_RANGES.validation[1] - TRAIN_RANGES.validation[0]
     assert fresh.ranges.validation == (boundary - val_span, boundary)
     assert fresh.ranges.train == (TRAIN_RANGES.train[0], boundary - val_span - INTERVAL)
-    # the retrained module keeps its original settings (and thus base seed)
-    assert fresh.settings == cm.settings
+    # the retrained module records the seed the boundary derived from the original's
+    assert fresh.settings == with_seed(cm.settings, derive_seed(cm.settings.train.seed, asset.key, boundary))
     p1, p2 = tmp_path / "m1.cm", tmp_path / "m2.cm"
     save_cm(fresh, p1)
     save_cm(retrain_module(cm, store, boundary, fill_limit=4), p2)
@@ -729,6 +766,29 @@ def test_each_module_in_force_is_prepared_over_only_the_rows_it_decides(tmp_path
     assert len({id(call[0]) for call in calls}) == 6
     for _, _, prepared, allocated in calls:
         assert prepared == allocated and len(prepared) == 1
+
+
+def test_each_boundary_retrains_the_original_module(tmp_path, monkeypatch):
+    """Boundaries 184 and 208 both take effect: the module in force after the
+    second is the original module retrained at 208, whatever 184 gave."""
+    store, asset, cm = trained_world(tmp_path)
+    cfg = bt_config(assets=[asset.key], start_ts=bar_ts(160), end_ts=bar_ts(223), fee_rate=0.001,
+                    rebalance_interval=6, retrain_days=6)
+    in_force = []
+    prepare = CryptoModule.prepare
+
+    def spy_prepare(self, frame, rows):
+        in_force.append(self)
+        return prepare(self, frame, rows)
+
+    monkeypatch.setattr(CryptoModule, "prepare", spy_prepare)
+    report = run_backtest({asset.key: cm}, cfg, store)
+    assert [ev["ts"] for ev in report.retrain_events] == [bar_ts(184), bar_ts(208)]
+    assert len(in_force) == 3 and in_force[0] is cm
+    save_cm(in_force[2], tmp_path / "in_force.cm")
+    save_cm(retrain_module(cm, store, bar_ts(208), fill_limit=4), tmp_path / "direct.cm")
+    assert (tmp_path / "in_force.cm").read_bytes() == (tmp_path / "direct.cm").read_bytes()
+    assert in_force[2].sam_net.params_flat().tobytes() != in_force[1].sam_net.params_flat().tobytes()
 
 
 def test_backtest_oversized_cadence_equals_static_run(tmp_path):
