@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ENV_DATA_DIR, RunConfig, config_values, load_config, parse_ts
-from .cryptomodule import derive_seed, save_cm, train_cm, with_seed
+from .cryptomodule import WarmupError, derive_seed, save_cm, train_cm, with_seed
 from .datastore import AssetId, CsvStore, atomic_write, csv_text, parse_metrics_csv, parse_ohlcv_csv
 from .errors import ChainfolioError, ConfigError
 from .metrics import SECONDS_PER_DAY, stats_csv
@@ -189,6 +189,10 @@ def _cmd_refine(args, cfg: RunConfig, store: CsvStore) -> int:
     start = parse_ts(args.start) if args.start else cfg.data_ranges().train[0]
     end = _inclusive_end(args.end, cfg.interval) if args.end else cfg.data_ranges().train[1]
     frame = store.align(asset, start, end, cfg.interval, cfg.fill_limit)
+    warmup = cfg.cm.norm_window + cfg.cm.pca_window - 1
+    if args.out and len(frame) < warmup:
+        raise WarmupError(f"refine range covers {len(frame)} bars, within the {warmup}-bar warm-up "
+                          "(norm_window + pca_window - 1): no bar to refine")
     selected = select_valid_metrics(frame, cfg.cm.horizon)
     for name in selected.names:
         freq = selected.frequency[name]

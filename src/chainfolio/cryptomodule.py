@@ -402,7 +402,8 @@ def _run_dqn(
             table.sync(net)
         if (step + 1) % settings.eval_interval == 0:
             checkpoint()
-    checkpoint()
+    if cfg.max_steps % settings.eval_interval:  # the last step's parameters are not scored yet
+        checkpoint()
     np.copyto(net.params, best_params)
     log.info("trained %s for %d steps; best validation score %.6f", arch, cfg.max_steps, best_score)
     return net

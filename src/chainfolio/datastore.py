@@ -225,12 +225,13 @@ class MetricTable:
         codes, ts = self.codes[order], self.ts[order]
         return order, np.concatenate(([False], (codes[1:] == codes[:-1]) & (ts[1:] == ts[:-1])))
 
-    def series(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    def series(self, key_order=None) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Per metric name, in name order: (ascending ts, values).  A
-        timestamp repeated under one name keeps its last value."""
+        timestamp repeated under one name keeps its last value.
+        ``key_order`` is this table's ``_key_order()``, if already taken."""
         if not len(self):
             return {}
-        order, repeat = self._key_order()
+        order, repeat = key_order or self._key_order()
         last = order[~np.append(repeat[1:], False)]
         codes = self.codes[last]
         starts = np.flatnonzero(np.diff(codes, prepend=-1))
@@ -681,7 +682,7 @@ class CsvStore:
         with flocked(self._dir(asset) / ".lock"):
             existing = MetricTable.from_series(self.load_metrics(asset))
             merged = existing.extend(incoming)
-            order, repeat = merged._key_order()
+            order, repeat = key_order = merged._key_order()
             values = merged.values[order]
             # a point overwriting a different value for its (name, ts), in stream order
             over = np.flatnonzero(repeat[1:] & (values[1:] != values[:-1]) & (order[1:] >= len(existing))) + 1
@@ -691,7 +692,7 @@ class CsvStore:
                     asset.key, merged.names[merged.codes[order[j]]], merged.ts[order[j]],
                     float(values[j - 1]), float(values[j]),
                 )
-            series = merged.series()
+            series = merged.series(key_order)
             self._write_metrics(asset, series)
             self._update_manifest(asset, metrics={n: len(ts) for n, (ts, _) in series.items()})
         return counts

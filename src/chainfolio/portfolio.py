@@ -323,6 +323,11 @@ def run_backtest(modules: Mapping[str, CryptoModule], cfg: BacktestConfig, store
     bar at or after its boundary, and a boundary after the last decision bar
     is not retrained.  The bar loop then only marks every bar to market and,
     on decision bars, averages the votes and re-splits holdings at the close.
+
+    The strategy curve marks every bar the same way: the holdings carried
+    into the bar, at its close, before that bar's trade.  So the curve starts
+    at the initial capital, and a fee paid at bar k first shows at bar k + 1,
+    the entry fee at bar 0 included.
     """
     missing = [a for a in cfg.assets if a not in modules]
     if missing:
@@ -364,14 +369,12 @@ def run_backtest(modules: Mapping[str, CryptoModule], cfg: BacktestConfig, store
     events: list[RebalanceEvent] = []
     for k in range(n_bars):
         prices = prices_at[k]
-        value = cash + float(np.dot(units, prices))
+        value = curve[k] = cash + float(np.dot(units, prices))
         if k % cfg.rebalance_interval == 0:
             weights = np.append(units * prices / value, cash / value)
             target = vote_weights(ballots[k // cfg.rebalance_interval])
             units, cash, event = rebalance(value, weights, target, prices, cfg.fee_rate, int(grid[k]))
             events.append(event)
-            value = event.post_value
-        curve[k] = value
 
     curves: dict[str, np.ndarray] = {"strategy": curve}
     for i, asset in enumerate(cfg.assets):

@@ -4,8 +4,9 @@ The pipeline turns a raw pool of per-asset metric series into a compact
 feature matrix:
 
 1. compute k-bar returns of the close price for three horizons,
-2. rank every metric by Pearson correlation against those returns and
-   keep the strongest positive/negative performers per horizon,
+2. correlate every metric with each horizon's returns in one row-wise
+   pass, rank each horizon once by Pearson r, and keep the strongest
+   positive/negative performers per horizon from that one ranking,
 3. rank the union by how many horizons picked each metric,
 4. rolling-normalize the surviving columns, then
 5. rolling PCA keeping the fewest components that explain at least the
@@ -74,40 +75,32 @@ def k_period_returns(close: np.ndarray, k: int) -> np.ndarray:
     return close[k:] / close[:-k] - 1.0
 
 
-def pearson(x: np.ndarray, y: np.ndarray) -> float | None:
-    """Sample Pearson correlation; None when either side has zero variance."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise DataError(f"length mismatch: {x.shape} vs {y.shape}")
-    if x.size < 3:
-        raise DataError("need at least 3 points")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx = float(np.sum(dx * dx))
-    sy = float(np.sum(dy * dy))
-    if sx == 0.0 or sy == 0.0:
-        return None
-    return float(np.sum(dx * dy) / math.sqrt(sx * sy))
-
-
 @dataclass
 class CorrelationTable:
-    """Pearson coefficient per (metric, horizon); None marks undefined."""
+    """Pearson coefficients against each horizon's returns: ``r[i, j]`` for
+    horizon i and metric j, NaN where either side has zero variance, and
+    each horizon's one ranking, ``ranked[h]``: the metrics with defined r,
+    descending r, ties broken by name."""
 
     horizons: tuple[int, ...]
     names: list[str]
-    coefficients: dict[tuple[str, int], float | None]
+    r: np.ndarray
+    ranked: dict[int, list[str]]
+
+    @property
+    def coefficients(self) -> dict[tuple[str, int], float | None]:
+        """Pearson coefficient per (metric, horizon); None marks undefined."""
+        return {(name, h): None if math.isnan(v) else v
+                for h, row in zip(self.horizons, self.r.tolist()) for name, v in zip(self.names, row)}
 
     def rows(self) -> list[tuple[str, int, float | None, int | None]]:
         """(metric, horizon, r, rank) rows; rank is the 1-based position in
-        the horizon's descending-r order, None for undefined r."""
+        the horizon's ranking, None for undefined r."""
+        coefficients = self.coefficients
         out = []
         for h in self.horizons:
-            ranked = _ranked_names(self, h)
-            rank_of = {name: i + 1 for i, name in enumerate(ranked)}
-            for name in self.names:
-                out.append((name, h, self.coefficients[(name, h)], rank_of.get(name)))
+            rank_of = {name: i + 1 for i, name in enumerate(self.ranked[h])}
+            out += [(name, h, coefficients[(name, h)], rank_of.get(name)) for name in self.names]
         return out
 
 
@@ -125,32 +118,32 @@ class SelectedMetricSet:
 
 
 def correlation_table(frame: AlignedFrame, cfg: HorizonConfig) -> CorrelationTable:
-    """Correlate every metric column against each horizon's returns."""
+    """Correlate every metric column against each horizon's returns and rank
+    each horizon once.
+
+    A horizon's coefficients come from one row-wise pass over the metrics
+    as (metrics, bars) rows: each row's sums are the same pairwise sums,
+    so the same bits, as the sample Pearson formula over that one column."""
     t = len(frame)
     max_h = max(cfg.horizons)
     if t < max_h + 3:
         raise DataError(f"frame has {t} rows; need at least {max_h + 3} for horizon {max_h}")
     if not frame.metric_names:
         raise DataError("frame has no metric columns")
-    coefficients: dict[tuple[str, int], float | None] = {}
-    for h in cfg.horizons:
-        rets = k_period_returns(frame.close, h)
-        for j, name in enumerate(frame.metric_names):
-            col = frame.metrics[:, j]
-            if cfg.forward_returns:
-                # metric value at t against the return over (t, t+h]
-                coefficients[(name, h)] = pearson(col[: t - h], rets)
-            else:
-                # metric value at t against the return over (t-h, t]
-                coefficients[(name, h)] = pearson(col[h:], rets)
-    return CorrelationTable(tuple(cfg.horizons), list(frame.metric_names), coefficients)
-
-
-def _ranked_names(table: CorrelationTable, horizon: int) -> list[str]:
-    defined = [(n, table.coefficients[(n, horizon)]) for n in table.names]
-    defined = [(n, r) for n, r in defined if r is not None]
-    defined.sort(key=lambda item: (-item[1], item[0]))
-    return [n for n, _ in defined]
+    columns = np.ascontiguousarray(frame.metrics.T)
+    r = np.full((len(cfg.horizons), len(frame.metric_names)), np.nan)
+    ranked = {}
+    for i, h in enumerate(cfg.horizons):
+        dy = k_period_returns(frame.close, h)
+        dy -= dy.mean()
+        # metric value at t against the return over (t, t+h], or over (t-h, t]
+        x = columns[:, : t - h] if cfg.forward_returns else columns[:, h:]
+        dx = x - x.mean(axis=1, keepdims=True)
+        sx, sy = np.sum(dx * dx, axis=1), np.sum(dy * dy)
+        np.divide(np.sum(dx * dy, axis=1), np.sqrt(sx * sy), out=r[i], where=(sx != 0.0) & (sy != 0.0))
+        defined = [(-v, name) for name, v in zip(frame.metric_names, r[i].tolist()) if not math.isnan(v)]
+        ranked[h] = [name for _, name in sorted(defined)]
+    return CorrelationTable(tuple(cfg.horizons), list(frame.metric_names), r, ranked)
 
 
 def select_from_table(table: CorrelationTable, cfg: HorizonConfig) -> SelectedMetricSet:
@@ -161,31 +154,24 @@ def select_from_table(table: CorrelationTable, cfg: HorizonConfig) -> SelectedMe
     frequency desc, max |r| over defined horizons desc, name asc) and the
     first ``final_count`` survive.
     """
-    groups: dict[int, list[str]] = {}
-    any_defined = False
-    for h in table.horizons:
-        ranked = _ranked_names(table, h)
-        any_defined = any_defined or bool(ranked)
-        picked = ranked[: cfg.top_per_group] + ranked[-cfg.top_per_group:]
-        groups[h] = sorted(set(picked), key=ranked.index)
-    if not any_defined:
+    if not any(table.ranked.values()):
         raise DataError("all correlations undefined; metric pool is degenerate")
-
+    coefficients = table.coefficients
+    top = cfg.top_per_group
     frequency: dict[str, int] = {}
     provenance: dict[str, list[tuple[int, int, int]]] = {}
     for h in table.horizons:
-        ranked = _ranked_names(table, h)
-        for name in groups[h]:
-            r = table.coefficients[(name, h)]
-            frequency[name] = frequency.get(name, 0) + 1
-            sign = 0 if r == 0 else (1 if r > 0 else -1)
-            provenance.setdefault(name, []).append((h, ranked.index(name) + 1, sign))
+        ranked = table.ranked[h]
+        for rank, name in enumerate(ranked, 1):
+            if rank <= top or rank > len(ranked) - top:
+                r = coefficients[(name, h)]
+                frequency[name] = frequency.get(name, 0) + 1
+                sign = 0 if r == 0 else (1 if r > 0 else -1)
+                provenance.setdefault(name, []).append((h, rank, sign))
 
-    def strength(name: str) -> float:
-        vals = [table.coefficients[(name, h)] for h in table.horizons]
-        return max(abs(v) for v in vals if v is not None)
-
-    candidates = sorted(frequency, key=lambda n: (-frequency[n], -strength(n), n))
+    # max |r| over defined horizons; fmax skips NaN
+    strength = dict(zip(table.names, np.fmax.reduce(np.abs(table.r), axis=0).tolist()))
+    candidates = sorted(frequency, key=lambda n: (-frequency[n], -strength[n], n))
     shortfall = len(candidates) < cfg.final_count
     if shortfall:
         log.warning("only %d candidate metrics for final_count=%d", len(candidates), cfg.final_count)

@@ -15,23 +15,29 @@ intervals, one asset row), valid padding, stride 1.  All math is float64
 numpy with explicit backward passes, so gradients can be checked against
 finite differences and parameter vectors serialize bit-exactly.
 
-A network owns one parameter vector, ``QNetwork.params``, and one
-gradient vector of the same shape, ``QNetwork.grads``; each layer's
-``w``, ``b``, ``dw`` and ``db`` are reshaped views into them, laid out
-as ``param_shapes`` lists them.  A training step zeroes, clips and
-updates one vector each, and copying a network copies one vector.
+A network is its affine layers, ``QNetwork.layers``: its ``Conv1D`` and
+``Dense`` layers in order.  ``forward`` applies ReLU in place to every
+output but the head's; ``backward`` builds each ReLU mask from the
+activated output it passes a gradient through, so a forward that never
+backpropagates builds none.  A network owns one parameter vector,
+``QNetwork.params``, and one gradient vector of the same shape,
+``QNetwork.grads``; each layer's ``w``, ``b``, ``dw`` and ``db`` are
+reshaped views into them, laid out as ``param_shapes`` lists them.  A
+training step zeroes, clips and updates one vector each, and copying a
+network copies one vector.
 
 A two-row ``sam-4layer`` net, input (f, 2, n), reads asset row 1 as cash:
 ones in the four price channels, zeros elsewhere, in every state.  Given
 crypto-only states (B, f, 1, n) it supplies that row itself
 (``QNetwork.riskless``), convolves it once per forward and folds it into
 the first dense layer as a bias; (B, f, 2, n) states take the general
-path, and both agree to rounding.  The first dense layer keeps its weight
-columns in the conv output's memory order (asset row, interval, channel),
-so flattening copies nothing.  Parameter vectors in ``.cm`` order
-(``params_flat``) list them (channel, asset row, interval), as before, so
-old modules load; ``_cm_order``, derived from ``param_shapes`` and
-``LAYOUTS``, is the one place that maps the two orders.
+path, and both agree to rounding.  The first dense layer flattens the conv
+output as a view and keeps its weight columns in that output's memory
+order (asset row, interval, channel), so flattening copies nothing.
+Parameter vectors in ``.cm`` order (``params_flat``) list them (channel,
+asset row, interval), as before, so old modules load; ``_cm_order``,
+derived from ``param_shapes`` and ``LAYOUTS``, is the one place that maps
+the two orders.
 
 Results are bit-identical across runs of one version (with the same numpy
 and BLAS), not across versions: reordering float sums, as the shift-and-
@@ -101,42 +107,16 @@ class Conv1D(_Affine):
         return dx.reshape(batch, m, n, c_in).transpose(0, 3, 1, 2)
 
 
-class ReLU:
-    def __init__(self):
-        self._mask = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.maximum(x, 0.0)  # keeps x's memory layout
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        return dy * self._mask
-
-
-class Flatten:
-    """(B, C, m, L) to (B, m * L * C) in channel-last order: a view of a
-    conv output's compact channel-last memory."""
-
-    def __init__(self):
-        self._shape = None
+class Dense(_Affine):
+    """Affine layer.  A conv output (B, C, m, L) is flattened as a view of
+    its channel-last memory, so the weight columns run in (m, L, C) order,
+    and its gradient comes back in the same layout.  Rows one asset row
+    narrower than the weight end with the row that all the others share
+    as their last asset row: its weight block enters once, as a bias."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._shape = x.shape
-        return x.transpose(0, 2, 3, 1).reshape(len(x), -1)
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        batch, c, m, length = self._shape
-        return dy.reshape(batch, m, length, c).transpose(0, 3, 1, 2)
-
-
-class Dense(_Affine):
-    """Affine layer; over a flattened conv output its weight columns run in
-    (m, L, C) order.  Rows one asset row narrower than the weight end with
-    the row that all the others share as their last asset row: its weight
-    block enters once, as a bias."""
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+        x = self._x = x.transpose(0, 2, 3, 1).reshape(len(x), -1) if x.ndim == 4 else x
         d = x.shape[1]
         if d == self.w.shape[1]:
             return x @ self.w.T + self.b
@@ -149,13 +129,17 @@ class Dense(_Affine):
         self.db += total
         if d == self.w.shape[1]:
             self.dw += dy.T @ x
-            return dy @ self.w
-        self.dw[:, :d] += dy.T @ x[:-1]
-        self.dw[:, d:] += np.outer(total, x[-1])
-        dx = np.empty_like(x)
-        dx[:-1] = dy @ self.w[:, :d]
-        dx[-1] = total @ self.w[:, d:]
-        return dx
+            dx = dy @ self.w
+        else:
+            self.dw[:, :d] += dy.T @ x[:-1]
+            self.dw[:, d:] += np.outer(total, x[-1])
+            dx = np.empty_like(x)
+            dx[:-1] = dy @ self.w[:, :d]
+            dx[-1] = total @ self.w[:, d:]
+        if len(self._shape) == 2:
+            return dx
+        batch, c, m, length = self._shape
+        return dx.reshape(batch, m, length, c).transpose(0, 3, 1, 2)
 
 
 class QNetwork:
@@ -177,12 +161,8 @@ class QNetwork:
         self.params, self.grads = np.empty(ends[-1]), np.zeros(ends[-1])
         p, g = ([a.reshape(s) for a, s in zip(np.split(v, ends[:-1]), shapes)] for v in (self.params, self.grads))
         n_conv = 2 * len(LAYOUTS[arch][0])  # conv weights and biases come first
-        layers = []
-        for j in range(0, len(shapes), 2):
-            if j == n_conv:
-                layers.append(Flatten())
-            layers += [(Conv1D if j < n_conv else Dense)(p[j], p[j + 1], g[j], g[j + 1]), ReLU()]
-        self.layers = layers[:-1]  # no ReLU after the output layer
+        self.layers = [(Conv1D if j < n_conv else Dense)(p[j], p[j + 1], g[j], g[j + 1])
+                       for j in range(0, len(shapes), 2)]
         self._cm_order = _cm_order(arch, self.input_shape)
         # He-normal weights and zero biases, drawn in parameter-vector order
         rng = np.random.default_rng(seed)
@@ -197,9 +177,12 @@ class QNetwork:
             x = self._with_riskless_row(x)
         elif x.ndim != 4 or x.shape[1:] != self.input_shape:
             raise DataError(f"batch shape {x.shape} incompatible with input {self.input_shape}")
-        for layer in self.layers:
+        self._acts = []  # each hidden layer's activated output
+        for layer in self.layers[:-1]:
             x = layer.forward(x)
-        return x
+            np.maximum(x, 0.0, out=x)  # ReLU in place keeps x's memory layout
+            self._acts.append(x)
+        return self.layers[-1].forward(x)
 
     def _with_riskless_row(self, x: np.ndarray) -> np.ndarray:
         """(B + 1, f, 1, n): the crypto rows, then the riskless row, as a view
@@ -211,10 +194,13 @@ class QNetwork:
         return rows.transpose(0, 3, 1, 2)
 
     def backward(self, d_out: np.ndarray) -> None:
-        """Accumulate parameter gradients; the gradient with respect to the
-        state itself is never used, so the first layer skips it."""
-        for layer in self.layers[:0:-1]:
+        """Accumulate parameter gradients.  The gradient reaching a hidden
+        layer's output passes ReLU where that output, activated, is
+        positive; the gradient with respect to the state itself is never
+        used, so the first layer skips it."""
+        for layer, act in zip(self.layers[:0:-1], self._acts[::-1]):
             d_out = layer.backward(d_out)
+            d_out *= act > 0
         self.layers[0].backward(d_out, input_grad=False)
 
     def zero_grads(self) -> None:

@@ -852,6 +852,27 @@ def test_cli_refine_writes_table_and_features(tmp_path, capsys):
         assert all(float(x) == float(x) for x in row[2:])  # finite values only
 
 
+def test_cli_refine_out_refuses_a_range_inside_the_warm_up(tmp_path, capsys):
+    """--out over fewer bars than the 19-bar warm-up (norm_window 8 +
+    pca_window 12 - 1) exits 1 with one error naming both counts and
+    writes neither file; 19 bars refine one row."""
+    store = CsvStore(tmp_path / "store")
+    make_asset(store, "AAA", 140, seed=5)
+    table, refined = tmp_path / "table.csv", tmp_path / "refined.csv"
+
+    def refine(last_bar):
+        return main(["--config", small_config(tmp_path), "--data-dir", str(tmp_path / "store"), "refine",
+                     "--asset", "AAA", "--from", str(bar_ts(0)), "--to", str(bar_ts(last_bar)),
+                     "--table", str(table), "--out", str(refined)])
+
+    assert refine(17) == 1
+    err = error_line(capsys.readouterr().err)
+    assert "18 bars" in err and "19-bar warm-up" in err
+    assert not table.exists() and not refined.exists()
+    assert refine(18) == 0
+    assert len(refined.read_text().splitlines()) == 2  # the header and one row
+
+
 def test_cli_output_the_locale_cannot_encode_is_escaped(tmp_path):
     """Under an ASCII locale a selected non-ASCII metric name prints
     backslash-escaped, and the command succeeds without a traceback."""

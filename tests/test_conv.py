@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chainfolio.rlcore.network import CONV_KERNEL, Conv1D, Flatten, ReLU
+from chainfolio.rlcore.network import CONV_KERNEL, Conv1D, Dense
 
 _windows = np.lib.stride_tricks.sliding_window_view
 
@@ -77,22 +77,26 @@ def test_conv_gradients_accumulate_until_zeroed():
 @pytest.mark.parametrize("shape", list(SHAPES))
 def test_conv_output_is_compact_channel_last_and_relu_keeps_it(shape):
     """The next conv reads Conv1D's output as (B, m, L, C) rows without a
-    copy, ReLU's output keeps that memory order, and Flatten is a view of
-    it whose gradient comes back in the same order."""
+    copy, ReLU in place keeps that memory order, and Dense flattens it as a
+    view and returns its gradient in the same order."""
     c_out, c_in, m = SHAPES[shape]
     rng = np.random.default_rng(c_in)
     conv = make_conv(c_in, c_out, rng)
     y = conv.forward(rng.normal(size=(4, c_in, m, 32)))
     assert y.shape == (4, c_out, m, 32 - CONV_KERNEL + 1)
     assert y.transpose(0, 2, 3, 1).flags.c_contiguous
-    relu = ReLU()
-    out = relu.forward(y)
-    assert out.transpose(0, 2, 3, 1).flags.c_contiguous
-    np.testing.assert_array_equal(out, np.where(y > 0, y, 0.0))
-    flatten = Flatten()
-    flat = flatten.forward(out)
-    assert np.shares_memory(flat, out)
-    np.testing.assert_array_equal(flat, out.transpose(0, 2, 3, 1).reshape(4, -1))
-    back = flatten.backward(flat)
+    pre = y.copy()
+    np.maximum(y, 0.0, out=y)
+    assert y.transpose(0, 2, 3, 1).flags.c_contiguous
+    np.testing.assert_array_equal(y, np.where(pre > 0, pre, 0.0))
+    flat = y.transpose(0, 2, 3, 1).reshape(4, -1)
+    w = rng.normal(size=(5, flat.shape[1]))
+    dense = Dense(w, rng.normal(size=5), np.zeros_like(w), np.zeros(5))
+    np.testing.assert_array_equal(dense.forward(y), flat @ w.T + dense.b)
+    assert np.shares_memory(dense._x, y)
+    dy = rng.normal(size=(4, 5))
+    back = dense.backward(dy)
+    assert back.shape == y.shape
     assert back.transpose(0, 2, 3, 1).flags.c_contiguous
-    np.testing.assert_array_equal(back, out)
+    np.testing.assert_array_equal(back.transpose(0, 2, 3, 1).reshape(4, -1), dy @ w)
+    np.testing.assert_array_equal(dense.dw, dy.T @ flat)

@@ -553,6 +553,19 @@ def test_short_budget_training_equals_whole_episode_training(tmp_path, rng, monk
         assert runs[0] == runs[1], max_steps  # the transitions, terminal flags included, and the bytes
 
 
+@pytest.mark.parametrize("max_steps,scores", [(20, 2), (25, 3)])
+def test_each_parameter_set_is_scored_once(rng, monkeypatch, max_steps, scores):
+    """Training checkpoints every eval_interval steps, and after its last
+    step only when that step was not a checkpoint already."""
+    calls = []
+    score = cryptomodule._greedy_score
+    monkeypatch.setattr(cryptomodule, "_greedy_score", lambda *args: (calls.append(1), score(*args))[1])
+    states, rewards = rng.normal(size=(40, 4, 1, 8)), rng.normal(size=(39, 2, 2))
+    settings = replace(SMALL, eval_interval=10, train=replace(SMALL.train, max_steps=max_steps))
+    cryptomodule._run_dqn("sam-4layer", (states, rewards), (states[:12], rewards[:11]), settings, (1, 2, 3))
+    assert len(calls) == scores
+
+
 def test_train_cm_requires_enough_decisions(rng):
     frame = walk_frame(rng)
     tight = DataRanges((bar_ts(0), bar_ts(25)), (bar_ts(26), bar_ts(139)))

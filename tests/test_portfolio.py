@@ -203,7 +203,8 @@ def rigged_cm(symbol, bias, seed=0):
 
 
 def simulate(closes: dict, policies: dict, capital, fee_rate, every):
-    """Independent scalar-arithmetic oracle for the backtest loop."""
+    """Independent scalar-arithmetic oracle for the backtest loop: each bar
+    is marked before its trade."""
     keys = list(closes)
     n = len(closes[keys[0]])
     units = {a: 0.0 for a in keys}
@@ -213,6 +214,7 @@ def simulate(closes: dict, policies: dict, capital, fee_rate, every):
     for k in range(n):
         prices = {a: float(closes[a][k]) for a in keys}
         value = cash + sum(units[a] * prices[a] for a in keys)
+        curve.append(value)
         if k % every == 0:
             target = {a: policies[a](k) / m for a in keys}
             turnover = sum(abs(target[a] - units[a] * prices[a] / value) for a in keys)
@@ -220,8 +222,6 @@ def simulate(closes: dict, policies: dict, capital, fee_rate, every):
             post = value - fee
             units = {a: target[a] * post / prices[a] for a in keys}
             cash = (1.0 - sum(target.values())) * post
-            value = post
-        curve.append(value)
     return np.array(curve)
 
 
@@ -431,7 +431,21 @@ def test_backtest_with_fees_and_sparse_rebalance_matches_simulator(tmp_path):
     assert decision_ts == [bar_ts(3 * i) for i in range(12)]
     for e in report.events:
         k = (e.ts - cfg.start_ts) // INTERVAL
-        assert report.curves["strategy"][k] == e.post_value
+        assert report.curves["strategy"][k] == e.pre_value
+
+
+def test_backtest_entry_fee_counts_in_the_strategy_metrics(tmp_path):
+    """Buying at bar 0 and holding: the curve starts at the capital, so the
+    strategy's ARR is (1 - fee) * P_end / P_0 - 1, and the baseline's has no fee."""
+    store, keys = seed_store(tmp_path, ["AAA"])
+    fee = 0.001
+    cfg = bt_config(assets=keys, start_ts=bar_ts(0), end_ts=bar_ts(30), fee_rate=fee, rebalance_interval=100_000)
+    report = run_backtest({keys[0]: always(CRYPTO)}, cfg, store)
+    closes = store.align(AssetId.parse(keys[0]), cfg.start_ts, cfg.end_ts, INTERVAL, fill_limit=4).close
+    assert report.curves["strategy"][0] == cfg.initial_capital
+    assert [e.fee for e in report.events] == [pytest.approx(fee * cfg.initial_capital, rel=1e-12)]
+    assert report.summary["strategy"].arr == pytest.approx((1.0 - fee) * closes[-1] / closes[0] - 1.0, abs=1e-12)
+    assert report.summary["baseline_AAA"].arr == pytest.approx(closes[-1] / closes[0] - 1.0, abs=1e-12)
 
 
 def test_backtest_fee_monotonicity(tmp_path):
@@ -492,8 +506,8 @@ def test_backtest_through_registry_with_real_module(tmp_path):
 # Report round trip
 
 
-#: ``report/report.json``, written by :func:`fixture_report` at commit
-#: 6ad12a0, before report documents took the typed ``serial`` path.
+#: ``report/report.json``, written by :func:`fixture_report`; rewritten
+#: once, when the strategy curve began marking each bar before its trade.
 REPORT_FIXTURE = Path(__file__).parent / "fixtures" / "report"
 
 

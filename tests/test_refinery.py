@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, assume, strategies as st
 
 from chainfolio import refinery
 from chainfolio.datastore import AlignedFrame, AssetId
@@ -13,7 +12,6 @@ from chainfolio.refinery import (
     HorizonConfig,
     correlation_table,
     k_period_returns,
-    pearson,
     refine_features,
     rolling_normalize,
     rolling_pca,
@@ -67,49 +65,74 @@ def test_k_period_returns_errors():
 # Pearson correlation
 
 
+def scalar_pearson(x, y):
+    """Sample Pearson correlation of one metric column and one return series;
+    None when either side has zero variance."""
+    dx = x - x.mean()
+    dy = y - y.mean()
+    sx, sy = float(np.sum(dx * dx)), float(np.sum(dy * dy))
+    if sx == 0.0 or sy == 0.0:
+        return None
+    return float(np.sum(dx * dy) / math.sqrt(sx * sy))
+
+
 def test_pearson_examples():
-    x = np.arange(10.0)
-    assert pearson(x, 2.0 * x + 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert pearson(x, -x) == pytest.approx(-1.0, abs=1e-12)
-    # hand-computed: sum dx*dy = 4, both sum-of-squares = 5
-    r = pearson(np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 3.0, 2.0, 4.0]))
-    assert r == pytest.approx(0.8, abs=1e-12)
+    # closes 1, 2, 6, 12, 48, 96 have the exact horizon-1 returns below
+    rets = np.array([1.0, 2.0, 1.0, 3.0, 1.0])
+    frame = make_frame([1.0, 2.0, 6.0, 12.0, 48.0, 96.0],
+                       {"up": np.append(2.0 * rets + 1.0, 0.0), "down": np.append(-rets, 0.0), "ramp": np.arange(6.0)})
+    r = correlation_table(frame, HorizonConfig(horizons=(1, 2, 3))).coefficients
+    assert r[("up", 1)] == pytest.approx(1.0, abs=1e-12)
+    assert r[("down", 1)] == pytest.approx(-1.0, abs=1e-12)
+    # hand-computed: sum dx*dy = 1, sums of squares 10 and 3.2
+    assert r[("ramp", 1)] == pytest.approx(1.0 / math.sqrt(32.0), abs=1e-12)
 
 
-def test_pearson_undefined_and_errors():
-    x = np.arange(5.0)
-    assert pearson(x, np.full(5, 3.0)) is None
-    assert pearson(np.zeros(5), x) is None
-    with pytest.raises(DataError):
-        pearson(x, np.arange(4.0))
-    with pytest.raises(DataError):
-        pearson(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+def test_pearson_undefined_and_errors(rng):
+    cfg = HorizonConfig(horizons=(1, 2, 3))
+    doubling = 2.0 ** np.arange(8)  # every horizon's returns are constant
+    table = correlation_table(make_frame(doubling, {"m": rng.normal(size=8)}), cfg)
+    assert table.rows() == [("m", h, None, None) for h in (1, 2, 3)]
+    closes = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.02, 8)))
+    table = correlation_table(make_frame(closes, {"flat": np.full(8, 3.0), "m": rng.normal(size=8)}), cfg)
+    assert [table.coefficients[("flat", h)] for h in (1, 2, 3)] == [None] * 3
+    assert table.ranked == {h: ["m"] for h in (1, 2, 3)}
+    with pytest.raises(DataError):  # 2 pairs at the longest horizon
+        correlation_table(make_frame(closes[:5], {"m": np.arange(5.0)}), cfg)
 
 
-finite_pair = st.integers(3, 40).flatmap(
-    lambda n: st.tuples(
-        st.lists(st.floats(-100.0, 100.0), min_size=n, max_size=n),
-        st.lists(st.floats(-100.0, 100.0), min_size=n, max_size=n),
-    )
-)
-
-
-@given(finite_pair)
-def test_pearson_symmetric_and_bounded(pair):
-    x, y = np.asarray(pair[0]), np.asarray(pair[1])
-    assume(x.std() > 1e-3 and y.std() > 1e-3)
-    r = pearson(x, y)
-    assert abs(r) <= 1.0 + 1e-12
-    assert r == pytest.approx(pearson(y, x), abs=1e-12)
-
-
-@given(finite_pair, st.floats(0.1, 10.0), st.floats(-10.0, 10.0))
-def test_pearson_affine_invariant_and_matches_corrcoef(pair, a, b):
-    x, y = np.asarray(pair[0]), np.asarray(pair[1])
-    assume(x.std() > 1e-3 and y.std() > 1e-3)
-    r = pearson(x, y)
-    assert r == pytest.approx(pearson(a * x + b, y), abs=1e-9)
-    assert r == pytest.approx(float(np.corrcoef(x, y)[0, 1]), abs=1e-10)
+@pytest.mark.parametrize("seed", range(12))
+def test_correlation_table_matches_scalar_formula(seed):
+    """Every coefficient is the scalar formula's, bit for bit, over frames
+    with constant and repeated columns in shuffled name order, in both
+    pairings; it is a correlation, and equal r rank by name."""
+    rng = np.random.default_rng(seed)
+    t, k = int(rng.integers(40, 400)), int(rng.integers(4, 30))
+    closes = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.02, t)))
+    metrics = rng.normal(size=(t, k)) * rng.choice([1e-3, 1.0, 1e4], size=k)
+    metrics[:, 1] = 7.5
+    metrics[:, 3] = metrics[:, 2]  # a tie at every horizon
+    names = [f"m{j:02d}" for j in rng.permutation(k)]
+    frame = AlignedFrame(asset=AssetId("AAA"), timestamps=T0 + INTERVAL * np.arange(t, dtype=np.int64),
+                         ohlcv=np.column_stack([closes] * 4 + [np.ones(t)]), metrics=metrics,
+                         metric_names=names, interval=INTERVAL)
+    for forward in (True, False):
+        cfg = HorizonConfig(horizons=(2, 5, 11), forward_returns=forward)
+        table = correlation_table(frame, cfg)
+        for h in cfg.horizons:
+            rets = k_period_returns(closes, h)
+            for j, name in enumerate(names):
+                col = metrics[: t - h, j] if forward else metrics[h:, j]
+                r = table.coefficients[(name, h)]
+                assert r == scalar_pearson(col, rets)
+                if r is not None:
+                    assert abs(r) <= 1.0 + 1e-12
+                    assert r == pytest.approx(float(np.corrcoef(col, rets)[0, 1]), abs=1e-10)
+            ranked = table.ranked[h]
+            assert ranked == sorted(ranked, key=lambda n: (-table.coefficients[(n, h)], n))
+            assert names[1] not in ranked
+            tied = sorted(names[2:4])
+            assert ranked.index(tied[1]) == ranked.index(tied[0]) + 1
 
 
 # ---------------------------------------------------------------------------

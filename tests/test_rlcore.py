@@ -126,24 +126,127 @@ def _td_loss_only(net, theta, states, actions, targets):
     return float(np.mean(err * err))
 
 
+class ReLULayer:
+    """ReLU as its own layer, keeping its mask from the forward."""
+
+    def forward(self, x):
+        self.mask = x > 0
+        return np.maximum(x, 0.0)
+
+    def backward(self, dy):
+        return dy * self.mask
+
+
+class FlattenLayer:
+    """(B, C, m, L) to (B, m * L * C), a view of channel-last memory."""
+
+    def forward(self, x):
+        self.shape = x.shape
+        return x.transpose(0, 2, 3, 1).reshape(len(x), -1)
+
+    def backward(self, dy):
+        batch, c, m, length = self.shape
+        return dy.reshape(batch, m, length, c).transpose(0, 3, 1, 2)
+
+
+class ChainNet(QNetwork):
+    """A Q-network run as a chain of separate layers: its own conv and dense
+    layers, with a ReLU layer after every one but the head and a flatten
+    layer before the first dense one, each ReLU building its mask in every
+    forward.  The reference for QNetwork's in-place ReLU."""
+
+    def __init__(self, arch, input_shape, seed):
+        super().__init__(arch, input_shape, seed)
+        chain = []
+        for layer in self.layers:
+            if isinstance(layer, Dense) and isinstance(chain[-2], Conv1D):
+                chain.append(FlattenLayer())
+            chain += [layer, ReLULayer()]
+        self.chain = chain[:-1]
+
+    def forward(self, x):
+        if self.riskless is not None and x.shape[1:] == (self.input_shape[0], 1, self.input_shape[2]):
+            x = self._with_riskless_row(x)
+        for layer in self.chain:
+            x = layer.forward(x)
+        return x
+
+    def backward(self, d_out, input_grad=False):
+        for layer in self.chain[:0:-1]:
+            d_out = layer.backward(d_out)
+        return self.chain[0].backward(d_out, input_grad=input_grad)
+
+    def clone(self):
+        twin = ChainNet(self.arch, self.input_shape, self.seed)
+        np.copyto(twin.params, self.params)
+        return twin
+
+
+#: (arch, network input, state shape): the eam-1d net, and the two-row
+#: sam-4layer net given crypto-only states (riskless row supplied) and two-row states
+CHAIN_CASES = [
+    ("eam-1d", (15, 1, 32), (15, 1, 32)),
+    ("sam-4layer", (16, 2, 32), (16, 1, 32)),
+    ("sam-4layer", (16, 2, 32), (16, 2, 32)),
+]
+
+
+@pytest.mark.parametrize("batch", [1, 16, 32, 33])
+@pytest.mark.parametrize("arch,shape,state", CHAIN_CASES)
+def test_forward_and_backward_match_a_chain_of_separate_layers(arch, shape, state, batch, rng):
+    """Outputs and parameter gradients are bit-identical to the layer chain
+    with its own ReLU and flatten layers."""
+    net, chain = QNetwork(arch, shape, seed=3), ChainNet(arch, shape, seed=3)
+    states = rng.normal(size=(batch, *state))
+    d_q = rng.normal(size=(batch, net.n_actions))
+    outputs = []
+    for source in (net, chain):
+        outputs.append(source.forward(states))
+        source.zero_grads()
+        source.backward(d_q)
+    assert np.array_equal(*outputs)
+    assert np.array_equal(net.grads, chain.grads)
+
+
+@pytest.mark.parametrize("arch,shape,state", CHAIN_CASES)
+def test_training_matches_a_chain_of_separate_layers(arch, shape, state):
+    """200 train_steps with target syncs leave the parameters bit-identical
+    to training the layer chain on the same transitions."""
+    rng = np.random.default_rng(8)
+    states = rng.normal(size=(240, *state))
+    cfg = TrainConfig(gamma=0.9, lr=1e-2, batch=32, target_sync=25)
+    nets = [QNetwork(arch, shape, seed=5), ChainNet(arch, shape, seed=5)]
+    tables = [TargetTable(net, states, cfg.batch) for net in nets]
+    buffers = [ReplayBuffer(states, 500, seed=4) for _ in nets]
+    for step in range(232):
+        action, reward = int(rng.integers(nets[0].n_actions)), float(rng.normal())
+        for buffer in buffers:
+            buffer.push(step, action, reward, False)
+        if step >= cfg.batch:
+            for net, table, buffer in zip(nets, tables, buffers):
+                train_step(net, table, buffer.sample(cfg.batch), cfg)
+                if step % cfg.target_sync == 0:
+                    table.sync(net)
+    assert not np.array_equal(nets[0].params, QNetwork(arch, shape, seed=5).params)
+    assert np.array_equal(nets[0].params, nets[1].params)
+
+
 @pytest.mark.parametrize("arch,shape", [("eam-1d", (4, 1, 9)), ("sam-4layer", (6, 2, 9))])
 def test_backward_without_state_gradient_keeps_parameter_gradients(arch, shape, rng):
     """QNetwork.backward skips the first layer's input gradient; every
     parameter gradient is bit-identical to a full chain through each layer."""
     net = QNetwork(arch, shape, seed=3)
+    chain = ChainNet(arch, shape, seed=3)
     states = rng.normal(size=(16, *shape))
     d_q = rng.normal(size=(16, net.n_actions))
     net.forward(states)
     net.zero_grads()
     net.backward(d_q)
-    skipped = net.grads.copy()
-    net.forward(states)
-    net.zero_grads()
-    d = d_q
-    for layer in reversed(net.layers):
-        d = layer.backward(d)
+    chain.forward(states)
+    chain.zero_grads()
+    d = chain.backward(d_q, input_grad=True)
     assert d.shape == states.shape
-    assert np.array_equal(net.grads, skipped)
+    assert np.array_equal(net.grads, chain.grads)
 
 
 @pytest.mark.parametrize("arch,shape", [("eam-1d", (2, 1, 5)), ("sam-4layer", (2, 2, 5))])
