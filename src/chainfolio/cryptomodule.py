@@ -6,17 +6,16 @@ state needed to rebuild its observations from raw bars and metrics alone:
 * the optional signal agent (``eam-1d`` net) emits buy/sell/hold signals
   from windowed OHLCV plus refined metric features;
 * the allocation agent (``sam-4layer`` net) picks the binary cash-vs-
-  crypto split for its asset from a (features x {crypto, cash} x window)
-  tensor, optionally extended with the frozen signal channel.
+  crypto split for its asset from a (features x crypto x window) tensor,
+  optionally extended with the frozen signal channel.
 
 Observation layout: feature channels are open, high, low, close, volume,
 then the padded principal components, then (if enabled) the encoded
 signal.  Prices are expressed as ratios to the window's last close, volume
 as a ratio to the window's mean volume.  A state holds the crypto's asset
-row only, (f, 1, n).  The allocation net's input is (f, 2, n), {crypto,
-cash}, but the cash row is the same constant in every state, so the net
-supplies it itself (``QNetwork.riskless``) and convolves it once per
-forward rather than once per state.
+row only, (f, 1, n), and so does each net's input: a cash row would be
+the same constant in every state, which the first dense layer's bias
+already represents.
 
 ``build_sam_state`` and ``build_eam_state`` are the only state builders:
 each takes an array of frame rows and returns the (B, f, 1, n) states of
@@ -78,7 +77,7 @@ SIGNAL_VALUES = {"buy": 1.0, "hold": 0.0, "sell": -1.0}
 
 _VOLUME_EPS = 1e-8
 
-CM_FORMAT_VERSION = 1
+CM_FORMAT_VERSION = 2
 
 #: rows per batch when building states and taking greedy actions; bounds temporaries
 _DECISION_BATCH = 32
@@ -187,8 +186,7 @@ def build_sam_state(
     n: int,
     signals: np.ndarray | None,
 ) -> np.ndarray:
-    """Allocation-agent states (B, f, 1, n) of the windows ending at ``rows``:
-    the crypto row; the allocation net adds the riskless row.
+    """Allocation-agent states (B, f, 1, n) of the windows ending at ``rows``.
 
     With ``signals`` (one value per frame row, NaN where there is none; None
     without the signal agent) the states gain one channel encoding buy=1,
@@ -371,9 +369,7 @@ def _run_dqn(
     cfg = settings.train
     train_states, train_rewards = train
     net_seed, action_seed, buffer_seed = seeds
-    f, _, n = train_states.shape[1:]
-    # allocation states hold the crypto row; the net's input adds the riskless one
-    net = QNetwork(arch, (f, 2 if arch == "sam-4layer" else 1, n), net_seed)
+    net = QNetwork(arch, train_states.shape[1:], net_seed)
     table = TargetTable(net, train_states, cfg.batch)
     buffer = ReplayBuffer(train_states, settings.buffer_capacity, seed=buffer_seed)
     rng = np.random.default_rng(action_seed)
@@ -508,9 +504,9 @@ def save_cm(cm: CryptoModule, path: str | Path) -> None:
     meta = {name: to_doc(getattr(cm, name)) for name in _HEADER_FIELDS}
     meta.update(cm_version=CM_FORMAT_VERSION, sam=network_meta(cm.sam_net),
                 eam=network_meta(cm.eam_net) if cm.eam_net is not None else None)
-    sections = {"sam_params": params_to_bytes(cm.sam_net.params_flat())}
+    sections = {"sam_params": params_to_bytes(cm.sam_net.params)}
     if cm.eam_net is not None:
-        sections["eam_params"] = params_to_bytes(cm.eam_net.params_flat())
+        sections["eam_params"] = params_to_bytes(cm.eam_net.params)
     write_container(path, meta, sections)
 
 
@@ -526,7 +522,7 @@ def load_cm(path: str | Path, blob: bytes | None = None) -> CryptoModule:
 
 def _module_from_parts(meta: dict, sections: dict[str, bytes]) -> CryptoModule:
     version = meta["cm_version"]
-    if type(version) is not int or version != CM_FORMAT_VERSION:  # JSON true and 1.0 equal 1 too
+    if type(version) is not int or version != CM_FORMAT_VERSION:  # JSON 2.0 equals 2 too
         raise UnsupportedVersionError(f"module version {version} unsupported (expected {CM_FORMAT_VERSION})")
     if meta["use_eam"] != (meta["eam"] is not None):
         raise ContainerFormatError("use_eam does not match the stored signal agent")

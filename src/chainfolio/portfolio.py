@@ -318,11 +318,13 @@ def run_backtest(modules: Mapping[str, CryptoModule], cfg: BacktestConfig, store
     `modules` maps to their trained modules.
 
     Every asset is aligned first.  Then, per asset, every retrain runs and
-    the module in force decides at each decision bar (every
-    `rebalance_interval` bars); a retrain takes effect at the first decision
-    bar at or after its boundary, and a boundary after the last decision bar
-    is not retrained.  The bar loop then only marks every bar to market and,
-    on decision bars, averages the votes and re-splits holdings at the close.
+    the module in force decides at each decision bar: every
+    `rebalance_interval`-th bar from bar 0, up to the second-to-last bar,
+    since a trade at the last bar would show in no curve.  A retrain takes
+    effect at the first decision bar at or after its boundary, and a
+    boundary after the last decision bar is not retrained.  The bar loop
+    then only marks every bar to market and, on decision bars, averages the
+    votes and re-splits holdings at the close.
 
     The strategy curve marks every bar the same way: the holdings carried
     into the bar, at its close, before that bar's trade.  So the curve starts
@@ -334,7 +336,7 @@ def run_backtest(modules: Mapping[str, CryptoModule], cfg: BacktestConfig, store
         raise ConfigError(f"no trained module for: {', '.join(missing)}")
     n_bars = (cfg.end_ts - cfg.start_ts) // cfg.interval + 1
     grid = cfg.start_ts + cfg.interval * np.arange(n_bars, dtype=np.int64)
-    decisions = np.arange(0, n_bars, cfg.rebalance_interval)
+    decisions = np.arange(0, n_bars - 1, cfg.rebalance_interval)
 
     frames = {}
     offsets = {}
@@ -370,7 +372,7 @@ def run_backtest(modules: Mapping[str, CryptoModule], cfg: BacktestConfig, store
     for k in range(n_bars):
         prices = prices_at[k]
         value = curve[k] = cash + float(np.dot(units, prices))
-        if k % cfg.rebalance_interval == 0:
+        if k % cfg.rebalance_interval == 0 and k < n_bars - 1:
             weights = np.append(units * prices / value, cash / value)
             target = vote_weights(ballots[k // cfg.rebalance_interval])
             units, cash, event = rebalance(value, weights, target, prices, cfg.fee_rate, int(grid[k]))

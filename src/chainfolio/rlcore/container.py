@@ -148,5 +148,5 @@ def network_from_parts(doc, params: np.ndarray, arch: str) -> QNetwork:
     if params.size != n_params:
         raise ContainerFormatError(f"expected {n_params} parameters, found {params.size}")
     net = QNetwork(arch, meta.input_shape, meta.seed)
-    net.set_params_flat(params)
+    np.copyto(net.params, params)
     return net

@@ -26,18 +26,10 @@ reshaped views into them, laid out as ``param_shapes`` lists them.  A
 training step zeroes, clips and updates one vector each, and copying a
 network copies one vector.
 
-A two-row ``sam-4layer`` net, input (f, 2, n), reads asset row 1 as cash:
-ones in the four price channels, zeros elsewhere, in every state.  Given
-crypto-only states (B, f, 1, n) it supplies that row itself
-(``QNetwork.riskless``), convolves it once per forward and folds it into
-the first dense layer as a bias; (B, f, 2, n) states take the general
-path, and both agree to rounding.  The first dense layer flattens the conv
-output as a view and keeps its weight columns in that output's memory
-order (asset row, interval, channel), so flattening copies nothing.
-Parameter vectors in ``.cm`` order (``params_flat``) list them (channel,
-asset row, interval), as before, so old modules load; ``_cm_order``,
-derived from ``param_shapes`` and ``LAYOUTS``, is the one place that maps
-the two orders.
+The first dense layer flattens the conv output as a view and keeps its
+weight columns in that output's memory order (asset row, interval,
+channel), so flattening copies nothing.  ``.cm`` files store ``params``
+as it lies in memory.
 
 Results are bit-identical across runs of one version (with the same numpy
 and BLAS), not across versions: reordering float sums, as the shift-and-
@@ -110,32 +102,17 @@ class Conv1D(_Affine):
 class Dense(_Affine):
     """Affine layer.  A conv output (B, C, m, L) is flattened as a view of
     its channel-last memory, so the weight columns run in (m, L, C) order,
-    and its gradient comes back in the same layout.  Rows one asset row
-    narrower than the weight end with the row that all the others share
-    as their last asset row: its weight block enters once, as a bias."""
+    and its gradient comes back in the same layout."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._shape = x.shape
         x = self._x = x.transpose(0, 2, 3, 1).reshape(len(x), -1) if x.ndim == 4 else x
-        d = x.shape[1]
-        if d == self.w.shape[1]:
-            return x @ self.w.T + self.b
-        return x[:-1] @ self.w[:, :d].T + (x[-1] @ self.w[:, d:].T + self.b)
+        return x @ self.w.T + self.b
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        x = self._x
-        d = x.shape[1]
-        total = dy.sum(axis=0)
-        self.db += total
-        if d == self.w.shape[1]:
-            self.dw += dy.T @ x
-            dx = dy @ self.w
-        else:
-            self.dw[:, :d] += dy.T @ x[:-1]
-            self.dw[:, d:] += np.outer(total, x[-1])
-            dx = np.empty_like(x)
-            dx[:-1] = dy @ self.w[:, :d]
-            dx[-1] = total @ self.w[:, d:]
+        self.db += dy.sum(axis=0)
+        self.dw += dy.T @ self._x
+        dx = dy @ self.w
         if len(self._shape) == 2:
             return dx
         batch, c, m, length = self._shape
@@ -152,30 +129,20 @@ class QNetwork:
         self.input_shape = tuple(input_shape)
         self.seed = seed
         self.n_actions = ACTION_COUNTS[arch]
-        f, m, n = self.input_shape
-        self.riskless = None
-        if arch == "sam-4layer" and m == 2:
-            self.riskless = np.zeros((f, 1, n))
-            self.riskless[:4] = 1.0
         ends = np.cumsum([math.prod(s) for s in shapes])
         self.params, self.grads = np.empty(ends[-1]), np.zeros(ends[-1])
         p, g = ([a.reshape(s) for a, s in zip(np.split(v, ends[:-1]), shapes)] for v in (self.params, self.grads))
         n_conv = 2 * len(LAYOUTS[arch][0])  # conv weights and biases come first
         self.layers = [(Conv1D if j < n_conv else Dense)(p[j], p[j + 1], g[j], g[j + 1])
                        for j in range(0, len(shapes), 2)]
-        self._cm_order = _cm_order(arch, self.input_shape)
-        # He-normal weights and zero biases, drawn in parameter-vector order
         rng = np.random.default_rng(seed)
-        draws = [rng.normal(0.0, np.sqrt(2.0 / math.prod(s[1:])), size=s) if len(s) > 1 else np.zeros(s) for s in shapes]
-        self.set_params_flat(np.concatenate([d.ravel() for d in draws]))
+        for a, s in zip(p, shapes):  # He-normal weights and zero biases, drawn in parameter-vector order
+            a[...] = rng.normal(0.0, np.sqrt(2.0 / math.prod(s[1:])), size=s) if len(s) > 1 else 0.0
 
     # -- inference / training ------------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        f, m, n = self.input_shape
-        if self.riskless is not None and x.ndim == 4 and x.shape[1:] == (f, 1, n):
-            x = self._with_riskless_row(x)
-        elif x.ndim != 4 or x.shape[1:] != self.input_shape:
+        if x.ndim != 4 or x.shape[1:] != self.input_shape:
             raise DataError(f"batch shape {x.shape} incompatible with input {self.input_shape}")
         self._acts = []  # each hidden layer's activated output
         for layer in self.layers[:-1]:
@@ -183,15 +150,6 @@ class QNetwork:
             np.maximum(x, 0.0, out=x)  # ReLU in place keeps x's memory layout
             self._acts.append(x)
         return self.layers[-1].forward(x)
-
-    def _with_riskless_row(self, x: np.ndarray) -> np.ndarray:
-        """(B + 1, f, 1, n): the crypto rows, then the riskless row, as a view
-        of the channel-last memory that the first conv reads."""
-        batch, f, _, n = x.shape
-        rows = np.empty((batch + 1, 1, n, f))
-        rows[:batch] = x.transpose(0, 2, 3, 1)
-        rows[batch] = self.riskless.transpose(1, 2, 0)
-        return rows.transpose(0, 3, 1, 2)
 
     def backward(self, d_out: np.ndarray) -> None:
         """Accumulate parameter gradients.  The gradient reaching a hidden
@@ -206,39 +164,16 @@ class QNetwork:
     def zero_grads(self) -> None:
         self.grads.fill(0.0)
 
-    # -- parameter vectors in .cm order ----------------------------------------
+    # -- parameters ------------------------------------------------------------
 
     @property
     def n_params(self) -> int:
         return self.params.size
 
-    def params_flat(self) -> np.ndarray:
-        return self.params[self._cm_order]
-
-    def set_params_flat(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.size != self.n_params:
-            raise DataError(f"expected {self.n_params} parameters, got {flat.size}")
-        self.params[self._cm_order] = flat
-
     def clone(self) -> "QNetwork":
         twin = QNetwork(self.arch, self.input_shape, self.seed)
         np.copyto(twin.params, self.params)
         return twin
-
-
-def _cm_order(arch: str, input_shape: tuple[int, int, int]) -> np.ndarray:
-    """For each entry of a parameter vector in ``.cm`` order, its index in
-    ``QNetwork.params``: the same, except that the first dense weight's
-    columns run (C, m, L) there and (m, L, C) here."""
-    shapes = param_shapes(arch, input_shape)
-    first = 2 * len(LAYOUTS[arch][0])  # the first dense weight follows the convs' weights and biases
-    (d_out, d), c, m = shapes[first], shapes[first - 1][0], input_shape[1]
-    order = np.arange(sum(math.prod(s) for s in shapes))
-    lo = sum(math.prod(s) for s in shapes[:first])
-    w = order[lo : lo + d_out * d]
-    w[:] = w.reshape(d_out, m, d // (c * m), c).transpose(0, 3, 1, 2).ravel()
-    return order
 
 
 ACTION_COUNTS = {"eam-1d": 3, "sam-4layer": 2}

@@ -45,7 +45,7 @@ from chainfolio.rlcore.training import TrainConfig
 from chainfolio.serial import Float64Array, Int64Array, from_doc, to_doc
 
 from _synth import INTERVAL, bar_ts, make_asset
-from test_cryptomodule import reseal
+from test_cryptomodule import FIXTURES, reseal
 
 
 def epoch(y, m, d):
@@ -375,7 +375,7 @@ def allocation_stub(symbol, bias, seed=0):
         window=5,
         train=TrainConfig(seed=seed),
     )
-    net = QNetwork("sam-4layer", (7, 2, 5), seed)
+    net = QNetwork("sam-4layer", (7, 1, 5), seed)
     net.layers[-1].w[...] = 0.0
     net.layers[-1].b[...] = [float(bias[0]), float(bias[1])]
     return CryptoModule(
@@ -660,7 +660,7 @@ def test_cli_registry_add_rejects_mistyped_settings(tmp_path, capsys, field):
 
 def _eam_net_as_sam(meta, sections):
     net = QNetwork("eam-1d", tuple(meta["sam"]["input_shape"]), 5)
-    meta["sam"], sections["sam_params"] = network_meta(net), params_to_bytes(net.params_flat())
+    meta["sam"], sections["sam_params"] = network_meta(net), params_to_bytes(net.params)
 
 
 #: a change to a module's header and sections that gives its allocation agent
@@ -683,6 +683,35 @@ def test_cli_registry_add_rejects_a_network_block_that_does_not_fit_its_role(tmp
     assert main(["--data-dir", str(tmp_path / "d"), "registry", "add", str(path), "--registry", str(registry)]) == 1
     assert message in error_line(capsys.readouterr().err)
     assert not (registry / "AAA-USDT.cm").exists()
+
+
+def test_cli_refuses_a_version_1_module(tmp_path, capsys):
+    """A module of version 1, whose allocation net also read a cash row, is
+    refused by ``registry add`` and by a backtest of a registry that holds
+    it, each with one error line that names the version."""
+    blob = (FIXTURES / "sam.cm").read_bytes()
+    (length,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12 : 12 + length])
+    header["meta"]["cm_version"] = 1
+    v1 = reseal(blob, json.dumps(header).encode())
+    path, registry = tmp_path / "AAA.cm", tmp_path / "registry"
+    path.write_bytes(v1)
+    argv = ["--data-dir", str(tmp_path / "d")]
+    assert main([*argv, "registry", "add", str(path), "--registry", str(registry)]) == 1
+    assert "module version 1 unsupported" in error_line(capsys.readouterr().err)
+    assert not (registry / "AAA-USDT.cm").exists()
+    # a registry whose version 2 module file was replaced by its version 1 bytes, digest included
+    path.write_bytes(blob)
+    assert main([*argv, "registry", "add", str(path), "--registry", str(registry)]) == 0
+    (registry / "AAA-USDT.cm").write_bytes(v1)
+    index = json.loads((registry / "registry.json").read_text())
+    index["entries"]["AAA-USDT"]["sha256"] = hashlib.sha256(v1).hexdigest()
+    (registry / "registry.json").write_text(json.dumps(index))
+    capsys.readouterr()
+    assert main([*argv, "backtest", "--portfolio", "AAA", "--from", str(bar_ts(12)), "--to", str(bar_ts(39)),
+                 "--registry", str(registry), "--out", str(tmp_path / "report")]) == 1
+    assert "module version 1 unsupported" in error_line(capsys.readouterr().err)
+    assert not (tmp_path / "report").exists()
 
 
 def test_cli_train_flag_validation(tmp_path, capsys):

@@ -137,10 +137,6 @@ def test_sam_state_constant_prices_are_ones(rng):
     crypto = states[0, :, 0, :]
     assert np.allclose(crypto[:4], 1.0, atol=1e-12)          # flat prices
     assert np.allclose(crypto[4], 7.0 / (7.0 + 1e-8), atol=1e-12)
-    # the allocation net supplies the cash row: prices are ones, the rest zeros
-    cash = QNetwork("sam-4layer", (7, 2, 5), seed=0).riskless[:, 0, :]
-    assert np.array_equal(cash[:4], np.ones((4, 5)))
-    assert np.array_equal(cash[4:], np.zeros((3, 5)))
 
 
 def test_sam_state_price_normalization_oracle(rng):
@@ -166,9 +162,6 @@ def test_sam_state_signal_channel(rng):
     state = build_sam_state(frame, refined, [t], n, signals)[0]
     assert state.shape == (5 + refined.c_max + 1, 1, n)
     assert np.array_equal(state[-1, 0, :], expect)
-    # the cash row the allocation net supplies carries no signal
-    cash = QNetwork("sam-4layer", (state.shape[0], 2, n), seed=0).riskless[:, 0, :]
-    assert np.array_equal(cash[-1], np.zeros(n))
     # a hole in the signal series inside a window is a warm-up problem,
     # also when only one row of a batch sees it
     signals[t - n] = 1.0
@@ -302,7 +295,7 @@ def rigged_module(frame, bias, seed=0):
         train=TrainConfig(seed=seed),
     )
     names = sorted(frame.metric_names)[:2]
-    net = QNetwork("sam-4layer", (5 + len(names), 2, 5), seed)
+    net = QNetwork("sam-4layer", (5 + len(names), 1, 5), seed)
     head = net.layers[-1]
     head.w[...] = 0.0
     head.b[...] = np.asarray(bias, dtype=np.float64)
@@ -440,7 +433,7 @@ def test_train_cm_from_frame_deterministic(tmp_path, rng):
     save_cm(cm2, p2)
     assert p1.read_bytes() == p2.read_bytes()
     cm3 = train_cm_from_frame(frame, RANGES, with_seed(SMALL, 8), use_eam=False)
-    assert not np.array_equal(cm3.sam_net.params_flat(), cm1.sam_net.params_flat())
+    assert not np.array_equal(cm3.sam_net.params, cm1.sam_net.params)
 
 
 def test_train_cm_with_signal_agent(rng):
@@ -460,8 +453,8 @@ def test_train_cm_with_signal_agent(rng):
     # signal channel widens the observation
     state = build_sam_state(frame, ctx.refined, [first], SMALL.window, ctx.signals)[0]
     assert state.shape[0] == 5 + ctx.refined.c_max + 1
-    # the net's input adds the riskless row to the state's crypto row
-    assert cm.sam_net.input_shape == (state.shape[0], 2, SMALL.window)
+    # the net's input is the state's one crypto row
+    assert cm.sam_net.input_shape == (state.shape[0], 1, SMALL.window)
 
 
 @pytest.mark.parametrize("max_steps", [SMALL.train.max_steps, 20])
@@ -616,7 +609,7 @@ def test_save_load_round_trip_preserves_actions(tmp_path, rng):
     assert loaded.selected_metrics == cm.selected_metrics
     assert loaded.settings == cm.settings
     assert loaded.ranges == cm.ranges
-    assert np.array_equal(loaded.sam_net.params_flat(), cm.sam_net.params_flat())
+    assert np.array_equal(loaded.sam_net.params, cm.sam_net.params)
     ctx_a = cm.prepare(frame, np.arange(len(frame)))
     ctx_b = loaded.prepare(frame, np.arange(len(frame)))
     first = first_decision(ctx_a)
@@ -630,7 +623,7 @@ def test_save_load_round_trip_with_eam(tmp_path, rng):
     path = tmp_path / "module.cm"
     save_cm(cm, path)
     loaded = load_cm(path)
-    assert np.array_equal(loaded.eam_net.params_flat(), cm.eam_net.params_flat())
+    assert np.array_equal(loaded.eam_net.params, cm.eam_net.params)
     ctx_a, ctx_b = cm.prepare(frame, np.arange(len(frame))), loaded.prepare(frame, np.arange(len(frame)))
     assert np.array_equal(ctx_a.signals, ctx_b.signals, equal_nan=True)
 
@@ -647,9 +640,10 @@ def test_load_cm_detects_corruption(tmp_path, rng):
         load_cm(path)
 
 
-@pytest.mark.parametrize("version", [99, True, 1.0, "1"])
+@pytest.mark.parametrize("version", [1, 99, True, 1.0, 2.0, "1"])
 def test_load_cm_rejects_another_module_version(tmp_path, rng, version):
-    """Only the int 1 is version 1: not JSON true or 1.0, which equal 1 in Python."""
+    """Only the int 2 is version 2: not JSON 2.0, which equals 2 in Python.
+    Version 1 modules, whose allocation net read a cash row too, are refused."""
     cm = rigged_module(walk_frame(rng, t=40, n_metrics=2), [1.0, 0.5])
     path = tmp_path / "module.cm"
     save_cm(cm, path)
@@ -685,28 +679,23 @@ def test_load_cm_missing_meta_key_is_format_error(tmp_path, rng, drop):
 
 
 # ---------------------------------------------------------------------------
-# Modules written before the allocation net supplied its riskless row
+# Stored modules
 
 #: ``sam.cm`` (no signal agent) and ``sam_eam.cm`` (signal agent, so the
-#: allocation states carry the signal channel), trained with SMALL on
-#: ``walk_frame(np.random.default_rng(20231))`` by chainfolio at commit
-#: b3cdb84, when states held the cash row.  ``legacy_q.npz`` holds six
-#: states of each net as that version built them, and its Q-values.
+#: allocation states carry the signal channel): ``save_cm`` of
+#: ``train_cm_from_frame(walk_frame(np.random.default_rng(20231)), RANGES,
+#: SMALL, use_eam)`` at ``cm_version`` 2.
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-@pytest.mark.parametrize("name", ["sam", "sam_eam"])
-def test_modules_written_with_two_row_states_load_and_keep_their_q_values(name):
-    cm = load_cm(FIXTURES / f"{name}.cm")
-    legacy = np.load(FIXTURES / "legacy_q.npz")
-    states, q = legacy[f"{name}_states"], legacy[f"{name}_q"]
-    assert cm.sam_net.input_shape == states.shape[1:]
-    # the cash row those states held is the riskless row the net now supplies
-    assert np.array_equal(states[:, :, 1:], np.broadcast_to(cm.sam_net.riskless, states[:, :, 1:].shape))
-    np.testing.assert_allclose(cm.sam_net.forward(states[:, :, :1]), q, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(cm.sam_net.forward(states), q, rtol=1e-12, atol=0)
-    if cm.use_eam:
-        np.testing.assert_allclose(cm.eam_net.forward(legacy["eam_states"]), legacy["eam_q"], rtol=1e-12, atol=0)
+def test_parameter_sections_hold_each_net_as_it_lies_in_memory(tmp_path, rng):
+    """Each .cm section is its net's ``params`` as float64 little-endian
+    bytes, with no reordering."""
+    cm = train_cm_from_frame(walk_frame(rng), RANGES, SMALL, use_eam=True)
+    save_cm(cm, tmp_path / "module.cm")
+    _, sections = decode_container((tmp_path / "module.cm").read_bytes())
+    assert sections["sam_params"] == cm.sam_net.params.astype("<f8").tobytes()
+    assert sections["eam_params"] == cm.eam_net.params.astype("<f8").tobytes()
 
 
 @pytest.mark.parametrize("name", ["sam", "sam_eam"])

@@ -26,7 +26,7 @@ from chainfolio.cryptomodule import (
 )
 from chainfolio.datastore import AssetId, CsvStore
 from chainfolio.errors import ChainfolioError, ConfigError, DataError
-from chainfolio.metrics import stats_csv, write_curves_csv
+from chainfolio.metrics import stats_csv, summarize, write_curves_csv
 from chainfolio.portfolio import (
     BacktestConfig,
     BacktestReport,
@@ -187,7 +187,7 @@ def rigged_cm(symbol, bias, seed=0):
         window=5,
         train=TrainConfig(seed=seed),
     )
-    net = QNetwork("sam-4layer", (7, 2, 5), seed)
+    net = QNetwork("sam-4layer", (7, 1, 5), seed)
     net.layers[-1].w[...] = 0.0
     net.layers[-1].b[...] = np.asarray(bias, dtype=np.float64)
     return CryptoModule(
@@ -239,7 +239,7 @@ def test_registry_add_load_remove(tmp_path):
     assert "AAA-USDT" in reg and reg.assets() == ["AAA-USDT"]
     assert (tmp_path / "reg" / "AAA-USDT.cm").exists()
     loaded = reg.load("AAA-USDT")
-    assert np.array_equal(loaded.sam_net.params_flat(), cm.sam_net.params_flat())
+    assert np.array_equal(loaded.sam_net.params, cm.sam_net.params)
     assert reg.status() == [("AAA-USDT", "AAA-USDT.cm", "ok")]
     reg.remove("AAA")
     assert "AAA-USDT" not in reg
@@ -349,10 +349,10 @@ def test_registry_persistence_and_readd(tmp_path):
     reg.add(src)
     reopened = CmRegistry(tmp_path / "reg")
     assert reopened.assets() == ["AAA-USDT"]
-    first = reopened.load("AAA-USDT").sam_net.params_flat()
+    first = reopened.load("AAA-USDT").sam_net.params
     reopened.remove("AAA-USDT")
     reopened.add(src)
-    assert np.array_equal(reopened.load("AAA-USDT").sam_net.params_flat(), first)
+    assert np.array_equal(reopened.load("AAA-USDT").sam_net.params, first)
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +425,37 @@ def test_backtest_with_fees_and_sparse_rebalance_matches_simulator(tmp_path):
     }
     oracle = simulate(closes, policies, 10_000.0, 0.002, 3)
     assert np.allclose(report.curves["strategy"], oracle, rtol=1e-12, atol=1e-9)
-    # decisions only every third bar
-    assert len(report.action_logs[keys[0]]) == 12
+    # decisions only every third bar, and none at the last bar, 33
+    assert len(report.action_logs[keys[0]]) == 11
     decision_ts = [e.ts for e in report.events]
-    assert decision_ts == [bar_ts(3 * i) for i in range(12)]
+    assert decision_ts == [bar_ts(3 * i) for i in range(11)]
     for e in report.events:
         k = (e.ts - cfg.start_ts) // INTERVAL
         assert report.curves["strategy"][k] == e.pre_value
+
+
+def test_backtest_makes_no_decision_at_the_last_bar(tmp_path):
+    """A trade at the last bar would show in no curve, so at interval 1 the
+    decision bars are all but the last: events and action logs stop one bar
+    short, and the curve and summary equal those of the simulator, which
+    also trades at the last bar.  A one-bar range still has no curve."""
+    store, keys = seed_store(tmp_path, ["AAA", "BBB"])
+    cfg = bt_config(assets=keys, start_ts=bar_ts(0), end_ts=bar_ts(20), fee_rate=0.002)
+    report = run_backtest({keys[0]: flip_every(1), keys[1]: flip_every(2)}, cfg, store)
+    decision_ts = [bar_ts(k) for k in range(20)]
+    assert [e.ts for e in report.events] == decision_ts
+    assert all([ts for ts, _ in report.action_logs[k]] == decision_ts for k in keys)
+    closes = {
+        k: store.align(AssetId.parse(k), cfg.start_ts, cfg.end_ts, INTERVAL, fill_limit=4).close for k in keys
+    }
+    policies = {keys[0]: lambda t: 1 - t % 2, keys[1]: lambda t: 1 - (t // 2) % 2}
+    oracle = simulate(closes, policies, 10_000.0, 0.002, 1)
+    assert np.allclose(report.curves["strategy"], oracle, rtol=1e-12, atol=0)
+    expect = summarize(report.timestamps, oracle)
+    got = report.summary["strategy"]
+    assert (got.arr, got.drr, got.sortino) == pytest.approx((expect.arr, expect.drr, expect.sortino), rel=1e-9)
+    with pytest.raises(DataError, match="at least 2 points"):
+        run_backtest({k: flip_every(1) for k in keys}, replace(cfg, end_ts=cfg.start_ts + 1), store)
 
 
 def test_backtest_entry_fee_counts_in_the_strategy_metrics(tmp_path):
@@ -699,7 +723,7 @@ def test_retrain_module_expands_windows_deterministically(tmp_path):
     save_cm(fresh, p1)
     save_cm(retrain_module(cm, store, boundary, fill_limit=4), p2)
     assert p1.read_bytes() == p2.read_bytes()
-    assert not np.array_equal(fresh.sam_net.params_flat(), cm.sam_net.params_flat())
+    assert not np.array_equal(fresh.sam_net.params, cm.sam_net.params)
 
 
 def test_backtest_retrain_cadence_half_range_fires_once(tmp_path):
@@ -802,7 +826,7 @@ def test_each_boundary_retrains_the_original_module(tmp_path, monkeypatch):
     save_cm(in_force[2], tmp_path / "in_force.cm")
     save_cm(retrain_module(cm, store, bar_ts(208), fill_limit=4), tmp_path / "direct.cm")
     assert (tmp_path / "in_force.cm").read_bytes() == (tmp_path / "direct.cm").read_bytes()
-    assert in_force[2].sam_net.params_flat().tobytes() != in_force[1].sam_net.params_flat().tobytes()
+    assert in_force[2].sam_net.params.tobytes() != in_force[1].sam_net.params.tobytes()
 
 
 def test_backtest_oversized_cadence_equals_static_run(tmp_path):

@@ -1,7 +1,6 @@
 """Tests for the numpy Q-network stack, DQN pieces, and model container."""
 
 import hashlib
-import math
 import struct
 
 import numpy as np
@@ -19,7 +18,7 @@ from chainfolio.rlcore.container import (
     decode_container,
     write_container,
 )
-from chainfolio.rlcore.network import CONV_KERNEL, Conv1D, Dense, QNetwork, param_shapes
+from chainfolio.rlcore.network import Conv1D, Dense, QNetwork, param_shapes
 from chainfolio.rlcore.replay import Batch, ReplayBuffer
 from chainfolio.rlcore.training import DivergenceError, TargetTable, TrainConfig, epsilon_at, epsilon_greedy, train_step
 
@@ -51,9 +50,9 @@ def test_network_action_counts_and_seeding():
     sam = QNetwork("sam-4layer", SAM_SHAPE, seed=7)
     assert eam.n_actions == 3 and sam.n_actions == 2
     twin = QNetwork("eam-1d", EAM_SHAPE, seed=7)
-    assert np.array_equal(eam.params_flat(), twin.params_flat())
+    assert np.array_equal(eam.params, twin.params)
     other = QNetwork("eam-1d", EAM_SHAPE, seed=8)
-    assert not np.array_equal(eam.params_flat(), other.params_flat())
+    assert not np.array_equal(eam.params, other.params)
 
 
 @pytest.mark.parametrize("arch,shape", [("eam-1d", EAM_SHAPE), ("sam-4layer", SAM_SHAPE)])
@@ -165,8 +164,6 @@ class ChainNet(QNetwork):
         self.chain = chain[:-1]
 
     def forward(self, x):
-        if self.riskless is not None and x.shape[1:] == (self.input_shape[0], 1, self.input_shape[2]):
-            x = self._with_riskless_row(x)
         for layer in self.chain:
             x = layer.forward(x)
         return x
@@ -182,22 +179,17 @@ class ChainNet(QNetwork):
         return twin
 
 
-#: (arch, network input, state shape): the eam-1d net, and the two-row
-#: sam-4layer net given crypto-only states (riskless row supplied) and two-row states
-CHAIN_CASES = [
-    ("eam-1d", (15, 1, 32), (15, 1, 32)),
-    ("sam-4layer", (16, 2, 32), (16, 1, 32)),
-    ("sam-4layer", (16, 2, 32), (16, 2, 32)),
-]
+#: (arch, input shape) of the default signal and allocation nets, the latter with the signal channel
+CHAIN_CASES = [("eam-1d", (15, 1, 32)), ("sam-4layer", (16, 1, 32))]
 
 
 @pytest.mark.parametrize("batch", [1, 16, 32, 33])
-@pytest.mark.parametrize("arch,shape,state", CHAIN_CASES)
-def test_forward_and_backward_match_a_chain_of_separate_layers(arch, shape, state, batch, rng):
+@pytest.mark.parametrize("arch,shape", CHAIN_CASES)
+def test_forward_and_backward_match_a_chain_of_separate_layers(arch, shape, batch, rng):
     """Outputs and parameter gradients are bit-identical to the layer chain
     with its own ReLU and flatten layers."""
     net, chain = QNetwork(arch, shape, seed=3), ChainNet(arch, shape, seed=3)
-    states = rng.normal(size=(batch, *state))
+    states = rng.normal(size=(batch, *shape))
     d_q = rng.normal(size=(batch, net.n_actions))
     outputs = []
     for source in (net, chain):
@@ -208,12 +200,12 @@ def test_forward_and_backward_match_a_chain_of_separate_layers(arch, shape, stat
     assert np.array_equal(net.grads, chain.grads)
 
 
-@pytest.mark.parametrize("arch,shape,state", CHAIN_CASES)
-def test_training_matches_a_chain_of_separate_layers(arch, shape, state):
+@pytest.mark.parametrize("arch,shape", CHAIN_CASES)
+def test_training_matches_a_chain_of_separate_layers(arch, shape):
     """200 train_steps with target syncs leave the parameters bit-identical
     to training the layer chain on the same transitions."""
     rng = np.random.default_rng(8)
-    states = rng.normal(size=(240, *state))
+    states = rng.normal(size=(240, *shape))
     cfg = TrainConfig(gamma=0.9, lr=1e-2, batch=32, target_sync=25)
     nets = [QNetwork(arch, shape, seed=5), ChainNet(arch, shape, seed=5)]
     tables = [TargetTable(net, states, cfg.batch) for net in nets]
@@ -271,72 +263,12 @@ def test_backprop_matches_finite_differences(arch, shape, rng):
     net.params[:] = theta
 
 
-def with_riskless_row(net, states):
-    """Crypto-only states (B, f, 1, n) with the net's riskless row written out as row 1."""
-    return np.concatenate([states, np.broadcast_to(net.riskless, states.shape)], axis=2)
-
-
-@pytest.mark.parametrize("batch", [1, 5, 32])
-@pytest.mark.parametrize("f", [15, 16])  # the default allocation states without and with the signal channel
-def test_crypto_only_states_match_states_with_the_riskless_row(f, batch, rng):
-    net = QNetwork("sam-4layer", (f, 2, 32), seed=5)
-    assert np.array_equal(net.riskless[:4], np.ones((4, 1, 32)))
-    assert np.array_equal(net.riskless[4:], np.zeros((f - 4, 1, 32)))
-    states = rng.normal(size=(batch, f, 1, 32))
-    np.testing.assert_allclose(net.forward(states), net.forward(with_riskless_row(net, states)), rtol=1e-12, atol=0)
-
-
-def test_riskless_row_needs_a_two_row_allocation_net(rng):
-    for arch, shape in (("eam-1d", (4, 1, 9)), ("sam-4layer", (4, 1, 9)), ("sam-4layer", (4, 3, 9))):
-        net = QNetwork(arch, shape, seed=0)
-        assert net.riskless is None
-        if shape[1] != 1:
-            with pytest.raises(DataError):
-                net.forward(rng.normal(size=(2, 4, 1, 9)))
-
-
-def test_backprop_on_crypto_only_states_matches_finite_differences(rng):
-    """The riskless row's gradient, summed over the batch and sent back
-    through its one row, against central differences of the TD loss."""
-    net = QNetwork("sam-4layer", (6, 2, 5), seed=11)
-    batch = 3
-    states = rng.normal(size=(batch, 6, 1, 5))
-    actions = rng.integers(net.n_actions, size=batch)
-    targets = rng.normal(size=batch)
-    theta = net.params.copy()
-    _, analytic = _td_loss_grads(net, states, actions, targets)
-    _, explicit = _td_loss_grads(net, with_riskless_row(net, states), actions, targets)
-    np.testing.assert_allclose(analytic, explicit, rtol=1e-9, atol=1e-12)
-    for j in range(theta.size):
-        h = 1e-5 * max(1.0, abs(theta[j]))
-        up, dn = theta.copy(), theta.copy()
-        up[j] += h
-        dn[j] -= h
-        numeric = (
-            _td_loss_only(net, up, states, actions, targets)
-            - _td_loss_only(net, dn, states, actions, targets)
-        ) / (2.0 * h)
-        assert abs(analytic[j] - numeric) <= 1e-4 * max(abs(analytic[j]), abs(numeric), 1e-3)
-    net.params[:] = theta
-
-
-@pytest.mark.parametrize("arch,shape", [("eam-1d", (4, 1, 9)), ("sam-4layer", (6, 2, 9))])
-def test_parameter_vectors_list_the_first_dense_columns_channel_first(arch, shape, rng):
-    """The first dense weight lies in the conv output's memory order (m, L, C);
-    parameter vectors list it (C, m, L), the order of a (B, C, m, L) reshape."""
-    net = QNetwork(arch, shape, seed=2)
-    dense = next(layer for layer in net.layers if isinstance(layer, Dense))
-    shapes = param_shapes(arch, shape)
-    first = next(i for i, s in enumerate(shapes) if len(s) == 2)  # the first dense weight
-    c, m, length = shapes[first - 1][0], shape[1], shape[2] - first // 2 * (CONV_KERNEL - 1)
-    offset = sum(math.prod(s) for s in shapes[:first])
-    stored = net.params_flat()[offset : offset + dense.w.size].reshape(len(dense.w), c, m, length)
-    assert np.array_equal(stored.transpose(0, 2, 3, 1).reshape(dense.w.shape), dense.w)
-    twin = QNetwork(arch, shape, seed=0)
-    twin.set_params_flat(net.params_flat())
-    assert np.array_equal(twin.params_flat(), net.params_flat())
-    states = rng.normal(size=(4, *shape))
-    assert np.array_equal(twin.forward(states), net.forward(states))
+def test_allocation_net_refuses_two_row_states(rng):
+    """The allocation net reads the crypto row only: a state that also
+    writes out a cash row does not fit its input."""
+    net = QNetwork("sam-4layer", (4, 1, 9), seed=0)
+    with pytest.raises(DataError, match="incompatible"):
+        net.forward(rng.normal(size=(2, 4, 2, 9)))
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +372,7 @@ def test_train_step_terminal_ignores_next_state(rng):
     l1 = train_step(net1, TargetTable(net1, next_states, 4), batch, cfg)
     l2 = train_step(net2, TargetTable(net2, other_next_states, 4), batch, cfg)
     assert l1 == l2
-    assert np.array_equal(net1.params_flat(), net2.params_flat())
+    assert np.array_equal(net1.params, net2.params)
 
 
 def test_train_step_converges_on_single_transition(rng):
@@ -462,9 +394,9 @@ def test_train_step_clips_global_gradient_norm(rng):
     # enormous rewards force the unclipped gradient norm far above the cap
     batch, next_states = make_batch(rng, EAM_SHAPE, 1, 4, terminal=True, reward=1e6)
     cfg = TrainConfig(gamma=0.9, lr=1e-3, grad_clip=10.0)
-    before = net.params_flat()
+    before = net.params.copy()
     train_step(net, TargetTable(net, next_states, 4), batch, cfg)
-    step_norm = float(np.linalg.norm(net.params_flat() - before))
+    step_norm = float(np.linalg.norm(net.params - before))
     assert step_norm == pytest.approx(cfg.lr * cfg.grad_clip, rel=1e-9)
 
 
@@ -491,7 +423,7 @@ def test_train_step_empty_batch(rng):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_step_divergence_error(rng):
     net = QNetwork("eam-1d", EAM_SHAPE, seed=6)
-    net.set_params_flat(np.full(net.n_params, 1e200))
+    net.params.fill(1e200)
     batch, next_states = make_batch(rng, EAM_SHAPE, 3, 2)
     with pytest.raises(DivergenceError):
         train_step(net, TargetTable(net, next_states, 2), batch, TrainConfig())
@@ -526,7 +458,7 @@ def test_target_table_sync_is_bit_exact(rng):
     net.layers[-1].b[...] += 1.0
     assert np.array_equal(table.max_q(everything), frozen)
     table.sync(net)
-    assert np.array_equal(table.net.params_flat(), net.params_flat())
+    assert np.array_equal(table.net.params, net.params)
     synced = table.max_q(everything[::-1])[::-1]
     assert np.array_equal(synced, max_q(net))
     assert not np.array_equal(synced, frozen)
@@ -566,7 +498,7 @@ def _reference_step(net, target_net, states, batch, cfg):
 
 
 # the eam-1d and sam-4layer (with signal channel) states of the default settings
-DEFAULT_SHAPES = {"eam-1d": (15, 1, 32), "sam-4layer": (16, 2, 32)}
+DEFAULT_SHAPES = {"eam-1d": (15, 1, 32), "sam-4layer": (16, 1, 32)}
 
 
 @pytest.mark.parametrize("batch_size,capacity", [(16, 1000), (32, 1000), (16, 8)])
@@ -591,15 +523,14 @@ def test_target_table_training_is_bit_identical_to_a_target_forward_every_step(a
         assert train_step(net, table, batch, cfg) == _reference_step(ref_net, ref_target, states, batch, cfg)
         if (step + 1) % cfg.target_sync == 0:
             table.sync(net)
-            ref_target.set_params_flat(ref_net.params_flat())
-    assert np.array_equal(net.params_flat(), ref_net.params_flat())
+            np.copyto(ref_target.params, ref_net.params)
+    assert np.array_equal(net.params, ref_net.params)
 
 
 @pytest.mark.parametrize("batch_size", [16, 32])
 def test_target_table_on_crypto_only_states_is_bit_identical_to_a_target_forward_every_step(batch_size):
-    """As above, with the default allocation net fed crypto-only states, so
-    table fills and per-step forwards both supply the riskless row; a run of
-    identical states puts batches of copies of one state through both."""
+    """As above for the default allocation net, with a run of identical
+    states, which puts batches of copies of one state through both paths."""
     rng = np.random.default_rng(batch_size)
     episode = 45
     states = rng.normal(size=(episode + 1, 16, 1, 32))
@@ -616,8 +547,8 @@ def test_target_table_on_crypto_only_states_is_bit_identical_to_a_target_forward
         assert train_step(net, table, batch, cfg) == _reference_step(ref_net, ref_target, states, batch, cfg)
         if (step + 1) % cfg.target_sync == 0:
             table.sync(net)
-            ref_target.set_params_flat(ref_net.params_flat())
-    assert np.array_equal(net.params_flat(), ref_net.params_flat())
+            np.copyto(ref_target.params, ref_net.params)
+    assert np.array_equal(net.params, ref_net.params)
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +614,7 @@ def test_replay_validation():
 
 def save_net(net, path):
     """A one-network container, written as save_cm writes each network."""
-    write_container(path, network_meta(net), {"params": params_to_bytes(net.params_flat())})
+    write_container(path, network_meta(net), {"params": params_to_bytes(net.params)})
 
 
 def load_net(path, arch):
@@ -698,7 +629,7 @@ def test_network_container_round_trip(tmp_path, rng):
     loaded = load_net(path, "sam-4layer")
     assert loaded.arch == net.arch
     assert loaded.input_shape == net.input_shape
-    assert np.array_equal(loaded.params_flat(), net.params_flat())
+    assert np.array_equal(loaded.params, net.params)
     for _ in range(5):
         s = rand_state(rng, SAM_SHAPE)
         assert np.array_equal(net.forward(s[None])[0], loaded.forward(s[None])[0])
