@@ -40,7 +40,7 @@ from chainfolio.rlcore.container import (
     decode_container,
     write_container,
 )
-from chainfolio.rlcore.network import QNetwork
+from chainfolio.rlcore.network import QNetwork, param_shapes
 from chainfolio.rlcore.replay import ReplayBuffer
 from chainfolio.rlcore.training import TrainConfig
 
@@ -696,6 +696,45 @@ def test_parameter_sections_hold_each_net_as_it_lies_in_memory(tmp_path, rng):
     _, sections = decode_container((tmp_path / "module.cm").read_bytes())
     assert sections["sam_params"] == cm.sam_net.params.astype("<f8").tobytes()
     assert sections["eam_params"] == cm.eam_net.params.astype("<f8").tobytes()
+
+
+def reference_q(arch: str, params: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Q-values of a stored parameter vector, read as the format lays it
+    out: ``param_shapes`` order, valid convolutions tap by tap, ReLU after
+    every hidden layer, and the first dense columns in (row, interval,
+    channel) order."""
+    shapes = param_shapes(arch, states.shape[1:])
+    ends = np.cumsum([math.prod(s) for s in shapes])
+    arrays = [a.reshape(s) for a, s in zip(np.split(params, ends[:-1]), shapes)]
+    x = states
+    for j in range(0, len(arrays), 2):
+        w, b = arrays[j], arrays[j + 1]
+        if w.ndim == 3:  # conv (C_out, C_in, k) over the interval axis
+            k, length = w.shape[2], x.shape[3] - w.shape[2] + 1
+            x = sum(np.einsum("oc,bcml->boml", w[:, :, t], x[..., t : t + length]) for t in range(k))
+            x = x + b[None, :, None, None]
+        else:
+            if x.ndim == 4:
+                x = x.transpose(0, 2, 3, 1).reshape(len(x), -1)
+            x = x @ w.T + b
+        if j + 2 < len(arrays):
+            x = np.maximum(x, 0.0)
+    return x
+
+
+@pytest.mark.parametrize("name", ["sam", "sam_eam"])
+def test_modules_written_earlier_keep_their_q_values(name):
+    """Each stored net computes the Q-values its parameter bytes define."""
+    cm = load_cm(FIXTURES / f"{name}.cm")
+    _, sections = decode_container((FIXTURES / f"{name}.cm").read_bytes())
+    nets = {"sam_params": cm.sam_net}
+    if cm.use_eam:
+        nets["eam_params"] = cm.eam_net
+    rng = np.random.default_rng(6)
+    for section, net in nets.items():
+        states = rng.normal(size=(6, *net.input_shape))
+        stored = np.frombuffer(sections[section], dtype="<f8")
+        np.testing.assert_allclose(net.forward(states), reference_q(net.arch, stored, states), rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["sam", "sam_eam"])

@@ -179,8 +179,9 @@ class ChainNet(QNetwork):
         return twin
 
 
-#: (arch, input shape) of the default signal and allocation nets, the latter with the signal channel
-CHAIN_CASES = [("eam-1d", (15, 1, 32)), ("sam-4layer", (16, 1, 32))]
+#: (arch, input shape) of the default signal net and of the default
+#: allocation net without and with the signal channel
+CHAIN_CASES = [("eam-1d", (15, 1, 32)), ("sam-4layer", (15, 1, 32)), ("sam-4layer", (16, 1, 32))]
 
 
 @pytest.mark.parametrize("batch", [1, 16, 32, 33])
@@ -223,7 +224,7 @@ def test_training_matches_a_chain_of_separate_layers(arch, shape):
     assert np.array_equal(nets[0].params, nets[1].params)
 
 
-@pytest.mark.parametrize("arch,shape", [("eam-1d", (4, 1, 9)), ("sam-4layer", (6, 2, 9))])
+@pytest.mark.parametrize("arch,shape", [("eam-1d", (4, 1, 9)), ("sam-4layer", (6, 1, 9)), ("sam-4layer", (6, 2, 9))])
 def test_backward_without_state_gradient_keeps_parameter_gradients(arch, shape, rng):
     """QNetwork.backward skips the first layer's input gradient; every
     parameter gradient is bit-identical to a full chain through each layer."""
@@ -241,7 +242,7 @@ def test_backward_without_state_gradient_keeps_parameter_gradients(arch, shape, 
     assert np.array_equal(net.grads, chain.grads)
 
 
-@pytest.mark.parametrize("arch,shape", [("eam-1d", (2, 1, 5)), ("sam-4layer", (2, 2, 5))])
+@pytest.mark.parametrize("arch,shape", [("eam-1d", (2, 1, 5)), ("sam-4layer", (2, 1, 5)), ("sam-4layer", (2, 2, 5))])
 def test_backprop_matches_finite_differences(arch, shape, rng):
     net = QNetwork(arch, shape, seed=11)
     batch = 3
@@ -269,6 +270,15 @@ def test_allocation_net_refuses_two_row_states(rng):
     net = QNetwork("sam-4layer", (4, 1, 9), seed=0)
     with pytest.raises(DataError, match="incompatible"):
         net.forward(rng.normal(size=(2, 4, 2, 9)))
+
+
+@pytest.mark.parametrize("arch", ["eam-1d", "sam-4layer"])
+@pytest.mark.parametrize("states", [(4, 1, 9), (2, 5, 1, 9), (2, 4, 1, 8)], ids=["unbatched", "channels", "intervals"])
+def test_forward_refuses_states_of_another_shape(arch, states, rng):
+    """A state batch must be (B, f, 1, n) for a net built for (f, 1, n)."""
+    net = QNetwork(arch, (4, 1, 9), seed=0)
+    with pytest.raises(DataError, match="incompatible"):
+        net.forward(rng.normal(size=states))
 
 
 # ---------------------------------------------------------------------------
