@@ -2,7 +2,7 @@
 
 Format: one `key = value` pair per line, `#` starts a comment, blank
 lines ignored.  Keys are dotted (section.field).  Values are parsed per
-key: integers, floats, booleans (true/false), comma-separated integer
+key: integers, finite floats, booleans (true/false), comma-separated integer
 lists, or date ranges `START:END` where each side is an epoch second,
 a UTC date `YYYY-MM-DD`, or a full ISO timestamp (end exclusive).
 
@@ -19,6 +19,7 @@ backtest March through September 2022, all UTC.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, fields, is_dataclass
 from datetime import datetime, timezone
@@ -135,6 +136,13 @@ def _as_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
+def _as_finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _as_int_tuple(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(p.strip()) for p in text.split(",") if p.strip())
@@ -145,7 +153,7 @@ def _as_int_tuple(text: str) -> tuple[int, ...]:
 #: value parser per field type
 _PARSERS = {
     int: int,
-    float: float,
+    float: _as_finite,
     str: str,
     bool: _as_bool,
     tuple[int, ...]: _as_int_tuple,

@@ -25,6 +25,14 @@ of ``_DECISION_BATCH`` rows, so a row's state is the same bits in both.
 Both refine only the bars their rows read: ``prepare`` the observation
 windows of the rows it decides, training those of its validation episode
 and of the training rows its step budget reaches.
+
+A ``.cm`` file (see ``rlcore.container``) holds a header of the module's
+asset, selected metrics, settings, ranges, bar interval and ``use_eam``,
+then a body of the allocation net's ``params`` and the signal net's, as
+float64 little-endian, as they lie in memory.  Each net's architecture,
+input shape and seed follow from the header (``net_specs``), so the
+file stores none of them, and a loader allocates nothing for a body of
+another length.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence, get_type_hints
+from typing import Sequence
 
 import numpy as np
 
@@ -48,17 +56,8 @@ from .refinery import (
     select_valid_metrics,
     window_rows,
 )
-from .rlcore.container import (
-    ContainerFormatError,
-    UnsupportedVersionError,
-    decode_container,
-    network_from_parts,
-    network_meta,
-    params_from_bytes,
-    params_to_bytes,
-    write_container,
-)
-from .rlcore.network import QNetwork
+from .rlcore.container import ContainerFormatError, decode_container, write_container
+from .rlcore.network import QNetwork, param_shapes
 from .rlcore.replay import ReplayBuffer
 from .rlcore.training import TargetTable, TrainConfig, epsilon_at, epsilon_greedy, train_step
 from .serial import from_doc, to_doc
@@ -77,13 +76,8 @@ SIGNAL_VALUES = {"buy": 1.0, "hold": 0.0, "sell": -1.0}
 
 _VOLUME_EPS = 1e-8
 
-CM_FORMAT_VERSION = 2
-
 #: rows per batch when building states and taking greedy actions; bounds temporaries
 _DECISION_BATCH = 32
-
-#: the CryptoModule fields a ``.cm`` header holds as typed JSON; the nets are stored apart
-_HEADER_FIELDS = ("asset", "selected_metrics", "settings", "ranges", "interval", "use_eam")
 
 
 class WarmupError(DataError):
@@ -134,6 +128,9 @@ class CmSettings:
             raise ConfigError("rolling windows must be >= 2 bars")
         if self.eval_interval <= 0 or self.buffer_capacity <= 0:
             raise ConfigError("eval_interval and buffer_capacity must be positive")
+        if self.buffer_capacity < self.train.batch:  # training starts once the buffer holds a batch
+            raise ConfigError(f"cm.buffer_capacity ({self.buffer_capacity}) must be at least "
+                              f"train.batch ({self.train.batch}), or training never takes a step")
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +226,11 @@ class CryptoModule:
     settings: CmSettings
     ranges: DataRanges
     interval: int
-    use_eam: bool
+
+    @property
+    def use_eam(self) -> bool:
+        """Whether the module has a signal agent."""
+        return self.eam_net is not None
 
     @property
     def warmup_bars(self) -> int:
@@ -350,13 +351,14 @@ def _greedy_score(net: QNetwork, states: np.ndarray, rewards: np.ndarray) -> flo
 
 
 def _run_dqn(
-    arch: str,
+    net: QNetwork,
     train: tuple[np.ndarray, np.ndarray],
     val: tuple[np.ndarray, np.ndarray],
     settings: CmSettings,
     seeds: Sequence[int],
 ) -> QNetwork:
-    """Train one agent and return the checkpoint with the best validation score.
+    """Train the fresh ``net`` of one agent with the exploration and replay
+    ``seeds`` and return it holding the checkpoint with the best validation score.
 
     ``train`` and ``val`` are :func:`_episode` (states, rewards): step j moves
     from state j to j + 1 and earns ``rewards[j, prev, a]``, where prev is
@@ -368,8 +370,7 @@ def _run_dqn(
     """
     cfg = settings.train
     train_states, train_rewards = train
-    net_seed, action_seed, buffer_seed = seeds
-    net = QNetwork(arch, train_states.shape[1:], net_seed)
+    action_seed, buffer_seed = seeds
     table = TargetTable(net, train_states, cfg.batch)
     buffer = ReplayBuffer(train_states, settings.buffer_capacity, seed=buffer_seed)
     rng = np.random.default_rng(action_seed)
@@ -401,7 +402,7 @@ def _run_dqn(
     if cfg.max_steps % settings.eval_interval:  # the last step's parameters are not scored yet
         checkpoint()
     np.copyto(net.params, best_params)
-    log.info("trained %s for %d steps; best validation score %.6f", arch, cfg.max_steps, best_score)
+    log.info("trained %s for %d steps; best validation score %.6f", net.arch, cfg.max_steps, best_score)
     return net
 
 
@@ -419,8 +420,10 @@ def train_cm_from_frame(
     refined features."""
     train_frame = frame.slice(*ranges.train)
     selected = select_valid_metrics(train_frame, settings.horizon)
-    # network, exploration and replay seeds of the signal agent, then of the allocation agent
-    seeds = [derive_seed(settings.train.seed, role) for role in range(6)]
+    nets = [QNetwork(*spec) for spec in net_specs(len(selected.names), settings, use_eam)]
+    sam_net, eam_net = nets[0], nets[1] if use_eam else None
+    # exploration and replay seeds of the signal agent, then of the allocation agent (roles 0 and 3 seed the nets)
+    seeds = [derive_seed(settings.train.seed, role) for role in (1, 2, 4, 5)]
     n = settings.window
     span = 2 * n - 1 if use_eam else n  # bars an allocation decision reads, signals included
     # aligned frames are finite, so a whole-frame refine fits every row past its warm-up
@@ -444,18 +447,13 @@ def train_cm_from_frame(
     def episodes(rows, states_of, reward_table):
         return [_episode(states_of, idx, frame.close, reward_table, settings.reward) for idx in rows]
 
-    eam_net = signals = None
+    signals = None
     if use_eam:
-        eam_net = _run_dqn(
-            "eam-1d", *episodes(eam_rows, lambda r: build_eam_state(frame, refined, r, n), _eam_rewards),
-            settings, seeds[:3],
-        )
+        _run_dqn(eam_net, *episodes(eam_rows, lambda r: build_eam_state(frame, refined, r, n), _eam_rewards),
+                 settings, seeds[:2])
         signals = _greedy_signal_array(eam_net, frame, refined, n)
-
-    sam_net = _run_dqn(
-        "sam-4layer", *episodes(sam_rows, lambda r: build_sam_state(frame, refined, r, n, signals), _sam_rewards),
-        settings, seeds[3:],
-    )
+    _run_dqn(sam_net, *episodes(sam_rows, lambda r: build_sam_state(frame, refined, r, n, signals), _sam_rewards),
+             settings, seeds[2:])
     return CryptoModule(
         asset=frame.asset,
         sam_net=sam_net,
@@ -464,7 +462,6 @@ def train_cm_from_frame(
         settings=settings,
         ranges=ranges,
         interval=frame.interval,
-        use_eam=use_eam,
     )
 
 
@@ -496,45 +493,60 @@ def _require_steps(idx_train: np.ndarray, idx_val: np.ndarray, who: str) -> None
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# The nets of a module, and serialization
+
+
+def net_specs(n_metrics: int, settings: CmSettings, use_eam: bool) -> list[tuple[str, tuple[int, int, int], int]]:
+    """(architecture, input shape, seed) of a module's allocation net and,
+    with the signal agent, its signal net, in ``.cm`` body order.  A state
+    has OHLCV plus one padded component per selected metric, and the
+    allocation net's has the signal channel too."""
+    f, n, seed = 5 + n_metrics, settings.window, settings.train.seed
+    specs = [("sam-4layer", (f + use_eam, 1, n), derive_seed(seed, 3))]
+    if use_eam:
+        specs.append(("eam-1d", (f, 1, n), derive_seed(seed, 0)))
+    return specs
+
+
+#: the fields of a ``.cm`` header and their types; the nets' shapes and seeds follow from them
+_HEADER_FIELDS = {
+    "asset": AssetId, "selected_metrics": list[str], "settings": CmSettings, "ranges": DataRanges,
+    "interval": int, "use_eam": bool,
+}
 
 
 def save_cm(cm: CryptoModule, path: str | Path) -> None:
-    """Write the module as a single checksummed container."""
-    meta = {name: to_doc(getattr(cm, name)) for name in _HEADER_FIELDS}
-    meta.update(cm_version=CM_FORMAT_VERSION, sam=network_meta(cm.sam_net),
-                eam=network_meta(cm.eam_net) if cm.eam_net is not None else None)
-    sections = {"sam_params": params_to_bytes(cm.sam_net.params)}
-    if cm.eam_net is not None:
-        sections["eam_params"] = params_to_bytes(cm.eam_net.params)
-    write_container(path, meta, sections)
+    """Write the module as a single checksummed container: the header
+    fields, then each net's ``params`` as it lies in memory.  Raises
+    ConfigError for a net of another shape than the header implies, so
+    every file written loads."""
+    nets = [net for net in (cm.sam_net, cm.eam_net) if net is not None]
+    for net, (arch, shape, _) in zip(nets, net_specs(len(cm.selected_metrics), cm.settings, cm.use_eam)):
+        if (net.arch, net.input_shape) != (arch, shape):
+            raise ConfigError(f"module has a {net.arch} net of input {net.input_shape}; "
+                              f"its settings give a {arch} net of input {shape}")
+    header = {name: to_doc(getattr(cm, name)) for name in _HEADER_FIELDS}
+    write_container(path, header, b"".join(net.params.astype("<f8").tobytes() for net in nets))
 
 
 def load_cm(path: str | Path, blob: bytes | None = None) -> CryptoModule:
     """Load a module from ``path``, or decode ``blob``, bytes already read
-    from it; raises on bad magic, version, checksum, or header fields."""
-    meta, sections = decode_container(Path(path).read_bytes() if blob is None else blob)
+    from it; raises on bad magic, version, checksum, header fields, or a
+    body whose length the header does not imply."""
+    header, body = decode_container(Path(path).read_bytes() if blob is None else blob)
     try:
-        return _module_from_parts(meta, sections)
+        values = {name: _read_field(name, from_doc, tp, header[name]) for name, tp in _HEADER_FIELDS.items()}
     except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise ContainerFormatError(f"malformed module {path}: bad or missing field {exc}") from None
-
-
-def _module_from_parts(meta: dict, sections: dict[str, bytes]) -> CryptoModule:
-    version = meta["cm_version"]
-    if type(version) is not int or version != CM_FORMAT_VERSION:  # JSON 2.0 equals 2 too
-        raise UnsupportedVersionError(f"module version {version} unsupported (expected {CM_FORMAT_VERSION})")
-    if meta["use_eam"] != (meta["eam"] is not None):
-        raise ContainerFormatError("use_eam does not match the stored signal agent")
-    sam_net = _read_field("sam", network_from_parts, meta["sam"], params_from_bytes(sections["sam_params"]),
-                          "sam-4layer")
-    eam_net = None
-    if meta["eam"] is not None:
-        eam_net = _read_field("eam", network_from_parts, meta["eam"], params_from_bytes(sections["eam_params"]),
-                              "eam-1d")
-    hints = get_type_hints(CryptoModule)
-    header = {name: _read_field(name, from_doc, hints[name], meta[name]) for name in _HEADER_FIELDS}
-    return CryptoModule(sam_net=sam_net, eam_net=eam_net, **header)
+    specs = net_specs(len(values["selected_metrics"]), values["settings"], values.pop("use_eam"))
+    counts = [sum(math.prod(s) for s in param_shapes(arch, shape)) for arch, shape, _ in specs]
+    if len(body) != 8 * sum(counts):  # checked before any array is allocated
+        raise ContainerFormatError(f"malformed module {path}: its header implies {sum(counts)} parameters, "
+                                   f"its body holds {len(body)} bytes")
+    nets = [QNetwork(*spec) for spec in specs]
+    for net, params in zip(nets, np.split(np.frombuffer(body, dtype="<f8"), counts[:1])):  # in body order
+        np.copyto(net.params, params)
+    return CryptoModule(sam_net=nets[0], eam_net=nets[1] if len(nets) > 1 else None, **values)
 
 
 def _read_field(name: str, read, *args):

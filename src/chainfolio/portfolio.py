@@ -362,7 +362,7 @@ def run_backtest(modules: Mapping[str, CryptoModule], cfg: BacktestConfig, store
         votes.append(actions)
         retrain_events += asset_events
     retrain_events.sort(key=lambda ev: ev["ts"])  # boundary by boundary, assets in portfolio order
-    ballots = np.column_stack(votes)  # one row of votes per decision bar
+    ballots = dict(zip(decisions.tolist(), np.column_stack(votes)))  # each decision bar's row of votes
 
     prices_at = np.column_stack([frames[a].close[offsets[a] : offsets[a] + n_bars] for a in cfg.assets])
     units = np.zeros(len(cfg.assets))
@@ -372,9 +372,9 @@ def run_backtest(modules: Mapping[str, CryptoModule], cfg: BacktestConfig, store
     for k in range(n_bars):
         prices = prices_at[k]
         value = curve[k] = cash + float(np.dot(units, prices))
-        if k % cfg.rebalance_interval == 0 and k < n_bars - 1:
+        if k in ballots:
             weights = np.append(units * prices / value, cash / value)
-            target = vote_weights(ballots[k // cfg.rebalance_interval])
+            target = vote_weights(ballots[k])
             units, cash, event = rebalance(value, weights, target, prices, cfg.fee_rate, int(grid[k]))
             events.append(event)
 

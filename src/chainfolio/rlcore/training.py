@@ -32,14 +32,14 @@ class TrainConfig:
     seed: int = 0
     grad_clip: float = 10.0
 
-    def __post_init__(self):
+    def __post_init__(self):  # each check fails for NaN
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigError("gamma must be in [0, 1)")
-        if min(self.lr, self.batch, self.target_sync, self.eps_decay_steps, self.max_steps) <= 0:
+        if not all(v > 0 for v in (self.lr, self.batch, self.target_sync, self.eps_decay_steps, self.max_steps)):
             raise ConfigError("lr, batch, target_sync, eps_decay_steps, max_steps must be positive")
         if not 0.0 <= self.eps_end <= self.eps_start <= 1.0:
             raise ConfigError("need 0 <= eps_end <= eps_start <= 1")
-        if self.grad_clip <= 0:
+        if not self.grad_clip > 0:
             raise ConfigError("grad_clip must be positive")
 
 

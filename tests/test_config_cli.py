@@ -33,19 +33,13 @@ from chainfolio.cryptomodule import CmSettings, CryptoModule, DataRanges, derive
 from chainfolio.datastore import AssetId, CsvStore, MetricTable
 from chainfolio.errors import ConfigError
 from chainfolio.refinery import HorizonConfig
-from chainfolio.rlcore.container import (
-    ContainerFormatError,
-    network_meta,
-    params_to_bytes,
-    decode_container,
-    write_container,
-)
+from chainfolio.rlcore.container import ContainerFormatError, decode_container
 from chainfolio.rlcore.network import QNetwork
 from chainfolio.rlcore.training import TrainConfig
 from chainfolio.serial import Float64Array, Int64Array, from_doc, to_doc
 
 from _synth import INTERVAL, bar_ts, make_asset
-from test_cryptomodule import FIXTURES, reseal
+from test_cryptomodule import FIXTURES, header_of, reseal
 
 
 def epoch(y, m, d):
@@ -263,6 +257,25 @@ def test_load_config_validation():
         load_config(overrides={"split_train": (100, 200)})
 
 
+#: the config keys whose values are floats
+FLOAT_KEYS = [key for key, value in config_values(RunConfig()).items() if type(value) is float]
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_float_keys_refuse_non_finite_values(key, text):
+    assert len(FLOAT_KEYS) == 10
+    with pytest.raises(ConfigError, match=rf"run\.conf:2: bad value for {key}: expected a finite number"):
+        parse_config_text(f"seed = 1\n{key} = {text}\n", source="run.conf")
+
+
+def test_cli_refuses_a_replay_buffer_smaller_than_a_batch(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("cm.buffer_capacity = 4\ntrain.batch = 8\n")
+    assert main(["-c", str(conf), "--data-dir", str(tmp_path / "d"), "train-cm", "--assets", "AAA"]) == 1
+    assert "cm.buffer_capacity (4) must be at least train.batch (8)" in error_line(capsys.readouterr().err)
+
+
 # ---------------------------------------------------------------------------
 # Builders
 
@@ -386,7 +399,6 @@ def allocation_stub(symbol, bias, seed=0):
         settings=settings,
         ranges=DataRanges((bar_ts(0), bar_ts(10)), (bar_ts(11), bar_ts(20))),
         interval=INTERVAL,
-        use_eam=False,
     )
 
 
@@ -604,14 +616,6 @@ def test_cli_registry_remove_of_an_unregistered_asset_creates_nothing(tmp_path, 
 #: container headers that a valid SHA-256 trailer does not make readable
 BROKEN_HEADERS = {
     "not an object": lambda h: [h],
-    "no sections": lambda h: {"meta": h["meta"]},
-    "no meta": lambda h: {"sections": h["sections"]},
-    "sections not a list": lambda h: {**h, "sections": {"sam_params": h["sections"][0]["len"]}},
-    "unnamed section": lambda h: {**h, "sections": [{"len": h["sections"][0]["len"]}]},
-    "name not a string": lambda h: {**h, "sections": [{**h["sections"][0], "name": 7}]},
-    "no len": lambda h: {**h, "sections": [{"name": "sam_params"}]},
-    "negative len": lambda h: {**h, "sections": [{"name": "sam_params", "len": -8}]},
-    "len not an int": lambda h: {**h, "sections": [{**h["sections"][0], "len": float(h["sections"][0]["len"])}]},
 }
 
 
@@ -620,23 +624,20 @@ def test_cli_registry_add_rejects_a_sealed_module_with_a_broken_header(tmp_path,
     path = tmp_path / "AAA.cm"
     save_cm(allocation_stub("AAA", (0.0, 1.0)), path)
     blob = path.read_bytes()
-    (length,) = struct.unpack("<I", blob[8:12])
-    header = BROKEN_HEADERS[broken](json.loads(blob[12 : 12 + length]))
+    header = BROKEN_HEADERS[broken](header_of(blob))
     path.write_bytes(reseal(blob, json.dumps(header).encode()))
     with pytest.raises(ContainerFormatError):
         load_cm(path)
     assert main(["--data-dir", str(tmp_path / "d"), "registry", "add", str(path),
                  "--registry", str(tmp_path / "registry")]) == 1
-    assert "section" in error_line(capsys.readouterr().err)
+    assert "not a JSON object" in error_line(capsys.readouterr().err)
 
 
-#: a field of a re-sealed module header, as a path under ``meta``, and a value of the wrong JSON type for it
+#: a field of a re-sealed module header, as a path in it, and a value of the wrong JSON type for it
 MISTYPED_SETTINGS = {
     "window": (("settings", "window"), 8.0),
     "lr": (("settings", "train", "lr"), True),
     "horizons": (("settings", "horizon", "horizons"), [1.0, 2, 3]),
-    "sam seed": (("sam", "seed"), True),
-    "sam n_actions": (("sam", "n_actions"), 2.0),
 }
 
 
@@ -647,10 +648,9 @@ def test_cli_registry_add_rejects_mistyped_settings(tmp_path, capsys, field):
     path = tmp_path / "AAA.cm"
     save_cm(allocation_stub("AAA", (0.0, 1.0)), path)
     blob = path.read_bytes()
-    (length,) = struct.unpack("<I", blob[8:12])
-    header = json.loads(blob[12 : 12 + length])
+    header = header_of(blob)
     (*parents, name), value = MISTYPED_SETTINGS[field]
-    reduce(dict.__getitem__, parents, header["meta"])[name] = value
+    reduce(dict.__getitem__, parents, header)[name] = value
     path.write_bytes(reseal(blob, json.dumps(header).encode()))
     registry = tmp_path / "registry"
     assert main(["--data-dir", str(tmp_path / "d"), "registry", "add", str(path), "--registry", str(registry)]) == 1
@@ -658,49 +658,46 @@ def test_cli_registry_add_rejects_mistyped_settings(tmp_path, capsys, field):
     assert not (registry / "AAA-USDT.cm").exists()
 
 
-def _eam_net_as_sam(meta, sections):
-    net = QNetwork("eam-1d", tuple(meta["sam"]["input_shape"]), 5)
-    meta["sam"], sections["sam_params"] = network_meta(net), params_to_bytes(net.params)
-
-
-#: a change to a module's header and sections that gives its allocation agent
-#: a network block that does not fit the role, and what the error line says
-MISFIT_NETWORKS = {
-    "sam n_actions 3": (lambda meta, sections: meta["sam"].update(n_actions=3), "does not match"),
-    "eam-1d net as sam": (_eam_net_as_sam, "not 'sam-4layer'"),
+#: a change to a module's header that its body of parameters no longer fits
+MISFIT_HEADERS = {
+    "a metric more": lambda h: h["selected_metrics"].append("extra"),
+    "a metric fewer": lambda h: h["selected_metrics"].pop(),
+    "a wider window": lambda h: h["settings"].update(window=h["settings"]["window"] + 1),
+    "use_eam flipped": lambda h: h.update(use_eam=not h["use_eam"]),
 }
 
 
-@pytest.mark.parametrize("misfit", list(MISFIT_NETWORKS))
-def test_cli_registry_add_rejects_a_network_block_that_does_not_fit_its_role(tmp_path, capsys, misfit):
-    path = tmp_path / "AAA.cm"
-    save_cm(allocation_stub("AAA", (0.0, 1.0)), path)
-    meta, sections = decode_container(path.read_bytes())
-    change, message = MISFIT_NETWORKS[misfit]
-    change(meta, sections)
-    write_container(path, meta, sections)
-    registry = tmp_path / "registry"
+@pytest.mark.parametrize("name", ["sam", "sam_eam"])
+@pytest.mark.parametrize("misfit", list(MISFIT_HEADERS))
+def test_cli_registry_add_rejects_a_header_its_body_does_not_fit(tmp_path, capsys, misfit, name):
+    """The nets' shapes follow from the header, so a header that implies
+    another parameter count than the body holds is refused."""
+    blob = (FIXTURES / f"{name}.cm").read_bytes()
+    header = header_of(blob)
+    MISFIT_HEADERS[misfit](header)
+    path, registry = tmp_path / "AAA.cm", tmp_path / "registry"
+    path.write_bytes(reseal(blob, json.dumps(header).encode()))
     assert main(["--data-dir", str(tmp_path / "d"), "registry", "add", str(path), "--registry", str(registry)]) == 1
-    assert message in error_line(capsys.readouterr().err)
+    _, body = decode_container(blob)
+    assert f"its body holds {len(body)} bytes" in error_line(capsys.readouterr().err)
     assert not (registry / "AAA-USDT.cm").exists()
 
 
 def test_cli_refuses_a_version_1_module(tmp_path, capsys):
-    """A module of version 1, whose allocation net also read a cash row, is
-    refused by ``registry add`` and by a backtest of a registry that holds
-    it, each with one error line that names the version."""
+    """A module file written before format 3 carries container version 1:
+    ``registry add`` refuses it, and so does a backtest of a registry that
+    holds it, each with one error line that names the version."""
     blob = (FIXTURES / "sam.cm").read_bytes()
-    (length,) = struct.unpack("<I", blob[8:12])
-    header = json.loads(blob[12 : 12 + length])
-    header["meta"]["cm_version"] = 1
-    v1 = reseal(blob, json.dumps(header).encode())
+    prefix = bytearray(blob[:-32])
+    struct.pack_into("<H", prefix, 4, 1)
+    v1 = bytes(prefix) + hashlib.sha256(bytes(prefix)).digest()
     path, registry = tmp_path / "AAA.cm", tmp_path / "registry"
     path.write_bytes(v1)
     argv = ["--data-dir", str(tmp_path / "d")]
     assert main([*argv, "registry", "add", str(path), "--registry", str(registry)]) == 1
-    assert "module version 1 unsupported" in error_line(capsys.readouterr().err)
+    assert "version 1 unsupported" in error_line(capsys.readouterr().err)
     assert not (registry / "AAA-USDT.cm").exists()
-    # a registry whose version 2 module file was replaced by its version 1 bytes, digest included
+    # a registry whose format 3 module file was replaced by its version 1 bytes, digest included
     path.write_bytes(blob)
     assert main([*argv, "registry", "add", str(path), "--registry", str(registry)]) == 0
     (registry / "AAA-USDT.cm").write_bytes(v1)
@@ -710,7 +707,7 @@ def test_cli_refuses_a_version_1_module(tmp_path, capsys):
     capsys.readouterr()
     assert main([*argv, "backtest", "--portfolio", "AAA", "--from", str(bar_ts(12)), "--to", str(bar_ts(39)),
                  "--registry", str(registry), "--out", str(tmp_path / "report")]) == 1
-    assert "module version 1 unsupported" in error_line(capsys.readouterr().err)
+    assert "version 1 unsupported" in error_line(capsys.readouterr().err)
     assert not (tmp_path / "report").exists()
 
 

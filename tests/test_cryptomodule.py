@@ -25,6 +25,7 @@ from chainfolio.cryptomodule import (
     build_sam_state,
     derive_seed,
     load_cm,
+    net_specs,
     save_cm,
     train_cm,
     train_cm_from_frame,
@@ -116,6 +117,13 @@ def test_cm_settings_validation():
         CmSettings(window=4)
     with pytest.raises(ConfigError):
         CmSettings(eval_interval=0)
+
+
+def test_cm_settings_refuse_a_replay_buffer_smaller_than_a_batch():
+    """Training steps only once the buffer holds a batch, which a smaller ring never does."""
+    with pytest.raises(ConfigError, match=r"cm\.buffer_capacity \(4\) must be at least train\.batch \(8\)"):
+        CmSettings(buffer_capacity=4, train=TrainConfig(batch=8))
+    assert CmSettings(buffer_capacity=8, train=TrainConfig(batch=8)).buffer_capacity == 8
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +315,6 @@ def rigged_module(frame, bias, seed=0):
         settings=settings,
         ranges=DataRanges((bar_ts(0), bar_ts(10)), (bar_ts(11), bar_ts(20))),
         interval=frame.interval,
-        use_eam=False,
     )
 
 
@@ -391,7 +398,7 @@ def test_warmup_bars_accounting(rng):
     assert cm.warmup_bars == (4 - 1) + (5 - 1) + (5 - 1)
     assert first_decision(cm.prepare(frame, np.arange(len(frame)))) == cm.warmup_bars
     # the signal agent's window adds n - 1 bars before its first signal
-    assert replace(cm, use_eam=True).warmup_bars == cm.warmup_bars + 4
+    assert replace(cm, eam_net=QNetwork("eam-1d", (7, 1, 5), 0)).warmup_bars == cm.warmup_bars + 4
 
 
 def test_allocate_has_no_lookahead(rng):
@@ -466,9 +473,9 @@ def test_training_episodes_equal_one_row_builds(rng, monkeypatch, use_eam, max_s
     monkeypatch.setattr(cryptomodule, "_DECISION_BATCH", 7)  # many uneven batches
     episodes = {}
 
-    def record(arch, train, val, settings, seeds):
-        episodes[arch] = (train[0], val[0])
-        return QNetwork(arch, train[0].shape[1:], seeds[0])  # untrained is enough here
+    def record(net, train, val, settings, seeds):
+        episodes[net.arch] = (train[0], val[0])
+        return net  # untrained is enough here
 
     monkeypatch.setattr(cryptomodule, "_run_dqn", record)
     frame = walk_frame(rng)
@@ -494,7 +501,8 @@ def whole_episode_train_cm(frame, ranges, settings, use_eam):
     selected = select_valid_metrics(frame.slice(*ranges.train), settings.horizon)
     refined = refine_features(frame, selected.names, settings.norm_window, settings.pca_window,
                               settings.variance_target, settings.epsilon, np.arange(len(frame)))
-    seeds = [derive_seed(settings.train.seed, role) for role in range(6)]
+    seeds = [derive_seed(settings.train.seed, role) for role in (1, 2, 4, 5)]
+    nets = [QNetwork(*spec) for spec in net_specs(len(selected.names), settings, use_eam)]
     n = settings.window
 
     def episodes(observable, states_of, reward_table):
@@ -507,15 +515,14 @@ def whole_episode_train_cm(frame, ranges, settings, use_eam):
     observable = refined.valid
     if use_eam:
         eam_net = cryptomodule._run_dqn(
-            "eam-1d", *episodes(observable, lambda rows: build_eam_state(frame, refined, rows, n),
-                                cryptomodule._eam_rewards), settings, seeds[:3])
+            nets[1], *episodes(observable, lambda rows: build_eam_state(frame, refined, rows, n),
+                               cryptomodule._eam_rewards), settings, seeds[:2])
         signals = cryptomodule._greedy_signal_array(eam_net, frame, refined, n)
         observable = observable & ~np.isnan(signals)
     sam_net = cryptomodule._run_dqn(
-        "sam-4layer", *episodes(observable, lambda rows: build_sam_state(frame, refined, rows, n, signals),
-                                cryptomodule._sam_rewards), settings, seeds[3:])
-    return CryptoModule(frame.asset, sam_net, eam_net, list(selected.names), settings, ranges, frame.interval,
-                        use_eam)
+        nets[0], *episodes(observable, lambda rows: build_sam_state(frame, refined, rows, n, signals),
+                           cryptomodule._sam_rewards), settings, seeds[2:])
+    return CryptoModule(frame.asset, sam_net, eam_net, list(selected.names), settings, ranges, frame.interval)
 
 
 @pytest.mark.parametrize("use_eam", [False, True])
@@ -555,7 +562,8 @@ def test_each_parameter_set_is_scored_once(rng, monkeypatch, max_steps, scores):
     monkeypatch.setattr(cryptomodule, "_greedy_score", lambda *args: (calls.append(1), score(*args))[1])
     states, rewards = rng.normal(size=(40, 4, 1, 8)), rng.normal(size=(39, 2, 2))
     settings = replace(SMALL, eval_interval=10, train=replace(SMALL.train, max_steps=max_steps))
-    cryptomodule._run_dqn("sam-4layer", (states, rewards), (states[:12], rewards[:11]), settings, (1, 2, 3))
+    net = QNetwork("sam-4layer", states.shape[1:], 1)
+    cryptomodule._run_dqn(net, (states, rewards), (states[:12], rewards[:11]), settings, (2, 3))
     assert len(calls) == scores
 
 
@@ -580,7 +588,7 @@ def test_train_cm_from_store(tmp_path, rng):
 # ---------------------------------------------------------------------------
 # Serialization
 
-#: the ``settings`` header a .cm of CmSettings() carries since cm_version 1
+#: the ``settings`` header a .cm of CmSettings() carries
 DEFAULT_SETTINGS_JSON = (
     '{"buffer_capacity":10000,"epsilon":1e-08,"eval_interval":500,'
     '"horizon":{"final_count":10,"forward_returns":true,"horizons":[12,24,48],"top_per_group":5},'
@@ -592,7 +600,8 @@ DEFAULT_SETTINGS_JSON = (
 
 
 def test_default_settings_header_bytes_are_pinned(tmp_path, rng):
-    cm = replace(rigged_module(walk_frame(rng, t=40, n_metrics=2), [1.0, 0.5]), settings=CmSettings())
+    cm = replace(rigged_module(walk_frame(rng, t=40, n_metrics=2), [1.0, 0.5]), settings=CmSettings(),
+                 sam_net=QNetwork("sam-4layer", (7, 1, CmSettings().window), 0))
     path = tmp_path / "module.cm"
     save_cm(cm, path)
     assert b'"settings":' + DEFAULT_SETTINGS_JSON.encode() + b"," in path.read_bytes()
@@ -640,42 +649,61 @@ def test_load_cm_detects_corruption(tmp_path, rng):
         load_cm(path)
 
 
-@pytest.mark.parametrize("version", [1, 99, True, 1.0, 2.0, "1"])
-def test_load_cm_rejects_another_module_version(tmp_path, rng, version):
-    """Only the int 2 is version 2: not JSON 2.0, which equals 2 in Python.
-    Version 1 modules, whose allocation net read a cash row too, are refused."""
-    cm = rigged_module(walk_frame(rng, t=40, n_metrics=2), [1.0, 0.5])
-    path = tmp_path / "module.cm"
-    save_cm(cm, path)
-    meta, sections = decode_container(path.read_bytes())
-    meta["cm_version"] = version
-    write_container(path, meta, sections)
-    with pytest.raises(UnsupportedVersionError):
-        load_cm(path)
-
-
-def test_load_cm_rejects_another_container_kind(tmp_path, rng):
+@pytest.mark.parametrize("version", [1, 2, 4])
+def test_load_cm_refuses_a_file_of_another_version(tmp_path, rng, version):
+    """Only format 3 is read; every module file written before it carries
+    version 1 and must be retrained."""
     cm = rigged_module(walk_frame(rng, t=40, n_metrics=2), [1.0, 0.5])
     path = tmp_path / "module.cm"
     save_cm(cm, path)
     prefix = bytearray(path.read_bytes()[:-32])
-    prefix[6] = ord("N")  # the kind byte, re-sealed
+    struct.pack_into("<H", prefix, 4, version)
     path.write_bytes(bytes(prefix) + hashlib.sha256(bytes(prefix)).digest())
-    with pytest.raises(ContainerFormatError, match="expected a 'M' container"):
+    with pytest.raises(UnsupportedVersionError, match=f"version {version} unsupported"):
         load_cm(path)
 
 
-@pytest.mark.parametrize("drop", ["sam", "settings", "cm_version"])
-def test_load_cm_missing_meta_key_is_format_error(tmp_path, rng, drop):
+@pytest.mark.parametrize("drop", ["selected_metrics", "settings", "use_eam"])
+def test_load_cm_missing_header_key_is_format_error(tmp_path, rng, drop):
     frame = walk_frame(rng)
     cm = train_cm_from_frame(frame, RANGES, SMALL, use_eam=False)
     path = tmp_path / "module.cm"
     save_cm(cm, path)
-    meta, sections = decode_container(path.read_bytes())
-    del meta[drop]
-    write_container(path, meta, sections)  # valid checksum, broken schema
-    with pytest.raises(ContainerFormatError):
+    header, body = decode_container(path.read_bytes())
+    del header[drop]
+    write_container(path, header, body)  # valid checksum, broken schema
+    with pytest.raises(ContainerFormatError, match=drop):
         load_cm(path)
+
+
+@pytest.mark.parametrize("use_eam", [False, True])
+def test_derived_nets_are_the_nets_training_builds(rng, use_eam):
+    """A module's header gives the architecture, input shape and seed of
+    each of its trained nets, the allocation net first."""
+    cm = train_cm_from_frame(walk_frame(rng), RANGES, SMALL, use_eam=use_eam)
+    nets = [net for net in (cm.sam_net, cm.eam_net) if net is not None]
+    specs = net_specs(len(cm.selected_metrics), SMALL, use_eam)
+    assert [(net.arch, net.input_shape, net.seed) for net in nets] == specs
+    assert specs[0] == ("sam-4layer", (5 + 3 + use_eam, 1, SMALL.window), derive_seed(SMALL.train.seed, 3))
+    assert specs[1:] == ([("eam-1d", (5 + 3, 1, SMALL.window), derive_seed(SMALL.train.seed, 0))] if use_eam else [])
+
+
+def test_save_cm_refuses_nets_its_header_does_not_give(tmp_path, rng):
+    """Every file save_cm writes loads: a net of another architecture or
+    input shape than the module's settings, metrics and signal agent give
+    is refused before anything is written."""
+    cm = rigged_module(walk_frame(rng, t=40, n_metrics=2), [1.0, 0.5])
+    path = tmp_path / "module.cm"
+    misfits = [
+        replace(cm, selected_metrics=cm.selected_metrics[:1]),
+        replace(cm, settings=replace(cm.settings, window=6)),
+        replace(cm, sam_net=QNetwork("eam-1d", (7, 1, 5), 0)),
+        replace(cm, eam_net=QNetwork("eam-1d", (7, 1, 5), 0)),  # the allocation net lacks the signal channel
+    ]
+    for misfit in misfits:
+        with pytest.raises(ConfigError, match="its settings give"):
+            save_cm(misfit, path)
+        assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -684,18 +712,17 @@ def test_load_cm_missing_meta_key_is_format_error(tmp_path, rng, drop):
 #: ``sam.cm`` (no signal agent) and ``sam_eam.cm`` (signal agent, so the
 #: allocation states carry the signal channel): ``save_cm`` of
 #: ``train_cm_from_frame(walk_frame(np.random.default_rng(20231)), RANGES,
-#: SMALL, use_eam)`` at ``cm_version`` 2.
+#: SMALL, use_eam)`` in format 3.
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def test_parameter_sections_hold_each_net_as_it_lies_in_memory(tmp_path, rng):
-    """Each .cm section is its net's ``params`` as float64 little-endian
-    bytes, with no reordering."""
+def test_body_holds_each_net_as_it_lies_in_memory(tmp_path, rng):
+    """A .cm body is the allocation net's ``params`` and then the signal
+    net's, as float64 little-endian bytes, with no reordering."""
     cm = train_cm_from_frame(walk_frame(rng), RANGES, SMALL, use_eam=True)
     save_cm(cm, tmp_path / "module.cm")
-    _, sections = decode_container((tmp_path / "module.cm").read_bytes())
-    assert sections["sam_params"] == cm.sam_net.params.astype("<f8").tobytes()
-    assert sections["eam_params"] == cm.eam_net.params.astype("<f8").tobytes()
+    _, body = decode_container((tmp_path / "module.cm").read_bytes())
+    assert body == cm.sam_net.params.astype("<f8").tobytes() + cm.eam_net.params.astype("<f8").tobytes()
 
 
 def reference_q(arch: str, params: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -726,20 +753,19 @@ def reference_q(arch: str, params: np.ndarray, states: np.ndarray) -> np.ndarray
 def test_modules_written_earlier_keep_their_q_values(name):
     """Each stored net computes the Q-values its parameter bytes define."""
     cm = load_cm(FIXTURES / f"{name}.cm")
-    _, sections = decode_container((FIXTURES / f"{name}.cm").read_bytes())
-    nets = {"sam_params": cm.sam_net}
-    if cm.use_eam:
-        nets["eam_params"] = cm.eam_net
+    _, body = decode_container((FIXTURES / f"{name}.cm").read_bytes())
+    stored = np.frombuffer(body, dtype="<f8")
     rng = np.random.default_rng(6)
-    for section, net in nets.items():
+    for net in (cm.sam_net, cm.eam_net)[: 1 + cm.use_eam]:  # in body order
         states = rng.normal(size=(6, *net.input_shape))
-        stored = np.frombuffer(sections[section], dtype="<f8")
-        np.testing.assert_allclose(net.forward(states), reference_q(net.arch, stored, states), rtol=1e-10, atol=1e-12)
+        params, stored = stored[: net.n_params], stored[net.n_params :]
+        np.testing.assert_allclose(net.forward(states), reference_q(net.arch, params, states), rtol=1e-10, atol=1e-12)
+    assert stored.size == 0
 
 
 @pytest.mark.parametrize("name", ["sam", "sam_eam"])
 def test_modules_written_earlier_save_back_to_the_same_bytes(tmp_path, name):
-    """The kind byte, the header and its network blocks keep their format."""
+    """The framing, the header and the body keep their format."""
     save_cm(load_cm(FIXTURES / f"{name}.cm"), tmp_path / "module.cm")
     assert (tmp_path / "module.cm").read_bytes() == (FIXTURES / f"{name}.cm").read_bytes()
 
@@ -748,11 +774,17 @@ def test_modules_written_earlier_save_back_to_the_same_bytes(tmp_path, name):
 # Damaged module files
 
 
+def header_of(blob: bytes) -> dict:
+    """The header JSON of container ``blob``, after its 10-byte prefix."""
+    (length,) = struct.unpack("<I", blob[6:10])
+    return json.loads(blob[10 : 10 + length])
+
+
 def reseal(blob: bytes, header: bytes) -> bytes:
     """Container ``blob`` with its header JSON replaced by ``header`` and a
     valid SHA-256 trailer."""
-    (length,) = struct.unpack("<I", blob[8:12])
-    prefix = blob[:8] + struct.pack("<I", len(header)) + header + blob[12 + length : -32]
+    (length,) = struct.unpack("<I", blob[6:10])
+    prefix = blob[:6] + struct.pack("<I", len(header)) + header + blob[10 + length : -32]
     return prefix + hashlib.sha256(prefix).digest()
 
 
@@ -792,8 +824,7 @@ def test_damaged_module_files_raise_only_typed_errors(fuzz_path, data):
         if data.draw(st.booleans()):  # past the checksum, into the parser
             blob = blob[:-32] + hashlib.sha256(blob[:-32]).digest()
     else:
-        (length,) = struct.unpack("<I", blob[8:12])
-        header = json.loads(blob[12 : 12 + length])
+        header = header_of(blob)
         path = data.draw(st.sampled_from(list(_json_paths(header))))
         if not path:
             header = data.draw(_JSON)
@@ -811,16 +842,3 @@ def test_damaged_module_files_raise_only_typed_errors(fuzz_path, data):
         load_cm(fuzz_path)
     except ChainfolioError:
         pass
-
-
-@pytest.mark.parametrize("name", ["sam", "sam_eam"])
-def test_load_cm_rejects_use_eam_without_its_signal_agent(tmp_path, name):
-    """A flipped ``use_eam`` flag fails at load, not as a raw AttributeError in prepare."""
-    blob = (FIXTURES / f"{name}.cm").read_bytes()
-    (length,) = struct.unpack("<I", blob[8:12])
-    header = json.loads(blob[12 : 12 + length])
-    header["meta"]["use_eam"] = not header["meta"]["use_eam"]
-    path = tmp_path / "module.cm"
-    path.write_bytes(reseal(blob, json.dumps(header).encode()))
-    with pytest.raises(ContainerFormatError, match="use_eam"):
-        load_cm(path)

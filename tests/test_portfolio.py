@@ -198,7 +198,6 @@ def rigged_cm(symbol, bias, seed=0):
         settings=settings,
         ranges=DataRanges((bar_ts(0), bar_ts(10)), (bar_ts(11), bar_ts(20))),
         interval=INTERVAL,
-        use_eam=False,
     )
 
 

@@ -11,10 +11,6 @@ from chainfolio.rlcore.container import (
     ChecksumMismatchError,
     ContainerFormatError,
     UnsupportedVersionError,
-    network_from_parts,
-    network_meta,
-    params_from_bytes,
-    params_to_bytes,
     decode_container,
     write_container,
 )
@@ -450,6 +446,13 @@ def test_train_config_validation():
         TrainConfig(grad_clip=0.0)
 
 
+@pytest.mark.parametrize("name", ["gamma", "lr", "eps_start", "eps_end", "grad_clip"])
+def test_train_config_refuses_nan(name):
+    """NaN fails every comparison, so each check is written to fail with it."""
+    with pytest.raises(ConfigError):
+        TrainConfig(**{name: float("nan")})
+
+
 # ---------------------------------------------------------------------------
 # Target-value table
 
@@ -622,78 +625,62 @@ def test_replay_validation():
 # Container serialization
 
 
-def save_net(net, path):
-    """A one-network container, written as save_cm writes each network."""
-    write_container(path, network_meta(net), {"params": params_to_bytes(net.params)})
+HEADER, BODY = {"note": [1, "two"]}, bytes(range(40))
 
 
-def load_net(path, arch):
-    meta, sections = decode_container(path.read_bytes())
-    return network_from_parts(meta, params_from_bytes(sections["params"]), arch)
+def sealed(prefix: bytes) -> bytes:
+    return prefix + hashlib.sha256(prefix).digest()
 
 
-def test_network_container_round_trip(tmp_path, rng):
-    net = QNetwork("sam-4layer", SAM_SHAPE, seed=3)
-    path = tmp_path / "net.crlm"
-    save_net(net, path)
-    loaded = load_net(path, "sam-4layer")
-    assert loaded.arch == net.arch
-    assert loaded.input_shape == net.input_shape
-    assert np.array_equal(loaded.params, net.params)
-    for _ in range(5):
-        s = rand_state(rng, SAM_SHAPE)
-        assert np.array_equal(net.forward(s[None])[0], loaded.forward(s[None])[0])
+def test_container_round_trip_and_layout(tmp_path):
+    path = tmp_path / "box.crlm"
+    write_container(path, HEADER, BODY)
+    blob = path.read_bytes()
+    assert decode_container(blob) == (HEADER, BODY)
+    header = b'{"note":[1,"two"]}'
+    assert blob == sealed(b"CRLM" + struct.pack("<HI", 3, len(header)) + header + BODY)
 
 
 def test_container_writing_is_deterministic(tmp_path):
-    net = QNetwork("eam-1d", EAM_SHAPE, seed=9)
     p1, p2 = tmp_path / "a.crlm", tmp_path / "b.crlm"
-    save_net(net, p1)
-    save_net(net, p2)
+    write_container(p1, HEADER, BODY)
+    write_container(p2, dict(HEADER), bytes(BODY))
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_container_detects_corruption(tmp_path):
-    net = QNetwork("eam-1d", EAM_SHAPE, seed=9)
-    path = tmp_path / "net.crlm"
-    save_net(net, path)
+    path = tmp_path / "box.crlm"
+    write_container(path, HEADER, BODY)
     blob = bytearray(path.read_bytes())
     blob[len(blob) // 2] ^= 0xFF
-    path.write_bytes(bytes(blob))
     with pytest.raises(ChecksumMismatchError):
-        load_net(path, "eam-1d")
+        decode_container(bytes(blob))
 
 
-def test_container_rejects_future_version(tmp_path):
-    net = QNetwork("eam-1d", EAM_SHAPE, seed=9)
-    path = tmp_path / "net.crlm"
-    save_net(net, path)
-    prefix = bytearray(path.read_bytes()[:-32])
-    struct.pack_into("<H", prefix, 4, 2)  # bump the version field
-    path.write_bytes(bytes(prefix) + hashlib.sha256(bytes(prefix)).digest())
-    with pytest.raises(UnsupportedVersionError):
-        load_net(path, "eam-1d")
-
-
-def test_container_kind_and_structure_checks(tmp_path):
+@pytest.mark.parametrize("version", [0, 1, 2, 4, 0xFFFF])
+def test_container_rejects_another_version(tmp_path, version):
+    """Only version 3 is read; files written before it carry version 1."""
     path = tmp_path / "box.crlm"
-    write_container(path, {"note": 1}, {"blob": b"\x01\x02"})
-    assert decode_container(path.read_bytes()) == ({"note": 1}, {"blob": b"\x01\x02"})
-    assert path.read_bytes()[6:7] == b"M"  # the one payload kind
+    write_container(path, HEADER, BODY)
     prefix = bytearray(path.read_bytes()[:-32])
-    prefix[6] = ord("N")  # another kind byte, re-sealed
-    (tmp_path / "kind.crlm").write_bytes(bytes(prefix) + hashlib.sha256(bytes(prefix)).digest())
-    with pytest.raises(ContainerFormatError, match="found 'N'"):
-        decode_container((tmp_path / "kind.crlm").read_bytes())
-    (tmp_path / "junk.crlm").write_bytes(b"JUNKJUNKJUNK")
+    struct.pack_into("<H", prefix, 4, version)
+    with pytest.raises(UnsupportedVersionError, match=f"version {version} unsupported"):
+        decode_container(sealed(bytes(prefix)))
+
+
+def test_container_structure_checks(tmp_path):
+    path = tmp_path / "box.crlm"
+    write_container(path, HEADER, BODY)
+    blob = path.read_bytes()
     with pytest.raises(ContainerFormatError):
-        decode_container((tmp_path / "junk.crlm").read_bytes())
-    truncated = path.read_bytes()[:-1]
-    (tmp_path / "trunc.crlm").write_bytes(truncated)
+        decode_container(b"JUNKJUNKJUNK")
     with pytest.raises(ChecksumMismatchError):
-        decode_container((tmp_path / "trunc.crlm").read_bytes())
-    # extra body byte with a fixed-up digest breaks the section table
-    prefix = path.read_bytes()[:-32] + b"x"
-    (tmp_path / "extra.crlm").write_bytes(prefix + hashlib.sha256(prefix).digest())
-    with pytest.raises(ContainerFormatError):
-        decode_container((tmp_path / "extra.crlm").read_bytes())
+        decode_container(blob[:-1])
+    # a header length that runs into the trailer, with a fixed-up digest
+    prefix = bytearray(blob[:-32])
+    struct.pack_into("<I", prefix, 6, len(prefix) - 9)
+    with pytest.raises(ContainerFormatError, match="runs past"):
+        decode_container(sealed(bytes(prefix)))
+    for header in (b"[1]", b"{", b"\xff"):
+        with pytest.raises(ContainerFormatError):
+            decode_container(sealed(b"CRLM" + struct.pack("<HI", 3, len(header)) + header))
