@@ -1,4 +1,5 @@
-"""Checksummed binary container for trained modules (magic ``CRLM``).
+"""Checksummed binary container (magic ``CRLM``) of a JSON header and a
+body: the format of module files (``.cm``) and of store sidecars.
 
 Layout, all integers little-endian:
 
@@ -10,8 +11,10 @@ Layout, all integers little-endian:
     10+H    ...   body bytes
     end-32  32    SHA-256 digest of every preceding byte
 
-Version 3 is the only version read; every file written before it carries
-version 1 and is refused.  Writing is fully deterministic: identical
+Version 3 is the only version read.  A module file written before it
+carries version 1 and is refused; a store sidecar of another version (or
+one written before sidecars were containers) is stale, so a load parses
+its CSV once and rewrites it.  Writing is fully deterministic: identical
 headers and bodies give identical bytes.
 """
 
@@ -20,10 +23,8 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from pathlib import Path
 
-from ..datastore import atomic_write
-from ..errors import SerializationError
+from .errors import SerializationError
 
 MAGIC = b"CRLM"
 VERSION = 3
@@ -48,10 +49,6 @@ def encode_container(header: dict, body: bytes) -> bytes:
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     prefix = _PREFIX.pack(MAGIC, VERSION, len(header_bytes)) + header_bytes + body
     return prefix + hashlib.sha256(prefix).digest()
-
-
-def write_container(path: str | Path, header: dict, body: bytes) -> None:
-    atomic_write(path, [encode_container(header, body)])
 
 
 def decode_container(blob: bytes) -> tuple[dict, bytes]:

@@ -26,7 +26,7 @@ Both refine only the bars their rows read: ``prepare`` the observation
 windows of the rows it decides, training those of its validation episode
 and of the training rows its step budget reaches.
 
-A ``.cm`` file (see ``rlcore.container``) holds a header of the module's
+A ``.cm`` file (see ``container``) holds a header of the module's
 asset, selected metrics, settings, ranges, bar interval and ``use_eam``,
 then a body of the allocation net's ``params`` and the signal net's, as
 float64 little-endian, as they lie in memory.  Each net's architecture,
@@ -46,7 +46,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .datastore import AlignedFrame, AssetId, CsvStore
+from .container import ContainerFormatError, decode_container, encode_container
+from .datastore import AlignedFrame, AssetId, CsvStore, atomic_write
 from .errors import ConfigError, DataError
 from .refinery import (
     HorizonConfig,
@@ -56,7 +57,6 @@ from .refinery import (
     select_valid_metrics,
     window_rows,
 )
-from .rlcore.container import ContainerFormatError, decode_container, write_container
 from .rlcore.network import QNetwork, param_shapes
 from .rlcore.replay import ReplayBuffer
 from .rlcore.training import TargetTable, TrainConfig, epsilon_at, epsilon_greedy, train_step
@@ -526,7 +526,7 @@ def save_cm(cm: CryptoModule, path: str | Path) -> None:
             raise ConfigError(f"module has a {net.arch} net of input {net.input_shape}; "
                               f"its settings give a {arch} net of input {shape}")
     header = {name: to_doc(getattr(cm, name)) for name in _HEADER_FIELDS}
-    write_container(path, header, b"".join(net.params.astype("<f8").tobytes() for net in nets))
+    atomic_write(path, [encode_container(header, b"".join(net.params.astype("<f8").tobytes() for net in nets))])
 
 
 def load_cm(path: str | Path, blob: bytes | None = None) -> CryptoModule:

@@ -1,14 +1,14 @@
 """File-backed store for OHLCV bars and on-chain metric series.
 
 Storage layout is a plain directory tree, one subdirectory per asset,
-holding two CSV files, a numpy sidecar beside each, and a JSON manifest
-that indexes the assets:
+holding two CSV files, a container sidecar beside each, and a JSON
+manifest that indexes the assets:
 
     <root>/manifest.json
     <root>/BTC-USDT/ohlcv.csv          header: ts,open,high,low,close,volume
     <root>/BTC-USDT/ohlcv.csv.cols     sidecar: ts, ohlcv
     <root>/BTC-USDT/metrics.csv        header: ts,name,value
-    <root>/BTC-USDT/metrics.csv.cols   sidecar: names, count per name, ts, values
+    <root>/BTC-USDT/metrics.csv.cols   sidecar: count per name, ts, values
     <root>/BTC-USDT/.lock              flock held across each ingest of the asset
     <root>/.manifest.lock              flock held across each manifest update
 
@@ -27,15 +27,17 @@ only when its ``version`` is the expected int (not true, not 1.0), and
 
 The CSVs are the source of truth.  A sidecar (``<csv>.cols``) caches the
 parsed columns of its CSV so that a load need not parse text again: it is
-a run of ``np.save`` records holding the SHA-256 of the CSV bytes it was
-made from, the SHA-256 of its own column records, then the columns.  A
-load hashes the CSV and uses the sidecar only when both digests match;
-in any other case (no sidecar, a CSV changed since, a damaged sidecar) it
-parses the CSV, logs why at INFO and rewrites the sidecar.  A load thus
-returns what parsing the current CSV returns.  The CSV digest sits in the
-sidecar, not in the manifest, so one ``os.replace`` ties it to the columns
-it vouches for, whichever of two racing writers moves last; a stale
-sidecar that a load racing an ingest leaves, the next load replaces.
+a CRLM container (see ``container``) whose header holds the SHA-256 of
+the CSV bytes it was made from, the metric names and each column's dtype
+and shape, and whose body holds the column bytes.  A load hashes the CSV
+and uses the sidecar only when it decodes, its CSV digest matches and its
+header describes its body; in any other case (no sidecar, a CSV changed
+since, a damaged sidecar or one of another format) it parses the CSV,
+logs why at INFO and rewrites the sidecar.  A load thus returns what
+parsing the current CSV returns.  The CSV digest sits in the sidecar, not
+in the manifest, so one ``os.replace`` ties it to the columns it vouches
+for, whichever of two racing writers moves last; a stale sidecar that a
+load racing an ingest leaves, the next load replaces.
 
 Columns are the only record type: the parsers return, and ingestion
 takes, a :class:`BarTable` or a :class:`MetricTable`, and alignment works
@@ -53,6 +55,7 @@ import io
 import itertools
 import json
 import logging
+import math
 import os
 import threading
 from contextlib import contextmanager
@@ -62,7 +65,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .container import decode_container, encode_container
+from .errors import ConfigError, DataError, SerializationError
 
 log = logging.getLogger(__name__)
 
@@ -201,7 +205,7 @@ class MetricTable:
 
     @classmethod
     def from_series(cls, series: dict[str, tuple[np.ndarray, np.ndarray]]) -> "MetricTable":
-        names, counts, ts, values = _series_columns(series)
+        names, (counts, ts, values) = _series_columns(series)
         return cls(ts, np.repeat(np.arange(len(names)), counts), names, values)
 
     def __len__(self) -> int:
@@ -255,15 +259,14 @@ class MetricTable:
         return MetricTable(self.ts, codes, list(code), self.values)
 
 
-def _series_columns(series: dict[str, tuple[np.ndarray, np.ndarray]]) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """Names, count per name, and ts and values in (name, ts) order of a
-    :meth:`MetricTable.series` dict."""
-    return (
-        list(series),
+def _series_columns(series: dict[str, tuple[np.ndarray, np.ndarray]]) -> tuple[list[str], list[np.ndarray]]:
+    """Names, and the count per name and the ts and values in (name, ts)
+    order of a :meth:`MetricTable.series` dict."""
+    return list(series), [
         np.array([len(ts) for ts, _ in series.values()], dtype=np.int64),
         np.concatenate([np.zeros(0, dtype=np.int64), *(ts for ts, _ in series.values())]),
         np.concatenate([np.zeros(0), *(values for _, values in series.values())]),
-    )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -508,40 +511,17 @@ def read_json(path: Path, what: str, version: int) -> dict:
     return doc
 
 
-#: file name suffix of the numpy sidecar beside each store CSV
+#: file name suffix of the container sidecar beside each store CSV
 SIDECAR_SUFFIX = ".cols"
-#: layout of the sidecars' column records; a change makes old sidecars stale
-_SIDECAR_LAYOUT = 1
 
 
-def _npy(array: np.ndarray) -> bytes:
-    buf = io.BytesIO()
-    np.save(buf, array, allow_pickle=False)
-    return buf.getvalue()
-
-
-def _digest_record(digest: bytes) -> bytes:
-    return _npy(np.frombuffer(digest, dtype=np.uint8))
-
-
-def _columns_digest(csv_path: Path, body) -> bytes:
-    """SHA-256 of a sidecar's column records, keyed by its CSV's name and the layout."""
-    digest = hashlib.sha256(f"{csv_path.name}/{_SIDECAR_LAYOUT}\n".encode())
-    digest.update(body)
-    return digest.digest()
-
-
-def _sidecar_path(csv_path: Path) -> Path:
-    return csv_path.with_name(csv_path.name + SIDECAR_SUFFIX)
-
-
-def _write_sidecar(csv_path: Path, csv_digest: bytes, columns: list[np.ndarray]) -> None:
-    """Write the sidecar of the CSV whose bytes hash to ``csv_digest``.  A
-    failure is only a warning: loads then parse the CSV."""
-    body = b"".join(map(_npy, columns))
+def _write_sidecar(csv_path: Path, csv_digest: str, names: list[str], columns: list[np.ndarray]) -> None:
+    """Write the sidecar of the CSV whose bytes have the SHA-256 hex digest
+    ``csv_digest``.  A failure is only a warning: loads then parse the CSV."""
+    header = {"csv": csv_digest, "names": names, "columns": [[col.dtype.str, list(col.shape)] for col in columns]}
+    body = b"".join(col.tobytes() for col in columns)
     try:
-        atomic_write(_sidecar_path(csv_path),
-                     [_digest_record(csv_digest), _digest_record(_columns_digest(csv_path, body)), body])
+        atomic_write(f"{csv_path}{SIDECAR_SUFFIX}", [encode_container(header, body)])
     except OSError as exc:
         log.warning("%s: sidecar not written, loads parse the CSV: %s", csv_path, exc)
 
@@ -553,9 +533,9 @@ def csv_text(rows: Iterable[list]) -> str:
     return buf.getvalue()
 
 
-def _write_csv(path: Path, texts: Iterable[str], columns: list[np.ndarray]) -> None:
+def _write_csv(path: Path, texts: Iterable[str], names: list[str], columns: list[np.ndarray]) -> None:
     """Write a store CSV, one piece of text at a time, then its sidecar
-    holding ``columns``: what parsing the CSV gives."""
+    holding ``names`` and ``columns``: what parsing the CSV gives."""
     digest = hashlib.sha256()
 
     def hashed():
@@ -565,36 +545,34 @@ def _write_csv(path: Path, texts: Iterable[str], columns: list[np.ndarray]) -> N
             yield data
 
     atomic_write(path, hashed())
-    _write_sidecar(path, digest.digest(), columns)
+    _write_sidecar(path, digest.hexdigest(), names, columns)
 
 
-def _read_sidecar(csv_path: Path, csv_digest: bytes) -> tuple[list[np.ndarray] | None, str]:
-    """The columns in the CSV's sidecar if it is intact and was made from CSV
-    bytes with SHA-256 ``csv_digest``; else None and why not."""
+def _read_sidecar(csv_path: Path, csv_digest: str, fits) -> tuple[tuple[list[str], list[np.ndarray]] | None, str]:
+    """The names and columns in the CSV's sidecar if it is an intact container
+    made from CSV bytes with SHA-256 hex digest ``csv_digest`` whose header
+    describes its body and ``fits(names, *columns)``; else None and why not."""
     try:
-        data = _sidecar_path(csv_path).read_bytes()
+        header, body = decode_container(Path(f"{csv_path}{SIDECAR_SUFFIX}").read_bytes())
     except FileNotFoundError:
         return None, "no sidecar"
-    except OSError as exc:
+    except (OSError, SerializationError) as exc:  # damaged, or of another format
         return None, f"sidecar unreadable ({exc})"
-    head = _digest_record(csv_digest)
-    n = len(head)
-    if data[:n] != head:
+    if header.get("csv") != csv_digest:
         return None, "sidecar was made from other CSV bytes"
-    if data[n : 2 * n] != _digest_record(_columns_digest(csv_path, memoryview(data)[2 * n :])):
-        return None, "sidecar is damaged"
-    fh = io.BytesIO(data)
-    fh.seek(2 * n)
-    columns = []
-    while fh.tell() < len(data):
-        columns.append(np.load(fh, allow_pickle=False))
-    return columns, ""
-
-
-def _metric_columns(series: dict[str, tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
-    """A series dict as sidecar columns: names (JSON text), count per name, ts, values."""
-    names, counts, ts, values = _series_columns(series)
-    return [np.frombuffer(json.dumps(names).encode(), dtype=np.uint8), counts, ts, values]
+    try:
+        names, columns, at = header["names"], [], 0
+        for dtype, shape in header["columns"]:
+            if dtype not in ("<i8", "<f8") or not all(type(n) is int and n >= 0 for n in shape):
+                raise ValueError(f"column {dtype!r} of shape {shape!r}")
+            count = math.prod(shape)
+            columns.append(np.frombuffer(body, dtype, count, at).reshape(shape).copy())  # writable, as parsed
+            at += 8 * count
+        if at != len(body) or type(names) is not list or not fits(names, *columns):
+            raise ValueError("columns do not fit the body or one another")
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
+        return None, f"sidecar header does not describe its body ({exc})"
+    return (names, columns), ""
 
 
 class CsvStore:
@@ -703,7 +681,7 @@ class CsvStore:
     def _write_ohlcv(self, asset: AssetId, bars: BarTable) -> None:
         rows = "".join([f"{ts},{o!r},{h!r},{lo!r},{c!r},{v!r}\r\n"
                         for ts, (o, h, lo, c, v) in zip(bars.ts.tolist(), bars.ohlcv.tolist())])
-        _write_csv(self._dir(asset) / "ohlcv.csv", [csv_text([OHLCV_HEADER]), rows], [bars.ts, bars.ohlcv])
+        _write_csv(self._dir(asset) / "ohlcv.csv", [csv_text([OHLCV_HEADER]), rows], [], [bars.ts, bars.ohlcv])
 
     def _write_metrics(self, asset: AssetId, series: dict[str, tuple[np.ndarray, np.ndarray]]) -> None:
         def texts():
@@ -712,14 +690,14 @@ class CsvStore:
                 field = csv_text([[name]])[:-2]
                 yield "".join([f"{t},{field},{v!r}\r\n" for t, v in zip(ts.tolist(), values.tolist())])
 
-        _write_csv(self._dir(asset) / "metrics.csv", texts(), _metric_columns(series))
+        _write_csv(self._dir(asset) / "metrics.csv", texts(), *_series_columns(series))
 
     # -- loading -----------------------------------------------------------
 
-    def _load_columns(self, path: Path, parse, columns_of) -> list[np.ndarray] | None:
-        """The sidecar columns of the store CSV at ``path``; None if there is
-        no CSV.  They come from the sidecar when it matches the CSV's
-        bytes, else from ``columns_of(parse(csv))``, and the sidecar is rewritten."""
+    def _load_columns(self, path: Path, parse, columns_of, fits) -> tuple[list[str], list[np.ndarray]] | None:
+        """The names and columns of the store CSV at ``path``, None if there is
+        no CSV: the sidecar's if it matches the CSV's bytes and ``fits``, else
+        ``columns_of(parse(csv))``, and the sidecar is rewritten."""
         try:
             fh = open(path, "rb")
         except FileNotFoundError:
@@ -729,39 +707,48 @@ class CsvStore:
             sha = hashlib.sha256()
             for block in iter(lambda: fh.read(1 << 18), b""):
                 sha.update(block)
-            digest = sha.digest()
-            columns, why = _read_sidecar(path, digest)
-            if columns is not None:
-                return columns
+            digest = sha.hexdigest()
+            loaded, why = _read_sidecar(path, digest, fits)
+            if loaded is not None:
+                return loaded
             log.info("%s: %s; parsing the CSV", path, why)
             fh.seek(0)
             with io.TextIOWrapper(fh, newline="", encoding="utf-8") as text:
-                columns = columns_of(parse(text))
-        _write_sidecar(path, digest, columns)
-        return columns
+                loaded = columns_of(parse(text))
+        _write_sidecar(path, digest, *loaded)
+        return loaded
 
     def load_bars(self, asset: AssetId) -> BarTable:
         """The stored bars, in strictly ascending ts order."""
         path = self._dir(asset) / "ohlcv.csv"
 
-        def columns_of(bars: BarTable) -> list[np.ndarray]:
+        def columns_of(bars: BarTable) -> tuple[list[str], list[np.ndarray]]:
             if np.any(np.diff(bars.ts) <= 0):
                 raise DataError(f"{path}: bar timestamps not strictly ascending")
-            return [bars.ts, bars.ohlcv]
+            return [], [bars.ts, bars.ohlcv]
 
-        columns = self._load_columns(path, parse_ohlcv_csv, columns_of)
-        return BarTable(np.zeros(0, dtype=np.int64), np.zeros((0, 5))) if columns is None else BarTable(*columns)
+        def fits(names, ts, ohlcv) -> bool:
+            return (not names and ts.dtype == np.int64 and ohlcv.dtype == np.float64
+                    and ts.ndim == 1 and ohlcv.shape == (len(ts), 5))
+
+        loaded = self._load_columns(path, parse_ohlcv_csv, columns_of, fits)
+        return BarTable(np.zeros(0, dtype=np.int64), np.zeros((0, 5))) if loaded is None else BarTable(*loaded[1])
 
     def load_metrics(self, asset: AssetId) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Per stored metric name, in name order: (ascending ts, values)."""
-        columns = self._load_columns(self._dir(asset) / "metrics.csv", parse_metrics_csv,
-                                     lambda table: _metric_columns(table.series()))
-        if columns is None:
+
+        def fits(names, counts, ts, values) -> bool:
+            return (all(type(name) is str for name in names) and counts.dtype == ts.dtype == np.int64
+                    and values.dtype == np.float64 and counts.shape == (len(names),) and (counts >= 0).all()
+                    and ts.shape == values.shape == (counts.sum(),))
+
+        loaded = self._load_columns(self._dir(asset) / "metrics.csv", parse_metrics_csv,
+                                    lambda table: _series_columns(table.series()), fits)
+        if loaded is None:
             return {}
-        names, counts, ts, values = columns
+        names, (counts, ts, values) = loaded
         ends = np.cumsum(counts).tolist()
-        return {name: (ts[end - k : end], values[end - k : end])
-                for name, k, end in zip(json.loads(names.tobytes()), counts.tolist(), ends)}
+        return {name: (ts[end - k : end], values[end - k : end]) for name, k, end in zip(names, counts.tolist(), ends)}
 
     # -- alignment ---------------------------------------------------------
 

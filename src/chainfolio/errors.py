@@ -14,4 +14,4 @@ class ConfigError(ChainfolioError):
 
 
 class SerializationError(ChainfolioError):
-    """A model or report container that cannot be read or written."""
+    """A container (a module file or a store sidecar) that cannot be read."""

@@ -149,9 +149,6 @@ class CmRegistry:
             yield entries
             write_json(self.root / "registry.json", {"version": self.VERSION, "entries": entries})
 
-    def assets(self) -> list[str]:
-        return sorted(self._entries())
-
     def __contains__(self, asset: str) -> bool:
         return asset in self._entries()
 

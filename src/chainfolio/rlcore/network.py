@@ -164,12 +164,6 @@ class QNetwork:
     def zero_grads(self) -> None:
         self.grads.fill(0.0)
 
-    # -- parameters ------------------------------------------------------------
-
-    @property
-    def n_params(self) -> int:
-        return self.params.size
-
     def clone(self) -> "QNetwork":
         twin = QNetwork(self.arch, self.input_shape, self.seed)
         np.copyto(twin.params, self.params)

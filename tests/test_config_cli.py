@@ -29,11 +29,11 @@ from chainfolio.config import (
     parse_config_text,
     parse_ts,
 )
+from chainfolio.container import ContainerFormatError, decode_container
 from chainfolio.cryptomodule import CmSettings, CryptoModule, DataRanges, derive_seed, load_cm, save_cm, with_seed
 from chainfolio.datastore import AssetId, CsvStore, MetricTable
 from chainfolio.errors import ConfigError
 from chainfolio.refinery import HorizonConfig
-from chainfolio.rlcore.container import ContainerFormatError, decode_container
 from chainfolio.rlcore.network import QNetwork
 from chainfolio.rlcore.training import TrainConfig
 from chainfolio.serial import Float64Array, Int64Array, from_doc, to_doc

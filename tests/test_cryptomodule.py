@@ -12,6 +12,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chainfolio import cryptomodule
+from chainfolio.container import (
+    ChecksumMismatchError,
+    ContainerFormatError,
+    UnsupportedVersionError,
+    decode_container,
+    encode_container,
+)
 from chainfolio.cryptomodule import (
     SIGNAL_ACTIONS,
     SIGNAL_VALUES,
@@ -34,13 +41,6 @@ from chainfolio.cryptomodule import (
 from chainfolio.datastore import AlignedFrame, AssetId
 from chainfolio.errors import ChainfolioError, ConfigError, DataError
 from chainfolio.refinery import HorizonConfig, full_windows, refine_features, select_valid_metrics
-from chainfolio.rlcore.container import (
-    ChecksumMismatchError,
-    ContainerFormatError,
-    UnsupportedVersionError,
-    decode_container,
-    write_container,
-)
 from chainfolio.rlcore.network import QNetwork, param_shapes
 from chainfolio.rlcore.replay import ReplayBuffer
 from chainfolio.rlcore.training import TrainConfig
@@ -671,7 +671,7 @@ def test_load_cm_missing_header_key_is_format_error(tmp_path, rng, drop):
     save_cm(cm, path)
     header, body = decode_container(path.read_bytes())
     del header[drop]
-    write_container(path, header, body)  # valid checksum, broken schema
+    path.write_bytes(encode_container(header, body))  # valid checksum, broken schema
     with pytest.raises(ContainerFormatError, match=drop):
         load_cm(path)
 
@@ -758,7 +758,7 @@ def test_modules_written_earlier_keep_their_q_values(name):
     rng = np.random.default_rng(6)
     for net in (cm.sam_net, cm.eam_net)[: 1 + cm.use_eam]:  # in body order
         states = rng.normal(size=(6, *net.input_shape))
-        params, stored = stored[: net.n_params], stored[net.n_params :]
+        params, stored = stored[: net.params.size], stored[net.params.size :]
         np.testing.assert_allclose(net.forward(states), reference_q(net.arch, params, states), rtol=1e-10, atol=1e-12)
     assert stored.size == 0
 

@@ -1,14 +1,17 @@
 """Data feed: parsing, ingestion semantics, LOCF alignment."""
 
 import csv
+import hashlib
 import io
 import json
 import logging
 import re
 import shutil
+import struct
 import sys
 import tempfile
 import threading
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from chainfolio import datastore
+from chainfolio.container import VERSION, decode_container, encode_container
 from chainfolio.datastore import (
     METRICS_HEADER,
     OHLCV_HEADER,
@@ -32,6 +36,7 @@ from chainfolio.datastore import (
 from chainfolio.errors import ChainfolioError, DataError
 
 from _synth import INTERVAL, T0, bar_table, bar_ts, metric_table, race
+from test_cryptomodule import _JSON, _json_paths
 from test_portfolio import damaged_json
 
 
@@ -426,6 +431,93 @@ def test_fresh_ingests_of_the_same_inputs_write_identical_sidecars(tmp_path):
         assert sidecar(tmp_path / "one", name).read_bytes() == sidecar(tmp_path / "two", name).read_bytes()
 
 
+def misfit_sidecar(data, header: dict, body: bytes) -> bytes:
+    """A sidecar container with a valid trailer and one fault: a header value
+    deleted or of another type, another CSV digest, a column dtype or shape
+    that need not fit the body, a truncated or extended body, or another
+    container version."""
+    fault = data.draw(st.sampled_from(["value", "csv", "column", "body", "version"]))
+    version = VERSION
+    if fault == "value":
+        *at, last = data.draw(st.sampled_from([path for path in _json_paths(header) if path]))
+        parent = header
+        for key in at:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[last]
+        else:
+            parent[last] = data.draw(_JSON.filter(lambda value: type(value) is not type(parent[last])))
+    elif fault == "csv":
+        header["csv"] = hashlib.sha256(data.draw(st.binary())).hexdigest()
+    elif fault == "column":
+        column = data.draw(st.sampled_from(header["columns"]))
+        if data.draw(st.booleans()):
+            column[0] = data.draw(st.sampled_from(["<i8", "<f8", ">i8", ">f8", "<i4", "<f4", "|u1", "<U2", "O"]))
+        else:
+            column[1] = data.draw(st.lists(st.integers(-1, 40), max_size=3))
+    elif fault == "body":
+        body = (body[: data.draw(st.integers(0, len(body) - 1))] if data.draw(st.booleans())
+                else body + data.draw(st.binary(min_size=1, max_size=24)))
+    else:
+        version = data.draw(st.integers(0, 0xFFFF).filter(lambda v: v != VERSION))
+    prefix = bytearray(encode_container(header, body)[:-32])
+    struct.pack_into("<H", prefix, 4, version)
+    return bytes(prefix) + hashlib.sha256(prefix).digest()
+
+
+@given(data=st.data())
+def test_a_resealed_sidecar_of_any_content_loads_as_the_parsed_csv(data):
+    """A sidecar whose trailer is valid but whose header, body or version
+    does not describe the CSV's columns loads as parsing the CSV does,
+    raises nothing, and is replaced by the bytes a fresh ingest writes."""
+    name = data.draw(st.sampled_from(CSVS))
+    with tempfile.TemporaryDirectory() as root:
+        store, asset = small_store(root)
+        path = sidecar(root, name)
+        fresh = path.read_bytes()
+        path.write_bytes(misfit_sidecar(data, *decode_container(fresh)))
+        assert same(loaded(store, asset, name), parsed(store, asset, name))
+        assert path.read_bytes() == fresh
+
+
+def record_format_sidecar(csv_path: Path, columns: list[np.ndarray]) -> bytes:
+    """The sidecar of ``csv_path`` in the format written before sidecars were
+    containers: ``np.save`` records of the CSV's SHA-256, of a SHA-256 of the
+    column records keyed by the CSV's name and that format's layout number 1,
+    then of the columns."""
+    def record(array):
+        buf = io.BytesIO()
+        np.save(buf, array, allow_pickle=False)
+        return buf.getvalue()
+
+    body = b"".join(map(record, columns))
+    digests = [hashlib.sha256(csv_path.read_bytes()), hashlib.sha256(f"{csv_path.name}/1\n".encode() + body)]
+    return b"".join(record(np.frombuffer(d.digest(), dtype=np.uint8)) for d in digests) + body
+
+
+def test_a_sidecar_in_the_earlier_record_format_is_parsed_once_and_replaced(tmp_path, monkeypatch, caplog):
+    store, asset = small_store(tmp_path)
+    fresh = {name: sidecar(tmp_path, name).read_bytes() for name in CSVS}
+    bars, series = store.load_bars(asset), store.load_metrics(asset)
+    columns = {
+        "ohlcv.csv": [bars.ts, bars.ohlcv],
+        "metrics.csv": [np.frombuffer(json.dumps(list(series)).encode(), dtype=np.uint8),
+                        np.array([len(ts) for ts, _ in series.values()]),
+                        *(np.concatenate(col) for col in zip(*series.values()))],
+    }
+    for name in CSVS:
+        sidecar(tmp_path, name).write_bytes(record_format_sidecar(tmp_path / "AAA-USDT" / name, columns[name]))
+    parses = []
+    for parser in ("parse_ohlcv_csv", "parse_metrics_csv"):
+        monkeypatch.setattr(datastore, parser, lambda text, parse=getattr(datastore, parser): parses.append(text) or parse(text))
+    with caplog.at_level(logging.INFO, logger="chainfolio.datastore"):
+        assert_loads_equal_parsing(store, asset)
+        assert_loads_equal_parsing(store, asset)
+    assert len(parses) == 2
+    assert caplog.text.count("(not a CRLM container); parsing the CSV") == 2
+    assert all(sidecar(tmp_path, name).read_bytes() == fresh[name] for name in CSVS)
+
+
 # ---------------------------------------------------------------------------
 # Alignment
 
@@ -645,8 +737,8 @@ def test_concurrent_ingests_of_different_assets_keep_the_manifest(tmp_path):
             for n in (10, 20):
                 store.ingest_ohlcv(AssetId(symbol), flat_bars(n))
                 store.ingest_metrics(AssetId(symbol), metric_table((bar_ts(i), "mm", 1.0) for i in range(n)))
-        except Exception as exc:  # reported below, with the thread's symbol
-            errors.append((symbol, exc))
+        except Exception as exc:  # reported below, with the thread's symbol and traceback
+            errors.append(f"{symbol}: {''.join(traceback.format_exception(exc))}")
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -659,7 +751,7 @@ def test_concurrent_ingests_of_different_assets_keep_the_manifest(tmp_path):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
+    assert errors == [], "\n".join(errors)
     manifest = json.loads((tmp_path / CsvStore.MANIFEST).read_text())
     assert sorted(manifest["assets"]) == [f"{s}-USDT" for s in symbols]
     assert all(e["bars"] == 20 and e["metrics"] == {"mm": 20} for e in manifest["assets"].values())

@@ -94,6 +94,27 @@ def test_only_the_refinery_imports_the_rolling_transforms():
     assert bound == []
 
 
+def chainfolio_modules_loaded_by(module: str) -> set[str]:
+    """The chainfolio modules a fresh interpreter holds after importing ``module``."""
+    code = (f"import json, sys, {module}\n"
+            "print(json.dumps([name for name in sys.modules if name.partition('.')[0] == 'chainfolio']))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def test_the_store_and_the_rl_core_load_no_layer_above_them():
+    """``datastore`` loads only the container and the errors; no module of
+    ``rlcore`` loads a chainfolio module outside ``rlcore`` but ``errors``."""
+    assert chainfolio_modules_loaded_by("chainfolio.datastore") == {
+        "chainfolio", "chainfolio.container", "chainfolio.datastore", "chainfolio.errors"}
+    for path in sorted((ROOT / "src" / "chainfolio" / "rlcore").glob("*.py")):
+        module = "chainfolio.rlcore" + ("" if path.stem == "__init__" else f".{path.stem}")
+        outside = {name for name in chainfolio_modules_loaded_by(module)
+                   if name not in ("chainfolio", "chainfolio.errors") and not name.startswith("chainfolio.rlcore")}
+        assert outside == set(), module
+
+
 def test_commands_load_neither_numpy_ma_nor_strptime(tmp_path):
     """``numpy.ma`` (loaded by ``np.unique`` and ``np.intersect1d``) and
     ``_strptime`` (loaded by ``datetime.strptime``) cost every command

@@ -235,7 +235,7 @@ def test_registry_add_load_remove(tmp_path):
     reg = CmRegistry(tmp_path / "reg")
     key = reg.add(src)
     assert key == "AAA-USDT"
-    assert "AAA-USDT" in reg and reg.assets() == ["AAA-USDT"]
+    assert "AAA-USDT" in reg
     assert (tmp_path / "reg" / "AAA-USDT.cm").exists()
     loaded = reg.load("AAA-USDT")
     assert np.array_equal(loaded.sam_net.params, cm.sam_net.params)
@@ -337,7 +337,6 @@ def test_concurrent_adds_from_two_processes_keep_every_entry(tmp_path, racing_mo
     registry = tmp_path / "reg"
     race(REGISTRY_RACER, [[str(registry), *map(str, paths)] for paths in racing_modules.values()])
     keys = sorted(f"{p}{i}-USDT" for p in "PQ" for i in range(20))
-    assert CmRegistry(registry).assets() == keys
     assert CmRegistry(registry).status() == [(key, f"{key}.cm", "ok") for key in keys]
 
 
@@ -347,7 +346,7 @@ def test_registry_persistence_and_readd(tmp_path):
     reg = CmRegistry(tmp_path / "reg")
     reg.add(src)
     reopened = CmRegistry(tmp_path / "reg")
-    assert reopened.assets() == ["AAA-USDT"]
+    assert [key for key, _, _ in reopened.status()] == ["AAA-USDT"]
     first = reopened.load("AAA-USDT").sam_net.params
     reopened.remove("AAA-USDT")
     reopened.add(src)

@@ -6,14 +6,14 @@ import struct
 import numpy as np
 import pytest
 
-from chainfolio.errors import ConfigError, DataError
-from chainfolio.rlcore.container import (
+from chainfolio.container import (
     ChecksumMismatchError,
     ContainerFormatError,
     UnsupportedVersionError,
     decode_container,
-    write_container,
+    encode_container,
 )
+from chainfolio.errors import ConfigError, DataError
 from chainfolio.rlcore.network import Conv1D, Dense, QNetwork, param_shapes
 from chainfolio.rlcore.replay import Batch, ReplayBuffer
 from chainfolio.rlcore.training import DivergenceError, TargetTable, TrainConfig, epsilon_at, epsilon_greedy, train_step
@@ -58,7 +58,7 @@ def test_layer_parameters_are_views_of_the_network_vectors(arch, shape):
     net = QNetwork(arch, shape, seed=4)
     layers = [layer for layer in net.layers if isinstance(layer, (Conv1D, Dense))]
     assert [s for layer in layers for s in (layer.w.shape, layer.b.shape)] == param_shapes(arch, shape)
-    assert net.grads.shape == net.params.shape == (net.n_params,)
+    assert net.grads.shape == net.params.shape == (net.params.size,)
     offset = 0
     for layer in layers:
         for p, g in ((layer.w, layer.dw), (layer.b, layer.db)):
@@ -67,7 +67,7 @@ def test_layer_parameters_are_views_of_the_network_vectors(arch, shape):
             g[...] = 1.0
             assert np.all(net.grads[offset : offset + g.size] == 1.0)
             offset += p.size
-    assert offset == net.n_params
+    assert offset == net.params.size
     net.zero_grads()
     assert not net.grads.any()
 
@@ -634,7 +634,7 @@ def sealed(prefix: bytes) -> bytes:
 
 def test_container_round_trip_and_layout(tmp_path):
     path = tmp_path / "box.crlm"
-    write_container(path, HEADER, BODY)
+    path.write_bytes(encode_container(HEADER, BODY))
     blob = path.read_bytes()
     assert decode_container(blob) == (HEADER, BODY)
     header = b'{"note":[1,"two"]}'
@@ -643,14 +643,14 @@ def test_container_round_trip_and_layout(tmp_path):
 
 def test_container_writing_is_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.crlm", tmp_path / "b.crlm"
-    write_container(p1, HEADER, BODY)
-    write_container(p2, dict(HEADER), bytes(BODY))
+    p1.write_bytes(encode_container(HEADER, BODY))
+    p2.write_bytes(encode_container(dict(HEADER), bytes(BODY)))
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_container_detects_corruption(tmp_path):
     path = tmp_path / "box.crlm"
-    write_container(path, HEADER, BODY)
+    path.write_bytes(encode_container(HEADER, BODY))
     blob = bytearray(path.read_bytes())
     blob[len(blob) // 2] ^= 0xFF
     with pytest.raises(ChecksumMismatchError):
@@ -661,7 +661,7 @@ def test_container_detects_corruption(tmp_path):
 def test_container_rejects_another_version(tmp_path, version):
     """Only version 3 is read; files written before it carry version 1."""
     path = tmp_path / "box.crlm"
-    write_container(path, HEADER, BODY)
+    path.write_bytes(encode_container(HEADER, BODY))
     prefix = bytearray(path.read_bytes()[:-32])
     struct.pack_into("<H", prefix, 4, version)
     with pytest.raises(UnsupportedVersionError, match=f"version {version} unsupported"):
@@ -670,7 +670,7 @@ def test_container_rejects_another_version(tmp_path, version):
 
 def test_container_structure_checks(tmp_path):
     path = tmp_path / "box.crlm"
-    write_container(path, HEADER, BODY)
+    path.write_bytes(encode_container(HEADER, BODY))
     blob = path.read_bytes()
     with pytest.raises(ContainerFormatError):
         decode_container(b"JUNKJUNKJUNK")
