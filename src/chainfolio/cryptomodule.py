@@ -543,9 +543,8 @@ def load_cm(path: str | Path, blob: bytes | None = None) -> CryptoModule:
     if len(body) != 8 * sum(counts):  # checked before any array is allocated
         raise ContainerFormatError(f"malformed module {path}: its header implies {sum(counts)} parameters, "
                                    f"its body holds {len(body)} bytes")
-    nets = [QNetwork(*spec) for spec in specs]
-    for net, params in zip(nets, np.split(np.frombuffer(body, dtype="<f8"), counts[:1])):  # in body order
-        np.copyto(net.params, params)
+    bodies = np.split(np.frombuffer(body, dtype="<f8"), counts[:1])  # each net's params, in body order
+    nets = [QNetwork(*spec, params) for spec, params in zip(specs, bodies)]
     return CryptoModule(sam_net=nets[0], eam_net=nets[1] if len(nets) > 1 else None, **values)
 
 

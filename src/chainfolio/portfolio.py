@@ -7,14 +7,15 @@ count m, and the residual mass stays in cash.  Weights are plain float
 (m+1)-vectors [crypto_1..crypto_m, cash].
 
 Backtest: a module decides from its own asset's data alone, never from
-the portfolio's state, so every module's decisions (one per rebalance
-interval) are taken before the bar loop.  A retrain cadence in days
-optionally re-fits every module on an expanding window at each boundary
-inside the range, also before the loop; a retrain takes effect at the
-first decision bar at or after its boundary, and a boundary after the
-last decision bar is not retrained.  Each module in force decides only
-at the decision bars it serves.  The bar loop then averages each
-decision bar's votes and rebalances at current closes, paying
+the portfolio's state, so a backtest runs in three passes.  (1) The
+retrain grid: a cadence in days optionally re-fits every module on an
+expanding window at each boundary inside the range, one cell and one
+``RetrainEvent`` per (boundary, asset), boundary-major with assets in
+portfolio order.  A retrain takes effect at the first decision bar at or
+after its boundary; a boundary after the last decision bar is not
+retrained.  (2) Per asset, each module in force decides the decision
+bars (one per rebalance interval) it serves.  (3) The bar loop averages
+each decision bar's votes and rebalances at current closes, paying
 proportional fees on turnover (crypto entries only); between rebalances
 holdings drift with prices.
 """
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .cryptomodule import ALLOCATION_ACTIONS, CryptoModule, DataRanges, derive_seed, load_cm, train_cm, with_seed
-from .datastore import AlignedFrame, AssetId, CsvStore, atomic_write, flocked, read_json, write_json
+from .datastore import AssetId, CsvStore, atomic_write, flocked, read_json, write_json
 from .errors import ChainfolioError, ConfigError, DataError
 from .metrics import SummaryStats
 from .rlcore.training import DivergenceError
@@ -243,18 +244,25 @@ class BacktestConfig:
             raise ConfigError(f"backtest bar interval {self.interval}s must divide one day")
 
 
+@dataclass(frozen=True)
+class RetrainEvent:
+    ts: int                          # the boundary
+    asset: str
+    status: str                      # "retrained" or "diverged-kept-previous"
+
+
 @dataclass
 class BacktestReport:
     """Versioned backtest output: curves, events, logs, and summary stats."""
 
     version: int
-    config: dict
+    config: BacktestConfig
     timestamps: Int64Array
     curves: dict[str, Float64Array]           # strategy first, then baselines
     returns: Float64Array                     # strategy per-bar simple returns
     events: list[RebalanceEvent]
     action_logs: dict[str, list[tuple[int, str]]]
-    retrain_events: list[dict] = field(default_factory=list)
+    retrain_events: list[RetrainEvent] = field(default_factory=list)
     summary: dict[str, SummaryStats] = field(default_factory=dict)
 
     def table(self) -> str:
@@ -279,7 +287,7 @@ class BacktestReport:
             report = from_doc(cls, doc)
             order = from_doc(list[str], doc["curve_order"])
             report.curves = {name: report.curves[name] for name in order}
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, ConfigError, DataError) as exc:
             raise DataError(f"malformed report {path}: bad or missing field {exc!r}") from None
         report.summary = {name: report.summary[name] for name in order if name in report.summary}
         return report
@@ -314,14 +322,16 @@ def run_backtest(modules: Mapping[str, CryptoModule], cfg: BacktestConfig, store
     """Fee-aware portfolio backtest over aligned bars of the assets that
     `modules` maps to their trained modules.
 
-    Every asset is aligned first.  Then, per asset, every retrain runs and
-    the module in force decides at each decision bar: every
-    `rebalance_interval`-th bar from bar 0, up to the second-to-last bar,
-    since a trade at the last bar would show in no curve.  A retrain takes
-    effect at the first decision bar at or after its boundary, and a
-    boundary after the last decision bar is not retrained.  The bar loop
-    then only marks every bar to market and, on decision bars, averages the
-    votes and re-splits holdings at the close.
+    Modules decide at every `rebalance_interval`-th bar from bar 0, up to
+    the second-to-last bar, since a trade at the last bar would show in no
+    curve.  Every asset is aligned first; then three passes run.  (1) The
+    retrain grid: each boundary that takes effect, at the first decision bar
+    at or after it, retrains each asset's original module, boundary by
+    boundary with assets in portfolio order; a boundary after the last
+    decision bar is not retrained.  (2) Per asset, each module in force
+    decides the decision bars it serves.  (3) The bar loop marks every bar
+    to market and, on decision bars, averages the votes and re-splits
+    holdings at the close.
 
     The strategy curve marks every bar the same way: the holdings carried
     into the bar, at its close, before that bar's trade.  So the curve starts
@@ -345,20 +355,28 @@ def run_backtest(modules: Mapping[str, CryptoModule], cfg: BacktestConfig, store
         frames[asset] = store.align(AssetId.parse(asset), cfg.start_ts - lead, cfg.end_ts, cfg.interval, cfg.fill_limit)
         offsets[asset] = frames[asset].index_of(cfg.start_ts)
 
-    # each retrained boundary and the index into `decisions` where it takes effect
+    # (boundary, index into `decisions` where it takes effect, asset), boundary-major
     boundaries = retrain_boundaries(cfg.start_ts, cfg.end_ts, cfg.retrain_days)
     takes_effect = np.searchsorted(grid[decisions], boundaries)
-    schedule = [(b, int(at)) for b, at in zip(boundaries, takes_effect) if at < len(decisions)]
-    retrain_events: list[dict] = []
+    cells = [(b, int(at), a) for b, at in zip(boundaries, takes_effect) if at < len(decisions) for a in cfg.assets]
+    retrained = [_retrain(modules[a], store, b, cfg.fill_limit) for b, _, a in cells]
+    retrain_events = [RetrainEvent(b, a, "diverged-kept-previous" if cm is None else "retrained")
+                      for (b, _, a), cm in zip(cells, retrained)]
+
+    in_force = {a: {0: modules[a]} for a in cfg.assets}  # each asset's modules by index into `decisions`
+    for (_, at, a), cm in zip(cells, retrained):
+        if cm is not None:  # replaces any earlier retrain at the same index, which is then never prepared
+            in_force[a][at] = cm
     action_logs: dict[str, list[tuple[int, str]]] = {}
     votes = []
-    for asset in cfg.assets:
-        actions, asset_events = _decide(modules[asset], store, frames[asset], offsets[asset] + decisions,
-                                        schedule, cfg.fill_limit)
+    for asset, by_start in in_force.items():
+        rows, starts = offsets[asset] + decisions, list(by_start)
+        actions = []
+        for lo, hi in zip(starts, starts[1:] + [len(rows)]):  # each module prepared over only its own rows
+            ctx = by_start[lo].prepare(frames[asset], rows[lo:hi])
+            actions += [by_start[lo].allocate(ctx, int(t)) for t in rows[lo:hi]]
         action_logs[asset] = [(int(grid[k]), ALLOCATION_ACTIONS[a]) for k, a in zip(decisions, actions)]
         votes.append(actions)
-        retrain_events += asset_events
-    retrain_events.sort(key=lambda ev: ev["ts"])  # boundary by boundary, assets in portfolio order
     ballots = dict(zip(decisions.tolist(), np.column_stack(votes)))  # each decision bar's row of votes
 
     prices_at = np.column_stack([frames[a].close[offsets[a] : offsets[a] + n_bars] for a in cfg.assets])
@@ -382,7 +400,7 @@ def run_backtest(modules: Mapping[str, CryptoModule], cfg: BacktestConfig, store
     summary = {name: metrics_mod.summarize(grid, vals) for name, vals in curves.items()}
     return BacktestReport(
         version=REPORT_VERSION,
-        config=to_doc(cfg),
+        config=cfg,
         timestamps=grid,
         curves=curves,
         returns=curve[1:] / curve[:-1] - 1.0,
@@ -393,33 +411,15 @@ def run_backtest(modules: Mapping[str, CryptoModule], cfg: BacktestConfig, store
     )
 
 
-def _decide(
-    cm: CryptoModule, store: CsvStore, frame: AlignedFrame, rows: np.ndarray,
-    schedule: list[tuple[int, int]], fill_limit: int,
-) -> tuple[list[int], list[dict]]:
-    """One asset's actions (0 cash, 1 crypto) at the frame ``rows`` and its retrain events.
-    Each (boundary, index into ``rows``) of ``schedule`` retrains the original
-    module ``cm``; one that diverges keeps the module in force.  Each module in
-    force is prepared over only the rows it decides, up to the next retrain that
-    takes effect, and one that a later retrain replaces at the same row is never prepared."""
-    in_force = {0: cm}
-    events = []
-    for boundary, at in schedule:
-        try:
-            in_force[at] = retrain_module(cm, store, boundary, fill_limit)
-        except DivergenceError as exc:
-            log.warning("retraining %s at ts=%d diverged, keeping previous module: %s", cm.asset.key, boundary, exc)
-            status = "diverged-kept-previous"
-        else:
-            log.info("retrained %s at ts=%d", cm.asset.key, boundary)
-            status = "retrained"
-        events.append({"ts": boundary, "asset": cm.asset.key, "status": status})
-    starts = list(in_force)
-    actions = []
-    for lo, hi in zip(starts, starts[1:] + [len(rows)]):
-        ctx = in_force[lo].prepare(frame, rows[lo:hi])
-        actions += [in_force[lo].allocate(ctx, int(t)) for t in rows[lo:hi]]
-    return actions, events
+def _retrain(cm: CryptoModule, store: CsvStore, boundary: int, fill_limit: int) -> CryptoModule | None:
+    """``retrain_module``'s module, or None when its training diverges."""
+    try:
+        fresh = retrain_module(cm, store, boundary, fill_limit)
+    except DivergenceError as exc:
+        log.warning("retraining %s at ts=%d diverged, keeping previous module: %s", cm.asset.key, boundary, exc)
+        return None
+    log.info("retrained %s at ts=%d", cm.asset.key, boundary)
+    return fresh
 
 
 def _baseline_name(asset: str, assets: Sequence[str]) -> str:

@@ -120,10 +120,10 @@ class Dense(_Affine):
 
 
 class QNetwork:
-    """A fresh, seeded network of a registered architecture, mapping a
-    state tensor to action values."""
+    """A network of a registered architecture, mapping a state tensor to action
+    values; its parameters are a copy of ``params`` or, without them, drawn from ``seed``."""
 
-    def __init__(self, arch: str, input_shape: tuple[int, int, int], seed: int):
+    def __init__(self, arch: str, input_shape: tuple[int, int, int], seed: int, params: np.ndarray | None = None):
         shapes = param_shapes(arch, input_shape)  # validates
         self.arch = arch
         self.input_shape = tuple(input_shape)
@@ -135,6 +135,9 @@ class QNetwork:
         n_conv = 2 * len(LAYOUTS[arch][0])  # conv weights and biases come first
         self.layers = [(Conv1D if j < n_conv else Dense)(p[j], p[j + 1], g[j], g[j + 1])
                        for j in range(0, len(shapes), 2)]
+        if params is not None:  # a loaded or cloned net draws nothing, so numpy.random stays unloaded
+            np.copyto(self.params, params)
+            return
         rng = np.random.default_rng(seed)
         for a, s in zip(p, shapes):  # He-normal weights and zero biases, drawn in parameter-vector order
             a[...] = rng.normal(0.0, np.sqrt(2.0 / math.prod(s[1:])), size=s) if len(s) > 1 else 0.0
@@ -165,9 +168,7 @@ class QNetwork:
         self.grads.fill(0.0)
 
     def clone(self) -> "QNetwork":
-        twin = QNetwork(self.arch, self.input_shape, self.seed)
-        np.copyto(twin.params, self.params)
-        return twin
+        return QNetwork(self.arch, self.input_shape, self.seed, self.params)
 
 
 ACTION_COUNTS = {"eam-1d": 3, "sam-4layer": 2}

@@ -19,7 +19,7 @@ from chainfolio.rlcore.training import epsilon_at
 
 from _synth import bar_ts
 from test_cryptomodule import RANGES, SMALL, walk_frame
-from test_portfolio import bt_config, trained_pair
+from test_portfolio import bt_config, diverge_at, trained_pair
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -121,3 +121,24 @@ def test_traced_retrain_backtest_fills_the_portfolio_metrics(tracing, tmp_path):
     boundaries = range(168, 217, 8)  # bar indices
     assert metrics["refinery.rolling_pca.refits"] == 2 * (sum(b - 17 for b in boundaries) + 6 * 8)
     assert metrics["cryptomodule.build_state.calls"] == 2 * (sum(-(-(b - 65) // 32) + 2 for b in boundaries) + 6)
+
+
+def test_traced_retrain_backtest_counts_a_diverged_cell(tracing, tmp_path, monkeypatch):
+    """Boundaries 184 and 208 for 2 assets, and BBB's retrain at 184
+    diverges: every cell of the grid is one traced retrain call."""
+    store, modules = trained_pair(tmp_path)
+    cfg = bt_config(assets=list(modules), start_ts=bar_ts(160), end_ts=bar_ts(223),
+                    rebalance_interval=6, retrain_days=6)
+    diverge_at(monkeypatch, "BBB-USDT", bar_ts(184))
+    tracer = tracing.Tracer(tmp_path)
+    tracer.install()
+    try:
+        report = tracer.command_span("backtest", lambda: portfolio.run_backtest(modules, cfg, store))
+    finally:
+        tracer.uninstall()
+    agg, _ = tracer.summarize(range(0, 1))
+    metrics = tracing.layer_metrics(agg, tracer.counts)
+
+    assert [ev.status for ev in report.retrain_events].count("diverged-kept-previous") == 1
+    assert metrics["portfolio.retrain_diverged"] == 1
+    assert metrics["portfolio.retrain_module.calls"] == len(report.retrain_events) == 4

@@ -536,12 +536,21 @@ def test_cli_store_is_utf8_whatever_the_locale(tmp_path):
     ingest(tmp_path / "ascii", PYTHONUTF8="0", LC_ALL="C")
 
 
+#: the config document of a one-bar report
+REPORT_CONFIG = to_doc(RunConfig().backtest_config(("AAA",), bar_ts(0), bar_ts(1)))
+
+
 def report_with_summary(**stats) -> str:
     """A well-formed one-curve report.json whose summary holds ``stats``."""
-    doc = {"version": 1, "config": {}, "curve_order": ["strategy"], "timestamps": [0], "curves": {"strategy": [1.0]},
-           "returns": [0.0], "events": [], "action_logs": {}, "retrain_events": [],
+    doc = {"version": 1, "config": REPORT_CONFIG, "curve_order": ["strategy"], "timestamps": [0],
+           "curves": {"strategy": [1.0]}, "returns": [0.0], "events": [], "action_logs": {}, "retrain_events": [],
            "summary": {"strategy": {"arr": 0.5, "drr": 0.001, "sortino": "+inf", **stats}}}
     return json.dumps(doc)
+
+
+def report_with(**fields) -> str:
+    """``report_with_summary()`` with the top-level ``fields`` replaced."""
+    return json.dumps({**json.loads(report_with_summary()), **fields})
 
 
 @pytest.mark.parametrize(
@@ -552,7 +561,11 @@ def report_with_summary(**stats) -> str:
      report_with_summary(drr=[0.1]), report_with_summary(sortino="-inf"), report_with_summary(sortino={}),
      report_with_summary(arr=10**400),
      report_with_summary().replace('"version": 1,', '"version": true,'),
-     report_with_summary().replace('"version": 1,', '"version": 1.0,')],
+     report_with_summary().replace('"version": 1,', '"version": 1.0,'),
+     report_with(retrain_events=[{"ts": "yesterday", "asset": "AAA-USDT", "status": "retrained"}]),
+     report_with(retrain_events=[{"ts": bar_ts(0), "asset": "AAA-USDT"}]),
+     report_with(config={**REPORT_CONFIG, "fee_rate": 0.5}),
+     report_with(config={key: value for key, value in REPORT_CONFIG.items() if key != "assets"})],
 )
 def test_cli_corrupt_report_exit_1(tmp_path, capsys, text):
     out = tmp_path / "report"

@@ -138,3 +138,16 @@ def test_commands_load_neither_numpy_ma_nor_strptime(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_loading_a_module_draws_no_random_numbers():
+    """A loaded net takes its stored parameters, so ``load_cm`` leaves
+    ``numpy.random`` unloaded, as a backtest without retrains and every
+    ``registry`` command do."""
+    code = ("import sys\n"
+            "from chainfolio.cryptomodule import load_cm\n"
+            f"load_cm({str(ROOT / 'tests' / 'fixtures' / 'sam_eam.cm')!r})\n"
+            "print('numpy.random' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -32,6 +32,7 @@ from chainfolio.portfolio import (
     BacktestReport,
     CmRegistry,
     REPORT_FILE,
+    RetrainEvent,
     rebalance,
     retrain_boundaries,
     retrain_module,
@@ -40,7 +41,7 @@ from chainfolio.portfolio import (
 )
 from chainfolio.refinery import HorizonConfig, refine_features, select_valid_metrics
 from chainfolio.rlcore.network import QNetwork
-from chainfolio.rlcore.training import TrainConfig
+from chainfolio.rlcore.training import DivergenceError, TrainConfig
 
 from _synth import INTERVAL, bar_ts, make_asset, race
 from test_cryptomodule import _JSON, _json_paths
@@ -731,9 +732,7 @@ def test_backtest_retrain_cadence_half_range_fires_once(tmp_path):
     assert static.retrain_events == []
     cfg = bt_config(**base_cfg, retrain_days=8)
     report = run_backtest({asset.key: cm}, cfg, store)
-    assert report.retrain_events == [
-        {"ts": bar_ts(192), "asset": "AAA-USDT", "status": "retrained"}
-    ]
+    assert report.retrain_events == [RetrainEvent(bar_ts(192), "AAA-USDT", "retrained")]
     # identical decisions and values strictly before the boundary
     cut = (bar_ts(192) - cfg.start_ts) // INTERVAL
     assert report.action_logs[asset.key][:cut] == static.action_logs[asset.key][:cut]
@@ -765,7 +764,7 @@ def test_backtest_preparing_query_rows_equals_preparing_whole_frames(tmp_path, m
     for i, (cfg, boundaries) in enumerate(cases):
         queried = run_backtest(modules, cfg, store)
         assert queried.retrain_events == [
-            {"ts": bar_ts(b), "asset": key, "status": "retrained"} for b in boundaries for key in cfg.assets
+            RetrainEvent(bar_ts(b), key, "retrained") for b in boundaries for key in cfg.assets
         ]
         assert {a for key in cfg.assets for _, a in queried.action_logs[key]} == {"cash", "crypto"}
         queried.write(tmp_path / f"queried{i}")
@@ -819,12 +818,57 @@ def test_each_boundary_retrains_the_original_module(tmp_path, monkeypatch):
 
     monkeypatch.setattr(CryptoModule, "prepare", spy_prepare)
     report = run_backtest({asset.key: cm}, cfg, store)
-    assert [ev["ts"] for ev in report.retrain_events] == [bar_ts(184), bar_ts(208)]
+    assert [ev.ts for ev in report.retrain_events] == [bar_ts(184), bar_ts(208)]
     assert len(in_force) == 3 and in_force[0] is cm
     save_cm(in_force[2], tmp_path / "in_force.cm")
     save_cm(retrain_module(cm, store, bar_ts(208), fill_limit=4), tmp_path / "direct.cm")
     assert (tmp_path / "in_force.cm").read_bytes() == (tmp_path / "direct.cm").read_bytes()
     assert in_force[2].sam_net.params.tobytes() != in_force[1].sam_net.params.tobytes()
+
+
+def diverge_at(monkeypatch, asset: str, boundary: int) -> None:
+    """Make ``portfolio.retrain_module`` raise DivergenceError for one
+    (asset, boundary) cell of the retrain grid and retrain every other."""
+    retrain = portfolio.retrain_module
+
+    def diverging(cm, store, at, fill_limit):
+        if (cm.asset.key, at) == (asset, boundary):
+            raise DivergenceError("non-finite TD loss nan")
+        return retrain(cm, store, at, fill_limit)
+
+    monkeypatch.setattr(portfolio, "retrain_module", diverging)
+
+
+def test_a_diverged_retrain_keeps_the_module_in_force(tmp_path, monkeypatch, caplog):
+    """Decision bars 160, 166, ... 220 and boundaries 184 and 208: AAA's
+    retrain at 208 diverges, so its retrain at 184 stays in force to the
+    end, while BBB's retrain at 208 still takes effect."""
+    store, modules = trained_pair(tmp_path)
+    aaa, bbb = modules
+    cfg = bt_config(assets=[aaa, bbb], start_ts=bar_ts(160), end_ts=bar_ts(223), fee_rate=0.001,
+                    rebalance_interval=6, retrain_days=6)
+    diverge_at(monkeypatch, aaa, bar_ts(208))
+    prepared = {aaa: [], bbb: []}  # (module, rows prepared) per asset
+    prepare = CryptoModule.prepare
+
+    def spy_prepare(self, frame, rows):
+        prepared[self.asset.key].append((self, len(rows)))
+        return prepare(self, frame, rows)
+
+    monkeypatch.setattr(CryptoModule, "prepare", spy_prepare)
+    report = run_backtest(modules, cfg, store)
+    assert report.retrain_events == [
+        RetrainEvent(bar_ts(184), aaa, "retrained"), RetrainEvent(bar_ts(184), bbb, "retrained"),
+        RetrainEvent(bar_ts(208), aaa, "diverged-kept-previous"), RetrainEvent(bar_ts(208), bbb, "retrained"),
+    ]
+    assert "retraining AAA-USDT at ts=%d diverged" % bar_ts(208) in caplog.text
+    # bars 160-178 are 4 decisions, 184-202 4 and 208-220 3
+    assert [rows for _, rows in prepared[aaa]] == [4, 4 + 3]
+    assert [rows for _, rows in prepared[bbb]] == [4, 4, 3]
+    for asset, boundaries in ((aaa, [184]), (bbb, [184, 208])):
+        in_force = [cm for cm, _ in prepared[asset]]
+        assert in_force[0] is modules[asset]
+        assert [cm.ranges.validation[1] for cm in in_force[1:]] == [bar_ts(b) for b in boundaries]
 
 
 def test_backtest_oversized_cadence_equals_static_run(tmp_path):
